@@ -16,10 +16,10 @@ from .markov import (MarkovChain3, PeriodicChainError, ProbAssignment,
                      SingularMatrixError, absorbing_solve, asymptotic,
                      chain_from_machine, limiting_label_masses, pr_n,
                      pr_n_ratio)
-from .cea import (SimpleConditional, cond_asymptotic, embed_ps,
+from .cea import (SimpleConditional, cond_asymptotic, embed_ps, event_mask,
                   first_machine, first_resolution, latest_resolution,
-                  lift_defined, present_indep, prob_present, prob_ps,
-                  reduce_present, reduce_syntactic, simple_to_cond,
+                  lift_defined, present_indep, present_machine, prob_present,
+                  prob_ps, reduce_present, reduce_syntactic, simple_to_cond,
                   strong_indep, weak_tautology)
 from .oracle import (BudgetExceededError, brute_joint, brute_pr_n,
                      brute_pr_series, brute_reverse_check)

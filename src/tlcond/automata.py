@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .syntax import (And, Atom, CondObject, Const, EventAlgebra, Iff, Implies,
-                     Not, Or, Prev, Since, TLFormula)
+                     Not, Or, Prev, subformulas)
 from .trivalue import Value3
 
 
@@ -69,10 +69,11 @@ class MooreMachine3:
                         delta_by_atom: Sequence[Sequence[int]],
                         initial: int) -> "MooreMachine3":
         """Build a machine from a full state x atom transition table."""
-        classes, class_of_atom = _classes_from_columns(
-            alg.num_atoms, lambda atom: tuple(row[atom] for row in delta_by_atom))
-        reps = [_lowest_atom(mask) for mask in classes]
-        delta = [[row[rep] for rep in reps] for row in delta_by_atom]
+        classes, class_of_atom, cols = _classes_from_columns(
+            alg.num_atoms,
+            ((tuple(row[atom] for row in delta_by_atom), 1 << atom)
+             for atom in range(alg.num_atoms)))
+        delta = [[col[q] for col in cols] for q in range(len(delta_by_atom))]
         m = MooreMachine3(alg, initial, list(labels), delta, classes, class_of_atom)
         m.validate()
         return m
@@ -82,17 +83,19 @@ def _lowest_atom(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
-def _classes_from_columns(num_atoms: int, column_key) -> tuple[list[int], list[int]]:
-    """Group atoms whose key agrees; returns (class masks, atom -> class)."""
+def _classes_from_columns(num_atoms: int, keyed_masks: Iterable[tuple]
+                          ) -> tuple[list[int], list[int], list]:
+    """Merge the atom sets whose keys agree into letter classes.
+
+    ``keyed_masks`` yields (key, atom bitmask) pairs.  Returns the class
+    masks sorted by lowest atom, atom -> class index, and the keys in class
+    order.
+    """
     by_key: dict = {}
-    order: list = []
-    for atom in range(num_atoms):
-        key = column_key(atom)
-        if key not in by_key:
-            by_key[key] = len(order)
-            order.append(0)
-        order[by_key[key]] |= 1 << atom
-    masks = sorted(order, key=_lowest_atom)
+    for key, mask in keyed_masks:
+        by_key[key] = by_key.get(key, 0) | mask
+    keys = sorted(by_key, key=lambda k: _lowest_atom(by_key[k]))
+    masks = [by_key[k] for k in keys]
     class_of_atom = [0] * num_atoms
     for idx, mask in enumerate(masks):
         rest = mask
@@ -100,7 +103,7 @@ def _classes_from_columns(num_atoms: int, column_key) -> tuple[list[int], list[i
             low = rest & -rest
             class_of_atom[low.bit_length() - 1] = idx
             rest ^= low
-    return masks, class_of_atom
+    return masks, class_of_atom, keys
 
 
 # ---------------------------------------------------------------------------
@@ -114,31 +117,9 @@ def _classes_from_columns(num_atoms: int, column_key) -> tuple[list[int], list[i
 # (no predecessor for Y, no earlier witness for S).
 
 
-def _subformulas(forms: Sequence[TLFormula]) -> list[TLFormula]:
-    index: dict[TLFormula, int] = {}
-    out: list[TLFormula] = []
-
-    def walk(f: TLFormula):
-        if f in index:
-            return
-        if isinstance(f, (Not, Prev)):
-            walk(f.child)
-        elif isinstance(f, (And, Or, Implies, Iff, Since)):
-            walk(f.left)
-            walk(f.right)
-        elif not isinstance(f, (Atom, Const)):
-            raise TypeError(f"not a temporal formula: {f!r}")
-        index[f] = len(out)
-        out.append(f)
-
-    for f in forms:
-        walk(f)
-    return out
-
-
 def compile_cond(c: CondObject, alg: EventAlgebra) -> MooreMachine3:
     """Compile a conditional object into a Moore machine computing it."""
-    subs = _subformulas([c.num, c.den])
+    subs = subformulas([c.num, c.den])
     index = {f: i for i, f in enumerate(subs)}
 
     # One update opcode per subformula, evaluated in topological order.
@@ -166,9 +147,10 @@ def compile_cond(c: CondObject, alg: EventAlgebra) -> MooreMachine3:
     support = [alg.index(name) for name in
                sorted({f.name for f in subs if isinstance(f, Atom)},
                       key=alg.index)]
-    classes, class_of_atom = _classes_from_columns(
+    classes, class_of_atom, _ = _classes_from_columns(
         alg.num_atoms,
-        lambda atom: tuple(atom >> b & 1 for b in support))
+        ((tuple(atom >> b & 1 for b in support), 1 << atom)
+         for atom in range(alg.num_atoms)))
     reps = [_lowest_atom(mask) for mask in classes]
 
     num_idx, den_idx = index[c.num], index[c.den]
@@ -243,20 +225,12 @@ def product(ms: Sequence[MooreMachine3],
         if m.alg.events != alg.events:
             raise ValueError("product requires machines over one alphabet")
 
-    masks = list(ms[0].classes)
-    for m in ms[1:]:
-        masks = [a & b for a in masks for b in m.classes if a & b]
-    masks.sort(key=_lowest_atom)
-    reps = [_lowest_atom(mask) for mask in masks]
-    class_of_atom = [0] * alg.num_atoms
-    for idx, mask in enumerate(masks):
-        rest = mask
-        while rest:
-            low = rest & -rest
-            class_of_atom[low.bit_length() - 1] = idx
-            rest ^= low
-    # per machine: joint class -> its own class index
-    local = [[m.class_of_atom[rep] for rep in reps] for m in ms]
+    # a joint class is keyed by its class index in every machine
+    joint = [((), alg.full_event)]
+    for m in ms:
+        joint = [(key + (c,), mask & cm) for key, mask in joint
+                 for c, cm in enumerate(m.classes) if mask & cm]
+    masks, class_of_atom, keys = _classes_from_columns(alg.num_atoms, joint)
 
     start = tuple(m.initial for m in ms)
     state_ids = {start: 0}
@@ -269,8 +243,8 @@ def product(ms: Sequence[MooreMachine3],
         next_frontier = []
         for tup in frontier:
             row = []
-            for jc in range(len(masks)):
-                nxt = tuple(deltas[i][tup[i]][local[i][jc]] for i in range(k))
+            for key in keys:
+                nxt = tuple(deltas[i][tup[i]][key[i]] for i in range(k))
                 tid = state_ids.get(nxt)
                 if tid is None:
                     tid = len(tuples)
@@ -373,27 +347,11 @@ def _prune_reachable(m: MooreMachine3) -> MooreMachine3:
 
 
 def _compress_classes(m: MooreMachine3) -> MooreMachine3:
-    merged: dict[tuple, int] = {}
-    masks: list[int] = []
-    for c in range(len(m.classes)):
-        col = tuple(m.delta[q][c] for q in range(m.n_states))
-        idx = merged.get(col)
-        if idx is None:
-            merged[col] = len(masks)
-            masks.append(m.classes[c])
-        else:
-            masks[idx] |= m.classes[c]
-    pairs = sorted(zip(masks, merged.keys()), key=lambda p: _lowest_atom(p[0]))
-    masks = [p[0] for p in pairs]
-    cols = [p[1] for p in pairs]
-    class_of_atom = [0] * m.alg.num_atoms
-    for idx, mask in enumerate(masks):
-        rest = mask
-        while rest:
-            low = rest & -rest
-            class_of_atom[low.bit_length() - 1] = idx
-            rest ^= low
-    delta = [[cols[c][q] for c in range(len(masks))] for q in range(m.n_states)]
+    masks, class_of_atom, cols = _classes_from_columns(
+        m.alg.num_atoms,
+        ((tuple(row[c] for row in m.delta), mask)
+         for c, mask in enumerate(m.classes)))
+    delta = [[col[q] for col in cols] for q in range(m.n_states)]
     return MooreMachine3(m.alg, m.initial, list(m.labels), delta, masks,
                          class_of_atom)
 

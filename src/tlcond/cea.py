@@ -24,11 +24,13 @@ from fractions import Fraction
 from typing import Callable, Literal, Optional
 
 from . import markov, syntax, trivalue
-from .automata import MooreMachine3, compile_cond, minimize, product
+from .automata import (MooreMachine3, _classes_from_columns, compile_cond,
+                       minimize, product)
 from .markov import ProbAssignment, asymptotic, chain_from_machine, pr_n_ratio
-from .syntax import (And, CeaAnd, CeaCond, CeaExpr, CeaNeg, CeaOr, CeaSimple,
-                     CeaVar, CondObject, EventAlgebra, Not, Or, Prev, Since,
-                     TLFormula, TRUE, collect_simples)
+from .syntax import (And, Atom, CeaAnd, CeaCond, CeaExpr, CeaNeg, CeaOr,
+                     CeaSimple, CeaVar, CondObject, Const, EventAlgebra, Iff,
+                     Implies, Not, Or, Prev, Since, TLFormula, TRUE,
+                     collect_simples)
 from .trivalue import ConnectiveId, Value3, apply_binary, apply_unary
 
 Algebra = Literal["sac", "gnw", "sch"]
@@ -60,48 +62,72 @@ class SimpleConditional:
         return Value3.from_bool(bool(self.yes_set >> atom & 1))
 
 
-def _event_mask(f: TLFormula, alg: EventAlgebra) -> int:
-    from .evaluate import Word, eval_tl
-    mask = 0
-    for atom in range(alg.num_atoms):
-        if eval_tl(Word(alg, (atom,)), 0, f):
-            mask |= 1 << atom
-    return mask
+def event_mask(f: TLFormula, alg: EventAlgebra) -> int:
+    """The set of atoms (bitmask) at which a present-tense formula holds."""
+    full = alg.full_event
+    holds = []  # event index -> atoms in which the event holds
+    for i in range(len(alg.events)):
+        run = 1 << i  # atoms come in alternating runs of this length
+        mask, width = ((1 << run) - 1) << run, 2 * run
+        while width < alg.num_atoms:
+            mask |= mask << width
+            width *= 2
+        holds.append(mask)
+
+    def rec(x: TLFormula) -> int:
+        if isinstance(x, Atom):
+            return holds[alg.index(x.name)]
+        if isinstance(x, Const):
+            return full if x.value else 0
+        if isinstance(x, Not):
+            return full ^ rec(x.child)
+        if isinstance(x, And):
+            return rec(x.left) & rec(x.right)
+        if isinstance(x, Or):
+            return rec(x.left) | rec(x.right)
+        if isinstance(x, Implies):
+            return (full ^ rec(x.left)) | rec(x.right)
+        if isinstance(x, Iff):
+            return full ^ rec(x.left) ^ rec(x.right)
+        raise ValueError(f"not a present-tense formula: {x!r}")
+
+    return rec(f)
 
 
-def _value_of_simple(s: CeaSimple, alg: EventAlgebra, atom: int) -> Value3:
-    from .evaluate import Word, eval_tl
-    w = Word(alg, (atom,))
-    if not eval_tl(w, 0, s.den_event):
-        return Value3.UNDEF
-    return Value3.from_bool(eval_tl(w, 0, s.num_event))
+def _leaf(s: CeaSimple, alg: EventAlgebra) -> SimpleConditional:
+    den = event_mask(s.den_event, alg)
+    return SimpleConditional(alg, event_mask(s.num_event, alg) & den, den)
+
+
+_CONNECTIVE_OF = {CeaAnd: "and", CeaOr: "or", CeaCond: "cond"}
 
 
 def reduce_present(e: CeaExpr, alg: EventAlgebra, which: Algebra) -> SimpleConditional:
     """Pointwise reduction of an expression to one simple conditional."""
     conns = trivalue.ALGEBRA_CONNECTIVES[which]
 
-    def value(x: CeaExpr, atom: int) -> Value3:
+    def build(x: CeaExpr) -> Callable[[int], Value3]:
+        """The expression's value as a function of the atom."""
         if isinstance(x, CeaSimple):
-            return _value_of_simple(x, alg, atom)
+            return _leaf(x, alg).value_at
         if isinstance(x, CeaNeg):
-            return apply_unary(conns["not"], value(x.child, atom))
-        if isinstance(x, CeaAnd):
-            return apply_binary(conns["and"], value(x.left, atom), value(x.right, atom))
-        if isinstance(x, CeaOr):
-            return apply_binary(conns["or"], value(x.left, atom), value(x.right, atom))
-        if isinstance(x, CeaCond):
-            if "cond" not in conns:
+            f = build(x.child)
+            return lambda atom: apply_unary(conns["not"], f(atom))
+        if isinstance(x, (CeaAnd, CeaOr, CeaCond)):
+            name = _CONNECTIVE_OF[type(x)]
+            if name not in conns:
                 raise ValueError(
                     f"re-conditioning is not supported in the {which} algebra")
-            return apply_binary(conns["cond"], value(x.left, atom), value(x.right, atom))
+            conn, f, g = conns[name], build(x.left), build(x.right)
+            return lambda atom: apply_binary(conn, f(atom), g(atom))
         if isinstance(x, CeaVar):
             raise ValueError(f"variable {x.name!r} has no event semantics")
         raise TypeError(f"not a conditional expression node: {x!r}")
 
+    value = build(e)
     yes = defined = 0
     for atom in range(alg.num_atoms):
-        v = value(e, atom)
+        v = value(atom)
         if v is Value3.TRUE:
             yes |= 1 << atom
         if v.is_defined:
@@ -115,9 +141,7 @@ def reduce_syntactic(e: CeaExpr, alg: EventAlgebra, which: Algebra) -> SimpleCon
 
     def rec(x: CeaExpr) -> SimpleConditional:
         if isinstance(x, CeaSimple):
-            den = _event_mask(x.den_event, alg)
-            num = _event_mask(x.num_event, alg) & den
-            return SimpleConditional(alg, num, den)
+            return _leaf(x, alg)
         if isinstance(x, CeaNeg):
             s = rec(x.child)
             return SimpleConditional(alg, s.def_set & ~s.yes_set, s.def_set)
@@ -149,6 +173,27 @@ def prob_present(e: CeaExpr, p: ProbAssignment, which: Algebra) -> Optional[Frac
     if den == 0:
         return None
     return p.of_event(s.yes_set) / den
+
+
+def present_machine(s: SimpleConditional) -> MooreMachine3:
+    """The Moore machine of a simple conditional: one state per value that
+    occurs, entered by the atoms taking that value, plus a never-entered
+    start state labelled undefined.
+
+    States are numbered by the lowest atom entering them, so that
+    :func:`~tlcond.automata.minimize` folds the start state into the same
+    state as it does for the compiled :func:`simple_to_cond` machine.
+    """
+    alg = s.alg
+    by_value = ((Value3.TRUE, s.yes_set),
+                (Value3.FALSE, s.def_set & ~s.yes_set),
+                (Value3.UNDEF, alg.full_event & ~s.def_set))
+    classes, class_of_atom, labels = _classes_from_columns(
+        alg.num_atoms, ((v, mask) for v, mask in by_value if mask))
+    row = list(range(1, len(classes) + 1))
+    return MooreMachine3(alg, 0, [Value3.UNDEF] + labels,
+                         [list(row) for _ in range(len(row) + 1)],
+                         classes, class_of_atom)
 
 
 def simple_to_cond(s: SimpleConditional) -> CondObject:
@@ -358,60 +403,44 @@ def strong_indep(c1: CondObject, c2: CondObject,
     m1 = minimize(compile_cond(c1, alg))
     m2 = minimize(compile_cond(c2, alg))
 
-    masks = [a & b for a in m1.classes for b in m2.classes if a & b]
-    mass = []
-    loc1 = []
-    loc2 = []
-    for mk in masks:
-        rep = (mk & -mk).bit_length() - 1
-        mass.append(p.of_event(mk))
-        loc1.append(m1.class_of_atom[rep])
-        loc2.append(m2.class_of_atom[rep])
+    pairs = (((i, j), a & b) for i, a in enumerate(m1.classes)
+             for j, b in enumerate(m2.classes) if a & b)
+    masks, _, keys = _classes_from_columns(alg.num_atoms, pairs)
+    mass = [p.of_event(mk) for mk in masks]
 
-    def row1(q):
+    def row(target) -> dict:
+        """Next-state law; ``target`` maps a joint class's pair of class
+        indices to the next state."""
         out = {}
-        for c, w in enumerate(mass):
+        for key, w in zip(keys, mass):
             if w:
-                t = m1.delta[q][loc1[c]]
+                t = target(*key)
                 out[t] = out.get(t, markov.ZERO) + w
         return out
 
-    def row2(q):
-        out = {}
-        for c, w in enumerate(mass):
-            if w:
-                t = m2.delta[q][loc2[c]]
-                out[t] = out.get(t, markov.ZERO) + w
-        return out
-
-    def row_joint(q1, q2):
-        out = {}
-        for c, w in enumerate(mass):
-            if w:
-                key = (m1.delta[q1][loc1[c]], m2.delta[q2][loc2[c]])
-                out[key] = out.get(key, markov.ZERO) + w
-        return out
-
-    def factorizes(joint, marg1, marg2, where) -> Optional[str]:
+    def check(q1, q2, where) -> tuple[dict, Optional[str]]:
+        """The joint next-state law of (q1, q2), and a witness when it is not
+        the product of the two marginal laws."""
+        joint = row(lambda i, j: (m1.delta[q1][i], m2.delta[q2][j]))
+        marg1 = row(lambda i, j: m1.delta[q1][i])
+        marg2 = row(lambda i, j: m2.delta[q2][j])
         for t1 in marg1:
             for t2 in marg2:
                 if joint.get((t1, t2), markov.ZERO) != marg1[t1] * marg2[t2]:
-                    return (f"{where}: joint mass of pair ({t1},{t2}) is "
-                            f"{joint.get((t1, t2), markov.ZERO)}, product is "
-                            f"{marg1[t1] * marg2[t2]}")
-        return None
+                    return joint, (f"{where}: joint mass of pair ({t1},{t2}) is "
+                                   f"{joint.get((t1, t2), markov.ZERO)}, product is "
+                                   f"{marg1[t1] * marg2[t2]}")
+        return joint, None
 
-    init_joint = row_joint(m1.initial, m2.initial)
-    witness = factorizes(init_joint, row1(m1.initial), row2(m2.initial), "start")
+    joint, witness = check(m1.initial, m2.initial, "start")
     if witness:
         return False, witness
 
-    seen = set(init_joint)
-    todo = list(init_joint)
+    seen = set(joint)
+    todo = list(joint)
     while todo:
         q1, q2 = todo.pop()
-        joint = row_joint(q1, q2)
-        witness = factorizes(joint, row1(q1), row2(q2), f"pair ({q1},{q2})")
+        joint, witness = check(q1, q2, f"pair ({q1},{q2})")
         if witness:
             return False, witness
         for pair in joint:

@@ -18,9 +18,9 @@ from typing import Optional
 from . import cea
 from .automata import compile_cond, is_counter_free, minimize, to_dot
 from .markov import (MarkovChain3, PeriodicChainError, ProbAssignment,
-                     asymptotic, chain_from_machine, pr_n, pr_n_ratio)
-from .syntax import (ParseError, algebra, formula_events, parse_cea,
-                     parse_cond)
+                     chain_from_machine, pr_n, pr_n_ratio)
+from .syntax import (_KEYWORDS, ParseError, algebra, formula_events,
+                     parse_cea, parse_cond)
 
 OK, INPUT_ERROR, UNDEFINED = 0, 1, 2
 
@@ -53,18 +53,23 @@ def _load_dist(path: Optional[str], fallback_events: tuple[str, ...]) -> ProbAss
         raise _InputError(f"bad distribution file {path}: {exc}") from None
 
 
-def _expr_machine(kind: str, embedding: str, text: str, alg):
-    """Parse per the selected algebra and compile the (raw) machine."""
+def _parse_expr(kind: str, text: str, alg):
+    """Parse a conditional (tl) or an expression in the algebra's dialect."""
     if kind == "tl":
-        return compile_cond(parse_cond(text, alg), alg)
+        return parse_cond(text, alg)
+    return parse_cea(text, alg, dialect="full" if kind in ("sac", "gnw") else "flat")
+
+
+def _expr_machine(kind: str, embedding: str, text: str, alg):
+    """Parse per the selected algebra and build the (raw) machine."""
+    e = _parse_expr(kind, text, alg)
+    if kind == "tl":
+        return compile_cond(e, alg)
     if kind == "ps":
-        e = parse_cea(text, alg, dialect="flat")
         if embedding == "first":
             return cea.first_machine(e, alg)
         return compile_cond(cea.embed_ps(e, embedding), alg)
-    e = parse_cea(text, alg, dialect="full" if kind in ("sac", "gnw") else "flat")
-    c = cea.simple_to_cond(cea.reduce_present(e, alg, kind))
-    return compile_cond(c, alg)
+    return cea.present_machine(cea.reduce_present(e, alg, kind))
 
 
 def _expr_chain(kind: str, embedding: str, text: str,
@@ -75,14 +80,12 @@ def _expr_chain(kind: str, embedding: str, text: str,
 
 def cmd_prob(args) -> int:
     p = _load_dist(args.dist, _expr_events(args.expr))
+    e = _parse_expr(args.cea, args.expr, p.alg)
     if args.cea == "tl":
-        value = asymptotic(_expr_chain("tl", args.embedding, args.expr, p))
+        value = cea.cond_asymptotic(e, p.alg, p)
     elif args.cea == "ps":
-        e = parse_cea(args.expr, p.alg, dialect="flat")
         value = cea.prob_ps(e, p, args.embedding)
     else:
-        e = parse_cea(args.expr, p.alg,
-                      dialect="full" if args.cea in ("sac", "gnw") else "flat")
         value = cea.prob_present(e, p, args.cea)
     if value is None:
         print("undefined")
@@ -161,9 +164,8 @@ def _expr_events(text: str) -> tuple[str, ...]:
 
 
 def _idents_of(text: str) -> tuple[str, ...]:
-    keywords = {"true", "false", "not", "and", "or", "S", "Y", "O", "H"}
     found = dict.fromkeys(t for t in re.findall(r"[A-Za-z_][A-Za-z0-9_]*", text)
-                          if t not in keywords)
+                          if t not in _KEYWORDS)
     return tuple(found)
 
 

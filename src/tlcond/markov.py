@@ -12,7 +12,7 @@ from math import gcd
 from typing import Optional, Sequence
 
 from .automata import MooreMachine3
-from .syntax import EventAlgebra, TLFormula, algebra
+from .syntax import EventAlgebra, algebra
 from .trivalue import Value3
 
 ZERO = Fraction(0)
@@ -54,14 +54,6 @@ class ProbAssignment:
             low = rest & -rest
             total += self.mass[low.bit_length() - 1]
             rest ^= low
-        return total
-
-    def of_formula(self, f: TLFormula) -> Fraction:
-        from .evaluate import Word, eval_tl
-        total = ZERO
-        for atom in range(self.alg.num_atoms):
-            if self.mass[atom] and eval_tl(Word(self.alg, (atom,)), 0, f):
-                total += self.mass[atom]
         return total
 
     @staticmethod

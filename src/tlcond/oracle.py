@@ -3,7 +3,7 @@
 These walk every word of a given length depth-first with a running product
 of letter masses, evaluating conditionals straight from the satisfaction
 clauses (since = existential past witness with an all-between condition), so
-they share nothing with the machine/chain pipeline they are used to check.
+they share no semantics with the machine/chain pipeline they are used to check.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from typing import Iterator
 from .evaluate import Word, eval_cond
 from .markov import ProbAssignment, ZERO
 from .syntax import (And, Atom, CondObject, Const, Iff, Implies, Not, Or,
-                     Prev, Since, TLFormula)
+                     Prev, TLFormula, subformulas)
 from .trivalue import Value3
 
 DEFAULT_BUDGET = 10_000_000
@@ -47,24 +47,8 @@ class TraceEval:
     """
 
     def __init__(self, forms: list[TLFormula], alg):
-        index: dict[TLFormula, int] = {}
-        order: list[TLFormula] = []
-
-        def walk(f):
-            if f in index:
-                return
-            if isinstance(f, (Not, Prev)):
-                walk(f.child)
-            elif isinstance(f, (And, Or, Implies, Iff, Since)):
-                walk(f.left)
-                walk(f.right)
-            elif not isinstance(f, (Atom, Const)):
-                raise TypeError(f"not a temporal formula: {f!r}")
-            index[f] = len(order)
-            order.append(f)
-
-        for f in forms:
-            walk(f)
+        order = subformulas(forms)
+        index = {f: i for i, f in enumerate(order)}
         ops = []
         for f in order:
             if isinstance(f, Atom):

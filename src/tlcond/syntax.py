@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 DEFAULT_EVENT_LIMIT = 16
 
@@ -155,6 +155,29 @@ def once(f: TLFormula) -> TLFormula:
 def hist(f: TLFormula) -> TLFormula:
     """H f, i.e. f held at every position up to now (¬O¬f)."""
     return Not(Since(TRUE, Not(f)))
+
+
+def subformulas(forms: Sequence[TLFormula]) -> list[TLFormula]:
+    """Distinct subformulas of ``forms``, each after its children."""
+    seen: set[TLFormula] = set()
+    out: list[TLFormula] = []
+
+    def walk(f: TLFormula):
+        if f in seen:
+            return
+        if isinstance(f, (Not, Prev)):
+            walk(f.child)
+        elif isinstance(f, (And, Or, Implies, Iff, Since)):
+            walk(f.left)
+            walk(f.right)
+        elif not isinstance(f, (Atom, Const)):
+            raise TypeError(f"not a temporal formula: {f!r}")
+        seen.add(f)
+        out.append(f)
+
+    for f in forms:
+        walk(f)
+    return out
 
 
 @dataclass(frozen=True)

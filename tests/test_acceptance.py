@@ -95,7 +95,7 @@ def test_criterion_03_embedding_equivalence():
     """The first, reverse and sparse interpretations assign identical
     probabilities: 100 expressions x 20 distributions, including ones that
     make a condition event impossible."""
-    from tlcond.cea import _event_mask
+    from tlcond.cea import event_mask
     from tlcond.syntax import collect_simples
 
     rng = random.Random(303)
@@ -108,7 +108,7 @@ def test_criterion_03_embedding_equivalence():
                     minimize(compile_cond(embed_ps(e, "sparse"), alg))]
 
         dists = [_random_dist(rng, alg, strictly_positive=True)]
-        den_masks = [_event_mask(s.den_event, alg) for s in collect_simples(e)]
+        den_masks = [event_mask(s.den_event, alg) for s in collect_simples(e)]
         blocked = den_masks[0]
         if blocked != alg.full_event:
             weights = [0 if blocked >> atom & 1 else rng.randint(1, 5)

@@ -194,11 +194,11 @@ def test_resolved_states_sit_in_label_constant_closed_components():
     """Once every condition event has occurred, the first-interpretation
     output never changes: any state reachable by such a prefix must belong
     to a closed, label-constant component."""
-    from tlcond.cea import _event_mask
+    from tlcond.cea import event_mask
 
     e = parse_cea("(a|b) and (c|d)", ABCD)
     m = minimize(first_machine(e, ABCD))
-    cond_masks = [_event_mask(s.den_event, ABCD)
+    cond_masks = [event_mask(s.den_event, ABCD)
                   for s in __import__("tlcond").syntax.collect_simples(e)]
 
     # explore (machine state, set of condition events seen so far)

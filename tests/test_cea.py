@@ -10,25 +10,58 @@ from tlcond import (CondObject, TRUE, Value3, algebra, brute_joint,
                     parse_tl, present_indep, pretty, prob_present, prob_ps,
                     reduce_present, reduce_syntactic, strong_indep,
                     weak_tautology)
-from tlcond.cea import (SimpleConditional, _event_mask, cond_asymptotic,
-                        first_machine, lift_defined, simple_to_cond)
-from tlcond.markov import ProbAssignment
+from tlcond.automata import to_dot
+from tlcond.cea import (SimpleConditional, cond_asymptotic, event_mask,
+                        first_machine, lift_defined, present_machine,
+                        simple_to_cond)
+from tlcond.markov import ProbAssignment, asymptotic, chain_from_machine
 from tlcond.syntax import collect_simples
 
 from corpus import ALG_AB, UNIFORM_AB
 
 F, T, U = Value3.FALSE, Value3.TRUE, Value3.UNDEF
 
+ABC = algebra("a b c")
 ABCD = algebra("a b c d")
 HALF4 = ProbAssignment.independent(ABCD, {n: Fraction(1, 2) for n in "abcd"})
 
 
 def _mask(text, alg):
-    return _event_mask(parse_tl(text, alg), alg)
+    return event_mask(parse_tl(text, alg), alg)
 
 
 # ---------------------------------------------------------------------------
 # Present-tense reduction
+
+
+def _random_event_formula(rng, names, depth):
+    if depth == 0 or rng.random() < 0.2:
+        return rng.choice(names + ["true", "false"])
+    op = rng.choice(["not", "and", "or", "->", "<->"])
+    if op == "not":
+        return f"not ({_random_event_formula(rng, names, depth - 1)})"
+    return (f"({_random_event_formula(rng, names, depth - 1)}) {op} "
+            f"({_random_event_formula(rng, names, depth - 1)})")
+
+
+def test_event_mask_matches_one_letter_evaluation():
+    from tlcond import Word, eval_tl
+    from tlcond.syntax import And, Atom, Const, Iff, Implies, Not, Or, subformulas
+    rng = random.Random(7)
+    seen = set()
+    for _ in range(200):
+        f = parse_tl(_random_event_formula(rng, list("abc"), 4), ABC)
+        seen |= {type(g) for g in subformulas([f])}
+        want = sum(1 << atom for atom in range(ABC.num_atoms)
+                   if eval_tl(Word(ABC, (atom,)), 0, f))
+        assert event_mask(f, ABC) == want, pretty(f)
+    assert seen == {And, Atom, Const, Iff, Implies, Not, Or}
+
+
+@pytest.mark.parametrize("text", ["Y a", "a S b", "O a", "a and Y b"])
+def test_event_mask_rejects_temporal_operators(text):
+    with pytest.raises(ValueError):
+        event_mask(parse_tl(text, ABC), ABC)
 
 
 def test_simple_conditional_normal_form():
@@ -125,9 +158,14 @@ def test_prob_present_agrees_with_machine_pipeline():
             Fraction(w, sum(weights)) for w in weights))
         for which in ("sac", "gnw", "sch"):
             direct = prob_present(e, p, which)
-            c = simple_to_cond(reduce_present(e, alg, which))
+            s = reduce_present(e, alg, which)
+            c = simple_to_cond(s)
             via_chain = cond_asymptotic(c, alg, p)
             assert direct == via_chain, (text, which)
+            # the direct machine minimizes to the compiled one, DOT for DOT
+            m = minimize(present_machine(s))
+            assert to_dot(m) == to_dot(minimize(compile_cond(c, alg))), (text, which)
+            assert asymptotic(chain_from_machine(m, p)) == via_chain, (text, which)
 
 
 # ---------------------------------------------------------------------------

@@ -94,6 +94,28 @@ def test_series_constant_rows(capsys, half_ab):
     assert lines[1:] == ["1,1,0,0,1", "2,1,0,0,1", "3,1,0,0,1"]
 
 
+def test_series_present_tense_over_ten_events(capsys, tmp_path):
+    # the direct three-valued machine: no formula over 2^10 atoms is built
+    from tlcond import ProbAssignment, parse_cea, reduce_present
+    events = [f"e{i}" for i in range(10)]
+    path = tmp_path / "indep10.dist"
+    path.write_text(f"events: {' '.join(events)}\nindependent: "
+                    + " ".join(f"{e}={2 + i % 2}/5" for i, e in enumerate(events))
+                    + "\n")
+    text = "(e0 or e1 | e2) and (e3|e4) and (e5|e6) and (e7 | e8 or e9)"
+    code, out, _ = run(capsys, "series", "--cea", "sac", "--expr", text,
+                       "--dist", str(path), "--n", "3")
+    assert code == 0
+    p = ProbAssignment.from_text(path.read_text())
+    s = reduce_present(parse_cea(text, p.alg), p.alg, "sac")
+    p1 = p.of_event(s.yes_set)
+    p0 = p.of_event(s.def_set & ~s.yes_set)
+    pbot = p.of_event(p.alg.full_event & ~s.def_set)
+    row = f"{p1},{p0},{pbot},{p1 / (p1 + p0)}"
+    assert out.strip().splitlines() == [
+        "n,p1,p0,pbot,ratio", f"1,{row}", f"2,{row}", f"3,{row}"]
+
+
 def test_series_undefined_until_resolved_geometric(capsys, half_ab):
     # undefined exactly until the first b: ratio constant 1/2, undefined
     # mass halves every step
