@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .syntax import (And, Atom, CondObject, Const, EventAlgebra, Iff, Implies,
-                     Not, Or, Prev, subformulas)
+                     Not, Or, Prev, Since, subformulas)
 from .trivalue import Value3
 
 
@@ -109,40 +109,54 @@ def _classes_from_columns(num_atoms: int, keyed_masks: Iterable[tuple]
 # ---------------------------------------------------------------------------
 # Compilation
 #
-# A state is the vector of truth values of all subformulas of the numerator
-# and denominator at the current position.  Each past-time subformula's new
-# value is local: Y f takes f's previous value, f S g takes g's current value
-# or (f's current value and the previous value of f S g).  The start state is
-# the all-false vector, which encodes exactly the position-zero clauses
-# (no predecessor for Y, no earlier witness for S).
+# Memory-only synthesis of a past-time monitor (Havelund & Rosu, TACAS 2002).
+# One step reads, from the past, only the previous value of each Y's child and
+# of each S node: Y f takes f's remembered value, f S g takes g's current
+# value or (f's current value and the remembered value of f S g), and every
+# other subformula is a function of the current letter and of those.  A state
+# is therefore keyed on its label and on the current values of the remembered
+# subformulas, and nothing else.  The start state is a key of its own that no
+# transition enters, read as the all-false memory, which encodes exactly the
+# position-zero clauses (no predecessor for Y, no earlier witness for S).
+#
+# A step computes a subformula's value on every letter class at once, as a
+# bitmask over class indices, with one closure per subformula.  The classes
+# that lead to one successor are then found by splitting the three label
+# masks by each remembered subformula's mask.
+
+
+def _step(f, index: dict, slot: dict, atom_mask: dict, full: int):
+    """The closure computing ``f``'s class mask from the masks of the
+    subformulas before it and the remembered masks (``full`` or 0)."""
+    if isinstance(f, Atom):
+        mask = atom_mask[f.name]
+        return lambda vals, mem: mask
+    if isinstance(f, Const):
+        mask = full if f.value else 0
+        return lambda vals, mem: mask
+    if isinstance(f, Not):
+        a = index[f.child]
+        return lambda vals, mem: full ^ vals[a]
+    if isinstance(f, Prev):
+        s = slot[index[f.child]]
+        return lambda vals, mem: mem[s]
+    a, b = index[f.left], index[f.right]
+    if isinstance(f, And):
+        return lambda vals, mem: vals[a] & vals[b]
+    if isinstance(f, Or):
+        return lambda vals, mem: vals[a] | vals[b]
+    if isinstance(f, Implies):
+        return lambda vals, mem: (full ^ vals[a]) | vals[b]
+    if isinstance(f, Iff):
+        return lambda vals, mem: full ^ vals[a] ^ vals[b]
+    s = slot[index[f]]  # Since
+    return lambda vals, mem: vals[b] | (vals[a] & mem[s])
 
 
 def compile_cond(c: CondObject, alg: EventAlgebra) -> MooreMachine3:
     """Compile a conditional object into a Moore machine computing it."""
     subs = subformulas([c.num, c.den])
     index = {f: i for i, f in enumerate(subs)}
-
-    # One update opcode per subformula, evaluated in topological order.
-    ops = []
-    for f in subs:
-        if isinstance(f, Atom):
-            ops.append(("atom", alg.index(f.name), 0))
-        elif isinstance(f, Const):
-            ops.append(("const", f.value, 0))
-        elif isinstance(f, Not):
-            ops.append(("not", index[f.child], 0))
-        elif isinstance(f, And):
-            ops.append(("and", index[f.left], index[f.right]))
-        elif isinstance(f, Or):
-            ops.append(("or", index[f.left], index[f.right]))
-        elif isinstance(f, Implies):
-            ops.append(("imp", index[f.left], index[f.right]))
-        elif isinstance(f, Iff):
-            ops.append(("iff", index[f.left], index[f.right]))
-        elif isinstance(f, Prev):
-            ops.append(("prev", index[f.child], 0))
-        else:  # Since
-            ops.append(("since", index[f.left], index[f.right]))
 
     support = [alg.index(name) for name in
                sorted({f.name for f in subs if isinstance(f, Atom)},
@@ -152,61 +166,56 @@ def compile_cond(c: CondObject, alg: EventAlgebra) -> MooreMachine3:
         ((tuple(atom >> b & 1 for b in support), 1 << atom)
          for atom in range(alg.num_atoms)))
     reps = [_lowest_atom(mask) for mask in classes]
+    full = (1 << len(classes)) - 1
+    atom_mask = {alg.events[b]: sum(1 << k for k, rep in enumerate(reps)
+                                    if rep >> b & 1)
+                 for b in support}
 
+    remembered = sorted({index[f.child] for f in subs if isinstance(f, Prev)}
+                        | {i for i, f in enumerate(subs) if isinstance(f, Since)})
+    slot = {i: s for s, i in enumerate(remembered)}
+    steps = [_step(f, index, slot, atom_mask, full) for f in subs]
     num_idx, den_idx = index[c.num], index[c.den]
-    nsubs = len(subs)
 
-    def advance(vec: tuple, atom: int) -> tuple:
-        new = [False] * nsubs
-        for i, (kind, a, b) in enumerate(ops):
-            if kind == "atom":
-                v = bool(atom >> a & 1)
-            elif kind == "const":
-                v = a
-            elif kind == "not":
-                v = not new[a]
-            elif kind == "and":
-                v = new[a] and new[b]
-            elif kind == "or":
-                v = new[a] or new[b]
-            elif kind == "imp":
-                v = (not new[a]) or new[b]
-            elif kind == "iff":
-                v = new[a] == new[b]
-            elif kind == "prev":
-                v = vec[a]
-            else:  # since
-                v = new[b] or (new[a] and vec[i])
-            new[i] = v
-        return tuple(new)
+    def successors(mem: tuple) -> list[tuple[tuple, int]]:
+        """(successor key, class mask) pairs of a state with memory ``mem``.
 
-    def label_of(vec: tuple) -> Value3:
-        if not vec[den_idx]:
-            return Value3.UNDEF
-        return Value3.from_bool(vec[num_idx])
+        A key is the label followed by the remembered masks, each ``full``
+        (true) or 0 (false), so the key's tail is the successor's memory."""
+        vals: list[int] = []
+        for step in steps:
+            vals.append(step(vals, mem))
+        den, num = vals[den_idx], vals[num_idx]
+        parts = [((label,), mask) for label, mask in
+                 ((Value3.UNDEF, full ^ den), (Value3.TRUE, den & num),
+                  (Value3.FALSE, den & ~num)) if mask]
+        for i in remembered:
+            value = vals[i]
+            parts = [(key + (held,), part) for key, mask in parts
+                     for held, part in ((full, mask & value),
+                                       (0, mask & ~value)) if part]
+        return parts
 
-    start = (False,) * nsubs
-    state_ids = {start: 0}
-    vectors = [start]
+    keys: list = [None]  # the start state, read as the all-false memory
+    state_ids = {None: 0}
     delta: list[list[int]] = []
-    frontier = [start]
-    while frontier:
-        next_frontier = []
-        for vec in frontier:
-            row = []
-            for rep in reps:
-                nxt = advance(vec, rep)
-                tid = state_ids.get(nxt)
-                if tid is None:
-                    tid = len(vectors)
-                    state_ids[nxt] = tid
-                    vectors.append(nxt)
-                    next_frontier.append(nxt)
-                row.append(tid)
-            delta.append(row)
-        frontier = next_frontier
+    q = 0
+    while q < len(keys):
+        mem = keys[q][1:] if q else (0,) * len(remembered)
+        row = [0] * len(classes)
+        for nxt, mask in successors(mem):
+            tid = state_ids.get(nxt)
+            if tid is None:
+                tid = state_ids[nxt] = len(keys)
+                keys.append(nxt)
+            while mask:
+                low = mask & -mask
+                row[low.bit_length() - 1] = tid
+                mask ^= low
+        delta.append(row)
+        q += 1
 
-    labels = [label_of(vec) for vec in vectors]
+    labels = [Value3.UNDEF] + [key[0] for key in keys[1:]]
     m = MooreMachine3(alg, 0, labels, delta, classes, class_of_atom)
     return _renumber_canonical(m)
 
@@ -448,15 +457,6 @@ def is_counter_free(m: MooreMachine3, monoid_cap: int = 100_000) -> bool:
 # DOT export
 
 
-def _implicant_text(bits: dict[int, bool], alg: EventAlgebra) -> str:
-    if not bits:
-        return "true"
-    parts = []
-    for i in sorted(bits):
-        parts.append(alg.events[i] if bits[i] else "!" + alg.events[i])
-    return "&".join(parts)
-
-
 def event_text(mask: int, alg: EventAlgebra) -> str:
     """Readable boolean description of an atom set (greedy implicant cover)."""
     if mask == alg.full_event:
@@ -464,38 +464,42 @@ def event_text(mask: int, alg: EventAlgebra) -> str:
     if mask == 0:
         return "false"
     nev = len(alg.events)
-    # merge step of the classic minimization: terms are (fixed-bit dict)
-    terms = [frozenset((i, bool(atom >> i & 1)) for i in range(nev))
-             for atom in range(alg.num_atoms) if mask >> atom & 1]
-    primes: list[frozenset] = []
-    current = set(terms)
+    # merge step of the classic minimization: a term (care, value) fixes the
+    # events in ``care`` to their bits in ``value``, and merges with the term
+    # that flips one of them
+    atoms = [atom for atom in range(alg.num_atoms) if mask >> atom & 1]
+    current = {((1 << nev) - 1, atom) for atom in atoms}
+    primes: list[tuple[int, int]] = []
     while current:
         merged = set()
-        used = set()
-        lst = sorted(current, key=sorted)
-        for i, t1 in enumerate(lst):
-            for t2 in lst[i + 1:]:
-                diff = t1 ^ t2
-                if len(diff) == 2 and len({lit[0] for lit in diff}) == 1:
-                    merged.add(t1 & t2)
-                    used.add(t1)
-                    used.add(t2)
-        primes.extend(t for t in lst if t not in used)
+        for care, value in current:
+            prime = True
+            for i in range(nev):
+                bit = 1 << i
+                if care & bit and (care, value ^ bit) in current:
+                    merged.add((care ^ bit, value & ~bit))
+                    prime = False
+            if prime:
+                primes.append((care, value))
         current = merged
 
-    def covers(term: frozenset, atom: int) -> bool:
-        return all((atom >> i & 1) == int(v) for i, v in term)
+    def literals(term: tuple[int, int]) -> list[tuple[int, bool]]:
+        care, value = term
+        return [(i, bool(value >> i & 1)) for i in range(nev) if care >> i & 1]
 
-    remaining = {atom for atom in range(alg.num_atoms) if mask >> atom & 1}
+    remaining = set(atoms)
     chosen = []
-    for term in sorted(primes, key=lambda t: (len(t), sorted(t))):
-        hit = {a for a in remaining if covers(term, a)}
+    for care, value in sorted(primes,
+                              key=lambda t: (t[0].bit_count(), literals(t))):
+        hit = {a for a in remaining if a & care == value}
         if hit:
-            chosen.append(term)
+            chosen.append(literals((care, value)))
             remaining -= hit
         if not remaining:
             break
-    return " | ".join(_implicant_text(dict(t), alg) for t in chosen)
+    return " | ".join(
+        "&".join(alg.events[i] if v else "!" + alg.events[i] for i, v in lits)
+        for lits in chosen)
 
 
 def to_dot(m: MooreMachine3, name: str = "machine") -> str:

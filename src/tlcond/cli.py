@@ -79,7 +79,7 @@ def _expr_chain(kind: str, embedding: str, text: str,
 
 
 def cmd_prob(args) -> int:
-    p = _load_dist(args.dist, _expr_events(args.expr))
+    p = _load_dist(args.dist, _expr_events(args.cea, args.expr))
     e = _parse_expr(args.cea, args.expr, p.alg)
     if args.cea == "tl":
         value = cea.cond_asymptotic(e, p.alg, p)
@@ -95,7 +95,7 @@ def cmd_prob(args) -> int:
 
 
 def cmd_series(args) -> int:
-    p = _load_dist(args.dist, _expr_events(args.expr))
+    p = _load_dist(args.dist, _expr_events(args.cea, args.expr))
     ch = _expr_chain(args.cea, args.embedding, args.expr, p)
     print("n,p1,p0,pbot,ratio")
     for n in range(1, args.n + 1):
@@ -107,7 +107,7 @@ def cmd_series(args) -> int:
 
 def cmd_machine(args) -> int:
     m = _expr_machine(args.cea, args.embedding, args.expr,
-                      algebra(_expr_events(args.expr)))
+                      algebra(_expr_events(args.cea, args.expr)))
     if args.minimize:
         m = minimize(m)
     if args.check_counter_free:
@@ -130,7 +130,8 @@ def cmd_taut(args) -> int:
 
 
 def cmd_indep(args) -> int:
-    events = tuple(dict.fromkeys(_expr_events(args.left) + _expr_events(args.right)))
+    events = tuple(dict.fromkeys(_expr_events("tl", args.left) +
+                                 _expr_events("tl", args.right)))
     p = _load_dist(args.dist, events)
     left = parse_cond(args.left, p.alg)
     right = parse_cond(args.right, p.alg)
@@ -151,14 +152,12 @@ def cmd_indep(args) -> int:
     return OK
 
 
-def _expr_events(text: str) -> tuple[str, ...]:
+def _expr_events(kind: str, text: str) -> tuple[str, ...]:
+    """The events of an expression parsed with the grammar of ``kind``, or
+    its identifiers when it does not parse (the command then reports why)."""
     try:
-        return tuple(sorted(formula_events(parse_cond(text, None))))
-    except ParseError:
-        pass
-    try:
-        return tuple(sorted(formula_events(parse_cea(text, algebra(
-            _idents_of(text))))))
+        alg = None if kind == "tl" else algebra(_idents_of(text))
+        return tuple(sorted(formula_events(_parse_expr(kind, text, alg))))
     except (ParseError, ValueError):
         return tuple(sorted(_idents_of(text)))
 

@@ -65,13 +65,13 @@ class ProbAssignment:
         unknown = set(probs) - set(alg.events)
         if unknown:
             raise ValueError(f"marginals for unknown events: {sorted(unknown)}")
-        mass = []
-        for atom in range(alg.num_atoms):
-            m = ONE
-            for i, name in enumerate(alg.events):
-                p = Fraction(probs[name])
-                m *= p if atom >> i & 1 else 1 - p
-            mass.append(m)
+        # event i is atom bit i: each event doubles the table, its absent
+        # half first
+        mass = [ONE]
+        for name in alg.events:
+            p = Fraction(probs[name])
+            q = 1 - p
+            mass = [m * q for m in mass] + [m * p for m in mass]
         return ProbAssignment(alg, tuple(mass))
 
     @staticmethod

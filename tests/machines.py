@@ -1,4 +1,5 @@
-"""Hand-built expected machines shared by the automata and acceptance suites."""
+"""Hand-built expected machines shared by the automata and acceptance suites,
+and fixed DOT texts of minimized compiled machines."""
 from tlcond import Value3, algebra
 from tlcond.automata import MooreMachine3
 
@@ -50,3 +51,224 @@ def two_cycle_machine() -> MooreMachine3:
     alg = algebra("a")
     return MooreMachine3.from_atom_table(
         alg, labels=[F, T], delta_by_atom=[[1, 1], [0, 0]], initial=0)
+
+
+# Minimized machines as DOT text, fixed: the minimal machine and its
+# numbering depend only on the conditional, not on how the raw machine
+# is built.
+MINIMAL_DOTS = [
+    # the start folds into the state its successors agree with first
+    ('tl', '(a | not c)', """\
+digraph "machine" {
+  rankdir=LR;
+  __start [shape=point, label=""];
+  q0 [shape=circle, label="0"];
+  q1 [shape=circle, label="1"];
+  q2 [shape=circle, label="⊥"];
+  __start -> q0;
+  q0 -> q0 [label="!a&!c"];
+  q0 -> q1 [label="a&!c"];
+  q0 -> q2 [label="c"];
+  q1 -> q0 [label="!a&!c"];
+  q1 -> q1 [label="a&!c"];
+  q1 -> q2 [label="c"];
+  q2 -> q0 [label="!a&!c"];
+  q2 -> q1 [label="a&!c"];
+  q2 -> q2 [label="c"];
+}"""),
+    ('tl', '(a | b)', """\
+digraph "machine" {
+  rankdir=LR;
+  __start [shape=point, label=""];
+  q0 [shape=circle, label="⊥"];
+  q1 [shape=circle, label="0"];
+  q2 [shape=circle, label="1"];
+  __start -> q0;
+  q0 -> q0 [label="!b"];
+  q0 -> q1 [label="!a&b"];
+  q0 -> q2 [label="a&b"];
+  q1 -> q0 [label="!b"];
+  q1 -> q1 [label="!a&b"];
+  q1 -> q2 [label="a&b"];
+  q2 -> q0 [label="!b"];
+  q2 -> q1 [label="!a&b"];
+  q2 -> q2 [label="a&b"];
+}"""),
+    ('tl', '(a S b | b S a)', """\
+digraph "machine" {
+  rankdir=LR;
+  __start [shape=point, label=""];
+  q0 [shape=circle, label="⊥"];
+  q1 [shape=circle, label="0"];
+  q2 [shape=circle, label="⊥"];
+  q3 [shape=circle, label="1"];
+  __start -> q0;
+  q0 -> q0 [label="!a&!b"];
+  q0 -> q1 [label="a&!b"];
+  q0 -> q2 [label="!a&b"];
+  q0 -> q3 [label="a&b"];
+  q1 -> q0 [label="!a&!b"];
+  q1 -> q1 [label="a&!b"];
+  q1 -> q3 [label="b"];
+  q2 -> q0 [label="!a&!b"];
+  q2 -> q2 [label="!a&b"];
+  q2 -> q3 [label="a"];
+  q3 -> q0 [label="!a&!b"];
+  q3 -> q3 [label="a | b"];
+}"""),
+    ('tl', '(H (a -> b) | O a)', """\
+digraph "machine" {
+  rankdir=LR;
+  __start [shape=point, label=""];
+  q0 [shape=circle, label="⊥"];
+  q1 [shape=circle, label="0"];
+  q2 [shape=circle, label="1"];
+  __start -> q0;
+  q0 -> q0 [label="!a"];
+  q0 -> q1 [label="a&!b"];
+  q0 -> q2 [label="a&b"];
+  q1 -> q1 [label="true"];
+  q2 -> q1 [label="a&!b"];
+  q2 -> q2 [label="!a | b"];
+}"""),
+    ('tl', '(a <-> Y a | Y true)', """\
+digraph "machine" {
+  rankdir=LR;
+  __start [shape=point, label=""];
+  q0 [shape=circle, label="⊥"];
+  q1 [shape=circle, label="⊥"];
+  q2 [shape=circle, label="⊥"];
+  q3 [shape=circle, label="1"];
+  q4 [shape=circle, label="0"];
+  q5 [shape=circle, label="0"];
+  q6 [shape=circle, label="1"];
+  __start -> q0;
+  q0 -> q1 [label="!a"];
+  q0 -> q2 [label="a"];
+  q1 -> q3 [label="!a"];
+  q1 -> q4 [label="a"];
+  q2 -> q5 [label="!a"];
+  q2 -> q6 [label="a"];
+  q3 -> q3 [label="!a"];
+  q3 -> q4 [label="a"];
+  q4 -> q5 [label="!a"];
+  q4 -> q6 [label="a"];
+  q5 -> q3 [label="!a"];
+  q5 -> q4 [label="a"];
+  q6 -> q5 [label="!a"];
+  q6 -> q6 [label="a"];
+}"""),
+    ('tl', '(not (a S b) | O b)', """\
+digraph "machine" {
+  rankdir=LR;
+  __start [shape=point, label=""];
+  q0 [shape=circle, label="⊥"];
+  q1 [shape=circle, label="0"];
+  q2 [shape=circle, label="1"];
+  __start -> q0;
+  q0 -> q0 [label="!b"];
+  q0 -> q1 [label="b"];
+  q1 -> q1 [label="a | b"];
+  q1 -> q2 [label="!a&!b"];
+  q2 -> q1 [label="b"];
+  q2 -> q2 [label="!b"];
+}"""),
+    ('tl', '(O a and not Y O a | true)', """\
+digraph "machine" {
+  rankdir=LR;
+  __start [shape=point, label=""];
+  q0 [shape=circle, label="0"];
+  q1 [shape=circle, label="1"];
+  q2 [shape=circle, label="0"];
+  __start -> q0;
+  q0 -> q0 [label="!a"];
+  q0 -> q1 [label="a"];
+  q1 -> q2 [label="true"];
+  q2 -> q2 [label="true"];
+}"""),
+    ('tl', '(a S (c or not d) | Y b -> O d)', """\
+digraph "machine" {
+  rankdir=LR;
+  __start [shape=point, label=""];
+  q0 [shape=circle, label="⊥"];
+  q1 [shape=circle, label="1"];
+  q2 [shape=circle, label="1"];
+  q3 [shape=circle, label="0"];
+  q4 [shape=circle, label="1"];
+  q5 [shape=circle, label="⊥"];
+  q6 [shape=circle, label="⊥"];
+  __start -> q0;
+  q0 -> q1 [label="!b&!d"];
+  q0 -> q2 [label="b&!d"];
+  q0 -> q3 [label="!c&d"];
+  q0 -> q4 [label="c&d"];
+  q1 -> q1 [label="!b&!d"];
+  q1 -> q2 [label="b&!d"];
+  q1 -> q3 [label="!a&!c&d"];
+  q1 -> q4 [label="a&d | c&d"];
+  q2 -> q3 [label="!a&!c&d"];
+  q2 -> q4 [label="a&d | c&d"];
+  q2 -> q5 [label="!b&!d"];
+  q2 -> q6 [label="b&!d"];
+  q3 -> q3 [label="!c&d"];
+  q3 -> q4 [label="c | !d"];
+  q4 -> q3 [label="!a&!c&d"];
+  q4 -> q4 [label="a | c | !d"];
+  q5 -> q1 [label="!b&!d"];
+  q5 -> q2 [label="b&!d"];
+  q5 -> q3 [label="!a&!c&d"];
+  q5 -> q4 [label="a&d | c&d"];
+  q6 -> q3 [label="!a&!c&d"];
+  q6 -> q4 [label="a&d | c&d"];
+  q6 -> q5 [label="!b&!d"];
+  q6 -> q6 [label="b&!d"];
+}"""),
+    ('reverse', '(a|b) and (c|d)', """\
+digraph "machine" {
+  rankdir=LR;
+  __start [shape=point, label=""];
+  q0 [shape=circle, label="0"];
+  q1 [shape=circle, label="0"];
+  q2 [shape=circle, label="0"];
+  q3 [shape=circle, label="1"];
+  __start -> q0;
+  q0 -> q0 [label="!a&!c | !a&!d | !b&!c | !b&!d"];
+  q0 -> q1 [label="a&b&!c | a&b&!d"];
+  q0 -> q2 [label="!a&c&d | !b&c&d"];
+  q0 -> q3 [label="a&b&c&d"];
+  q1 -> q0 [label="!a&b&!c | !a&b&!d"];
+  q1 -> q1 [label="a&!c | a&!d | !b&!c | !b&!d"];
+  q1 -> q2 [label="!a&b&c&d"];
+  q1 -> q3 [label="a&c&d | !b&c&d"];
+  q2 -> q0 [label="!a&!c&d | !b&!c&d"];
+  q2 -> q1 [label="a&b&!c&d"];
+  q2 -> q2 [label="!a&c | !a&!d | !b&c | !b&!d"];
+  q2 -> q3 [label="a&b&c | a&b&!d"];
+  q3 -> q0 [label="!a&b&!c&d"];
+  q3 -> q1 [label="a&!c&d | !b&!c&d"];
+  q3 -> q2 [label="!a&b&c | !a&b&!d"];
+  q3 -> q3 [label="a&c | a&!d | !b&c | !b&!d"];
+}"""),
+    ('sparse', '(a|b)', """\
+digraph "machine" {
+  rankdir=LR;
+  __start [shape=point, label=""];
+  q0 [shape=circle, label="0"];
+  q1 [shape=circle, label="0"];
+  q2 [shape=circle, label="1"];
+  q3 [shape=circle, label="⊥"];
+  __start -> q0;
+  q0 -> q0 [label="!b"];
+  q0 -> q1 [label="!a&b"];
+  q0 -> q2 [label="a&b"];
+  q1 -> q1 [label="!a&b"];
+  q1 -> q2 [label="a&b"];
+  q1 -> q3 [label="!b"];
+  q2 -> q1 [label="!a&b"];
+  q2 -> q2 [label="a&b"];
+  q2 -> q3 [label="!b"];
+  q3 -> q1 [label="!a&b"];
+  q3 -> q2 [label="a&b"];
+  q3 -> q3 [label="!b"];
+}"""),
+]

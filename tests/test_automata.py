@@ -5,14 +5,14 @@ import re
 import pytest
 
 from tlcond import (ConnectiveId, Value3, algebra, apply_binary, canonical_key,
-                    compile_cond, cond_output, is_counter_free, isomorphic,
-                    minimize, parse_cea, parse_cond, pretty, product, to_dot,
-                    word)
+                    compile_cond, cond_output, embed_ps, event_text,
+                    is_counter_free, isomorphic, minimize, parse_cea,
+                    parse_cond, pretty, product, to_dot, word)
 from tlcond.automata import MonoidSizeError, MooreMachine3
 from tlcond.cea import first_machine
 
 from corpus import ALG_AB, CORPUS
-from machines import (expected_conjunction_machine,
+from machines import (MINIMAL_DOTS, expected_conjunction_machine,
                       expected_first_machine, two_cycle_machine)
 from walkers import outputs_match_everywhere
 
@@ -58,6 +58,38 @@ def test_machine_run_agrees_with_cond_output_spot():
     for _ in range(100):
         letters = tuple(rng.randrange(4) for _ in range(rng.randint(1, 7)))
         assert m.run(letters) == cond_output(word(ALG_AB, letters), c)
+
+
+def _ps_ladder(k: int, embedding: str):
+    """(a1|b1) and ... and (ak|bk) under an embedding, and its algebra."""
+    alg = algebra(" ".join(f"a{i} b{i}" for i in range(1, k + 1)))
+    text = " and ".join(f"(a{i}|b{i})" for i in range(1, k + 1))
+    return embed_ps(parse_cea(text, alg, dialect="flat"), embedding), alg
+
+
+def test_compiled_start_state_is_never_entered():
+    for text, c in CORPUS:
+        assert not compile_cond(c, ALG_AB).initial_is_entered, text
+    for embedding in ("reverse", "sparse"):
+        assert not compile_cond(*_ps_ladder(3, embedding)).initial_is_entered
+
+
+@pytest.mark.parametrize("embedding,k", [("reverse", k) for k in range(2, 6)]
+                         + [("sparse", k) for k in range(2, 5)])
+def test_memory_keyed_machine_is_minimal_up_to_its_start(embedding, k):
+    # keyed on remembered values and the label, the raw machine of a ps
+    # embedding is the minimal one plus at most its never-entered start
+    raw = compile_cond(*_ps_ladder(k, embedding))
+    assert raw.n_states <= minimize(raw).n_states + 1
+
+
+def test_minimized_dot_is_fixed():
+    for kind, text, dot in MINIMAL_DOTS:
+        if kind == "tl":
+            c = parse_cond(text, ABCD)
+        else:
+            c = embed_ps(parse_cea(text, ABCD, dialect="flat"), kind)
+        assert to_dot(minimize(compile_cond(c, ABCD))) == dot, (kind, text)
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +376,24 @@ def test_dot_merges_parallel_edges():
     _assert_well_formed_dot(dot)
     # three states, letter-driven: exactly 3 targets per state + entry edge
     assert dot.count("->") == 3 * 3 + 1
+
+
+def test_event_text_denotes_its_atom_set():
+    rng = random.Random(4)
+    for mask in [0, ABCD.full_event] + [rng.getrandbits(16) for _ in range(200)]:
+        text = event_text(mask, ABCD)
+        if text in ("true", "false"):
+            assert mask == (ABCD.full_event if text == "true" else 0)
+            continue
+        denoted = 0
+        for term in text.split(" | "):
+            lits = [(lit.lstrip("!"), not lit.startswith("!"))
+                    for lit in term.split("&")]
+            for atom in range(ABCD.num_atoms):
+                if all(bool(atom >> ABCD.index(name) & 1) == value
+                       for name, value in lits):
+                    denoted |= 1 << atom
+        assert denoted == mask, text
 
 
 def test_dot_is_deterministic():

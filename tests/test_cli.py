@@ -1,8 +1,10 @@
 """The command-line front end is a thin adapter over the library."""
+import time
 from fractions import Fraction
 
 import pytest
 
+from tlcond import cli
 from tlcond.cli import main
 
 INDEP_HALF_AB = "events: a b\nindependent: a=1/2 b=1/2\n"
@@ -202,6 +204,28 @@ def test_machine_counter_free_flag(capsys):
                          "--check-counter-free")
     assert code == 0
     assert "counter-free: yes" in err
+
+
+def test_machine_present_tense_over_ten_events(capsys):
+    # to_dot covers each merged edge's atom set by prime implicants; found
+    # by looking up one-literal neighbours, 2^10 atoms take about a second
+    text = "(e0 or e1 | e2) and (e3|e4) and (e5|e6) and (e7 | e8 or e9)"
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "machine", "--cea", "sac", "--minimize",
+                       "--expr", text)
+    assert time.perf_counter() - start < 10
+    assert code == 0
+    assert out.count("shape=circle") == 3
+
+
+def test_expression_events_use_the_grammar_of_the_algebra(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a ps expression was parsed as a conditional")
+
+    monkeypatch.setattr(cli, "parse_cond", refuse)
+    assert cli._expr_events("ps", "(a|b) and (c|d)") == ("a", "b", "c", "d")
+    # what does not parse falls back to its identifiers
+    assert cli._expr_events("sch", "(b|a) and ((c|d)|a)") == ("a", "b", "c", "d")
 
 
 def test_machine_output_is_deterministic(capsys):

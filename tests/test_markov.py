@@ -41,6 +41,19 @@ def test_independent_product():
     assert sum(p.mass) == 1
 
 
+def test_independent_masses_are_products_of_marginals():
+    # reference: one product of n marginals per atom
+    alg = algebra("a b c d e")
+    rng = random.Random(8)
+    probs = {e: Fraction(rng.randint(0, 7), 7) for e in alg.events}
+    p = ProbAssignment.independent(alg, probs)
+    for atom in range(alg.num_atoms):
+        want = Fraction(1)
+        for i, name in enumerate(alg.events):
+            want *= probs[name] if atom >> i & 1 else 1 - probs[name]
+        assert p.mass[atom] == want
+
+
 def test_distribution_file_exhaustive():
     text = """
     events: a b
