@@ -10,16 +10,16 @@ from .syntax import (Atom, And, CeaAnd, CeaCond, CeaExpr, CeaNeg, CeaOr,
                      parse_cond, parse_tl, pretty)
 from .evaluate import Word, cond_output, eval_cond, eval_tl, reverse_word, word
 from .automata import (MooreMachine3, canonical_key, compile_cond,
-                       event_text, is_counter_free, isomorphic, minimize,
-                       product, to_dot)
+                       event_mask, event_text, is_counter_free, isomorphic,
+                       minimize, product, to_dot)
 from .markov import (MarkovChain3, PeriodicChainError, ProbAssignment,
                      SingularMatrixError, absorbing_solve, asymptotic,
                      chain_from_machine, limiting_label_masses, pr_n,
-                     pr_n_ratio)
-from .cea import (SimpleConditional, cond_asymptotic, embed_ps, event_mask,
-                  first_machine, first_resolution, latest_resolution,
-                  lift_defined, present_indep, present_machine, prob_present,
-                  prob_ps, reduce_present, reduce_syntactic, simple_to_cond,
+                     pr_n_ratio, pr_series)
+from .cea import (SimpleConditional, cond_asymptotic, embed_ps, first_machine,
+                  first_resolution, latest_resolution, lift_defined,
+                  present_indep, present_machine, prob_present, prob_ps,
+                  reduce_present, reduce_syntactic, simple_to_cond,
                   strong_indep, weak_tautology)
 from .oracle import (BudgetExceededError, brute_joint, brute_pr_n,
                      brute_pr_series, brute_reverse_check)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .syntax import (And, Atom, CondObject, Const, EventAlgebra, Iff, Implies,
-                     Not, Or, Prev, Since, subformulas)
+                     Not, Or, Prev, Since, TLFormula, children, subformulas)
 from .trivalue import Value3
 
 
@@ -47,14 +47,14 @@ class MooreMachine3:
 
     @property
     def initial_is_entered(self) -> bool:
-        return any(t == self.initial for row in self.delta for t in row)
+        return any(self.initial in row for row in self.delta)
 
     def validate(self) -> None:
         n = self.n_states
         assert 0 <= self.initial < n
         assert len(self.delta) == n
         assert all(len(row) == len(self.classes) for row in self.delta)
-        assert all(0 <= t < n for row in self.delta for t in row)
+        assert all(0 <= min(row) and max(row) < n for row in self.delta)
         covered = 0
         for mask in self.classes:
             assert mask and covered & mask == 0, "classes must partition the atoms"
@@ -107,6 +107,42 @@ def _classes_from_columns(num_atoms: int, keyed_masks: Iterable[tuple]
 
 
 # ---------------------------------------------------------------------------
+# Event masks
+
+
+def event_mask(f: TLFormula, alg: EventAlgebra) -> int:
+    """The set of atoms (bitmask) at which a present-tense formula holds."""
+    full = alg.full_event
+    holds = []  # event index -> atoms in which the event holds
+    for i in range(len(alg.events)):
+        run = 1 << i  # atoms come in alternating runs of this length
+        mask, width = ((1 << run) - 1) << run, 2 * run
+        while width < alg.num_atoms:
+            mask |= mask << width
+            width *= 2
+        holds.append(mask)
+
+    def rec(x: TLFormula) -> int:
+        if isinstance(x, Atom):
+            return holds[alg.index(x.name)]
+        if isinstance(x, Const):
+            return full if x.value else 0
+        if isinstance(x, Not):
+            return full ^ rec(x.child)
+        if isinstance(x, And):
+            return rec(x.left) & rec(x.right)
+        if isinstance(x, Or):
+            return rec(x.left) | rec(x.right)
+        if isinstance(x, Implies):
+            return (full ^ rec(x.left)) | rec(x.right)
+        if isinstance(x, Iff):
+            return full ^ rec(x.left) ^ rec(x.right)
+        raise ValueError(f"not a present-tense formula: {x!r}")
+
+    return rec(f)
+
+
+# ---------------------------------------------------------------------------
 # Compilation
 #
 # Memory-only synthesis of a past-time monitor (Havelund & Rosu, TACAS 2002).
@@ -119,21 +155,19 @@ def _classes_from_columns(num_atoms: int, keyed_masks: Iterable[tuple]
 # transition enters, read as the all-false memory, which encodes exactly the
 # position-zero clauses (no predecessor for Y, no earlier witness for S).
 #
-# A step computes a subformula's value on every letter class at once, as a
-# bitmask over class indices, with one closure per subformula.  The classes
-# that lead to one successor are then found by splitting the three label
-# masks by each remembered subformula's mask.
+# The letter only enters through the maximal present-tense subformulas (the
+# roots and the children of Y, S and of connectives over them): atoms on
+# which all of these agree form one letter class, and each of them is a leaf
+# whose value is a fixed set of classes.  A step computes every other
+# subformula's value on all classes at once, as a bitmask over class
+# indices, with one closure per subformula.  The classes that lead to one
+# successor are then found by splitting the three label masks by each
+# remembered subformula's mask.
 
 
-def _step(f, index: dict, slot: dict, atom_mask: dict, full: int):
+def _step(f, index: dict, slot: dict, full: int):
     """The closure computing ``f``'s class mask from the masks of the
     subformulas before it and the remembered masks (``full`` or 0)."""
-    if isinstance(f, Atom):
-        mask = atom_mask[f.name]
-        return lambda vals, mem: mask
-    if isinstance(f, Const):
-        mask = full if f.value else 0
-        return lambda vals, mem: mask
     if isinstance(f, Not):
         a = index[f.child]
         return lambda vals, mem: full ^ vals[a]
@@ -155,26 +189,37 @@ def _step(f, index: dict, slot: dict, atom_mask: dict, full: int):
 
 def compile_cond(c: CondObject, alg: EventAlgebra) -> MooreMachine3:
     """Compile a conditional object into a Moore machine computing it."""
+    # a step computes each subformula over Y or S (its ancestors are too)
+    # and reads the maximal present-tense ones, the leaves, as class sets
     subs = subformulas([c.num, c.den])
+    present: set = set()
+    for f in subs:
+        if not isinstance(f, (Prev, Since)) and all(
+                x in present for x in children(f)):
+            present.add(f)
+    leaves = present & ({c.num, c.den} | {x for f in subs if f not in present
+                                          for x in children(f)})
+    subs = [f for f in subs if f not in present or f in leaves]
     index = {f: i for i, f in enumerate(subs)}
+    leaf_order = [i for i, f in enumerate(subs) if f in leaves]
 
-    support = [alg.index(name) for name in
-               sorted({f.name for f in subs if isinstance(f, Atom)},
-                      key=alg.index)]
-    classes, class_of_atom, _ = _classes_from_columns(
-        alg.num_atoms,
-        ((tuple(atom >> b & 1 for b in support), 1 << atom)
-         for atom in range(alg.num_atoms)))
-    reps = [_lowest_atom(mask) for mask in classes]
+    # atoms split by every leaf's value; a class's key holds the leaf values
+    parts = [((), alg.full_event)]
+    for i in leaf_order:
+        holds = event_mask(subs[i], alg)
+        parts = [(key + (bit,), part) for key, mask in parts
+                 for bit, part in ((1, mask & holds), (0, mask & ~holds)) if part]
+    classes, class_of_atom, class_keys = _classes_from_columns(alg.num_atoms,
+                                                               parts)
     full = (1 << len(classes)) - 1
-    atom_mask = {alg.events[b]: sum(1 << k for k, rep in enumerate(reps)
-                                    if rep >> b & 1)
-                 for b in support}
 
     remembered = sorted({index[f.child] for f in subs if isinstance(f, Prev)}
                         | {i for i, f in enumerate(subs) if isinstance(f, Since)})
     slot = {i: s for s, i in enumerate(remembered)}
-    steps = [_step(f, index, slot, atom_mask, full) for f in subs]
+    leaf_mask = {i: sum(1 << k for k, key in enumerate(class_keys) if key[j])
+                 for j, i in enumerate(leaf_order)}
+    steps = [(lambda vals, mem, mask=leaf_mask[i]: mask) if i in leaf_mask
+             else _step(f, index, slot, full) for i, f in enumerate(subs)]
     num_idx, den_idx = index[c.num], index[c.den]
 
     def successors(mem: tuple) -> list[tuple[tuple, int]]:
@@ -196,18 +241,21 @@ def compile_cond(c: CondObject, alg: EventAlgebra) -> MooreMachine3:
                                        (0, mask & ~value)) if part]
         return parts
 
-    keys: list = [None]  # the start state, read as the all-false memory
+    # states are numbered as they are discovered, each state's successors in
+    # the order of their lowest class: breadth-first in class order, the
+    # numbering that minimize gives its output
+    states: list = [None]  # the start state, read as the all-false memory
     state_ids = {None: 0}
     delta: list[list[int]] = []
     q = 0
-    while q < len(keys):
-        mem = keys[q][1:] if q else (0,) * len(remembered)
+    while q < len(states):
+        mem = states[q][1:] if q else (0,) * len(remembered)
         row = [0] * len(classes)
-        for nxt, mask in successors(mem):
+        for nxt, mask in sorted(successors(mem), key=lambda kv: kv[1] & -kv[1]):
             tid = state_ids.get(nxt)
             if tid is None:
-                tid = state_ids[nxt] = len(keys)
-                keys.append(nxt)
+                tid = state_ids[nxt] = len(states)
+                states.append(nxt)
             while mask:
                 low = mask & -mask
                 row[low.bit_length() - 1] = tid
@@ -215,9 +263,10 @@ def compile_cond(c: CondObject, alg: EventAlgebra) -> MooreMachine3:
         delta.append(row)
         q += 1
 
-    labels = [Value3.UNDEF] + [key[0] for key in keys[1:]]
+    labels = [Value3.UNDEF] + [key[0] for key in states[1:]]
     m = MooreMachine3(alg, 0, labels, delta, classes, class_of_atom)
-    return _renumber_canonical(m)
+    m.validate()
+    return m
 
 
 # ---------------------------------------------------------------------------

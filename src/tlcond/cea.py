@@ -25,12 +25,11 @@ from typing import Callable, Literal, Optional
 
 from . import markov, syntax, trivalue
 from .automata import (MooreMachine3, _classes_from_columns, compile_cond,
-                       minimize, product)
+                       event_mask, minimize, product)
 from .markov import ProbAssignment, asymptotic, chain_from_machine, pr_n_ratio
-from .syntax import (And, Atom, CeaAnd, CeaCond, CeaExpr, CeaNeg, CeaOr,
-                     CeaSimple, CeaVar, CondObject, Const, EventAlgebra, Iff,
-                     Implies, Not, Or, Prev, Since, TLFormula, TRUE,
-                     collect_simples)
+from .syntax import (And, CeaAnd, CeaCond, CeaExpr, CeaNeg, CeaOr, CeaSimple,
+                     CeaVar, CondObject, EventAlgebra, Not, Or, Prev, Since,
+                     TLFormula, TRUE, collect_simples)
 from .trivalue import ConnectiveId, Value3, apply_binary, apply_unary
 
 Algebra = Literal["sac", "gnw", "sch"]
@@ -60,38 +59,6 @@ class SimpleConditional:
         if not self.def_set >> atom & 1:
             return Value3.UNDEF
         return Value3.from_bool(bool(self.yes_set >> atom & 1))
-
-
-def event_mask(f: TLFormula, alg: EventAlgebra) -> int:
-    """The set of atoms (bitmask) at which a present-tense formula holds."""
-    full = alg.full_event
-    holds = []  # event index -> atoms in which the event holds
-    for i in range(len(alg.events)):
-        run = 1 << i  # atoms come in alternating runs of this length
-        mask, width = ((1 << run) - 1) << run, 2 * run
-        while width < alg.num_atoms:
-            mask |= mask << width
-            width *= 2
-        holds.append(mask)
-
-    def rec(x: TLFormula) -> int:
-        if isinstance(x, Atom):
-            return holds[alg.index(x.name)]
-        if isinstance(x, Const):
-            return full if x.value else 0
-        if isinstance(x, Not):
-            return full ^ rec(x.child)
-        if isinstance(x, And):
-            return rec(x.left) & rec(x.right)
-        if isinstance(x, Or):
-            return rec(x.left) | rec(x.right)
-        if isinstance(x, Implies):
-            return (full ^ rec(x.left)) | rec(x.right)
-        if isinstance(x, Iff):
-            return full ^ rec(x.left) ^ rec(x.right)
-        raise ValueError(f"not a present-tense formula: {x!r}")
-
-    return rec(f)
 
 
 def _leaf(s: CeaSimple, alg: EventAlgebra) -> SimpleConditional:
@@ -287,44 +254,9 @@ def embed_ps(e: CeaExpr, which: Embedding) -> CondObject:
     raise ValueError(f"unknown interpretation {which!r}")
 
 
-def _classical_combiner(e: CeaExpr) -> Callable[[tuple[Value3, ...]], Value3]:
-    """Two-valued evaluation of the expression skeleton over leaf outputs."""
-    leaves = collect_simples(e)
-    positions: dict[int, int] = {}
-    counter = itertools.count()
-
-    def build(x: CeaExpr):
-        if isinstance(x, CeaSimple):
-            i = next(counter)
-            return lambda vals: vals[i] is Value3.TRUE
-        if isinstance(x, CeaNeg):
-            f = build(x.child)
-            return lambda vals: not f(vals)
-        if isinstance(x, CeaAnd):
-            f, g = build(x.left), build(x.right)
-            return lambda vals: f(vals) and g(vals)
-        if isinstance(x, CeaOr):
-            f, g = build(x.left), build(x.right)
-            return lambda vals: f(vals) or g(vals)
-        raise TypeError(f"unexpected node: {x!r}")
-
-    fn = build(e)
-    assert next(counter) == len(leaves)
-
-    def combine(vals: tuple[Value3, ...]) -> Value3:
-        return Value3.from_bool(fn(vals))
-
-    return combine
-
-
 def first_machine(e: CeaExpr, alg: EventAlgebra) -> MooreMachine3:
-    """Product of the per-conditional first-resolution machines with the
-    expression's classical combination as label (not yet minimized)."""
-    _require_flat(e)
-    parts = [minimize(compile_cond(
-        CondObject(first_resolution(s.num_event, s.den_event), TRUE), alg))
-        for s in collect_simples(e)]
-    return product(parts, _classical_combiner(e))
+    """The compiled (not yet minimized) machine of the first interpretation."""
+    return compile_cond(embed_ps(e, "first"), alg)
 
 
 def cond_asymptotic(c: CondObject, alg: EventAlgebra,
@@ -337,11 +269,7 @@ def cond_asymptotic(c: CondObject, alg: EventAlgebra,
 def prob_ps(e: CeaExpr, p: ProbAssignment,
             which: Embedding = "first") -> Optional[Fraction]:
     """Product-space probability of a flat expression."""
-    alg = p.alg
-    if which == "first":
-        m = minimize(first_machine(e, alg))
-        return asymptotic(chain_from_machine(m, p))
-    return cond_asymptotic(embed_ps(e, which), alg, p)
+    return cond_asymptotic(embed_ps(e, which), p.alg, p)
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,8 @@ from typing import Optional
 
 from . import cea
 from .automata import compile_cond, is_counter_free, minimize, to_dot
-from .markov import (MarkovChain3, PeriodicChainError, ProbAssignment,
-                     chain_from_machine, pr_n, pr_n_ratio)
+from .markov import (PeriodicChainError, ProbAssignment, chain_from_machine,
+                     pr_series)
 from .syntax import (_KEYWORDS, ParseError, algebra, formula_events,
                      parse_cea, parse_cond)
 
@@ -39,11 +39,7 @@ def _decimal_12(x: Fraction) -> str:
         return str(d.quantize(Decimal("1.000000000000")))
 
 
-def _load_dist(path: Optional[str], fallback_events: tuple[str, ...]) -> ProbAssignment:
-    if path is None:
-        return ProbAssignment.independent(
-            algebra(fallback_events),
-            {e: Fraction(1, 2) for e in fallback_events})
+def _load_dist(path: str) -> ProbAssignment:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return ProbAssignment.from_text(fh.read())
@@ -53,6 +49,12 @@ def _load_dist(path: Optional[str], fallback_events: tuple[str, ...]) -> ProbAss
         raise _InputError(f"bad distribution file {path}: {exc}") from None
 
 
+def _half(events: tuple[str, ...]) -> ProbAssignment:
+    """Every event independent with probability 1/2."""
+    return ProbAssignment.independent(
+        algebra(events), {e: Fraction(1, 2) for e in events})
+
+
 def _parse_expr(kind: str, text: str, alg):
     """Parse a conditional (tl) or an expression in the algebra's dialect."""
     if kind == "tl":
@@ -60,27 +62,35 @@ def _parse_expr(kind: str, text: str, alg):
     return parse_cea(text, alg, dialect="full" if kind in ("sac", "gnw") else "flat")
 
 
-def _expr_machine(kind: str, embedding: str, text: str, alg):
-    """Parse per the selected algebra and build the (raw) machine."""
-    e = _parse_expr(kind, text, alg)
+def _parse_own(kind: str, text: str):
+    """Parse over the expression's own identifiers; return the expression
+    and its events, sorted."""
+    e = _parse_expr(kind, text, algebra(_idents_of(text)))
+    return e, tuple(sorted(formula_events(e)))
+
+
+def _parse_with_dist(kind: str, text: str, dist: Optional[str]):
+    """The expression parsed against the distribution file's algebra, or,
+    without a file, over its own events, each independent with probability
+    1/2; and the distribution."""
+    if dist is not None:
+        p = _load_dist(dist)
+        return _parse_expr(kind, text, p.alg), p
+    e, events = _parse_own(kind, text)
+    return e, _half(events)
+
+
+def _expr_machine(kind: str, embedding: str, e, alg):
+    """The (raw) machine of a parsed expression."""
     if kind == "tl":
         return compile_cond(e, alg)
     if kind == "ps":
-        if embedding == "first":
-            return cea.first_machine(e, alg)
         return compile_cond(cea.embed_ps(e, embedding), alg)
     return cea.present_machine(cea.reduce_present(e, alg, kind))
 
 
-def _expr_chain(kind: str, embedding: str, text: str,
-                p: ProbAssignment) -> MarkovChain3:
-    return chain_from_machine(
-        minimize(_expr_machine(kind, embedding, text, p.alg)), p)
-
-
 def cmd_prob(args) -> int:
-    p = _load_dist(args.dist, _expr_events(args.cea, args.expr))
-    e = _parse_expr(args.cea, args.expr, p.alg)
+    e, p = _parse_with_dist(args.cea, args.expr, args.dist)
     if args.cea == "tl":
         value = cea.cond_asymptotic(e, p.alg, p)
     elif args.cea == "ps":
@@ -95,19 +105,19 @@ def cmd_prob(args) -> int:
 
 
 def cmd_series(args) -> int:
-    p = _load_dist(args.dist, _expr_events(args.cea, args.expr))
-    ch = _expr_chain(args.cea, args.embedding, args.expr, p)
+    e, p = _parse_with_dist(args.cea, args.expr, args.dist)
+    ch = chain_from_machine(
+        minimize(_expr_machine(args.cea, args.embedding, e, p.alg)), p)
     print("n,p1,p0,pbot,ratio")
-    for n in range(1, args.n + 1):
-        p1, p0, pbot = pr_n(ch, n)
-        ratio = pr_n_ratio(ch, n)
-        print(f"{n},{p1},{p0},{pbot},{'undef' if ratio is None else ratio}")
+    for n, (p1, p0, pbot) in enumerate(pr_series(ch, args.n), 1):
+        ratio = "undef" if p1 + p0 == 0 else p1 / (p1 + p0)
+        print(f"{n},{p1},{p0},{pbot},{ratio}")
     return OK
 
 
 def cmd_machine(args) -> int:
-    m = _expr_machine(args.cea, args.embedding, args.expr,
-                      algebra(_expr_events(args.cea, args.expr)))
+    e, events = _parse_own(args.cea, args.expr)
+    m = _expr_machine(args.cea, args.embedding, e, algebra(events))
     if args.minimize:
         m = minimize(m)
     if args.check_counter_free:
@@ -130,11 +140,14 @@ def cmd_taut(args) -> int:
 
 
 def cmd_indep(args) -> int:
-    events = tuple(dict.fromkeys(_expr_events("tl", args.left) +
-                                 _expr_events("tl", args.right)))
-    p = _load_dist(args.dist, events)
-    left = parse_cond(args.left, p.alg)
-    right = parse_cond(args.right, p.alg)
+    if args.dist is not None:
+        p = _load_dist(args.dist)
+        left = parse_cond(args.left, p.alg)
+        right = parse_cond(args.right, p.alg)
+    else:
+        left, left_events = _parse_own("tl", args.left)
+        right, right_events = _parse_own("tl", args.right)
+        p = _half(tuple(dict.fromkeys(left_events + right_events)))
     if args.mode == "present":
         ok, checks = cea.present_indep(left, right, p, args.n)
         print(f"independent: {'yes' if ok else 'no'}")
@@ -150,16 +163,6 @@ def cmd_indep(args) -> int:
         if witness:
             print(f"  {witness}")
     return OK
-
-
-def _expr_events(kind: str, text: str) -> tuple[str, ...]:
-    """The events of an expression parsed with the grammar of ``kind``, or
-    its identifiers when it does not parse (the command then reports why)."""
-    try:
-        alg = None if kind == "tl" else algebra(_idents_of(text))
-        return tuple(sorted(formula_events(_parse_expr(kind, text, alg))))
-    except (ParseError, ValueError):
-        return tuple(sorted(_idents_of(text)))
 
 
 def _idents_of(text: str) -> tuple[str, ...]:
@@ -219,8 +222,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.fn(args)
     except PeriodicChainError as exc:

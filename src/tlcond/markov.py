@@ -9,7 +9,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .automata import MooreMachine3
 from .syntax import EventAlgebra, algebra
@@ -186,17 +186,27 @@ def _step(dist: Sequence[Fraction], trans) -> list[Fraction]:
     return out
 
 
+def pr_series(ch: MarkovChain3, n: int
+              ) -> Iterator[tuple[Fraction, Fraction, Fraction]]:
+    """(Pr value 1, Pr value 0, Pr undefined) at times 1..n, stepping the
+    state distribution once per time."""
+    dist = list(ch.init)
+    for t in range(1, n + 1):
+        if t > 1:
+            dist = _step(dist, ch.trans)
+        buckets = {Value3.TRUE: ZERO, Value3.FALSE: ZERO, Value3.UNDEF: ZERO}
+        for w, lab in zip(dist, ch.labels):
+            buckets[lab] += w
+        yield buckets[Value3.TRUE], buckets[Value3.FALSE], buckets[Value3.UNDEF]
+
+
 def pr_n(ch: MarkovChain3, n: int) -> tuple[Fraction, Fraction, Fraction]:
     """Probability that the value at time n is 1 / 0 / undefined (n >= 1)."""
     if n < 1:
         raise ValueError("time index starts at 1")
-    dist = list(ch.init)
-    for _ in range(n - 1):
-        dist = _step(dist, ch.trans)
-    buckets = {Value3.TRUE: ZERO, Value3.FALSE: ZERO, Value3.UNDEF: ZERO}
-    for w, lab in zip(dist, ch.labels):
-        buckets[lab] += w
-    return buckets[Value3.TRUE], buckets[Value3.FALSE], buckets[Value3.UNDEF]
+    for row in pr_series(ch, n):
+        pass
+    return row
 
 
 def pr_n_ratio(ch: MarkovChain3, n: int) -> Optional[Fraction]:

@@ -157,6 +157,17 @@ def hist(f: TLFormula) -> TLFormula:
     return Not(Since(TRUE, Not(f)))
 
 
+def children(f: TLFormula) -> tuple[TLFormula, ...]:
+    """The direct subformulas of a temporal formula."""
+    if isinstance(f, (Not, Prev)):
+        return (f.child,)
+    if isinstance(f, (And, Or, Implies, Iff, Since)):
+        return (f.left, f.right)
+    if isinstance(f, (Atom, Const)):
+        return ()
+    raise TypeError(f"not a temporal formula: {f!r}")
+
+
 def subformulas(forms: Sequence[TLFormula]) -> list[TLFormula]:
     """Distinct subformulas of ``forms``, each after its children."""
     seen: set[TLFormula] = set()
@@ -165,13 +176,8 @@ def subformulas(forms: Sequence[TLFormula]) -> list[TLFormula]:
     def walk(f: TLFormula):
         if f in seen:
             return
-        if isinstance(f, (Not, Prev)):
-            walk(f.child)
-        elif isinstance(f, (And, Or, Implies, Iff, Since)):
-            walk(f.left)
-            walk(f.right)
-        elif not isinstance(f, (Atom, Const)):
-            raise TypeError(f"not a temporal formula: {f!r}")
+        for x in children(f):
+            walk(x)
         seen.add(f)
         out.append(f)
 

@@ -1,7 +1,10 @@
 """Hand-built expected machines shared by the automata and acceptance suites,
-and fixed DOT texts of minimized compiled machines."""
-from tlcond import Value3, algebra
+a per-leaf product reference for the first interpretation, and fixed DOT
+texts of minimized compiled machines."""
+from tlcond import (CeaAnd, CeaNeg, CeaOr, CeaSimple, CondObject, TRUE, Value3,
+                    algebra, compile_cond, first_resolution, minimize, product)
 from tlcond.automata import MooreMachine3
+from tlcond.syntax import collect_simples
 
 F, T = Value3.FALSE, Value3.TRUE
 
@@ -45,6 +48,39 @@ def expected_conjunction_machine() -> MooreMachine3:
     table = [[target(s, atom) for atom in range(16)] for s in range(5)]
     return MooreMachine3.from_atom_table(
         ALG_ABCD, labels=[F, F, F, F, T], delta_by_atom=table, initial=I)
+
+
+def first_product_machine(e, alg) -> MooreMachine3:
+    """The first interpretation built another way: the product of the
+    minimized first-resolution machines of the leaves, labelled by the
+    expression evaluated classically over the leaves' outputs."""
+    leaves = collect_simples(e)
+    parts = [minimize(compile_cond(
+        CondObject(first_resolution(s.num_event, s.den_event), TRUE), alg))
+        for s in leaves]
+
+    def value(x, outputs) -> bool:
+        if isinstance(x, CeaSimple):
+            return next(outputs) is Value3.TRUE
+        if isinstance(x, CeaNeg):
+            return not value(x.child, outputs)
+        left, right = value(x.left, outputs), value(x.right, outputs)
+        if isinstance(x, CeaAnd):
+            return left and right
+        assert isinstance(x, CeaOr)
+        return left or right
+
+    return product(parts, lambda vals: Value3.from_bool(value(e, iter(vals))))
+
+
+def assert_first_machine_shape(raw: MooreMachine3, n_leaves: int) -> None:
+    """The compiled first interpretation of an expression over n leaves: no
+    transition enters the start state, at most 3^n states are entered, and
+    every entered state is labelled 0 or 1."""
+    entered = {t for row in raw.delta for t in row}
+    assert raw.initial not in entered
+    assert len(entered) <= 3 ** n_leaves
+    assert all(raw.labels[q] in (F, T) for q in entered)
 
 
 def two_cycle_machine() -> MooreMachine3:

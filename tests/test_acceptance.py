@@ -16,7 +16,8 @@ from tlcond.cea import _mask_formula, cond_asymptotic, first_machine
 from tlcond.markov import ProbAssignment, asymptotic
 
 from corpus import ALG_AB, CORPUS, SKEWED_AB, UNIFORM_AB
-from machines import expected_conjunction_machine, expected_first_machine, two_cycle_machine
+from machines import (assert_first_machine_shape, expected_conjunction_machine,
+                      expected_first_machine, two_cycle_machine)
 
 F, T, U = Value3.FALSE, Value3.TRUE, Value3.UNDEF
 
@@ -184,13 +185,15 @@ def test_criterion_05_canonical_machine_shapes_and_state_bound():
     assert m2.n_states == 5
     assert isomorphic(m2, expected_conjunction_machine())
 
+    # the raw machine is the compiled one: a start state that no transition
+    # enters, and at most 3^n entered states, labelled 0 or 1
     rng = random.Random(505)
     for n in range(1, 5):
         raw = first_machine(_random_flat_expr(rng, algebra("a b c"), n), algebra("a b c"))
-        assert raw.n_states <= 3 ** n
+        assert_first_machine_shape(raw, n)
         assert minimize(raw).n_states <= 3 ** n
 
-    # six disjoint conditionals: 3^6 = 729 product states, timed end to end
+    # six disjoint conditionals: 3^6 = 729 entered states, timed end to end
     names = [f"{x}{i}" for i in range(1, 7) for x in "ab"]
     wide = algebra(" ".join(names))
     expr = " and ".join(f"(a{i}|b{i})" for i in range(1, 7))
@@ -198,7 +201,7 @@ def test_criterion_05_canonical_machine_shapes_and_state_bound():
     p6 = ProbAssignment.independent(wide, {n: Fraction(1, 2) for n in names})
     t0 = time.monotonic()
     raw6 = first_machine(e6, wide)
-    assert raw6.n_states <= 3 ** 6
+    assert_first_machine_shape(raw6, 6)
     m6 = minimize(raw6)
     assert m6.n_states <= 3 ** 6
     value = asymptotic(chain_from_machine(m6, p6))

@@ -12,8 +12,9 @@ from tlcond.automata import MonoidSizeError, MooreMachine3
 from tlcond.cea import first_machine
 
 from corpus import ALG_AB, CORPUS
-from machines import (MINIMAL_DOTS, expected_conjunction_machine,
-                      expected_first_machine, two_cycle_machine)
+from machines import (MINIMAL_DOTS, assert_first_machine_shape,
+                      expected_conjunction_machine, expected_first_machine,
+                      two_cycle_machine)
 from walkers import outputs_match_everywhere
 
 F, T, U = Value3.FALSE, Value3.TRUE, Value3.UNDEF
@@ -170,8 +171,32 @@ def test_first_interpretation_state_bound():
         for _ in range(3):
             e = random_flat(n)
             raw = first_machine(e, ABCD)
-            assert raw.n_states <= 3 ** n
+            assert_first_machine_shape(raw, n)
             assert minimize(raw).n_states <= 3 ** n
+
+
+def test_first_conjunction_has_one_class_per_leaf_outcome():
+    """The letter classes come from the maximal present-tense subformulas
+    (a_i and b_i, and b_i, for each leaf): 3^k classes, not 4^k atoms."""
+    for k in (2, 3, 4):
+        names = [f"{x}{i}" for i in range(1, k + 1) for x in "ab"]
+        alg = algebra(" ".join(names))
+        e = parse_cea(" and ".join(f"(a{i}|b{i})" for i in range(1, k + 1)),
+                      alg, dialect="flat")
+        m = compile_cond(embed_ps(e, "first"), alg)
+        assert len(m.classes) == 3 ** k
+        assert m.n_states == 3 ** k + 1
+
+
+def test_compiled_machine_is_numbered_canonically():
+    """compile_cond numbers states breadth-first in class order as it
+    discovers them, so renumbering its output changes nothing."""
+    from tlcond.automata import _renumber_canonical
+    for text, c in CORPUS:
+        m = compile_cond(c, ALG_AB)
+        r = _renumber_canonical(m)
+        assert (m.initial, m.labels, m.delta, m.classes, m.class_of_atom) == \
+            (r.initial, r.labels, r.delta, r.classes, r.class_of_atom), text
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +243,10 @@ def test_first_interpretation_labels_are_two_valued():
     for text in ("(a|b) and (c|d)", "~((a|b) or (c|d))", "(a|b) or ~(c|d)"):
         e = parse_cea(text, ABCD, dialect="flat")
         raw = first_machine(e, ABCD)
-        assert all(v in (F, T) for v in raw.labels)
-        assert all(v in (F, T) for v in minimize(raw).labels)
+        assert_first_machine_shape(raw, 2)
+        m = minimize(raw)
+        entered = {t for row in m.delta for t in row}
+        assert all(m.labels[q] in (F, T) for q in entered)
 
 
 def test_resolved_states_sit_in_label_constant_closed_components():

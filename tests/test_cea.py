@@ -18,6 +18,7 @@ from tlcond.markov import ProbAssignment, asymptotic, chain_from_machine
 from tlcond.syntax import collect_simples
 
 from corpus import ALG_AB, UNIFORM_AB
+from machines import assert_first_machine_shape, first_product_machine
 
 F, T, U = Value3.FALSE, Value3.TRUE, Value3.UNDEF
 
@@ -394,8 +395,7 @@ def test_collect_simples_order():
 
 def test_first_machine_component_count_and_asymptotic_path():
     e = parse_cea("(a|b) and (c|d)", ABCD)
-    m = first_machine(e, ABCD)
-    assert m.n_states <= 9
+    assert_first_machine_shape(first_machine(e, ABCD), 2)
     c = embed_ps(e, "first")
     assert cond_asymptotic(c, ABCD, HALF4) == Fraction(1, 4)
 
@@ -446,5 +446,5 @@ def test_monolithic_and_product_pipelines_agree():
     for text in ("(a|b) and (c|d)", "~(a|b) or (c|b)", "(a or c|b) and ~(d|c)"):
         e = parse_cea(text, ABCD, dialect="flat")
         via_formula = minimize(compile_cond(embed_ps(e, "first"), ABCD))
-        via_product = minimize(first_machine(e, ABCD))
+        via_product = minimize(first_product_machine(e, ABCD))
         assert isomorphic(via_formula, via_product), text

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from tlcond import cli
+from tlcond import ParseError, cli
 from tlcond.cli import main
+from tlcond.syntax import collect_simples
 
 INDEP_HALF_AB = "events: a b\nindependent: a=1/2 b=1/2\n"
 INDEP_HALF_ABCD = "events: a b c d\nindependent: a=1/2 b=1/2 c=1/2 d=1/2\n"
@@ -223,9 +224,59 @@ def test_expression_events_use_the_grammar_of_the_algebra(monkeypatch):
         raise AssertionError("a ps expression was parsed as a conditional")
 
     monkeypatch.setattr(cli, "parse_cond", refuse)
-    assert cli._expr_events("ps", "(a|b) and (c|d)") == ("a", "b", "c", "d")
-    # what does not parse falls back to its identifiers
-    assert cli._expr_events("sch", "(b|a) and ((c|d)|a)") == ("a", "b", "c", "d")
+    e, events = cli._parse_own("ps", "(a|b) and (c|d)")
+    assert events == ("a", "b", "c", "d")
+    assert len(collect_simples(e)) == 2
+    # what does not parse in the algebra's dialect is an input error
+    with pytest.raises(ParseError):
+        cli._parse_own("sch", "(b|a) and ((c|d)|a)")
+
+
+_ONE_PARSE_EACH = [
+    ("prob", "--cea", "ps", "--expr", "(a|b) and (c|d)"),
+    ("prob", "--cea", "tl", "--expr", "(a S b | O a)"),
+    ("series", "--cea", "sac", "--expr", "(a|b) or (c|d)", "--n", "3"),
+    ("indep", "--mode", "strong", "--left", "(a|b)", "--right", "(c|d)"),
+]
+
+
+@pytest.mark.parametrize("argv", _ONE_PARSE_EACH
+                         + [argv + ("--dist", None) for argv in _ONE_PARSE_EACH]
+                         + [("machine", "--cea", "ps", "--expr", "(a|b)",
+                             "--minimize")])
+def test_each_expression_is_parsed_once(capsys, monkeypatch, half_abcd, argv):
+    calls = []
+    for name in ("parse_cond", "parse_cea"):
+        original = getattr(cli, name)
+
+        def counted(*args, original=original, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+        monkeypatch.setattr(cli, name, counted)
+    argv = tuple(half_abcd if x is None else x for x in argv)
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    assert len(calls) == len(set(calls)) == (2 if argv[0] == "indep" else 1)
+
+
+def test_unknown_identifier_against_the_distribution(capsys, half_ab):
+    code, _, err = run(capsys, "prob", "--cea", "ps", "--expr", "(a|c)",
+                       "--dist", half_ab)
+    assert code == 1
+    assert err.startswith("error: ") and "unknown identifier 'c'" in err
+
+
+def test_argument_parser_is_built_once(capsys, monkeypatch):
+    def refuse():
+        raise AssertionError("the argument parser was rebuilt")
+
+    monkeypatch.setattr(cli, "_build_parser", refuse)
+    code, out, _ = run(capsys, "prob", "--cea", "tl", "--expr", "(a|true)")
+    assert code == 0
+    assert out.strip() == "1/2 (0.500000000000)"
+    with pytest.raises(SystemExit) as exc:
+        main(["prob"])
+    assert exc.value.code == 2
 
 
 def test_machine_output_is_deterministic(capsys):

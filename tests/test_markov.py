@@ -6,7 +6,7 @@ import pytest
 
 from tlcond import (ProbAssignment, absorbing_solve, algebra, asymptotic,
                     brute_pr_series, chain_from_machine, compile_cond,
-                    minimize, parse_cond, pr_n, pr_n_ratio)
+                    minimize, parse_cond, pr_n, pr_n_ratio, pr_series)
 from tlcond.markov import (MarkovChain3, PeriodicChainError,
                            SingularMatrixError, limiting_label_masses,
                            solve_linear)
@@ -148,6 +148,14 @@ def test_pr_n_matches_oracle_enumeration():
         series = brute_pr_series(c, SKEWED_AB, 6)
         for n in range(1, 7):
             assert pr_n(ch, n) == series[n - 1], (text, n)
+
+
+def test_pr_series_steps_through_pr_n():
+    for p in (UNIFORM_AB, SKEWED_AB):
+        for text, c in CORPUS:
+            ch = chain_from_machine(minimize(compile_cond(c, ALG_AB)), p)
+            assert list(pr_series(ch, 8)) == [pr_n(ch, t) for t in range(1, 9)], text
+    assert list(pr_series(_chain("(a|b)"), 0)) == []
 
 
 def test_pr_n_rejects_time_zero():
