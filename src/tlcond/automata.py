@@ -347,7 +347,7 @@ def minimize(m: MooreMachine3) -> MooreMachine3:
         sig_ids: dict = {}
         new_block: dict[int, int] = {}
         for q in consider:
-            sig = (block[q], tuple(block[t] for t in m.delta[q]))
+            sig = (block[q], tuple(map(block.__getitem__, m.delta[q])))
             new_block[q] = sig_ids.setdefault(sig, len(sig_ids))
         if len(sig_ids) == n_blocks:
             block = new_block
@@ -363,9 +363,10 @@ def minimize(m: MooreMachine3) -> MooreMachine3:
     if entered:
         initial_block = block[m.initial]
     else:
-        want = tuple(block[t] for t in m.delta[m.initial])
+        want = tuple(map(block.__getitem__, m.delta[m.initial]))
         match = next((b for b in range(n_blocks)
-                      if tuple(block[t] for t in m.delta[reps[b]]) == want), None)
+                      if tuple(map(block.__getitem__, m.delta[reps[b]])) == want),
+                     None)
         if match is not None:
             initial_block = match
         else:

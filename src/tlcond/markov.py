@@ -140,15 +140,35 @@ class MarkovChain3:
         n = len(self.labels)
         if len(self.init) != n or len(self.trans) != n:
             raise ValueError("inconsistent chain dimensions")
-        if sum(self.init) != 1:
+        if _nonzero_sum(self.init) != 1:
             raise ValueError("initial distribution must sum to 1")
         for row in self.trans:
-            if len(row) != n or sum(row) != 1:
+            if len(row) != n or _nonzero_sum(row) != 1:
                 raise ValueError("every transition row must sum to exactly 1")
 
     @property
     def n_states(self) -> int:
         return len(self.labels)
+
+
+def _nonzero(row: Sequence[Fraction]) -> list[tuple[int, Fraction]]:
+    """A row's nonzero (column, entry) pairs.  Cells holding the shared
+    ``ZERO``, as ``chain_from_machine`` leaves them, are skipped without a
+    call into ``Fraction``."""
+    return [(j, w) for j, w in enumerate(row) if w is not ZERO and w]
+
+
+def _nonzero_sum(row: Sequence[Fraction]) -> Fraction:
+    """Sum of a row's nonzero entries; ValueError on a negative entry."""
+    nonzero = [w for _, w in _nonzero(row)]
+    if any(w < 0 for w in nonzero):
+        raise ValueError("negative probability in a chain")
+    return sum(nonzero)
+
+
+def _successors(ch: MarkovChain3) -> list[list[tuple[int, Fraction]]]:
+    """Each state's nonzero (successor, probability) pairs, in state order."""
+    return [_nonzero(row) for row in ch.trans]
 
 
 def chain_from_machine(m: MooreMachine3, p: ProbAssignment) -> MarkovChain3:
@@ -174,15 +194,13 @@ def chain_from_machine(m: MooreMachine3, p: ProbAssignment) -> MarkovChain3:
     return MarkovChain3(tuple(init), tuple(rows), tuple(m.labels))
 
 
-def _step(dist: Sequence[Fraction], trans) -> list[Fraction]:
-    n = len(dist)
-    out = [ZERO] * n
+def _step(dist: Sequence[Fraction],
+          succ: list[list[tuple[int, Fraction]]]) -> list[Fraction]:
+    out = [ZERO] * len(dist)
     for i, w in enumerate(dist):
         if w:
-            row = trans[i]
-            for j in range(n):
-                if row[j]:
-                    out[j] += w * row[j]
+            for t, p in succ[i]:
+                out[t] += w * p
     return out
 
 
@@ -190,10 +208,11 @@ def pr_series(ch: MarkovChain3, n: int
               ) -> Iterator[tuple[Fraction, Fraction, Fraction]]:
     """(Pr value 1, Pr value 0, Pr undefined) at times 1..n, stepping the
     state distribution once per time."""
+    succ = _successors(ch)
     dist = list(ch.init)
     for t in range(1, n + 1):
         if t > 1:
-            dist = _step(dist, ch.trans)
+            dist = _step(dist, succ)
         buckets = {Value3.TRUE: ZERO, Value3.FALSE: ZERO, Value3.UNDEF: ZERO}
         for w, lab in zip(dist, ch.labels):
             buckets[lab] += w
@@ -223,27 +242,67 @@ def pr_n_ratio(ch: MarkovChain3, n: int) -> Optional[Fraction]:
 
 
 def solve_linear(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Solve A X = B exactly by Gaussian elimination with exact pivoting."""
+    """Solve A X = B exactly.
+
+    Forward Gaussian elimination on each row's nonzero entries (column c of
+    B is column n + c of the row), pivoting in each column on the candidate
+    row with the fewest nonzeros (lowest index on a tie), then back
+    substitution.
+    """
     n = len(a)
-    m = [list(map(Fraction, row_a)) + list(map(Fraction, row_b))
-         for row_a, row_b in zip(a, b)]
-    width = len(m[0]) if m else 0
+    rows = [{c: Fraction(x) for c, x in enumerate(row_a) if x}
+            for row_a in a]
+    for row, row_b in zip(rows, b):
+        row.update((n + c, Fraction(x)) for c, x in enumerate(row_b) if x)
+    width = len(b[0]) if b else 0
+    # holders[c]: the rows not yet pivoted on that have a nonzero in column c
+    holders = [set() for _ in range(n)]
+    for r, row in enumerate(rows):
+        for c in row:
+            if c < n:
+                holders[c].add(r)
+    pivots = []
     for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
+        candidates = holders[col]
+        if not candidates:
             raise SingularMatrixError("matrix is singular")
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-        inv = ONE / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                factor = m[r][col]
-                row, prow = m[r], m[col]
-                for c in range(col, width):
-                    if prow[c]:
-                        row[c] -= factor * prow[c]
-    return [row[n:] for row in m]
+        pivot = min(candidates, key=lambda r: (len(rows[r]), r))
+        candidates.remove(pivot)
+        prow = rows[pivot]
+        inv = ONE / prow.pop(col)
+        prow = {c: x * inv for c, x in prow.items()}
+        pivots.append(prow)
+        for c in prow:
+            if c < n:
+                holders[c].discard(pivot)
+        for r in candidates:
+            row = rows[r]
+            factor = row.pop(col)
+            for c, x in prow.items():
+                v = row.get(c)
+                if v is None:
+                    row[c] = -factor * x
+                    if c < n:
+                        holders[c].add(r)
+                else:
+                    v -= factor * x
+                    if v:
+                        row[c] = v
+                    else:
+                        del row[c]
+                        if c < n:
+                            holders[c].discard(r)
+    x: list[list[Fraction]] = [[]] * n
+    for col in range(n - 1, -1, -1):
+        prow = pivots[col]
+        sol = [prow.get(n + j, ZERO) for j in range(width)]
+        for c, coef in prow.items():
+            if c < n:
+                for j, xc in enumerate(x[c]):
+                    if xc:
+                        sol[j] -= coef * xc
+        x[col] = sol
+    return x
 
 
 def absorbing_solve(q_block: list[list[Fraction]],
@@ -253,8 +312,9 @@ def absorbing_solve(q_block: list[list[Fraction]],
     n = len(q_block)
     if any(len(row) != n for row in q_block) or len(r_block) != n:
         raise ValueError("Q must be square with one R row per transient state")
-    id_minus_q = [[(ONE if i == j else ZERO) - q_block[i][j] for j in range(n)]
-                  for i in range(n)]
+    id_minus_q = [[-w if w else w for w in row] for row in q_block]
+    for i, row in enumerate(id_minus_q):
+        row[i] += ONE
     return solve_linear(id_minus_q, [list(row) for row in r_block])
 
 
@@ -309,8 +369,9 @@ def _sccs(n: int, adj: list[list[int]]) -> list[list[int]]:
     return out
 
 
-def _class_period(members: list[int], adj_in_class: dict[int, list[int]]) -> int:
-    """gcd of cycle lengths of a strongly connected graph."""
+def _class_period(members: list[int], adj: Sequence[list[int]]) -> int:
+    """gcd of cycle lengths of a strongly connected graph; ``adj`` gives
+    each member's successors, all inside the class."""
     start = members[0]
     level = {start: 0}
     queue = [start]
@@ -319,7 +380,7 @@ def _class_period(members: list[int], adj_in_class: dict[int, list[int]]) -> int
     while i < len(queue):
         u = queue[i]
         i += 1
-        for v in adj_in_class[u]:
+        for v in adj[u]:
             if v not in level:
                 level[v] = level[u] + 1
                 queue.append(v)
@@ -328,14 +389,18 @@ def _class_period(members: list[int], adj_in_class: dict[int, list[int]]) -> int
     return abs(g)
 
 
-def stationary_distribution(trans: Sequence[Sequence[Fraction]],
+def stationary_distribution(succ: list[list[tuple[int, Fraction]]],
                             members: list[int]) -> dict[int, Fraction]:
-    """Stationary law of an irreducible closed class (pi P = pi, sum = 1)."""
+    """Stationary law of an irreducible closed class (pi P = pi, sum = 1),
+    given each state's nonzero (successor, probability) pairs."""
     k = len(members)
     pos = {s: i for i, s in enumerate(members)}
     # (P^T - Id) pi = 0 with the last equation replaced by sum(pi) = 1
-    a = [[trans[members[j]][members[i]] - (ONE if i == j else ZERO)
-          for j in range(k)] for i in range(k)]
+    a = [[0] * k for _ in range(k)]  # an int 0 is cheap to test for zero
+    for j, s in enumerate(members):
+        a[j][j] -= ONE
+        for t, w in succ[s]:
+            a[pos[t]][j] += w
     a[k - 1] = [ONE] * k
     b = [[ZERO] for _ in range(k - 1)] + [[ONE]]
     x = solve_linear(a, b)
@@ -349,31 +414,35 @@ def limiting_label_masses(ch: MarkovChain3) -> dict[Value3, Fraction]:
     aperiodic (otherwise the limit may not exist and the call fails loudly).
     """
     n = ch.n_states
-    adj = [[j for j in range(n) if ch.trans[i][j] > 0] for i in range(n)]
+    succ = _successors(ch)
+    adj = [[t for t, _ in pairs] for pairs in succ]
     sccs = _sccs(n, adj)
     comp_of = [0] * n
     for ci, comp in enumerate(sccs):
         for s in comp:
             comp_of[s] = ci
-    closed = []
-    for ci, comp in enumerate(sccs):
-        members = set(comp)
-        if all(t in members for s in comp for t in adj[s]):
-            closed.append(ci)
-    closed_set = set(closed)
-    transient = [s for s in range(n) if comp_of[s] not in closed_set]
+    closed = [ci for ci, comp in enumerate(sccs)
+              if all(comp_of[t] == ci for s in comp for t in adj[s])]
+    closed_pos = {ci: k for k, ci in enumerate(closed)}
+    transient = [s for s in range(n) if comp_of[s] not in closed_pos]
 
     # absorption probability per closed class
     absorb = {ci: ZERO for ci in closed}
     for s in range(n):
-        if ch.init[s] and comp_of[s] in closed_set:
+        if ch.init[s] and comp_of[s] in closed_pos:
             absorb[comp_of[s]] += ch.init[s]
     if any(ch.init[s] for s in transient):
         tpos = {s: i for i, s in enumerate(transient)}
-        q_block = [[ch.trans[s][t] for t in transient] for s in transient]
-        r_block = [[sum((ch.trans[s][t] for t in range(n)
-                         if comp_of[t] == ci), ZERO) for ci in closed]
-                   for s in transient]
+        # empty Q cells are int 0, cheap to test for zero; a transient
+        # state's successor is transient or in a closed class
+        q_block = [[0] * len(transient) for _ in transient]
+        r_block = [[ZERO] * len(closed) for _ in transient]
+        for i, s in enumerate(transient):
+            for t, w in succ[s]:
+                if t in tpos:
+                    q_block[i][tpos[t]] = w
+                else:
+                    r_block[i][closed_pos[comp_of[t]]] += w
         b = absorbing_solve(q_block, r_block)
         for s in transient:
             if ch.init[s]:
@@ -385,11 +454,10 @@ def limiting_label_masses(ch: MarkovChain3) -> dict[Value3, Fraction]:
         if absorb[ci] == 0:
             continue
         comp = sccs[ci]
-        inside = {s: [t for t in adj[s] if comp_of[t] == ci] for s in comp}
-        if _class_period(comp, inside) != 1:
+        if _class_period(comp, adj) != 1:
             raise PeriodicChainError(
                 "a reachable closed class is periodic; the limit may not exist")
-        pi = stationary_distribution(ch.trans, comp)
+        pi = stationary_distribution(succ, comp)
         for s in comp:
             masses[ch.labels[s]] += absorb[ci] * pi[s]
     return masses

@@ -3,13 +3,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tlcond import (ProbAssignment, absorbing_solve, algebra, asymptotic,
                     brute_pr_series, chain_from_machine, compile_cond,
                     minimize, parse_cond, pr_n, pr_n_ratio, pr_series)
 from tlcond.markov import (MarkovChain3, PeriodicChainError,
-                           SingularMatrixError, limiting_label_masses,
-                           solve_linear)
+                           SingularMatrixError, _sccs, _successors,
+                           limiting_label_masses, solve_linear,
+                           stationary_distribution)
 from tlcond.trivalue import Value3
 
 from corpus import ALG_AB, CONVERGENCE_AB, CORPUS, SKEWED_AB, UNIFORM_AB
@@ -110,6 +113,19 @@ def test_rows_always_sum_to_one():
         assert sum(ch.init) == 1
 
 
+def test_negative_chain_entries_rejected():
+    # rows summing to 1 with a negative entry: a "> 0" adjacency would drop
+    # the -1 edge and answer TRUE = 1 for this chain
+    one, zero = Fraction(1), Fraction(0)
+    labels = (Value3.TRUE, Value3.FALSE)
+    with pytest.raises(ValueError, match="negative"):
+        MarkovChain3(init=(one, zero), trans=((Fraction(2), Fraction(-1)), (zero, one)),
+                     labels=labels)
+    with pytest.raises(ValueError, match="negative"):
+        MarkovChain3(init=(Fraction(2), Fraction(-1)), trans=((one, zero), (zero, one)),
+                     labels=labels)
+
+
 def test_alphabet_mismatch_rejected():
     m = minimize(compile_cond(parse_cond("(a|b)", ALG_AB), ALG_AB))
     other = ProbAssignment.uniform(algebra("a b c"))
@@ -200,6 +216,55 @@ def test_limiting_masses_of_two_valued_machine_sum_to_one():
     assert masses[Value3.UNDEF] == 0
     assert masses[Value3.TRUE] + masses[Value3.FALSE] == 1
     assert asymptotic(ch) == 1  # the event eventually happens almost surely
+
+
+def test_stationary_laws_of_corpus_closed_classes_are_fixed_points():
+    for p in (UNIFORM_AB, SKEWED_AB):
+        for text, c in CORPUS:
+            ch = chain_from_machine(minimize(compile_cond(c, ALG_AB)), p)
+            succ = _successors(ch)
+            adj = [[t for t, _ in pairs] for pairs in succ]
+            for comp in _sccs(ch.n_states, adj):
+                if any(t not in comp for s in comp for t in adj[s]):
+                    continue  # not closed
+                pi = stationary_distribution(succ, comp)
+                assert sum(pi.values()) == 1, text
+                for t in comp:
+                    assert sum(pi[s] * ch.trans[s][t] for s in comp) == pi[t], text
+
+
+def test_limiting_masses_of_a_hand_built_absorbing_chain():
+    # transient state 0 enters the closed class {1, 2} by both of its states
+    # (mass 1/2 of the 3/4 that leaves) and the absorbing state 3 (1/4)
+    q = Fraction(1, 4)
+    zero = Fraction(0)
+    ch = MarkovChain3(
+        init=(Fraction(1), zero, zero, zero),
+        trans=((q, q, q, q),
+               (zero, F2, F2, zero),
+               (zero, Fraction(1, 3), Fraction(2, 3), zero),
+               (zero, zero, zero, Fraction(1))),
+        labels=(Value3.UNDEF, Value3.TRUE, Value3.FALSE, Value3.FALSE))
+    # the class's stationary law is (2/5, 3/5); it absorbs 2/3 of the mass
+    assert limiting_label_masses(ch) == {Value3.TRUE: Fraction(4, 15),
+                                         Value3.FALSE: Fraction(11, 15),
+                                         Value3.UNDEF: 0}
+
+
+def _deep_past_limit(num, depth, probs):
+    alg = algebra("a b")
+    p = ProbAssignment.independent(alg, probs)
+    c = parse_cond(f"({num} | {'Y ' * depth}true)", alg)
+    return asymptotic(chain_from_machine(minimize(compile_cond(c, alg)), p))
+
+
+def test_deep_past_limits_on_large_closed_classes():
+    # the chains have 255 transient states and a 256-state closed class,
+    # and 127 transient states and a 128-state closed class
+    probs = {"a": Fraction(2, 5), "b": Fraction(3, 7)}
+    assert _deep_past_limit("Y " * 7 + "a", 7, probs) == probs["a"]
+    assert (_deep_past_limit("Y " * 6 + "a and " + "Y " * 3 + "b", 6, probs)
+            == probs["a"] * probs["b"])
 
 
 def test_periodic_reachable_class_fails_loudly():
@@ -333,3 +398,69 @@ def test_solve_linear_exact():
     b = [[Fraction(3)], [Fraction(5)]]
     x = solve_linear(a, b)
     assert x == [[Fraction(4, 5)], [Fraction(7, 5)]]
+
+
+def dense_solve_reference(a, b):
+    """Dense Gauss-Jordan elimination with first-nonzero pivoting: the
+    solver ``solve_linear`` replaced, kept as a reference."""
+    n = len(a)
+    m = [list(map(Fraction, row_a)) + list(map(Fraction, row_b))
+         for row_a, row_b in zip(a, b)]
+    width = len(m[0]) if m else 0
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if pivot is None:
+            raise SingularMatrixError("matrix is singular")
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+        inv = Fraction(1) / m[col][col]
+        m[col] = [x * inv for x in m[col]]
+        for r in range(n):
+            if r != col and m[r][col]:
+                factor = m[r][col]
+                row, prow = m[r], m[col]
+                for c in range(col, width):
+                    if prow[c]:
+                        row[c] -= factor * prow[c]
+    return [row[n:] for row in m]
+
+
+_NONZERO = st.builds(Fraction, st.sampled_from((-4, -3, -2, -1, 1, 2, 3, 4)),
+                     st.sampled_from((1, 2, 3)))
+_CELL = st.one_of(st.just(Fraction(0)), _NONZERO)
+
+
+@st.composite
+def linear_systems(draw):
+    """Square systems with n = 1..6 and 1..3 right-hand sides: dense or
+    sparse, with a row made a multiple of another to force some singular."""
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(1, 3))
+    cell = _NONZERO if draw(st.booleans()) else _CELL
+    cells = draw(st.lists(cell, min_size=n * n, max_size=n * n))
+    a = [cells[i * n:(i + 1) * n] for i in range(n)]
+    if n > 1 and draw(st.integers(0, 3)) == 0:
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        factor = draw(_CELL)
+        a[i] = [factor * x for x in a[j]]
+    cells = draw(st.lists(_CELL, min_size=n * k, max_size=n * k))
+    b = [cells[i * k:(i + 1) * k] for i in range(n)]
+    return a, b
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(linear_systems())
+def test_solve_linear_equals_dense_reference(system):
+    a, b = system
+    try:
+        want = dense_solve_reference(a, b)
+    except SingularMatrixError:
+        with pytest.raises(SingularMatrixError):
+            solve_linear(a, b)
+        return
+    x = solve_linear(a, b)
+    assert x == want
+    n, k = len(a), len(b[0])
+    for i in range(n):
+        for j in range(k):
+            assert sum(a[i][c] * x[c][j] for c in range(n)) == b[i][j]
