@@ -15,6 +15,16 @@ object by one of three interpretations
 and its probability is the limiting probability of that conditional object's
 Markov chain.  All three give the same number for every expression and every
 distribution.
+
+:func:`prob_ps` uses the product law to solve less than the whole
+expression.  A distribution is a tuple of independent blocks of events; a
+binary node whose two children touch disjoint sets of blocks has children
+whose value sequences are independent, so its limit is combined exactly
+from theirs (``and`` multiplies, ``or`` is 1-(1-x)(1-y), ``~`` is 1-x; for
+``sparse`` the limits also carry the guard, see :func:`_combine`).
+Every other maximal subtree is compiled and solved over the product of the
+blocks it touches only; when the root is such a subtree, the whole
+expression is one compile and one solve.
 """
 from __future__ import annotations
 
@@ -26,10 +36,11 @@ from typing import Callable, Literal, Optional
 from . import markov, syntax, trivalue
 from .automata import (MooreMachine3, _classes_from_columns, compile_cond,
                        event_mask, minimize, product)
-from .markov import ProbAssignment, asymptotic, chain_from_machine, pr_n_ratio
+from .markov import (ProbAssignment, asymptotic, chain_from_machine,
+                     limiting_label_masses, pr_n_ratio)
 from .syntax import (And, CeaAnd, CeaCond, CeaExpr, CeaNeg, CeaOr, CeaSimple,
                      CeaVar, CondObject, EventAlgebra, Not, Or, Prev, Since,
-                     TLFormula, TRUE, collect_simples)
+                     TLFormula, TRUE, collect_simples, formula_events)
 from .trivalue import ConnectiveId, Value3, apply_binary, apply_unary
 
 Algebra = Literal["sac", "gnw", "sch"]
@@ -213,13 +224,22 @@ def _require_flat(e: CeaExpr):
         raise ValueError("expression has variable leaves; events required")
 
 
+def _children(x: CeaExpr) -> tuple[CeaExpr, ...]:
+    if isinstance(x, CeaNeg):
+        return (x.child,)
+    if isinstance(x, (CeaAnd, CeaOr, CeaCond)):
+        return (x.left, x.right)
+    return ()
+
+
 def _walk_nodes(e: CeaExpr):
-    yield e
-    if isinstance(e, CeaNeg):
-        yield from _walk_nodes(e.child)
-    elif isinstance(e, (CeaAnd, CeaOr, CeaCond)):
-        yield from _walk_nodes(e.left)
-        yield from _walk_nodes(e.right)
+    """Every node of an expression, each before its children, without
+    recursion."""
+    todo = [e]
+    while todo:
+        x = todo.pop()
+        yield x
+        todo.extend(_children(x))
 
 
 def _map_leaves(e: CeaExpr, leaf: Callable[[CeaSimple], TLFormula]) -> TLFormula:
@@ -268,8 +288,83 @@ def cond_asymptotic(c: CondObject, alg: EventAlgebra,
 
 def prob_ps(e: CeaExpr, p: ProbAssignment,
             which: Embedding = "first") -> Optional[Fraction]:
-    """Product-space probability of a flat expression."""
-    return cond_asymptotic(embed_ps(e, which), p.alg, p)
+    """Product-space probability of a flat expression.
+
+    A binary node whose children touch disjoint sets of the distribution's
+    independent blocks is split, and so is a ``~`` over a split node; every
+    other maximal subtree, a piece, is compiled and solved over only the
+    blocks it touches, and the pieces' limits are combined exactly.  A root
+    that is itself a piece is the whole expression's one compile and solve.
+    """
+    _require_flat(e)
+    block_of = {name: k for k, b in enumerate(p.blocks) for name in b.events}
+    blocks: dict[int, int] = {}  # id(node) -> bitmask of the blocks it touches
+    split: dict[int, bool] = {}  # id(node) -> its limit is combined from its children's
+    for x in reversed(list(_walk_nodes(e))):  # children before parents
+        if isinstance(x, CeaSimple):
+            touched = 0
+            for name in formula_events(x):
+                touched |= 1 << block_of[name]
+            blocks[id(x)], split[id(x)] = touched, False
+        elif isinstance(x, CeaNeg):
+            blocks[id(x)], split[id(x)] = blocks[id(x.child)], split[id(x.child)]
+        else:
+            left, right = blocks[id(x.left)], blocks[id(x.right)]
+            blocks[id(x)], split[id(x)] = left | right, not left & right
+
+    def embedded_limit(x: CeaExpr, how: Embedding, sub: ProbAssignment):
+        return cond_asymptotic(embed_ps(x, how), sub.alg, sub)
+
+    if not split[id(e)]:
+        return embedded_limit(e, which, p.restrict(blocks[id(e)]))
+
+    def piece(x: CeaExpr):
+        """The limits (v, u, g) of a piece (see :func:`_combine`); under
+        ``first`` and ``reverse`` the condition is true, so u = g = 0."""
+        sub = p.restrict(blocks[id(x)])
+        if which != "sparse":
+            return embedded_limit(x, which, sub), 0, 0
+        v = embedded_limit(x, "reverse", sub)
+        m = minimize(compile_cond(embed_ps(x, "sparse"), sub.alg))
+        masses = limiting_label_masses(chain_from_machine(m, sub))
+        return v, v - masses[Value3.TRUE], masses[Value3.UNDEF]
+
+    # the split nodes reachable from the root through split nodes, and the
+    # pieces below them, parents first
+    order, todo = [], [e]
+    while todo:
+        x = todo.pop()
+        order.append(x)
+        if split[id(x)]:
+            todo.extend(_children(x))
+    value: dict[int, tuple] = {}
+    for x in reversed(order):
+        if not split[id(x)]:
+            value[id(x)] = piece(x)
+        elif isinstance(x, CeaNeg):
+            v, u, g = value[id(x.child)]
+            value[id(x)] = 1 - v, g - u, g
+        else:
+            value[id(x)] = _combine(isinstance(x, CeaAnd),
+                                    value[id(x.left)], value[id(x.right)])
+    v, u, g = value[id(e)]
+    return None if g == 1 else (v - u) / (1 - g)
+
+
+def _combine(conj: bool, x: tuple, y: tuple) -> tuple:
+    """The limits of ``and`` (``conj``) or ``or`` from those of two
+    independent children.
+
+    The limits of a subexpression are (v, u, g) = (lim Pr num, lim Pr(num
+    and no guard holds), lim Pr(no guard holds)), and the answer is
+    (v - u) / (1 - g).  Under ``sparse`` the condition is the ``or`` of
+    every leaf's guard, so no guard of a node holds when none of either
+    child's does; ``~`` keeps the guards: (1 - v, g - u, g).
+    """
+    (v1, u1, g1), (v2, u2, g2) = x, y
+    if conj:
+        return v1 * v2, u1 * u2, g1 * g2
+    return 1 - (1 - v1) * (1 - v2), g1 * g2 - (g1 - u1) * (g2 - u2), g1 * g2
 
 
 # ---------------------------------------------------------------------------

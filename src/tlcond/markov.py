@@ -8,11 +8,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from typing import Iterator, Optional, Sequence
 
 from .automata import MooreMachine3
-from .syntax import EventAlgebra, algebra
+from .syntax import FACTORED_EVENT_LIMIT, EventAlgebra, algebra
 from .trivalue import Value3
 
 ZERO = Fraction(0)
@@ -32,19 +33,68 @@ class SingularMatrixError(ValueError):
 
 
 @dataclass(frozen=True)
-class ProbAssignment:
-    """An exact probability distribution on the atoms of an event algebra."""
+class Block:
+    """One independent factor of a distribution: a flat table over its own
+    events, local atom bit i standing for ``events[i]``."""
 
-    alg: EventAlgebra
+    events: tuple[str, ...]
     mass: tuple[Fraction, ...]
 
-    def __post_init__(self):
-        if len(self.mass) != self.alg.num_atoms:
+
+class ProbAssignment:
+    """An exact probability distribution on the atoms of an event algebra,
+    held as independent blocks that partition the algebra's events.
+
+    ``ProbAssignment(alg, mass)`` is one block over the whole algebra.  The
+    flat table ``mass``, one entry per atom of ``alg``, is built from the
+    blocks on first use and kept.
+    """
+
+    def __init__(self, alg: EventAlgebra, mass: Optional[Sequence[Fraction]] = None,
+                 *, blocks: Optional[tuple[Block, ...]] = None):
+        if blocks is None:
+            if len(mass) != alg.num_atoms:
+                raise ValueError("one mass per atom required")
+            blocks = (Block(alg.events, tuple(mass)),)
+        if sorted(e for b in blocks for e in b.events) != sorted(alg.events):
+            raise ValueError("blocks must partition the events")
+        if any(len(b.mass) != 1 << len(b.events) for b in blocks):
             raise ValueError("one mass per atom required")
-        if any(m < 0 for m in self.mass):
+        if any(m < 0 for b in blocks for m in b.mass):
             raise ValueError("negative mass")
-        if sum(self.mass) != 1:
+        if any(sum(b.mass) != 1 for b in blocks):
             raise ValueError("masses must sum to exactly 1")
+        self.alg = alg
+        self.blocks = blocks
+
+    @cached_property
+    def mass(self) -> tuple[Fraction, ...]:
+        """The flat table: each atom's mass, the product of its blocks'."""
+        if len(self.blocks) == 1 and self.blocks[0].events == self.alg.events:
+            return self.blocks[0].mass
+        out = [ZERO] * self.alg.num_atoms  # raises past the atom table limit
+        bit = {name: 1 << i for i, name in enumerate(self.alg.events)}
+        # the table block by block, each block's absent half first: with one
+        # block per event in event order this is the atom order itself
+        atoms, mass = [0], [ONE]
+        for b in self.blocks:
+            spread = [sum(bit[e] for i, e in enumerate(b.events) if local >> i & 1)
+                      for local in range(len(b.mass))]
+            atoms = [a | s for s in spread for a in atoms]
+            mass = [m * w for w in b.mass for m in mass]
+        for a, m in zip(atoms, mass):
+            out[a] = m
+        return tuple(out)
+
+    def restrict(self, which: int) -> "ProbAssignment":
+        """The marginal on the blocks in bitmask ``which``: those blocks,
+        over their events in the algebra's order."""
+        if which == (1 << len(self.blocks)) - 1:
+            return self
+        blocks = tuple(b for k, b in enumerate(self.blocks) if which >> k & 1)
+        names = {e for b in blocks for e in b.events}
+        alg = EventAlgebra(tuple(e for e in self.alg.events if e in names))
+        return ProbAssignment(alg, blocks=blocks)
 
     def of_event(self, mask: int) -> Fraction:
         """Probability of a set of atoms (bitmask over atom indices)."""
@@ -58,21 +108,19 @@ class ProbAssignment:
 
     @staticmethod
     def independent(alg: EventAlgebra, probs: dict[str, Fraction]) -> "ProbAssignment":
-        """Product distribution from one marginal per basic event."""
+        """Product distribution from one marginal per basic event: one block
+        per event."""
         missing = set(alg.events) - set(probs)
         if missing:
             raise ValueError(f"missing marginals for: {sorted(missing)}")
         unknown = set(probs) - set(alg.events)
         if unknown:
             raise ValueError(f"marginals for unknown events: {sorted(unknown)}")
-        # event i is atom bit i: each event doubles the table, its absent
-        # half first
-        mass = [ONE]
+        blocks = []
         for name in alg.events:
             p = Fraction(probs[name])
-            q = 1 - p
-            mass = [m * q for m in mass] + [m * p for m in mass]
-        return ProbAssignment(alg, tuple(mass))
+            blocks.append(Block((name,), (1 - p, p)))
+        return ProbAssignment(alg, blocks=tuple(blocks))
 
     @staticmethod
     def uniform(alg: EventAlgebra) -> "ProbAssignment":
@@ -85,15 +133,17 @@ class ProbAssignment:
 
         ``events: a b c`` then either one ``atom {a c}: 3/8`` line per atom
         (all 2^n atoms, masses summing to 1) or a single
-        ``independent: a=1/2 b=1/3`` line.
+        ``independent: a=1/2 b=1/3`` line.  An ``independent:`` line may
+        name up to ``FACTORED_EVENT_LIMIT`` events, since it builds no table.
         """
         lines = [ln.strip() for ln in text.splitlines()]
         lines = [ln for ln in lines if ln and not ln.startswith("#")]
         if not lines or not lines[0].startswith("events:"):
             raise ValueError("distribution file must start with 'events: ...'")
-        alg_ = algebra(lines[0][len("events:"):].strip())
+        names = tuple(lines[0][len("events:"):].split())
         body = lines[1:]
         if len(body) == 1 and body[0].startswith("independent:"):
+            alg_ = EventAlgebra(names, limit=FACTORED_EVENT_LIMIT)
             probs = {}
             for item in body[0][len("independent:"):].split():
                 name, _, value = item.partition("=")
@@ -101,6 +151,7 @@ class ProbAssignment:
                     raise ValueError(f"malformed marginal {item!r}")
                 probs[name] = Fraction(value)
             return ProbAssignment.independent(alg_, probs)
+        alg_ = algebra(names)
         mass = [None] * alg_.num_atoms
         pat = re.compile(r"atom\s*\{([^}]*)\}\s*:\s*(\S+)$")
         for ln in body:
@@ -428,26 +479,29 @@ def limiting_label_masses(ch: MarkovChain3) -> dict[Value3, Fraction]:
 
     # absorption probability per closed class
     absorb = {ci: ZERO for ci in closed}
-    for s in range(n):
-        if ch.init[s] and comp_of[s] in closed_pos:
-            absorb[comp_of[s]] += ch.init[s]
-    if any(ch.init[s] for s in transient):
-        tpos = {s: i for i, s in enumerate(transient)}
-        # empty Q cells are int 0, cheap to test for zero; a transient
-        # state's successor is transient or in a closed class
-        q_block = [[0] * len(transient) for _ in transient]
-        r_block = [[ZERO] * len(closed) for _ in transient]
-        for i, s in enumerate(transient):
-            for t, w in succ[s]:
-                if t in tpos:
-                    q_block[i][tpos[t]] = w
-                else:
-                    r_block[i][closed_pos[comp_of[t]]] += w
-        b = absorbing_solve(q_block, r_block)
-        for s in transient:
-            if ch.init[s]:
-                for k, ci in enumerate(closed):
-                    absorb[ci] += ch.init[s] * b[tpos[s]][k]
+    if len(closed) == 1:
+        absorb[closed[0]] = ONE  # a lone closed class absorbs everything
+    else:
+        for s in range(n):
+            if ch.init[s] and comp_of[s] in closed_pos:
+                absorb[comp_of[s]] += ch.init[s]
+        if any(ch.init[s] for s in transient):
+            tpos = {s: i for i, s in enumerate(transient)}
+            # empty Q cells are int 0, cheap to test for zero; a transient
+            # state's successor is transient or in a closed class
+            q_block = [[0] * len(transient) for _ in transient]
+            r_block = [[ZERO] * len(closed) for _ in transient]
+            for i, s in enumerate(transient):
+                for t, w in succ[s]:
+                    if t in tpos:
+                        q_block[i][tpos[t]] = w
+                    else:
+                        r_block[i][closed_pos[comp_of[t]]] += w
+            b = absorbing_solve(q_block, r_block)
+            for s in transient:
+                if ch.init[s]:
+                    for k, ci in enumerate(closed):
+                        absorb[ci] += ch.init[s] * b[tpos[s]][k]
 
     masses = {Value3.TRUE: ZERO, Value3.FALSE: ZERO, Value3.UNDEF: ZERO}
     for ci in closed:
@@ -457,7 +511,7 @@ def limiting_label_masses(ch: MarkovChain3) -> dict[Value3, Fraction]:
         if _class_period(comp, adj) != 1:
             raise PeriodicChainError(
                 "a reachable closed class is periodic; the limit may not exist")
-        pi = stationary_distribution(succ, comp)
+        pi = {comp[0]: ONE} if len(comp) == 1 else stationary_distribution(succ, comp)
         for s in comp:
             masses[ch.labels[s]] += absorb[ci] * pi[s]
     return masses

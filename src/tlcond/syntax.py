@@ -18,7 +18,12 @@ import re
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
+# events of one flat atom table (2^16 atoms)
 DEFAULT_EVENT_LIMIT = 16
+# events of an algebra whose distribution is given as independent blocks:
+# such an algebra may name more events than one atom table can hold, and
+# asking for its atoms fails with the limit above
+FACTORED_EVENT_LIMIT = 64
 
 _KEYWORDS = {"true", "false", "not", "and", "or", "S", "Y", "O", "H"}
 
@@ -58,7 +63,11 @@ class EventAlgebra:
 
     @property
     def num_atoms(self) -> int:
-        return 1 << len(self.events)
+        n = len(self.events)
+        if n > DEFAULT_EVENT_LIMIT:
+            raise ValueError(
+                f"{n} basic events exceed the limit {DEFAULT_EVENT_LIMIT}")
+        return 1 << n
 
     @property
     def full_event(self) -> int:

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tlcond import (CondObject, TRUE, Value3, algebra, brute_joint,
                     compile_cond, embed_ps, minimize, parse_cea, parse_cond,
@@ -14,8 +16,9 @@ from tlcond.automata import to_dot
 from tlcond.cea import (SimpleConditional, cond_asymptotic, event_mask,
                         first_machine, lift_defined, present_machine,
                         simple_to_cond)
-from tlcond.markov import ProbAssignment, asymptotic, chain_from_machine
-from tlcond.syntax import collect_simples
+from tlcond.markov import (Block, ProbAssignment, asymptotic,
+                           chain_from_machine)
+from tlcond.syntax import FACTORED_EVENT_LIMIT, EventAlgebra, collect_simples
 
 from corpus import ALG_AB, UNIFORM_AB
 from machines import assert_first_machine_shape, first_product_machine
@@ -448,3 +451,117 @@ def test_monolithic_and_product_pipelines_agree():
         via_formula = minimize(compile_cond(embed_ps(e, "first"), ABCD))
         via_product = minimize(first_product_machine(e, ABCD))
         assert isomorphic(via_formula, via_product), text
+
+
+# ---------------------------------------------------------------------------
+# Compositional product-space solve
+
+
+POOL = algebra("e0 e1 e2 e3 e4 e5")
+MARGINALS = (Fraction(0), Fraction(1), Fraction(1, 3), Fraction(2, 5),
+             Fraction(1, 2), Fraction(3, 4))
+
+
+# leaves read one of these pairs; the first three and the last three pairs
+# of each half of the pool never meet, the two others cross between halves
+PAIRS = (("e0", "e1"), ("e1", "e2"), ("e2", "e0"), ("e2", "e3"),
+         ("e3", "e4"), ("e4", "e5"), ("e5", "e3"), ("e5", "e0"))
+
+
+@st.composite
+def flat_expressions(draw):
+    """1-5 leaves over the six-event pool joined by and/or, ~ sprinkled in.
+    Leaves are joined in the order of their pairs, so that subtrees over
+    one half of the pool are common: some leaves share events and some do
+    not."""
+    def side(x, y):
+        return draw(st.sampled_from([x, y, f"{x} and {y}", f"{x} or {y}",
+                                     f"not {x}", "true"]))
+
+    def maybe_negated(text):
+        return f"~{text}" if draw(st.integers(0, 2)) == 0 else text
+
+    pairs = sorted(draw(st.integers(0, len(PAIRS) - 1))
+                   for _ in range(draw(st.integers(1, 5))))
+    parts = [maybe_negated(f"({side(*PAIRS[i])} | {side(*reversed(PAIRS[i]))})")
+             for i in pairs]
+    while len(parts) > 1:
+        i = draw(st.integers(0, len(parts) - 2))
+        op = draw(st.sampled_from(["and", "or"]))
+        parts[i:i + 2] = [maybe_negated(f"({parts[i]} {op} {parts[i + 1]})")]
+    return parse_cea(parts[0], POOL, dialect="flat")
+
+
+def _weights(draw, n, top):
+    w = draw(st.lists(st.integers(0, top), min_size=n, max_size=n))
+    if not sum(w):
+        w[0] = 1
+    return tuple(Fraction(x, sum(w)) for x in w)
+
+
+@st.composite
+def pool_distributions(draw):
+    """Per-event marginals (0 and 1 included), a two-event table block times
+    independent events, or one flat table."""
+    kind = draw(st.sampled_from(["independent", "pair", "table"]))
+    if kind == "table":
+        return ProbAssignment(POOL, _weights(draw, POOL.num_atoms, 3))
+    marginals = {e: draw(st.sampled_from(MARGINALS)) for e in POOL.events}
+    if kind == "independent":
+        return ProbAssignment.independent(POOL, marginals)
+    pair = tuple(draw(st.permutations(POOL.events))[:2])
+    blocks = [Block(pair, _weights(draw, 4, 4))] + [
+        Block((e,), (1 - marginals[e], marginals[e]))
+        for e in POOL.events if e not in pair]
+    return ProbAssignment(POOL, blocks=tuple(draw(st.permutations(blocks))))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(flat_expressions(), pool_distributions())
+def test_compositional_prob_ps_equals_the_monolithic_solve(e, p):
+    for which in ("first", "reverse", "sparse"):
+        want = cond_asymptotic(embed_ps(e, which), p.alg, p)
+        assert prob_ps(e, p, which) == want, (pretty(e), which)
+
+
+def test_disjoint_conjunction_of_ten_is_solved_without_the_atom_table():
+    names = [f"{s}{i}" for i in range(1, 11) for s in "ab"]
+    marginals = {f"a{i}": Fraction(1, i + 1) for i in range(1, 11)}
+    marginals.update({f"b{i}": Fraction(1, 2) for i in range(1, 11)})
+    p = ProbAssignment.from_text(
+        f"events: {' '.join(names)}\nindependent: "
+        + " ".join(f"{n}={marginals[n]}" for n in names))
+    e = parse_cea(" and ".join(f"(a{i}|b{i})" for i in range(1, 11)), p.alg)
+    want = Fraction(1)
+    for i in range(1, 11):
+        want *= marginals[f"a{i}"]
+    for which in ("first", "reverse", "sparse"):
+        assert prob_ps(e, p, which) == want == Fraction(1, 39916800)
+    assert "mass" not in vars(p)  # the 4^10-atom table was never built
+
+
+def test_a_piece_touching_more_than_a_table_holds_fails_with_the_limit():
+    # the shared event b ties 17 events into one piece
+    alg = EventAlgebra(tuple(f"a{i}" for i in range(16)) + ("b",),
+                       limit=FACTORED_EVENT_LIMIT)
+    p = ProbAssignment.independent(alg, {n: Fraction(1, 2) for n in alg.events})
+    e = parse_cea(" and ".join(f"(a{i}|b)" for i in range(16)), alg)
+    with pytest.raises(ValueError, match="17 basic events exceed the limit 16"):
+        prob_ps(e, p)
+
+
+def test_shared_events_are_solved_as_one_piece(monkeypatch):
+    # ((A and B) and C) with A and C sharing b: the root is one piece,
+    # although A and B are disjoint
+    from tlcond import cea
+    calls = []
+    compile_ = cea.compile_cond
+    monkeypatch.setattr(cea, "compile_cond",
+                        lambda c, alg: calls.append(alg.events) or compile_(c, alg))
+    e = parse_cea("((a|b) and (c|d)) and (d|b)", ABCD)
+    assert prob_ps(e, HALF4) == Fraction(1, 8)
+    assert calls == [ABCD.events]
+    calls.clear()
+    e = parse_cea("~((a|b) or (c|d))", ABCD)
+    assert prob_ps(e, HALF4) == Fraction(1, 4)
+    assert calls == [("a", "b"), ("c", "d")]

@@ -84,6 +84,42 @@ def test_bad_distribution_exits_one(capsys, tmp_path):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("body, message", [
+    ("independent: a=3/2 b=1/2", "negative mass"),
+    ("independent: a=1/2", "missing marginals for: ['b']"),
+    ("independent: a=1/2 b=1/2 z=1/2", "marginals for unknown events: ['z']"),
+    ("atom {}: 1/2\natom {a}: 1/4\natom {b}: 0\natom {a b}: 0",
+     "masses must sum to exactly 1"),
+])
+def test_bad_distribution_messages(capsys, tmp_path, body, message):
+    bad = tmp_path / "bad.dist"
+    bad.write_text(f"events: a b\n{body}\n")
+    for cea in ("ps", "tl"):
+        code, out, err = run(capsys, "prob", "--cea", cea, "--expr", "(a|b)",
+                             "--dist", str(bad))
+        assert (code, out) == (1, "")
+        assert err == f"error: bad distribution file {bad}: {message}\n"
+
+
+def test_ps_conjunction_of_ten_with_an_independent_file(capsys, tmp_path):
+    # 20 events: more than one atom table holds, one block per event
+    names = [f"{s}{i}" for i in range(1, 11) for s in "ab"]
+    path = tmp_path / "indep20.dist"
+    path.write_text(f"events: {' '.join(names)}\nindependent: "
+                    + " ".join(f"{n}=1/2" for n in names) + "\n")
+    expr = " and ".join(f"(a{i}|b{i})" for i in range(1, 11))
+    for embedding in ("first", "reverse", "sparse"):
+        code, out, _ = run(capsys, "prob", "--cea", "ps", "--embedding", embedding,
+                           "--expr", expr, "--dist", str(path))
+        assert (code, out) == (0, "1/1024 (0.000976562500)\n")
+    code, out, _ = run(capsys, "prob", "--cea", "ps", "--expr", expr)
+    assert (code, out) == (0, "1/1024 (0.000976562500)\n")
+    # a flat table over the same events is refused with the named limit
+    code, _, err = run(capsys, "prob", "--cea", "sac", "--expr", expr,
+                       "--dist", str(path))
+    assert (code, err) == (1, "error: 20 basic events exceed the limit 16\n")
+
+
 # ---------------------------------------------------------------------------
 # series
 

@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 from tlcond import (ProbAssignment, absorbing_solve, algebra, asymptotic,
                     brute_pr_series, chain_from_machine, compile_cond,
                     minimize, parse_cond, pr_n, pr_n_ratio, pr_series)
-from tlcond.markov import (MarkovChain3, PeriodicChainError,
+from tlcond import markov
+from tlcond.markov import (Block, MarkovChain3, PeriodicChainError,
                            SingularMatrixError, _sccs, _successors,
                            limiting_label_masses, solve_linear,
                            stationary_distribution)
+from tlcond.syntax import EventAlgebra
 from tlcond.trivalue import Value3
 
 from corpus import ALG_AB, CONVERGENCE_AB, CORPUS, SKEWED_AB, UNIFORM_AB
@@ -80,6 +82,69 @@ def test_distribution_file_rejects_gaps_and_bad_sums():
         ProbAssignment.from_text("events: a\natom {}: 1\n")
     with pytest.raises(ValueError, match="sum"):
         ProbAssignment.from_text("events: a\natom {}: 1/2\natom {a}: 1/4\n")
+
+
+def test_factored_mass_is_the_product_of_its_blocks():
+    # a table block over (c, a), listed against the algebra's order, times b
+    table = (Fraction(1, 10), Fraction(2, 10), Fraction(3, 10), Fraction(4, 10))
+    marginal = Fraction(1, 3)
+    p = ProbAssignment(algebra("a b c"), blocks=(
+        Block(("c", "a"), table), Block(("b",), (1 - marginal, marginal))))
+    assert "mass" not in vars(p)  # built on first use
+    for atom in range(8):
+        a, b, c = atom & 1, atom >> 1 & 1, atom >> 2 & 1
+        assert p.mass[atom] == table[c | a << 1] * (marginal if b else 1 - marginal)
+    assert p.mass is p.mass  # built once
+    assert p.of_event(0b11001100) == marginal  # the atoms holding b
+
+
+def test_distribution_file_gives_blocks():
+    p = ProbAssignment.from_text("events: a b c\nindependent: a=1/2 b=1/3 c=0\n")
+    assert [b.events for b in p.blocks] == [("a",), ("b",), ("c",)]
+    assert [b.mass for b in p.blocks] == [(F2, F2), (Fraction(2, 3), Fraction(1, 3)),
+                                          (1, 0)]
+    p = ProbAssignment.from_text(
+        "events: a b\natom {}: 1/8\natom {a}: 1/8\natom {b}: 1/4\natom {a b}: 1/2\n")
+    assert [b.events for b in p.blocks] == [("a", "b")]
+    assert p.mass is p.blocks[0].mass
+
+
+@pytest.mark.parametrize("line, message", [
+    ("independent: a=3/2 b=1/2", "negative mass"),
+    ("independent: a=-1/2 b=1/2", "negative mass"),
+    ("independent: a=1/2", "missing marginals for: ['b']"),
+    ("independent: a=1/2 b=1/2 z=1/2", "marginals for unknown events: ['z']"),
+    ("atom {}: 1/2\natom {a}: 1/4\natom {b}: 0\natom {a b}: 0",
+     "masses must sum to exactly 1"),
+    ("atom {}: 3/2\natom {a}: -1/2\natom {b}: 0\natom {a b}: 0", "negative mass"),
+])
+def test_distribution_file_errors_keep_their_messages(line, message):
+    with pytest.raises(ValueError) as info:
+        ProbAssignment.from_text(f"events: a b\n{line}\n")
+    assert str(info.value) == message
+
+
+def test_independent_line_may_name_more_events_than_a_table():
+    names = [f"e{i}" for i in range(20)]
+    p = ProbAssignment.from_text(
+        f"events: {' '.join(names)}\nindependent: "
+        + " ".join(f"{n}=1/2" for n in names))
+    assert len(p.blocks) == 20
+    with pytest.raises(ValueError, match="20 basic events exceed the limit 16"):
+        p.mass
+    with pytest.raises(ValueError, match="17 basic events exceed the limit 16"):
+        ProbAssignment.from_text(f"events: {' '.join(names[:17])}\natom {{}}: 1\n")
+
+
+def test_restrict_keeps_the_marginal_of_its_blocks():
+    p = ProbAssignment.independent(algebra("a b c"), {"a": Fraction(1, 3),
+                                                      "b": F2, "c": Fraction(1, 5)})
+    sub = p.restrict(0b101)
+    assert sub.alg.events == ("a", "c")
+    assert sub.mass == (Fraction(2, 3) * Fraction(4, 5), Fraction(1, 3) * Fraction(4, 5),
+                        Fraction(2, 3) * Fraction(1, 5), Fraction(1, 3) * Fraction(1, 5))
+    assert p.restrict(0b111) is p
+    assert p.restrict(0).alg.events == ()
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +330,76 @@ def test_deep_past_limits_on_large_closed_classes():
     assert _deep_past_limit("Y " * 7 + "a", 7, probs) == probs["a"]
     assert (_deep_past_limit("Y " * 6 + "a and " + "Y " * 3 + "b", 6, probs)
             == probs["a"] * probs["b"])
+
+
+def _full_solve_masses(ch):
+    """Limiting label masses with every absorption and stationary law
+    solved, as before the one-class and one-state shortcuts."""
+    succ = _successors(ch)
+    adj = [[t for t, _ in pairs] for pairs in succ]
+    comps = _sccs(ch.n_states, adj)
+    closed = [c for c in comps if all(t in c for s in c for t in adj[s])]
+    transient = [s for s in range(ch.n_states) if not any(s in c for c in closed)]
+    absorb = [sum((ch.init[s] for s in c), Fraction(0)) for c in closed]
+    if transient:
+        b = absorbing_solve(
+            [[ch.trans[s][t] for t in transient] for s in transient],
+            [[sum((ch.trans[s][t] for t in c), Fraction(0)) for c in closed]
+             for s in transient])
+        for i, s in enumerate(transient):
+            for k in range(len(closed)):
+                absorb[k] += ch.init[s] * b[i][k]
+    masses = {Value3.TRUE: 0, Value3.FALSE: 0, Value3.UNDEF: 0}
+    for k, c in enumerate(closed):
+        if absorb[k]:
+            pi = stationary_distribution(succ, c)
+            for s in c:
+                masses[ch.labels[s]] += absorb[k] * pi[s]
+    return masses
+
+
+def test_limit_shortcuts_equal_the_full_solve():
+    seen = set()  # (closed classes in the chain, states of a closed class)
+    for p in (UNIFORM_AB, SKEWED_AB):
+        for text, c in CORPUS:
+            ch = chain_from_machine(minimize(compile_cond(c, ALG_AB)), p)
+            assert limiting_label_masses(ch) == _full_solve_masses(ch), text
+            adj = [[t for t, _ in row] for row in _successors(ch)]
+            closed = [comp for comp in _sccs(ch.n_states, adj)
+                      if all(t in comp for s in comp for t in adj[s])]
+            seen |= {(min(len(closed), 2), min(len(comp), 2)) for comp in closed}
+    # a lone closed class of one and of several states; one-state classes
+    # among several
+    assert {(1, 1), (1, 2), (2, 1)} <= seen
+
+
+def test_deep_past_conditional_runs_no_transient_solve(monkeypatch):
+    # one closed class (the 128 histories of a) behind 127 transient states:
+    # only the stationary system is solved
+    dims, absorbing = [], []
+    solve = markov.solve_linear
+    monkeypatch.setattr(markov, "solve_linear",
+                        lambda a, b: dims.append(len(a)) or solve(a, b))
+    monkeypatch.setattr(markov, "absorbing_solve",
+                        lambda q, r: absorbing.append(len(q)))
+    alg = algebra("a")
+    p = ProbAssignment.independent(alg, {"a": Fraction(2, 7)})
+    c = parse_cond(f"({'Y ' * 6}a | {'Y ' * 6}true)", alg)
+    ch = chain_from_machine(minimize(compile_cond(c, alg)), p)
+    assert asymptotic(ch) == Fraction(2, 7)
+    assert absorbing == [] and dims == [128]
+
+
+def test_first_resolution_limit_solves_no_stationary_system(monkeypatch):
+    # two one-state closed classes (resolved true, resolved false): only the
+    # one-state transient system is solved
+    dims = []
+    solve = markov.solve_linear
+    monkeypatch.setattr(markov, "solve_linear",
+                        lambda a, b: dims.append(len(a)) or solve(a, b))
+    ch = _chain("(O (a and b and not Y O b) | true)", SKEWED_AB)
+    assert asymptotic(ch) == Fraction(1, 3)
+    assert dims == [1]
 
 
 def test_periodic_reachable_class_fails_loudly():
