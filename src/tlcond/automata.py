@@ -381,28 +381,9 @@ def minimize(m: MooreMachine3) -> MooreMachine3:
 
     out = MooreMachine3(m.alg, initial_block, labels, delta,
                         list(m.classes), list(m.class_of_atom))
-    out = _prune_reachable(out)
-    out = _compress_classes(out)
-    return _renumber_canonical(out)
-
-
-def _prune_reachable(m: MooreMachine3) -> MooreMachine3:
-    seen = {m.initial}
-    todo = [m.initial]
-    while todo:
-        q = todo.pop()
-        for t in m.delta[q]:
-            if t not in seen:
-                seen.add(t)
-                todo.append(t)
-    if len(seen) == m.n_states:
-        return m
-    order = sorted(seen)
-    remap = {q: i for i, q in enumerate(order)}
-    return MooreMachine3(m.alg, remap[m.initial],
-                         [m.labels[q] for q in order],
-                         [[remap[t] for t in m.delta[q]] for q in order],
-                         list(m.classes), list(m.class_of_atom))
+    out = _compress_classes(_renumber_canonical(out))
+    out.validate()
+    return out
 
 
 def _compress_classes(m: MooreMachine3) -> MooreMachine3:
@@ -416,7 +397,8 @@ def _compress_classes(m: MooreMachine3) -> MooreMachine3:
 
 
 def _renumber_canonical(m: MooreMachine3) -> MooreMachine3:
-    """Breadth-first renumbering (class order) for deterministic output."""
+    """Breadth-first renumbering (class order) for deterministic output;
+    unreachable states are dropped."""
     order = [m.initial]
     seen = {m.initial}
     i = 0
@@ -427,12 +409,10 @@ def _renumber_canonical(m: MooreMachine3) -> MooreMachine3:
                 order.append(t)
         i += 1
     remap = {q: i for i, q in enumerate(order)}
-    out = MooreMachine3(m.alg, 0,
-                        [m.labels[q] for q in order],
-                        [[remap[t] for t in m.delta[q]] for q in order],
-                        list(m.classes), list(m.class_of_atom))
-    out.validate()
-    return out
+    return MooreMachine3(m.alg, 0,
+                         [m.labels[q] for q in order],
+                         [[remap[t] for t in m.delta[q]] for q in order],
+                         list(m.classes), list(m.class_of_atom))
 
 
 def canonical_key(m: MooreMachine3):

@@ -35,13 +35,14 @@ from typing import Callable, Literal, Optional
 
 from . import markov, syntax, trivalue
 from .automata import (MooreMachine3, _classes_from_columns, compile_cond,
-                       event_mask, minimize, product)
+                       event_mask, minimize)
 from .markov import (ProbAssignment, asymptotic, chain_from_machine,
                      limiting_label_masses, pr_n_ratio)
 from .syntax import (And, CeaAnd, CeaCond, CeaExpr, CeaNeg, CeaOr, CeaSimple,
                      CeaVar, CondObject, EventAlgebra, Not, Or, Prev, Since,
-                     TLFormula, TRUE, collect_simples, formula_events)
-from .trivalue import ConnectiveId, Value3, apply_binary, apply_unary
+                     TLFormula, TRUE, children, collect_simples,
+                     formula_events, walk)
+from .trivalue import Value3, apply_binary, apply_unary
 
 Algebra = Literal["sac", "gnw", "sch"]
 Embedding = Literal["first", "reverse", "sparse"]
@@ -218,28 +219,11 @@ def latest_resolution(a: TLFormula, b: TLFormula) -> TLFormula:
 
 
 def _require_flat(e: CeaExpr):
-    if syntax.has_reconditioning(e):
+    kinds = {type(x) for x in walk(e)}
+    if CeaCond in kinds:
         raise ValueError("the product-space algebra has no re-conditioning")
-    if any(isinstance(x, CeaVar) for x in _walk_nodes(e)):
+    if CeaVar in kinds:
         raise ValueError("expression has variable leaves; events required")
-
-
-def _children(x: CeaExpr) -> tuple[CeaExpr, ...]:
-    if isinstance(x, CeaNeg):
-        return (x.child,)
-    if isinstance(x, (CeaAnd, CeaOr, CeaCond)):
-        return (x.left, x.right)
-    return ()
-
-
-def _walk_nodes(e: CeaExpr):
-    """Every node of an expression, each before its children, without
-    recursion."""
-    todo = [e]
-    while todo:
-        x = todo.pop()
-        yield x
-        todo.extend(_children(x))
 
 
 def _map_leaves(e: CeaExpr, leaf: Callable[[CeaSimple], TLFormula]) -> TLFormula:
@@ -300,7 +284,8 @@ def prob_ps(e: CeaExpr, p: ProbAssignment,
     block_of = {name: k for k, b in enumerate(p.blocks) for name in b.events}
     blocks: dict[int, int] = {}  # id(node) -> bitmask of the blocks it touches
     split: dict[int, bool] = {}  # id(node) -> its limit is combined from its children's
-    for x in reversed(list(_walk_nodes(e))):  # children before parents
+    nodes = [x for x in walk(e) if isinstance(x, CeaExpr)]
+    for x in reversed(nodes):  # children before parents
         if isinstance(x, CeaSimple):
             touched = 0
             for name in formula_events(x):
@@ -336,7 +321,7 @@ def prob_ps(e: CeaExpr, p: ProbAssignment,
         x = todo.pop()
         order.append(x)
         if split[id(x)]:
-            todo.extend(_children(x))
+            todo.extend(children(x))
     value: dict[int, tuple] = {}
     for x in reversed(order):
         if not split[id(x)]:
@@ -376,16 +361,13 @@ def lift_defined(c: CondObject) -> CondObject:
     return CondObject(c.den, TRUE)
 
 
-def _sch_and_ratio(m1: MooreMachine3, m2: MooreMachine3, p: ProbAssignment,
-                   n: Optional[int]) -> Optional[Fraction]:
-    comb = product([m1, m2],
-                   lambda vals: apply_binary(ConnectiveId.AND_SCH, *vals))
-    ch = chain_from_machine(comb, p)
-    return asymptotic(ch) if n is None else pr_n_ratio(ch, n)
+def _sch_and(c1: CondObject, c2: CondObject) -> CondObject:
+    """The Sch conjunction of (f1 | g1) and (f2 | g2): (f1 and f2 | g1 and g2)."""
+    return CondObject(And(c1.num, c2.num), And(c1.den, c2.den))
 
 
-def _ratio(m: MooreMachine3, p: ProbAssignment, n: Optional[int]) -> Optional[Fraction]:
-    ch = chain_from_machine(m, p)
+def _ratio(c: CondObject, p: ProbAssignment, n: Optional[int]) -> Optional[Fraction]:
+    ch = chain_from_machine(minimize(compile_cond(c, p.alg)), p)
     return asymptotic(ch) if n is None else pr_n_ratio(ch, n)
 
 
@@ -399,16 +381,14 @@ def present_indep(c1: CondObject, c2: CondObject, p: ProbAssignment,
     both sides undefined counts as satisfied.  Returns the verdict plus a
     per-equation report.
     """
-    alg = p.alg
     u1, u2 = lift_defined(c1), lift_defined(c2)
-    machines = {x: minimize(compile_cond(x, alg)) for x in (c1, c2, u1, u2)}
-    singles = {x: _ratio(machines[x], p, n) for x in (c1, c2, u1, u2)}
+    singles = {x: _ratio(x, p, n) for x in (c1, c2, u1, u2)}
 
     checks = []
     ok = True
     for tag, (x, y) in (("i1", (c1, c2)), ("i2", (c1, u2)),
                         ("i3", (u1, c2)), ("i4", (u1, u2))):
-        lhs = _sch_and_ratio(machines[x], machines[y], p, n)
+        lhs = _ratio(_sch_and(x, y), p, n)
         fx, fy = singles[x], singles[y]
         rhs = None if fx is None or fy is None else fx * fy
         holds = lhs == rhs  # None == None covers the both-undefined convention
@@ -487,7 +467,7 @@ def weak_tautology(e: CeaExpr, which: Algebra, dialect: str = "full",
     if which not in ("sac", "gnw"):
         raise ValueError("tautology checking targets the sac and gnw algebras")
     syntax._check_dialect(e, dialect)
-    names = sorted({x.name for x in _walk_nodes(e) if isinstance(x, CeaVar)})
+    names = sorted({x.name for x in walk(e) if isinstance(x, CeaVar)})
     if len(names) > variable_cap:
         raise ValueError(f"{len(names)} variables exceed the cap {variable_cap}")
     for combo in itertools.product(

@@ -18,7 +18,7 @@ from typing import Optional
 from . import cea
 from .automata import compile_cond, is_counter_free, minimize, to_dot
 from .markov import (PeriodicChainError, ProbAssignment, chain_from_machine,
-                     pr_series)
+                     check_time_index, pr_series)
 from .syntax import (_KEYWORDS, FACTORED_EVENT_LIMIT, EventAlgebra, ParseError,
                      algebra, formula_events, parse_cea, parse_cond)
 
@@ -112,6 +112,7 @@ def cmd_prob(args) -> int:
 
 
 def cmd_series(args) -> int:
+    check_time_index(args.n)
     e, p = _parse_with_dist(args.cea, args.expr, args.dist)
     ch = chain_from_machine(
         minimize(_expr_machine(args.cea, args.embedding, e, p.alg)), p)

@@ -149,7 +149,7 @@ class ProbAssignment:
                 name, _, value = item.partition("=")
                 if not value:
                     raise ValueError(f"malformed marginal {item!r}")
-                probs[name] = Fraction(value)
+                probs[name] = _fraction(value)
             return ProbAssignment.independent(alg_, probs)
         alg_ = algebra(names)
         mass = [None] * alg_.num_atoms
@@ -163,11 +163,18 @@ class ProbAssignment:
                 atom |= 1 << alg_.index(name)
             if mass[atom] is not None:
                 raise ValueError(f"atom {alg_.atom_text(atom)} listed twice")
-            mass[atom] = Fraction(m.group(2))
+            mass[atom] = _fraction(m.group(2))
         absent = [alg_.atom_text(a) for a, v in enumerate(mass) if v is None]
         if absent:
             raise ValueError(f"atoms not covered: {' '.join(absent)}")
         return ProbAssignment(alg_, tuple(mass))
+
+
+def _fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -270,10 +277,14 @@ def pr_series(ch: MarkovChain3, n: int
         yield buckets[Value3.TRUE], buckets[Value3.FALSE], buckets[Value3.UNDEF]
 
 
-def pr_n(ch: MarkovChain3, n: int) -> tuple[Fraction, Fraction, Fraction]:
-    """Probability that the value at time n is 1 / 0 / undefined (n >= 1)."""
+def check_time_index(n: int) -> None:
     if n < 1:
         raise ValueError("time index starts at 1")
+
+
+def pr_n(ch: MarkovChain3, n: int) -> tuple[Fraction, Fraction, Fraction]:
+    """Probability that the value at time n is 1 / 0 / undefined (n >= 1)."""
+    check_time_index(n)
     for row in pr_series(ch, n):
         pass
     return row

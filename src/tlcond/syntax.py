@@ -1,7 +1,8 @@
 """ASTs, grammar and pretty-printer for temporal formulas and conditional
 expressions.
 
-Two surface languages share one tokenizer:
+Two surface languages share one tokenizer, one operator table and one
+parser:
 
 * temporal formulas over basic events, with past-time operators
   ``Y`` (previously), ``S`` (since) and the sugar ``O`` (once) /
@@ -11,12 +12,15 @@ Two surface languages share one tokenizer:
 
 The bar ``|`` appears only immediately inside a parenthesized group at its
 lowest precedence, so it never clashes with disjunction (spelled ``or``).
+Parsing and the tree walks here use explicit stacks, so no depth of nesting
+exhausts Python's recursion limit.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from operator import attrgetter
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 # events of one flat atom table (2^16 atoms)
 DEFAULT_EVENT_LIMIT = 16
@@ -166,75 +170,12 @@ def hist(f: TLFormula) -> TLFormula:
     return Not(Since(TRUE, Not(f)))
 
 
-def children(f: TLFormula) -> tuple[TLFormula, ...]:
-    """The direct subformulas of a temporal formula."""
-    if isinstance(f, (Not, Prev)):
-        return (f.child,)
-    if isinstance(f, (And, Or, Implies, Iff, Since)):
-        return (f.left, f.right)
-    if isinstance(f, (Atom, Const)):
-        return ()
-    raise TypeError(f"not a temporal formula: {f!r}")
-
-
-def subformulas(forms: Sequence[TLFormula]) -> list[TLFormula]:
-    """Distinct subformulas of ``forms``, each after its children."""
-    seen: set[TLFormula] = set()
-    out: list[TLFormula] = []
-
-    def walk(f: TLFormula):
-        if f in seen:
-            return
-        for x in children(f):
-            walk(x)
-        seen.add(f)
-        out.append(f)
-
-    for f in forms:
-        walk(f)
-    return out
-
-
 @dataclass(frozen=True)
 class CondObject:
     """A conditional (numerator | denominator) over temporal formulas."""
 
     num: TLFormula
     den: TLFormula
-
-
-def formula_events(f: Union[TLFormula, "CeaExpr", CondObject]) -> tuple[str, ...]:
-    """Basic-event names occurring in a formula/expression, in first-use order."""
-    seen: dict[str, None] = {}
-
-    def walk(x):
-        if isinstance(x, Atom):
-            seen.setdefault(x.name)
-        elif isinstance(x, (Not, Prev, CeaNeg)):
-            walk(x.child)
-        elif isinstance(x, (And, Or, Implies, Iff, Since, CeaAnd, CeaOr, CeaCond)):
-            walk(x.left)
-            walk(x.right)
-        elif isinstance(x, CondObject):
-            walk(x.num)
-            walk(x.den)
-        elif isinstance(x, CeaSimple):
-            walk(x.num_event)
-            walk(x.den_event)
-
-    walk(f)
-    return tuple(seen)
-
-
-def is_present_tense(f: TLFormula) -> bool:
-    """True when the formula uses no temporal operator."""
-    if isinstance(f, (Atom, Const)):
-        return True
-    if isinstance(f, Not):
-        return is_present_tense(f.child)
-    if isinstance(f, (And, Or, Implies, Iff)):
-        return is_present_tense(f.left) and is_present_tense(f.right)
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -287,31 +228,87 @@ class CeaCond(CeaExpr):
     right: CeaExpr
 
 
+# ---------------------------------------------------------------------------
+# Traversal
+
+
+def _no_children(x) -> tuple:
+    return ()
+
+
+def _only_child(x) -> tuple:
+    return (x.child,)
+
+
+# node type -> its direct subnodes, left to right
+_CHILDREN = {
+    Atom: _no_children, Const: _no_children, CeaVar: _no_children,
+    Not: _only_child, Prev: _only_child, CeaNeg: _only_child,
+    **dict.fromkeys((And, Or, Implies, Iff, Since, CeaAnd, CeaOr, CeaCond),
+                    attrgetter("left", "right")),
+    CondObject: attrgetter("num", "den"),
+    CeaSimple: attrgetter("num_event", "den_event"),
+}
+
+
+def children(x: Union[TLFormula, CondObject, CeaExpr]) -> tuple:
+    """The direct subnodes of a formula, a conditional object or a
+    conditional expression, left to right."""
+    try:
+        get = _CHILDREN[type(x)]
+    except KeyError:
+        raise TypeError(f"not a syntax node: {x!r}") from None
+    return get(x)
+
+
+def walk(x: Union[TLFormula, CondObject, CeaExpr]) -> Iterator:
+    """Every node of a tree, each before its children, left to right,
+    without recursion."""
+    todo = [x]
+    while todo:
+        x = todo.pop()
+        yield x
+        todo += children(x)[::-1]
+
+
+def subformulas(forms: Sequence[TLFormula]) -> list[TLFormula]:
+    """Distinct subformulas of ``forms``, each after its children."""
+    seen: set[TLFormula] = set()
+    out: list[TLFormula] = []
+
+    def walk(f: TLFormula):
+        if f in seen:
+            return
+        for x in children(f):
+            walk(x)
+        seen.add(f)
+        out.append(f)
+
+    for f in forms:
+        walk(f)
+    return out
+
+
+def formula_events(f: Union[TLFormula, CondObject, CeaExpr]) -> tuple[str, ...]:
+    """Basic-event names occurring in a formula/expression, in first-use order."""
+    return tuple(dict.fromkeys(x.name for x in walk(f) if isinstance(x, Atom)))
+
+
+_PRESENT_TENSE = (Atom, Const, Not, And, Or, Implies, Iff)
+
+
+def is_present_tense(f: TLFormula) -> bool:
+    """True when the formula uses no temporal operator."""
+    return all(isinstance(x, _PRESENT_TENSE) for x in walk(f))
+
+
 def has_reconditioning(e: CeaExpr) -> bool:
-    if isinstance(e, CeaCond):
-        return True
-    if isinstance(e, CeaNeg):
-        return has_reconditioning(e.child)
-    if isinstance(e, (CeaAnd, CeaOr)):
-        return has_reconditioning(e.left) or has_reconditioning(e.right)
-    return False
+    return any(isinstance(x, CeaCond) for x in walk(e))
 
 
 def collect_simples(e: CeaExpr) -> list[CeaSimple]:
     """Simple conditionals occurring in ``e``, in left-to-right order."""
-    out: list[CeaSimple] = []
-
-    def walk(x):
-        if isinstance(x, CeaSimple):
-            out.append(x)
-        elif isinstance(x, CeaNeg):
-            walk(x.child)
-        elif isinstance(x, (CeaAnd, CeaOr, CeaCond)):
-            walk(x.left)
-            walk(x.right)
-
-    walk(e)
-    return out
+    return [x for x in walk(e) if isinstance(x, CeaSimple)]
 
 
 # ---------------------------------------------------------------------------
@@ -326,8 +323,7 @@ _TOKEN_RE = re.compile(r"""
 """, re.VERBOSE)
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "(", ")", "|", "~", "!", "&", "->", "<->", keyword, "ident", "end"
     text: str
     line: int
@@ -363,280 +359,196 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
-class _Cursor:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.i = 0
-
-    @property
-    def cur(self) -> _Token:
-        return self.tokens[self.i]
-
-    def take(self) -> _Token:
-        t = self.cur
-        self.i += 1
-        return t
-
-    def expect(self, kind: str) -> _Token:
-        if self.cur.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {self.cur.text or 'end of input'!r}",
-                             self.cur.line, self.cur.col)
-        return self.take()
-
-    def error(self, message: str):
-        raise ParseError(message, self.cur.line, self.cur.col)
-
-
 # ---------------------------------------------------------------------------
-# Temporal-formula parser
+# Grammar
 #
-# Precedence, loosest to tightest: <->, ->, S, or, and, unary (not/!/Y/O/H).
-# S and the binary boolean connectives are left-associative; -> associates to
-# the right; O and H are expanded immediately.
+# Formulas and conditional expressions are read by one operator-precedence
+# parser from one operator table.  An operand of a conditional expression
+# is a pair (node, error): the node, and the first error, as (message
+# format, token), that using it as a conditional raises.  A boolean event
+# expression stays a formula, since it may yet be a side of a simple
+# conditional; its error says why it cannot stand for a conditional.  The
+# errors are raised only once the whole text has parsed.
+
+_BARE_EVENT = "bare event {0!r} where a conditional is expected; write ({0} | true)"
+_NEGATED_CONDITIONAL = "'not'/'!' negates events; use '~' on conditionals"
+_CONSTANT = "constants are not conditional expressions"
 
 
-def _check_ident(tok: _Token, alg: Optional[EventAlgebra]):
-    if alg is not None and tok.text not in alg.events:
-        raise ParseError(f"unknown identifier {tok.text!r}", tok.line, tok.col)
+def _cea_binary(event_node, cea_node):
+    def build(x, y):
+        if isinstance(x[0], TLFormula) and isinstance(y[0], TLFormula):
+            return event_node(x[0], y[0]), x[1]
+        return cea_node(x[0], y[0]), x[1] or y[1]
+    return build
 
 
-def _tl_primary(c: _Cursor, alg: Optional[EventAlgebra]) -> TLFormula:
-    tok = c.cur
-    if tok.kind == "true":
-        c.take()
-        return TRUE
-    if tok.kind == "false":
-        c.take()
-        return FALSE
-    if tok.kind == "ident":
-        c.take()
-        _check_ident(tok, alg)
-        return Atom(tok.text)
-    if tok.kind == "(":
-        c.take()
-        f = _tl_iff(c, alg)
-        c.expect(")")
-        return f
-    c.error(f"expected a formula, found {tok.text or 'end of input'!r}")
+def _cea_not(x, tok):
+    return (Not(x[0]) if isinstance(x[0], TLFormula) else None,
+            (_NEGATED_CONDITIONAL, tok))
 
 
-def _tl_unary(c: _Cursor, alg) -> TLFormula:
-    tok = c.cur
-    if tok.kind in ("not", "!"):
-        c.take()
-        return Not(_tl_unary(c, alg))
-    if tok.kind == "Y":
-        c.take()
-        return Prev(_tl_unary(c, alg))
-    if tok.kind == "O":
-        c.take()
-        return once(_tl_unary(c, alg))
-    if tok.kind == "H":
-        c.take()
-        return hist(_tl_unary(c, alg))
-    return _tl_primary(c, alg)
+def _cea_group(x, y):
+    """A bar group: a simple conditional over two event expressions,
+    re-conditioning otherwise."""
+    if isinstance(x[0], TLFormula) and isinstance(y[0], TLFormula):
+        return CeaSimple(x[0], y[0]), None
+    return CeaCond(x[0], y[0]), x[1] or y[1]
 
 
-def _tl_and(c: _Cursor, alg) -> TLFormula:
-    f = _tl_unary(c, alg)
-    while c.cur.kind in ("and", "&"):
-        c.take()
-        f = And(f, _tl_unary(c, alg))
-    return f
+# token kind: (binding power, formula node, conditional-expression node);
+# a node of None means the language lacks the operator.  Infix operators
+# associate to the left except "->"; prefix operators bind tightest.
+_PREFIX = 6
+_GRAMMAR = {
+    "<->": (1, Iff, None),
+    "->": (2, Implies, None),
+    "S": (3, Since, None),
+    "or": (4, Or, _cea_binary(Or, CeaOr)),
+    "and": (5, And, _cea_binary(And, CeaAnd)),
+    "&": (5, And, _cea_binary(And, CeaAnd)),
+    "not": (_PREFIX, Not, _cea_not),
+    "!": (_PREFIX, Not, _cea_not),
+    "Y": (_PREFIX, Prev, None),
+    "O": (_PREFIX, once, None),
+    "H": (_PREFIX, hist, None),
+    "~": (_PREFIX, None, lambda x, tok: (CeaNeg(x[0]), x[1])),
+}
+_RIGHT_ASSOCIATIVE = {"->"}
 
 
-def _tl_or(c: _Cursor, alg) -> TLFormula:
-    f = _tl_and(c, alg)
-    while c.cur.kind == "or":
-        c.take()
-        f = Or(f, _tl_and(c, alg))
-    return f
+class _Language(NamedTuple):
+    noun: str
+    infix: dict  # kind -> (power, reduce pending operators of this power or more, node)
+    prefix: dict  # kind -> node of (operand, operator token)
+    leaf: Callable  # identifier or constant token -> operand
+    group: Optional[Callable]  # bar group node; None: only parse_cond's bar
 
 
-def _tl_since(c: _Cursor, alg) -> TLFormula:
-    f = _tl_or(c, alg)
-    while c.cur.kind == "S":
-        c.take()
-        f = Since(f, _tl_or(c, alg))
-    return f
+def _language(column: int, noun: str, leaf, group, wrap=lambda node: node):
+    rows = [(kind, row[0], row[column]) for kind, row in _GRAMMAR.items()
+            if row[column] is not None]
+    return _Language(
+        noun,
+        {kind: (power, power + (kind in _RIGHT_ASSOCIATIVE), node)
+         for kind, power, node in rows if power < _PREFIX},
+        {kind: wrap(node) for kind, power, node in rows if power == _PREFIX},
+        leaf, group)
 
 
-def _tl_imp(c: _Cursor, alg) -> TLFormula:
-    f = _tl_since(c, alg)
-    if c.cur.kind == "->":
-        c.take()
-        return Implies(f, _tl_imp(c, alg))
-    return f
+_CONSTANTS = {"true": TRUE, "false": FALSE}
+_FORMULA = _language(
+    1, "a formula",
+    lambda tok: Atom(tok.text) if tok.kind == "ident" else _CONSTANTS[tok.kind],
+    None, wrap=lambda node: lambda f, tok: node(f))
+_EVENTS = _language(
+    2, "an expression",
+    lambda tok: ((Atom(tok.text), (_BARE_EVENT, tok)) if tok.kind == "ident"
+                 else (_CONSTANTS[tok.kind], (_CONSTANT, tok))),
+    _cea_group)
+_VARIABLES = _EVENTS._replace(
+    leaf=lambda tok: ((CeaVar(tok.text), None) if tok.kind == "ident"
+                      else (None, (_CONSTANT, tok))))
+
+# operator-stack entries of an open parenthesis and of the start of the
+# text; their powers are below every operator's
+_GROUP = 0
+_OPEN = (_GROUP, None)  # a group without a bar; (_GROUP, left side) after it
+_BOTTOM = (-1,)
 
 
-def _tl_iff(c: _Cursor, alg) -> TLFormula:
-    f = _tl_imp(c, alg)
-    while c.cur.kind == "<->":
-        c.take()
-        f = Iff(f, _tl_imp(c, alg))
-    return f
+def _expected(what: str, tok: _Token) -> ParseError:
+    return ParseError(f"expected {what}, found {tok.text or 'end of input'!r}",
+                      tok.line, tok.col)
+
+
+def _bar_outside(tok: _Token) -> ParseError:
+    return ParseError("'|' is only allowed inside a parenthesized conditional group",
+                      tok.line, tok.col)
+
+
+def _parse(text: str, lang: _Language, alg: Optional[EventAlgebra], cond: bool = False):
+    """Read ``text`` in ``lang`` with explicit stacks.  With ``cond``, the
+    text is a conditional object: a group opened by the first token may hold
+    one bar, and the result is a :class:`CondObject`."""
+    tokens = _tokenize(text)
+    infix, prefix, leaf = lang.infix, lang.prefix, lang.leaf
+    if lang.group is None and tokens[0].kind == "|":
+        raise _bar_outside(tokens[0])
+    # pending prefix (power, node, token) and infix (power, node, left
+    # operand) operators and open groups
+    ops: list = [_BOTTOM]
+    i = 0
+    while True:
+        tok = tokens[i]
+        i += 1
+        kind = tok.kind
+        if kind in prefix:
+            ops.append((_PREFIX, prefix[kind], tok))
+            continue
+        if kind == "(":
+            ops.append(_OPEN)
+            continue
+        if kind == "ident":
+            if alg is not None and tok.text not in alg.events:
+                raise ParseError(f"unknown identifier {tok.text!r}", tok.line, tok.col)
+        elif kind not in _CONSTANTS:
+            raise _expected(lang.noun, tok)
+        val = leaf(tok)
+        # an operand is complete: what follows it is an infix operator, a
+        # bar, a closing parenthesis or the end
+        while True:
+            top = ops[-1]
+            while top[0] == _PREFIX:
+                ops.pop()
+                val = top[1](val, top[2])
+                top = ops[-1]
+            tok = tokens[i]
+            i += 1
+            kind = tok.kind
+            if kind in infix:
+                power, above, node = infix[kind]
+                while top[0] >= above:
+                    ops.pop()
+                    val = top[1](top[2], val)
+                    top = ops[-1]
+                ops.append((power, node, val))
+                break
+            while top[0] > _GROUP:
+                ops.pop()
+                val = top[1](top[2], val)
+                top = ops[-1]
+            if top is _BOTTOM:
+                if kind == "end":
+                    return CondObject(val, TRUE) if cond else val
+                if kind == "|" and lang.group is None:
+                    raise _bar_outside(tok)
+                raise _expected("'end'", tok)
+            if kind == ")":
+                ops.pop()
+                if top is not _OPEN:
+                    if cond:
+                        if tokens[i].kind != "end":
+                            raise _expected("'end'", tokens[i])
+                        return CondObject(top[1], val)
+                    val = lang.group(top[1], val)
+                continue
+            if kind == "|" and top is _OPEN and (
+                    lang.group is not None or cond and len(ops) == 2):
+                ops[-1] = (_GROUP, val)
+                break
+            raise _expected("')'", tok)
 
 
 def parse_tl(text: str, alg: Optional[EventAlgebra] = None) -> TLFormula:
     """Parse a temporal formula.  Unknown identifiers are rejected when an
     algebra is given."""
-    c = _Cursor(_tokenize(text))
-    if c.cur.kind == "|":
-        c.error("'|' is only allowed inside a parenthesized conditional group")
-    f = _tl_iff(c, alg)
-    if c.cur.kind == "|":
-        c.error("'|' is only allowed inside a parenthesized conditional group")
-    c.expect("end")
-    return f
+    return _parse(text, _FORMULA, alg)
 
 
 def parse_cond(text: str, alg: Optional[EventAlgebra] = None) -> CondObject:
     """Parse a conditional object ``( f | g )``; a bare formula f means (f | true)."""
-    tokens = _tokenize(text)
-    # Recognize the top-level shape "( ... | ... )" by bracket counting.
-    if tokens[0].kind == "(" and tokens[-2].kind == ")" and len(tokens) >= 4:
-        depth = 0
-        bar = None
-        for i, t in enumerate(tokens[:-1]):
-            if t.kind == "(":
-                depth += 1
-            elif t.kind == ")":
-                depth -= 1
-                if depth == 0 and i != len(tokens) - 2:
-                    bar = None  # the opening paren closes early: not a cond group
-                    break
-            elif t.kind == "|" and depth == 1:
-                if bar is not None:
-                    raise ParseError("more than one '|' in a conditional group",
-                                     t.line, t.col)
-                bar = i
-        if bar is not None:
-            num_c = _Cursor(tokens[1:bar] + [tokens[-1]])
-            num = _tl_iff(num_c, alg)
-            num_c.expect("end")
-            den_c = _Cursor(tokens[bar + 1:-2] + [tokens[-1]])
-            den = _tl_iff(den_c, alg)
-            den_c.expect("end")
-            return CondObject(num, den)
-    return CondObject(parse_tl(text, alg), TRUE)
-
-
-# ---------------------------------------------------------------------------
-# Conditional-expression parser
-#
-# A first pass builds a "mixed" tree in which parenthesized bar-groups are
-# opaque nodes; a second pass classifies each group as a simple conditional
-# (both sides boolean event expressions) or as re-conditioning.
-
-
-@dataclass(frozen=True)
-class _Mix:
-    kind: str  # ident const not cneg and or cond
-    a: object = None
-    b: object = None
-    tok: object = None
-
-
-def _mix_primary(c: _Cursor, alg) -> _Mix:
-    tok = c.cur
-    if tok.kind == "(":
-        c.take()
-        left = _mix_or(c, alg)
-        if c.cur.kind == "|":
-            c.take()
-            right = _mix_or(c, alg)
-            c.expect(")")
-            return _Mix("cond", left, right, tok)
-        c.expect(")")
-        return left
-    if tok.kind in ("true", "false"):
-        c.take()
-        return _Mix("const", tok.kind == "true", None, tok)
-    if tok.kind == "ident":
-        c.take()
-        _check_ident(tok, alg)
-        return _Mix("ident", tok.text, None, tok)
-    c.error(f"expected an expression, found {tok.text or 'end of input'!r}")
-
-
-def _mix_unary(c: _Cursor, alg) -> _Mix:
-    tok = c.cur
-    if tok.kind == "~":
-        c.take()
-        return _Mix("cneg", _mix_unary(c, alg), None, tok)
-    if tok.kind in ("not", "!"):
-        c.take()
-        return _Mix("not", _mix_unary(c, alg), None, tok)
-    return _mix_primary(c, alg)
-
-
-def _mix_and(c: _Cursor, alg) -> _Mix:
-    f = _mix_unary(c, alg)
-    while c.cur.kind in ("and", "&"):
-        tok = c.take()
-        f = _Mix("and", f, _mix_unary(c, alg), tok)
-    return f
-
-
-def _mix_or(c: _Cursor, alg) -> _Mix:
-    f = _mix_and(c, alg)
-    while c.cur.kind == "or":
-        tok = c.take()
-        f = _Mix("or", f, _mix_and(c, alg), tok)
-    return f
-
-
-def _mix_is_eventish(m: _Mix) -> bool:
-    if m.kind in ("ident", "const"):
-        return True
-    if m.kind == "not":
-        return _mix_is_eventish(m.a)
-    if m.kind in ("and", "or"):
-        return _mix_is_eventish(m.a) and _mix_is_eventish(m.b)
-    return False  # cond groups and ~ belong to the conditional level
-
-
-def _err(m: _Mix, message: str):
-    raise ParseError(message, m.tok.line, m.tok.col)
-
-
-def _mix_to_event(m: _Mix) -> TLFormula:
-    if m.kind == "ident":
-        return Atom(m.a)
-    if m.kind == "const":
-        return TRUE if m.a else FALSE
-    if m.kind == "not":
-        return Not(_mix_to_event(m.a))
-    if m.kind == "and":
-        return And(_mix_to_event(m.a), _mix_to_event(m.b))
-    if m.kind == "or":
-        return Or(_mix_to_event(m.a), _mix_to_event(m.b))
-    _err(m, "expected a boolean event expression")
-
-
-def _mix_to_cea(m: _Mix, variables: bool) -> CeaExpr:
-    if m.kind == "cond":
-        if variables:
-            return CeaCond(_mix_to_cea(m.a, True), _mix_to_cea(m.b, True))
-        if _mix_is_eventish(m.a) and _mix_is_eventish(m.b):
-            return CeaSimple(_mix_to_event(m.a), _mix_to_event(m.b))
-        return CeaCond(_mix_to_cea(m.a, False), _mix_to_cea(m.b, False))
-    if m.kind == "cneg":
-        return CeaNeg(_mix_to_cea(m.a, variables))
-    if m.kind == "and":
-        return CeaAnd(_mix_to_cea(m.a, variables), _mix_to_cea(m.b, variables))
-    if m.kind == "or":
-        return CeaOr(_mix_to_cea(m.a, variables), _mix_to_cea(m.b, variables))
-    if m.kind == "ident":
-        if variables:
-            return CeaVar(m.a)
-        _err(m, f"bare event {m.a!r} where a conditional is expected; "
-                f"write ({m.a} | true)")
-    if m.kind == "not":
-        _err(m, "'not'/'!' negates events; use '~' on conditionals")
-    if m.kind == "const":
-        _err(m, "constants are not conditional expressions")
-    raise AssertionError(m.kind)
+    return _parse(text, _FORMULA, alg, cond=True)
 
 
 _CEA_DIALECTS = ("flat", "pure-conditional", "full")
@@ -655,10 +567,10 @@ def parse_cea(text: str, alg: Optional[EventAlgebra] = None,
     """
     if dialect not in _CEA_DIALECTS:
         raise ValueError(f"unknown dialect {dialect!r}")
-    c = _Cursor(_tokenize(text))
-    mix = _mix_or(c, alg)
-    c.expect("end")
-    e = _mix_to_cea(mix, variables=alg is None)
+    e, error = _parse(text, _VARIABLES if alg is None else _EVENTS, alg)
+    if error:
+        message, tok = error
+        raise ParseError(message.format(tok.text), tok.line, tok.col)
     _check_dialect(e, dialect)
     return e
 
@@ -666,16 +578,10 @@ def parse_cea(text: str, alg: Optional[EventAlgebra] = None,
 def _check_dialect(e: CeaExpr, dialect: str):
     if dialect == "flat" and has_reconditioning(e):
         raise ValueError("re-conditioning not allowed in the flat dialect")
-    if dialect == "pure-conditional":
-        def pure(x):
-            if isinstance(x, (CeaVar, CeaSimple)):
-                return True
-            if isinstance(x, CeaCond):
-                return pure(x.left) and pure(x.right)
-            return False
-        if not pure(e):
-            raise ValueError("pure-conditional dialect allows only the "
-                             "conditioning connective")
+    if dialect == "pure-conditional" and any(
+            isinstance(x, (CeaNeg, CeaAnd, CeaOr)) for x in walk(e)):
+        raise ValueError("pure-conditional dialect allows only the "
+                         "conditioning connective")
 
 
 # ---------------------------------------------------------------------------

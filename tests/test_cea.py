@@ -7,20 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tlcond import (CondObject, TRUE, Value3, algebra, brute_joint,
-                    compile_cond, embed_ps, minimize, parse_cea, parse_cond,
-                    parse_tl, present_indep, pretty, prob_present, prob_ps,
-                    reduce_present, reduce_syntactic, strong_indep,
-                    weak_tautology)
+from tlcond import (CondObject, TRUE, Value3, algebra, brute_joint, cea,
+                    canonical_key, compile_cond, embed_ps, minimize,
+                    parse_cea, parse_cond, parse_tl, present_indep, pretty,
+                    prob_present, prob_ps, product, reduce_present,
+                    reduce_syntactic, strong_indep, weak_tautology)
 from tlcond.automata import to_dot
 from tlcond.cea import (SimpleConditional, cond_asymptotic, event_mask,
                         first_machine, lift_defined, present_machine,
                         simple_to_cond)
 from tlcond.markov import (Block, ProbAssignment, asymptotic,
-                           chain_from_machine)
+                           chain_from_machine, pr_series)
 from tlcond.syntax import FACTORED_EVENT_LIMIT, EventAlgebra, collect_simples
+from tlcond.trivalue import ConnectiveId, apply_binary
 
-from corpus import ALG_AB, UNIFORM_AB
+from corpus import ALG_AB, CORPUS, SKEWED_AB, UNIFORM_AB
 from machines import assert_first_machine_shape, first_product_machine
 
 F, T, U = Value3.FALSE, Value3.TRUE, Value3.UNDEF
@@ -274,6 +275,65 @@ def test_both_sides_undefined_convention():
     undefined_eqs = {chk["eq"] for chk in checks
                      if chk["lhs"] is None and chk["rhs"] is None}
     assert undefined_eqs == {"i1", "i3"}
+
+
+def test_present_independence_matches_the_product_of_machines(monkeypatch):
+    """Over every pair of corpus conditionals, under two distributions, at
+    n = 1, 2, 5 and in the limit, the verdict and each equation's lhs equal
+    those computed from the Sch product of the factors' minimal machines.
+
+    Each equation's machine is compiled for real; a ratio is computed once
+    per distribution and minimal machine up to isomorphism, since
+    isomorphic machines give equal chains."""
+    objects = list(dict.fromkeys([c for _, c in CORPUS]
+                                 + [lift_defined(c) for _, c in CORPUS]))
+    minimal = {x: minimize(compile_cond(x, ALG_AB)) for x in objects}
+    times = (None, 1, 2, 5)
+    classes: dict = {}  # canonical key -> isomorphism class number
+    class_of: dict = {}  # id of a machine kept alive below -> its class
+    solved: dict = {}
+
+    def ratios(m, p) -> dict:
+        """The ratio of 1 among defined values at each of ``times``."""
+        if id(m) not in class_of:
+            class_of[id(m)] = classes.setdefault(canonical_key(m), len(classes))
+        key = (class_of[id(m)], id(p))
+        if key not in solved:
+            ch = chain_from_machine(m, p)
+            solved[key] = {None: asymptotic(ch)}
+            for n, (p1, p0, _) in enumerate(pr_series(ch, max(times[1:])), 1):
+                solved[key][n] = None if p1 + p0 == 0 else p1 / (p1 + p0)
+        return solved[key]
+
+    compiled: dict = {}
+
+    def memo_ratio(c, p, n):
+        if c not in compiled:
+            compiled[c] = minimize(compile_cond(c, p.alg))
+        return ratios(compiled[c], p)[n]
+
+    monkeypatch.setattr(cea, "_ratio", memo_ratio)
+    index = {x: i for i, x in enumerate(objects)}
+    quads = [(c1, c2, (index[c1], index[c2], index[lift_defined(c1)],
+                       index[lift_defined(c2)]))
+             for _, c1 in CORPUS for _, c2 in CORPUS]
+    joint: dict = {}
+    for p in (UNIFORM_AB, SKEWED_AB):
+        for c1, c2, (i1, i2, j1, j2) in quads:
+            pairs = ((i1, i2), (i1, j2), (j1, i2), (j1, j2))
+            for x, y in pairs:
+                if (x, y) not in joint:
+                    joint[x, y] = minimize(product(
+                        [minimal[objects[x]], minimal[objects[y]]],
+                        lambda v: apply_binary(ConnectiveId.AND_SCH, *v)))
+            for n in times:
+                lhs = [ratios(joint[x, y], p)[n] for x, y in pairs]
+                single = {x: ratios(minimal[objects[x]], p)[n] for x in (i1, i2, j1, j2)}
+                rhs = [None if single[x] is None or single[y] is None
+                       else single[x] * single[y] for x, y in pairs]
+                ok, checks = present_indep(c1, c2, p, n)
+                assert [chk["lhs"] for chk in checks] == lhs, (c1, c2, n)
+                assert ok == (lhs == rhs), (c1, c2, n)
 
 
 def test_disjoint_generators_are_strongly_independent():

@@ -101,6 +101,21 @@ def test_bad_distribution_messages(capsys, tmp_path, body, message):
         assert err == f"error: bad distribution file {bad}: {message}\n"
 
 
+@pytest.mark.parametrize("body, text", [
+    ("independent: a=1/0 b=1/2", "1/0"),
+    ("atom {}: 1/0\natom {a}: 1/4\natom {b}: 1/4\natom {a b}: 1/4", "1/0"),
+])
+def test_zero_denominator_in_distribution_exits_one(capsys, tmp_path, body, text):
+    bad = tmp_path / "zero.dist"
+    bad.write_text(f"events: a b\n{body}\n")
+    for cea in ("ps", "tl"):
+        code, out, err = run(capsys, "prob", "--cea", cea, "--expr", "(a|b)",
+                             "--dist", str(bad))
+        assert (code, out) == (1, "")
+        assert err == (f"error: bad distribution file {bad}: "
+                       f"zero denominator in {text!r}\n")
+
+
 def test_ps_conjunction_of_ten_with_an_independent_file(capsys, tmp_path):
     # 20 events: more than one atom table holds, one block per event
     names = [f"{s}{i}" for i in range(1, 11) for s in "ab"]
@@ -122,6 +137,16 @@ def test_ps_conjunction_of_ten_with_an_independent_file(capsys, tmp_path):
 
 # ---------------------------------------------------------------------------
 # series
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_series_rejects_times_before_one(capsys, half_ab, n):
+    for dist in (["--dist", half_ab], []):
+        code, out, err = run(capsys, "series", "--expr", "(a|b)", "--n", n, *dist)
+        assert (code, out, err) == (1, "", "error: time index starts at 1\n")
+    code, out, err = run(capsys, "indep", "--mode", "present", "--left", "(a|b)",
+                         "--right", "(b|a)", "--n", n)
+    assert (code, out, err) == (1, "", "error: time index starts at 1\n")
 
 
 def test_series_constant_rows(capsys, half_ab):

@@ -1,14 +1,20 @@
 """Grammar, ASTs and the pretty-printer round trip."""
+import gc
+import importlib
 import random
+import sys
+import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tlcond import (And, Atom, CeaAnd, CeaCond, CeaNeg, CeaOr, CeaSimple,
                     CeaVar, CondObject, EventAlgebra, Iff, Implies, Not, Or,
-                    ParseError, Prev, Since, TRUE, FALSE, algebra, parse_cea,
-                    parse_cond, parse_tl, pretty)
+                    ParseError, Prev, Since, TRUE, FALSE, algebra, hist,
+                    parse_cea, parse_cond, parse_tl, pretty)
 from tlcond.evaluate import Word, eval_tl
-from tlcond.syntax import formula_events, once
+from tlcond.syntax import children, formula_events, once
 
 AB = algebra("a b")
 ABCD = algebra("a b c d")
@@ -234,6 +240,173 @@ def test_desugaring_preserves_evaluation_small_words():
                     assert eval_tl(w, pos, sugar_hist) == all(direct)
 
 
+_EVENT_LEAVES = st.sampled_from([Atom("a"), Atom("b"), TRUE, FALSE])
+_EVENTS = st.recursive(_EVENT_LEAVES, lambda sub: st.one_of(
+    st.builds(Not, sub), st.builds(And, sub, sub), st.builds(Or, sub, sub)),
+    max_leaves=6)
+_FORMULAS = st.recursive(_EVENT_LEAVES, lambda sub: st.one_of(
+    *(st.builds(node, sub) for node in (Not, Prev, once, hist)),
+    *(st.builds(node, sub, sub) for node in (And, Or, Implies, Iff, Since))),
+    max_leaves=8)
+
+
+def _expressions(leaves):
+    return st.recursive(leaves, lambda sub: st.one_of(
+        st.builds(CeaNeg, sub),
+        *(st.builds(node, sub, sub) for node in (CeaAnd, CeaOr, CeaCond))),
+        max_leaves=6)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_FORMULAS, _FORMULAS)
+def test_formula_and_conditional_round_trip(f, g):
+    assert parse_tl(pretty(f), AB) == f
+    assert parse_cond(pretty(CondObject(f, g)), AB) == CondObject(f, g)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_expressions(st.builds(CeaSimple, _EVENTS, _EVENTS)),
+       _expressions(st.builds(CeaVar, st.sampled_from("pqr"))))
+def test_expression_round_trip_with_events_and_with_variables(e, v):
+    assert parse_cea(pretty(e), AB) == e
+    assert parse_cea(pretty(v), None) == v
+
+
+# ---------------------------------------------------------------------------
+# Malformed input
+
+
+_ENTRY_POINTS = {
+    "tl": lambda text: parse_tl(text, ABCD),
+    "cond": lambda text: parse_cond(text, ABCD),
+    "cea": lambda text: parse_cea(text, ABCD),
+    "variables": lambda text: parse_cea(text, None),
+}
+
+# (entry point, text, message, line, column)
+MALFORMED = [
+    ("tl", "a | b", "'|' is only allowed inside a parenthesized conditional group", 1, 3),
+    ("cond", "a | b", "'|' is only allowed inside a parenthesized conditional group", 1, 3),
+    ("cea", "a | b", "expected 'end', found '|'", 1, 3),
+    ("tl", "| a", "'|' is only allowed inside a parenthesized conditional group", 1, 1),
+    ("cond", "| a", "'|' is only allowed inside a parenthesized conditional group", 1, 1),
+    ("variables", "| a", "expected an expression, found '|'", 1, 1),
+    ("tl", "(a b)", "expected ')', found 'b'", 1, 4),
+    ("cond", "(a b)", "expected ')', found 'b'", 1, 4),
+    ("cea", "(a b)", "expected ')', found 'b'", 1, 4),
+    ("tl", "(a | b | c)", "expected ')', found '|'", 1, 4),
+    ("cea", "(a | b | c)", "expected ')', found '|'", 1, 8),
+    ("tl", "a and\nor b", "expected a formula, found 'or'", 2, 1),
+    ("cond", "a and\nor b", "expected a formula, found 'or'", 2, 1),
+    ("cea", "a and\nor b", "expected an expression, found 'or'", 2, 1),
+    ("tl", "(a S b | c)", "expected ')', found '|'", 1, 8),
+    ("cea", "(a S b | c)", "expected ')', found 'S'", 1, 4),
+    ("tl", "not (a|b)", "expected ')', found '|'", 1, 7),
+    ("cond", "not (a|b)", "expected ')', found '|'", 1, 7),
+    ("cea", "not (a|b)", "'not'/'!' negates events; use '~' on conditionals", 1, 1),
+    ("tl", "a and (c|d)", "expected ')', found '|'", 1, 9),
+    ("cea", "a and (c|d)",
+     "bare event 'a' where a conditional is expected; write (a | true)", 1, 1),
+    ("cea", "(Y a | b)", "expected an expression, found 'Y'", 1, 2),
+    ("variables", "(Y a | b)", "expected an expression, found 'Y'", 1, 2),
+    ("tl", "~a", "expected a formula, found '~'", 1, 1),
+    ("cond", "~a", "expected a formula, found '~'", 1, 1),
+    ("cea", "~a",
+     "bare event 'a' where a conditional is expected; write (a | true)", 1, 2),
+    ("tl", "", "expected a formula, found 'end of input'", 1, 1),
+    ("cea", "", "expected an expression, found 'end of input'", 1, 1),
+    ("cond", "(a", "expected ')', found 'end of input'", 1, 3),
+    ("cea", "a)", "expected 'end', found ')'", 1, 2),
+    ("cea", "((a|b) | c)",
+     "bare event 'c' where a conditional is expected; write (c | true)", 1, 10),
+    ("cond", "()", "expected a formula, found ')'", 1, 2),
+    ("cea", "(|)", "expected an expression, found '|'", 1, 2),
+    ("cond", "a and zz", "unknown identifier 'zz'", 1, 7),
+    ("cea", "(true | p)", "unknown identifier 'p'", 1, 9),
+    ("variables", "(true | p)", "constants are not conditional expressions", 1, 2),
+    ("variables", "true", "constants are not conditional expressions", 1, 1),
+    ("variables", "not p", "'not'/'!' negates events; use '~' on conditionals", 1, 1),
+    ("cea", "(a|b) and not (c|d)",
+     "'not'/'!' negates events; use '~' on conditionals", 1, 11),
+    ("cea", "a and ~b",
+     "bare event 'a' where a conditional is expected; write (a | true)", 1, 1),
+    ("variables", "(not p | true)",
+     "'not'/'!' negates events; use '~' on conditionals", 1, 2),
+    ("cond", "a $ b", "unexpected character '$'", 1, 3),
+    ("cea", "(a -> b | c)", "expected ')', found '->'", 1, 4),
+    ("cea", "(a|b) (c|d)", "expected 'end', found '('", 1, 7),
+    ("variables", "~(a|b", "expected ')', found 'end of input'", 1, 6),
+    ("cea", "(a and b\n  or c | d)\n)", "expected 'end', found ')'", 3, 1),
+    ("cond", "Y\n\n  S a", "expected a formula, found 'S'", 3, 3),
+]
+
+# A conditional object's group is now read by the grammar, not split at its
+# bar first, so these errors point at the token where the text goes wrong.
+CONDITIONAL_GROUP_ERRORS = [
+    ("cond", "(a | b | c)", "expected ')', found '|'", 1, 8),
+    ("cond", "(a and | b)", "expected a formula, found '|'", 1, 8),
+    ("cond", "(a b | c)", "expected ')', found 'b'", 1, 4),
+    ("cond", "(a | b) and c", "expected 'end', found 'and'", 1, 9),
+    ("cond", "(a | b", "expected ')', found 'end of input'", 1, 7),
+]
+
+
+@pytest.mark.parametrize("entry, text, message, line, col",
+                         MALFORMED + CONDITIONAL_GROUP_ERRORS)
+def test_malformed_input_reports_message_and_position(entry, text, message,
+                                                      line, col):
+    with pytest.raises(ParseError) as err:
+        _ENTRY_POINTS[entry](text)
+    assert str(err.value) == f"syntax error at line {line}, column {col}: {message}"
+    assert (err.value.line, err.value.col) == (line, col)
+
+
+# ---------------------------------------------------------------------------
+# Deep input
+
+DEPTH = 10_000
+
+
+def _height(x) -> int:
+    """Nodes on the longest path from the root to a leaf, counted without
+    recursion (``==`` and ``hash`` on a deep tree would recurse)."""
+    best, todo = 0, [(x, 1)]
+    while todo:
+        x, h = todo.pop()
+        best = max(best, h)
+        todo.extend((c, h + 1) for c in children(x))
+    return best
+
+
+@pytest.mark.parametrize("text, heights", [
+    ("not " * DEPTH + "a", {"tl": DEPTH + 1, "cond": DEPTH + 2}),
+    ("Y " * DEPTH + "a", {"tl": DEPTH + 1, "cond": DEPTH + 2}),
+    ("(" * DEPTH + "a" + ")" * DEPTH, {"tl": 1, "cond": 2, "variables": 1}),
+    ("(" + "(" * DEPTH + "a" + ")" * DEPTH + " | b)",
+     {"cond": 2, "cea": 2, "variables": 2}),
+    ("(" * DEPTH + "(a|b)" + ")" * DEPTH, {"cea": 2, "variables": 2}),
+    ("(" + "not " * DEPTH + "a | b)", {"cond": DEPTH + 2, "cea": DEPTH + 2}),
+    ("~" * DEPTH + "(a|b)", {"cea": DEPTH + 2, "variables": DEPTH + 2}),
+    ("(" + " and ".join(["a"] * DEPTH) + " | b)",
+     {"cond": DEPTH + 1, "cea": DEPTH + 1, "variables": DEPTH + 1}),
+], ids=["not", "Y", "parentheses", "parenthesized side", "parenthesized group",
+        "negated side", "tilde", "conjunct side"])
+def test_deep_input_parses_under_every_entry_point_that_accepts_it(text, heights):
+    for entry, height in heights.items():
+        assert _height(_ENTRY_POINTS[entry](text)) == height, entry
+    for entry in _ENTRY_POINTS.keys() - heights.keys():
+        with pytest.raises(ParseError):
+            _ENTRY_POINTS[entry](text)
+
+
+def test_deep_expressions_pass_the_dialect_checks_without_recursing():
+    deep = "~" * DEPTH + "(p|q)"
+    with pytest.raises(ValueError, match="pure-conditional"):
+        parse_cea(deep, None, dialect="pure-conditional")
+    assert formula_events(parse_cea(deep.replace("p", "a").replace("q", "b"),
+                                    AB, dialect="flat")) == ("a", "b")
+
+
 # ---------------------------------------------------------------------------
 # Event algebra
 
@@ -249,3 +422,21 @@ def test_algebra_rejects_duplicates_and_limit():
 def test_algebra_counts():
     assert ABCD.num_atoms == 16
     assert formula_events(parse_tl("a and c", ABCD)) == ("a", "c")
+
+
+def test_a_fresh_import_releases_the_previous_classes():
+    """Nothing global keeps a discarded import's syntax classes alive (a
+    module-level ``Union[...]`` over them would: typing caches it), so a
+    process that re-imports the package does not grow."""
+    def package():
+        return [n for n in sys.modules if n == "tlcond" or n.startswith("tlcond.")]
+
+    saved = {n: sys.modules.pop(n) for n in package()}
+    try:
+        ref = weakref.ref(importlib.import_module("tlcond.syntax").CeaExpr)
+        for n in package():
+            del sys.modules[n]
+        gc.collect()
+        assert ref() is None
+    finally:
+        sys.modules.update(saved)
