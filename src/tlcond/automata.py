@@ -243,24 +243,29 @@ def compile_cond(c: CondObject, alg: EventAlgebra) -> MooreMachine3:
 
     # states are numbered as they are discovered, each state's successors in
     # the order of their lowest class: breadth-first in class order, the
-    # numbering that minimize gives its output
+    # numbering that minimize gives its output.  States with one memory
+    # differ only in label, so a memory is expanded once: when a later state
+    # has it, its successors are already numbered and its row is reused.
     states: list = [None]  # the start state, read as the all-false memory
     state_ids = {None: 0}
     delta: list[list[int]] = []
+    rows: dict = {}  # memory -> row
     q = 0
     while q < len(states):
         mem = states[q][1:] if q else (0,) * len(remembered)
-        row = [0] * len(classes)
-        for nxt, mask in sorted(successors(mem), key=lambda kv: kv[1] & -kv[1]):
-            tid = state_ids.get(nxt)
-            if tid is None:
-                tid = state_ids[nxt] = len(states)
-                states.append(nxt)
-            while mask:
-                low = mask & -mask
-                row[low.bit_length() - 1] = tid
-                mask ^= low
-        delta.append(row)
+        row = rows.get(mem)
+        if row is None:
+            row = rows[mem] = [0] * len(classes)
+            for nxt, mask in sorted(successors(mem), key=lambda kv: kv[1] & -kv[1]):
+                tid = state_ids.get(nxt)
+                if tid is None:
+                    tid = state_ids[nxt] = len(states)
+                    states.append(nxt)
+                while mask:
+                    low = mask & -mask
+                    row[low.bit_length() - 1] = tid
+                    mask ^= low
+        delta.append(list(row))
         q += 1
 
     labels = [Value3.UNDEF] + [key[0] for key in states[1:]]

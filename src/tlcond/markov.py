@@ -1,7 +1,10 @@
 """Exact probabilities: distributions over atoms, chains from machines, and
 time-indexed / limiting probabilities by rational linear algebra.
 
-Everything is a ``fractions.Fraction``; no floating point enters any result.
+Every result is a ``fractions.Fraction``, and no floating point enters any.
+Inside the layer, probabilities are integer weights over one common
+denominator: a distribution's atoms, a chain's rows, the state weights of a
+series and the rows of a linear system.
 """
 from __future__ import annotations
 
@@ -9,7 +12,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
 from typing import Iterator, Optional, Sequence
 
 from .automata import MooreMachine3
@@ -68,23 +71,33 @@ class ProbAssignment:
         self.blocks = blocks
 
     @cached_property
+    def weights(self) -> tuple[int, tuple[int, ...]]:
+        """The flat table as integers over one common denominator: ``(den,
+        w)`` with ``mass[a] == Fraction(w[a], den)``.  ``den`` is the product
+        of the blocks' LCDs and an atom's weight the product of its blocks'."""
+        out = [0] * self.alg.num_atoms  # raises past the atom table limit
+        bit = {name: 1 << i for i, name in enumerate(self.alg.events)}
+        # the table block by block, each block's absent half first: with one
+        # block per event in event order this is the atom order itself
+        atoms, weights, den = [0], [1], 1
+        for b in self.blocks:
+            lcd, local = _over_lcd(b.mass)
+            spread = [sum(bit[e] for i, e in enumerate(b.events) if k >> i & 1)
+                      for k in range(len(local))]
+            atoms = [a | s for s in spread for a in atoms]
+            weights = [w * v for v in local for w in weights]
+            den *= lcd
+        for a, w in zip(atoms, weights):
+            out[a] = w
+        return den, tuple(out)
+
+    @cached_property
     def mass(self) -> tuple[Fraction, ...]:
         """The flat table: each atom's mass, the product of its blocks'."""
         if len(self.blocks) == 1 and self.blocks[0].events == self.alg.events:
             return self.blocks[0].mass
-        out = [ZERO] * self.alg.num_atoms  # raises past the atom table limit
-        bit = {name: 1 << i for i, name in enumerate(self.alg.events)}
-        # the table block by block, each block's absent half first: with one
-        # block per event in event order this is the atom order itself
-        atoms, mass = [0], [ONE]
-        for b in self.blocks:
-            spread = [sum(bit[e] for i, e in enumerate(b.events) if local >> i & 1)
-                      for local in range(len(b.mass))]
-            atoms = [a | s for s in spread for a in atoms]
-            mass = [m * w for w in b.mass for m in mass]
-        for a, m in zip(atoms, mass):
-            out[a] = m
-        return tuple(out)
+        den, weights = self.weights
+        return tuple(Fraction(w, den) if w else ZERO for w in weights)
 
     def restrict(self, which: int) -> "ProbAssignment":
         """The marginal on the blocks in bitmask ``which``: those blocks,
@@ -98,13 +111,14 @@ class ProbAssignment:
 
     def of_event(self, mask: int) -> Fraction:
         """Probability of a set of atoms (bitmask over atom indices)."""
-        total = ZERO
+        den, weights = self.weights
+        total = 0
         rest = mask
         while rest:
             low = rest & -rest
-            total += self.mass[low.bit_length() - 1]
+            total += weights[low.bit_length() - 1]
             rest ^= low
-        return total
+        return Fraction(total, den)
 
     @staticmethod
     def independent(alg: EventAlgebra, probs: dict[str, Fraction]) -> "ProbAssignment":
@@ -149,6 +163,8 @@ class ProbAssignment:
                 name, _, value = item.partition("=")
                 if not value:
                     raise ValueError(f"malformed marginal {item!r}")
+                if name in probs:
+                    raise ValueError(f"marginal for {name!r} listed twice")
                 probs[name] = _fraction(value)
             return ProbAssignment.independent(alg_, probs)
         alg_ = algebra(names)
@@ -160,6 +176,8 @@ class ProbAssignment:
                 raise ValueError(f"malformed distribution line: {ln!r}")
             atom = 0
             for name in m.group(1).split():
+                if name not in names:
+                    raise ValueError(f"unknown event: {name!r}")
                 atom |= 1 << alg_.index(name)
             if mass[atom] is not None:
                 raise ValueError(f"atom {alg_.atom_text(atom)} listed twice")
@@ -168,6 +186,12 @@ class ProbAssignment:
         if absent:
             raise ValueError(f"atoms not covered: {' '.join(absent)}")
         return ProbAssignment(alg_, tuple(mass))
+
+
+def _over_lcd(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """Rationals as integers over their least common denominator."""
+    den = lcm(*(x.denominator for x in values))
+    return den, [x.numerator * (den // x.denominator) for x in values]
 
 
 def _fraction(text: str) -> Fraction:
@@ -181,83 +205,107 @@ def _fraction(text: str) -> Fraction:
 # Chains
 
 
-@dataclass(frozen=True)
 class MarkovChain3:
     """Stochastic matrix with an initial distribution and three-valued labels.
 
     State k of the chain is the machine state reached after k+1 input
     letters: the first transition is folded into the initial distribution,
     matching the convention that a machine emits nothing in its start state.
+
+    Probabilities are integer weights over one common denominator ``den``:
+    ``init_weights[s]`` is state s's initial weight and ``succ[s]`` its
+    (successor, weight) pairs with nonzero weight, in successor order.  A
+    row is valid when its weights are nonnegative and sum to ``den``.
+    ``MarkovChain3(init, trans, labels)`` builds a chain from rational
+    tables, ``from_weights`` from the integer form; ``init`` and ``trans``
+    are ``Fraction`` views built on first use.
     """
 
-    init: tuple[Fraction, ...]
-    trans: tuple[tuple[Fraction, ...], ...]
-    labels: tuple[Value3, ...]
-
-    def __post_init__(self):
-        n = len(self.labels)
-        if len(self.init) != n or len(self.trans) != n:
+    def __init__(self, init: Sequence[Fraction],
+                 trans: Sequence[Sequence[Fraction]], labels: Sequence[Value3]):
+        n = len(labels)
+        if len(init) != n or len(trans) != n or any(len(row) != n for row in trans):
             raise ValueError("inconsistent chain dimensions")
-        if _nonzero_sum(self.init) != 1:
+        cells = [(s, t, x) for s, row in enumerate(trans) for t, x in enumerate(row) if x]
+        den, weights = _over_lcd([*init, *(x for _, _, x in cells)])
+        succ: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        for (s, t, _), w in zip(cells, weights[n:]):
+            succ[s].append((t, w))
+        self._set(den, weights[:n], succ, labels)
+
+    @classmethod
+    def from_weights(cls, den: int, init_weights: Sequence[int],
+                     succ: Sequence[Sequence[tuple[int, int]]],
+                     labels: Sequence[Value3]) -> "MarkovChain3":
+        ch = cls.__new__(cls)
+        ch._set(den, init_weights, succ, labels)
+        return ch
+
+    def _set(self, den, init_weights, succ, labels) -> None:
+        if len(init_weights) != len(labels) or len(succ) != len(labels):
+            raise ValueError("inconsistent chain dimensions")
+        if any(w < 0 for w in init_weights):
+            raise ValueError("negative probability in a chain")
+        if sum(init_weights) != den:
             raise ValueError("initial distribution must sum to 1")
-        for row in self.trans:
-            if len(row) != n or _nonzero_sum(row) != 1:
+        for pairs in succ:
+            if any(w < 0 for _, w in pairs):
+                raise ValueError("negative probability in a chain")
+            if sum(w for _, w in pairs) != den:
                 raise ValueError("every transition row must sum to exactly 1")
+        self.den = den
+        self.init_weights = tuple(init_weights)
+        self.succ = tuple(tuple(pairs) for pairs in succ)
+        self.labels = tuple(labels)
 
     @property
     def n_states(self) -> int:
         return len(self.labels)
 
+    @cached_property
+    def init(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(w, self.den) if w else ZERO for w in self.init_weights)
 
-def _nonzero(row: Sequence[Fraction]) -> list[tuple[int, Fraction]]:
-    """A row's nonzero (column, entry) pairs.  Cells holding the shared
-    ``ZERO``, as ``chain_from_machine`` leaves them, are skipped without a
-    call into ``Fraction``."""
-    return [(j, w) for j, w in enumerate(row) if w is not ZERO and w]
-
-
-def _nonzero_sum(row: Sequence[Fraction]) -> Fraction:
-    """Sum of a row's nonzero entries; ValueError on a negative entry."""
-    nonzero = [w for _, w in _nonzero(row)]
-    if any(w < 0 for w in nonzero):
-        raise ValueError("negative probability in a chain")
-    return sum(nonzero)
-
-
-def _successors(ch: MarkovChain3) -> list[list[tuple[int, Fraction]]]:
-    """Each state's nonzero (successor, probability) pairs, in state order."""
-    return [_nonzero(row) for row in ch.trans]
+    @cached_property
+    def trans(self) -> tuple[tuple[Fraction, ...], ...]:
+        rows = []
+        for pairs in self.succ:
+            row = [ZERO] * self.n_states
+            for t, w in pairs:
+                row[t] += Fraction(w, self.den)
+            rows.append(tuple(row))
+        return tuple(rows)
 
 
 def chain_from_machine(m: MooreMachine3, p: ProbAssignment) -> MarkovChain3:
     if m.alg.events != p.alg.events:
         raise ValueError("machine and distribution use different event algebras")
-    class_mass = [ZERO] * len(m.classes)
-    for atom in range(m.alg.num_atoms):
-        w = p.mass[atom]
-        if w:
-            class_mass[m.class_of_atom[atom]] += w
-    n = m.n_states
-    rows = []
-    for q in range(n):
-        row = [ZERO] * n
-        for c, t in enumerate(m.delta[q]):
-            if class_mass[c]:
-                row[t] += class_mass[c]
-        rows.append(tuple(row))
-    init = [ZERO] * n
-    for c, t in enumerate(m.delta[m.initial]):
-        if class_mass[c]:
-            init[t] += class_mass[c]
-    return MarkovChain3(tuple(init), tuple(rows), tuple(m.labels))
+    den, atom_weights = p.weights
+    class_weight = [0] * len(m.classes)
+    for c, w in zip(m.class_of_atom, atom_weights):
+        class_weight[c] += w
+    common = gcd(den, *class_weight)
+    live = [(c, w // common) for c, w in enumerate(class_weight) if w]
+
+    def pairs(targets: list[int]) -> list[tuple[int, int]]:
+        out: dict[int, int] = {}
+        for c, w in live:
+            t = targets[c]
+            out[t] = out.get(t, 0) + w
+        return sorted(out.items())
+
+    init = [0] * m.n_states
+    for t, w in pairs(m.delta[m.initial]):
+        init[t] = w
+    return MarkovChain3.from_weights(den // common, init,
+                                     [pairs(row) for row in m.delta], m.labels)
 
 
-def _step(dist: Sequence[Fraction],
-          succ: list[list[tuple[int, Fraction]]]) -> list[Fraction]:
-    out = [ZERO] * len(dist)
-    for i, w in enumerate(dist):
+def _step(dist: list[int], succ: Sequence[Sequence[tuple[int, int]]]) -> list[int]:
+    out = [0] * len(dist)
+    for w, pairs in zip(dist, succ):
         if w:
-            for t, p in succ[i]:
+            for t, p in pairs:
                 out[t] += w * p
     return out
 
@@ -265,16 +313,17 @@ def _step(dist: Sequence[Fraction],
 def pr_series(ch: MarkovChain3, n: int
               ) -> Iterator[tuple[Fraction, Fraction, Fraction]]:
     """(Pr value 1, Pr value 0, Pr undefined) at times 1..n, stepping the
-    state distribution once per time."""
-    succ = _successors(ch)
-    dist = list(ch.init)
+    integer state weights once per time; at time t they are over den^t."""
+    by_label = [[s for s, lab in enumerate(ch.labels) if lab is v]
+                for v in (Value3.TRUE, Value3.FALSE, Value3.UNDEF)]
+    dist, scale = list(ch.init_weights), ch.den
     for t in range(1, n + 1):
         if t > 1:
-            dist = _step(dist, succ)
-        buckets = {Value3.TRUE: ZERO, Value3.FALSE: ZERO, Value3.UNDEF: ZERO}
-        for w, lab in zip(dist, ch.labels):
-            buckets[lab] += w
-        yield buckets[Value3.TRUE], buckets[Value3.FALSE], buckets[Value3.UNDEF]
+            dist = _step(dist, ch.succ)
+            scale *= ch.den
+        p1, p0, pbot = (Fraction(sum(dist[s] for s in states), scale)
+                        for states in by_label)
+        yield p1, p0, pbot
 
 
 def check_time_index(n: int) -> None:
@@ -303,19 +352,33 @@ def pr_n_ratio(ch: MarkovChain3, n: int) -> Optional[Fraction]:
 # Exact linear algebra
 
 
+def _divide_content(row: dict[int, int]) -> None:
+    content = gcd(*row.values())
+    if content > 1:
+        for c in row:
+            row[c] //= content
+
+
 def solve_linear(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[Fraction]]:
     """Solve A X = B exactly.
 
-    Forward Gaussian elimination on each row's nonzero entries (column c of
-    B is column n + c of the row), pivoting in each column on the candidate
-    row with the fewest nonzeros (lowest index on a tie), then back
-    substitution.
+    Each row keeps its nonzero entries (column c of B is column n + c of the
+    row), scaled to integers over the row's LCD.  Forward elimination is
+    fraction-free: in each column it pivots on the candidate row with the
+    fewest nonzeros (lowest index on a tie) and replaces every other row
+    holding the column by ``row*(pivot/g) - prow*(factor/g)``, g =
+    gcd(pivot, factor), divided by its content.  Fractions appear only in
+    back substitution.
     """
     n = len(a)
-    rows = [{c: Fraction(x) for c, x in enumerate(row_a) if x}
-            for row_a in a]
-    for row, row_b in zip(rows, b):
-        row.update((n + c, Fraction(x)) for c, x in enumerate(row_b) if x)
+    rows = []
+    for row_a, row_b in zip(a, b):
+        cells = [(c, x) for c, x in enumerate(row_a) if x]
+        cells += [(n + c, x) for c, x in enumerate(row_b) if x]
+        _, weights = _over_lcd([x for _, x in cells])
+        row = {c: w for (c, _), w in zip(cells, weights)}
+        _divide_content(row)
+        rows.append(row)
     width = len(b[0]) if b else 0
     # holders[c]: the rows not yet pivoted on that have a nonzero in column c
     holders = [set() for _ in range(n)]
@@ -331,15 +394,19 @@ def solve_linear(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[
         pivot = min(candidates, key=lambda r: (len(rows[r]), r))
         candidates.remove(pivot)
         prow = rows[pivot]
-        inv = ONE / prow.pop(col)
-        prow = {c: x * inv for c, x in prow.items()}
-        pivots.append(prow)
+        head = prow.pop(col)
+        pivots.append((prow, head))
         for c in prow:
             if c < n:
                 holders[c].discard(pivot)
         for r in candidates:
             row = rows[r]
             factor = row.pop(col)
+            g = gcd(head, factor)
+            scale, factor = head // g, factor // g
+            if scale != 1:
+                for c in row:
+                    row[c] *= scale
             for c, x in prow.items():
                 v = row.get(c)
                 if v is None:
@@ -354,29 +421,32 @@ def solve_linear(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[
                         del row[c]
                         if c < n:
                             holders[c].discard(r)
+            _divide_content(row)
     x: list[list[Fraction]] = [[]] * n
     for col in range(n - 1, -1, -1):
-        prow = pivots[col]
-        sol = [prow.get(n + j, ZERO) for j in range(width)]
+        prow, head = pivots[col]
+        sol = [Fraction(prow.get(n + j, 0)) for j in range(width)]
         for c, coef in prow.items():
             if c < n:
                 for j, xc in enumerate(x[c]):
                     if xc:
                         sol[j] -= coef * xc
-        x[col] = sol
+        x[col] = [s / head for s in sol]
     return x
 
 
 def absorbing_solve(q_block: list[list[Fraction]],
-                    r_block: list[list[Fraction]]) -> list[list[Fraction]]:
+                    r_block: list[list[Fraction]], den: int = 1
+                    ) -> list[list[Fraction]]:
     """Absorption probabilities B = (Id - Q)^-1 R for an absorbing chain
-    split into a transient block Q and a transient-to-absorbing block R."""
+    split into a transient block Q and a transient-to-absorbing block R,
+    both given as weights over ``den``: B solves (den Id - Q) B = R."""
     n = len(q_block)
     if any(len(row) != n for row in q_block) or len(r_block) != n:
         raise ValueError("Q must be square with one R row per transient state")
     id_minus_q = [[-w if w else w for w in row] for row in q_block]
     for i, row in enumerate(id_minus_q):
-        row[i] += ONE
+        row[i] += den
     return solve_linear(id_minus_q, [list(row) for row in r_block])
 
 
@@ -451,20 +521,19 @@ def _class_period(members: list[int], adj: Sequence[list[int]]) -> int:
     return abs(g)
 
 
-def stationary_distribution(succ: list[list[tuple[int, Fraction]]],
-                            members: list[int]) -> dict[int, Fraction]:
-    """Stationary law of an irreducible closed class (pi P = pi, sum = 1),
-    given each state's nonzero (successor, probability) pairs."""
+def stationary_distribution(ch: MarkovChain3, members: list[int]) -> dict[int, Fraction]:
+    """Stationary law of an irreducible closed class of ``ch`` (pi P = pi,
+    sum = 1)."""
     k = len(members)
     pos = {s: i for i, s in enumerate(members)}
-    # (P^T - Id) pi = 0 with the last equation replaced by sum(pi) = 1
-    a = [[0] * k for _ in range(k)]  # an int 0 is cheap to test for zero
+    # (P_w^T - den Id) pi = 0 with the last equation replaced by sum(pi) = 1
+    a = [[0] * k for _ in range(k)]
     for j, s in enumerate(members):
-        a[j][j] -= ONE
-        for t, w in succ[s]:
+        a[j][j] -= ch.den
+        for t, w in ch.succ[s]:
             a[pos[t]][j] += w
-    a[k - 1] = [ONE] * k
-    b = [[ZERO] for _ in range(k - 1)] + [[ONE]]
+    a[k - 1] = [1] * k
+    b = [[0] for _ in range(k - 1)] + [[1]]
     x = solve_linear(a, b)
     return {s: x[pos[s]][0] for s in members}
 
@@ -476,8 +545,7 @@ def limiting_label_masses(ch: MarkovChain3) -> dict[Value3, Fraction]:
     aperiodic (otherwise the limit may not exist and the call fails loudly).
     """
     n = ch.n_states
-    succ = _successors(ch)
-    adj = [[t for t, _ in pairs] for pairs in succ]
+    adj = [[t for t, _ in pairs] for pairs in ch.succ]
     sccs = _sccs(n, adj)
     comp_of = [0] * n
     for ci, comp in enumerate(sccs):
@@ -493,26 +561,27 @@ def limiting_label_masses(ch: MarkovChain3) -> dict[Value3, Fraction]:
     if len(closed) == 1:
         absorb[closed[0]] = ONE  # a lone closed class absorbs everything
     else:
+        init = ch.init_weights  # absorb holds weights over den until the end
         for s in range(n):
-            if ch.init[s] and comp_of[s] in closed_pos:
-                absorb[comp_of[s]] += ch.init[s]
-        if any(ch.init[s] for s in transient):
+            if init[s] and comp_of[s] in closed_pos:
+                absorb[comp_of[s]] += init[s]
+        if any(init[s] for s in transient):
             tpos = {s: i for i, s in enumerate(transient)}
-            # empty Q cells are int 0, cheap to test for zero; a transient
-            # state's successor is transient or in a closed class
+            # a transient state's successor is transient or in a closed class
             q_block = [[0] * len(transient) for _ in transient]
-            r_block = [[ZERO] * len(closed) for _ in transient]
+            r_block = [[0] * len(closed) for _ in transient]
             for i, s in enumerate(transient):
-                for t, w in succ[s]:
+                for t, w in ch.succ[s]:
                     if t in tpos:
                         q_block[i][tpos[t]] = w
                     else:
                         r_block[i][closed_pos[comp_of[t]]] += w
-            b = absorbing_solve(q_block, r_block)
+            b = absorbing_solve(q_block, r_block, ch.den)
             for s in transient:
-                if ch.init[s]:
+                if init[s]:
                     for k, ci in enumerate(closed):
-                        absorb[ci] += ch.init[s] * b[tpos[s]][k]
+                        absorb[ci] += init[s] * b[tpos[s]][k]
+        absorb = {ci: w / ch.den for ci, w in absorb.items()}
 
     masses = {Value3.TRUE: ZERO, Value3.FALSE: ZERO, Value3.UNDEF: ZERO}
     for ci in closed:
@@ -522,7 +591,7 @@ def limiting_label_masses(ch: MarkovChain3) -> dict[Value3, Fraction]:
         if _class_period(comp, adj) != 1:
             raise PeriodicChainError(
                 "a reachable closed class is periodic; the limit may not exist")
-        pi = {comp[0]: ONE} if len(comp) == 1 else stationary_distribution(succ, comp)
+        pi = {comp[0]: ONE} if len(comp) == 1 else stationary_distribution(ch, comp)
         for s in comp:
             masses[ch.labels[s]] += absorb[ci] * pi[s]
     return masses

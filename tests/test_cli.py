@@ -90,6 +90,10 @@ def test_bad_distribution_exits_one(capsys, tmp_path):
     ("independent: a=1/2 b=1/2 z=1/2", "marginals for unknown events: ['z']"),
     ("atom {}: 1/2\natom {a}: 1/4\natom {b}: 0\natom {a b}: 0",
      "masses must sum to exactly 1"),
+    # a repeated marginal is not read as its last value
+    ("independent: a=1/2 b=1/2 a=1/3", "marginal for 'a' listed twice"),
+    # an unknown event is an input error of the file, not a KeyError
+    ("atom {}: 1/2\natom {c}: 1/2", "unknown event: 'c'"),
 ])
 def test_bad_distribution_messages(capsys, tmp_path, body, message):
     bad = tmp_path / "bad.dist"

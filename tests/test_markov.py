@@ -1,6 +1,7 @@
 """Distributions, chains, time-indexed and limiting probabilities."""
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,7 @@ from tlcond import (ProbAssignment, absorbing_solve, algebra, asymptotic,
                     minimize, parse_cond, pr_n, pr_n_ratio, pr_series)
 from tlcond import markov
 from tlcond.markov import (Block, MarkovChain3, PeriodicChainError,
-                           SingularMatrixError, _sccs, _successors,
+                           SingularMatrixError, _sccs,
                            limiting_label_masses, solve_linear,
                            stationary_distribution)
 from tlcond.syntax import EventAlgebra
@@ -20,6 +21,13 @@ from tlcond.trivalue import Value3
 from corpus import ALG_AB, CONVERGENCE_AB, CORPUS, SKEWED_AB, UNIFORM_AB
 
 F2 = Fraction(1, 2)
+
+# mixed denominators: an atom table over 6ths, 3rds and 4ths, and two
+# independent marginals over 5ths and 7ths
+MIXED_TABLE_AB = ProbAssignment(
+    ALG_AB, (Fraction(1, 6), Fraction(1, 3), Fraction(1, 4), Fraction(1, 4)))
+MIXED_INDEPENDENT_AB = ProbAssignment.independent(
+    ALG_AB, {"a": Fraction(2, 5), "b": Fraction(3, 7)})
 
 
 def _chain(text, p=UNIFORM_AB):
@@ -117,6 +125,8 @@ def test_distribution_file_gives_blocks():
     ("atom {}: 1/2\natom {a}: 1/4\natom {b}: 0\natom {a b}: 0",
      "masses must sum to exactly 1"),
     ("atom {}: 3/2\natom {a}: -1/2\natom {b}: 0\natom {a b}: 0", "negative mass"),
+    ("independent: a=1/2 b=1/2 a=1/3", "marginal for 'a' listed twice"),
+    ("atom {}: 1/2\natom {c}: 1/2", "unknown event: 'c'"),
 ])
 def test_distribution_file_errors_keep_their_messages(line, message):
     with pytest.raises(ValueError) as info:
@@ -134,6 +144,27 @@ def test_independent_line_may_name_more_events_than_a_table():
         p.mass
     with pytest.raises(ValueError, match="17 basic events exceed the limit 16"):
         ProbAssignment.from_text(f"events: {' '.join(names[:17])}\natom {{}}: 1\n")
+
+
+def test_integer_view_is_mass_times_den():
+    factored = ProbAssignment(algebra("a b c"), blocks=(
+        Block(("c", "a"), (Fraction(1, 10), Fraction(1, 5), Fraction(3, 10),
+                           Fraction(2, 5))),
+        Block(("b",), (Fraction(4, 7), Fraction(3, 7)))))
+    independent = ProbAssignment.independent(
+        algebra("a b c"), {"a": Fraction(1, 6), "b": Fraction(3, 4), "c": 0})
+    cases = [(MIXED_TABLE_AB, 12), (MIXED_INDEPENDENT_AB, 35),
+             (factored, 10 * 7), (factored.restrict(0b10), 7),
+             (factored.restrict(0b01), 10), (independent, 6 * 4 * 1),
+             (independent.restrict(0b110), 4)]
+    for p, want_den in cases:
+        den, weights = p.weights
+        assert den == want_den  # the product of the blocks' LCDs
+        assert len(weights) == p.alg.num_atoms
+        assert all(type(w) is int and w == m * den for w, m in zip(weights, p.mass))
+        for mask in range(1 << p.alg.num_atoms):
+            want = sum((m for a, m in enumerate(p.mass) if mask >> a & 1), Fraction(0))
+            assert p.of_event(mask) == want
 
 
 def test_restrict_keeps_the_marginal_of_its_blocks():
@@ -176,6 +207,67 @@ def test_rows_always_sum_to_one():
         for row in ch.trans:
             assert sum(row) == 1
         assert sum(ch.init) == 1
+
+
+def _fraction_chain(m, p):
+    """The chain as rational tables, one ``Fraction`` addition per atom and
+    per class: how ``chain_from_machine`` built it before it took integer
+    weights, kept as a reference."""
+    class_mass = [Fraction(0)] * len(m.classes)
+    for atom in range(m.alg.num_atoms):
+        class_mass[m.class_of_atom[atom]] += p.mass[atom]
+    rows = []
+    for q in list(range(m.n_states)) + [m.initial]:
+        row = [Fraction(0)] * m.n_states
+        for c, t in enumerate(m.delta[q]):
+            row[t] += class_mass[c]
+        rows.append(tuple(row))
+    return rows[-1], tuple(rows[:-1])
+
+
+def test_chain_from_machine_equals_the_fraction_reference():
+    for p in (UNIFORM_AB, SKEWED_AB, MIXED_TABLE_AB, MIXED_INDEPENDENT_AB):
+        for text, c in CORPUS:
+            m = minimize(compile_cond(c, ALG_AB))
+            ch = chain_from_machine(m, p)
+            assert (ch.init, ch.trans) == _fraction_chain(m, p), text
+            for pairs in ch.succ:  # positive weights, one pair per successor, in order
+                assert all(w > 0 for _, w in pairs), text
+                assert [t for t, _ in pairs] == sorted({t for t, _ in pairs}), text
+    # the atoms' common factor is divided out: b is not read, so the
+    # weights of the classes a and not a are over 2, not 4
+    assert _chain("(O a | true)").den == 2
+
+
+def test_hand_built_chain_round_trips_its_tables():
+    zero = Fraction(0)
+    init = (Fraction(1, 6), F2, Fraction(1, 3))
+    trans = ((Fraction(1, 4), Fraction(3, 4), zero),
+             (Fraction(2, 5), zero, Fraction(3, 5)),
+             (Fraction(1, 7), Fraction(2, 7), Fraction(4, 7)))
+    ch = MarkovChain3(init=init, trans=trans,
+                      labels=(Value3.TRUE, Value3.FALSE, Value3.UNDEF))
+    assert ch.den == lcm(6, 2, 3, 4, 5, 7)
+    assert ch.init_weights == (70, 210, 140)
+    assert ch.succ == (((0, 105), (1, 315)), ((0, 168), (2, 252)),
+                       ((0, 60), (1, 120), (2, 240)))
+    assert ch.init == init and ch.trans == trans
+    at_two = [sum(init[s] * trans[s][t] for s in range(3)) for t in range(3)]
+    assert pr_n(ch, 2) == tuple(at_two)
+    same = MarkovChain3.from_weights(ch.den, ch.init_weights, ch.succ, ch.labels)
+    assert (same.init, same.trans) == (init, trans)
+
+
+def test_chain_weights_are_checked():
+    labels = (Value3.TRUE, Value3.FALSE)
+    with pytest.raises(ValueError, match="every transition row"):
+        MarkovChain3.from_weights(4, (4, 0), (((0, 3),), ((1, 4),)), labels)
+    with pytest.raises(ValueError, match="initial distribution"):
+        MarkovChain3.from_weights(4, (3, 0), (((0, 4),), ((1, 4),)), labels)
+    with pytest.raises(ValueError, match="negative"):
+        MarkovChain3.from_weights(4, (4, 0), (((0, 5), (1, -1)), ((1, 4),)), labels)
+    with pytest.raises(ValueError, match="dimensions"):
+        MarkovChain3(init=(Fraction(1),), trans=((Fraction(1),),), labels=labels)
 
 
 def test_negative_chain_entries_rejected():
@@ -239,6 +331,39 @@ def test_pr_series_steps_through_pr_n():
     assert list(pr_series(_chain("(a|b)"), 0)) == []
 
 
+def _fraction_step(dist, succ):
+    out = [Fraction(0)] * len(dist)
+    for i, w in enumerate(dist):
+        if w:
+            for t, p in succ[i]:
+                out[t] += w * p
+    return out
+
+
+def fraction_series(ch, n):
+    """The series stepped as ``Fraction``s through the rational rows of
+    ``ch.trans``: how ``pr_series`` stepped before it took integer weights,
+    kept as a reference."""
+    succ = [[(t, w) for t, w in enumerate(row) if w] for row in ch.trans]
+    dist = list(ch.init)
+    for t in range(1, n + 1):
+        if t > 1:
+            dist = _fraction_step(dist, succ)
+        buckets = {Value3.TRUE: 0, Value3.FALSE: 0, Value3.UNDEF: 0}
+        for w, lab in zip(dist, ch.labels):
+            buckets[lab] += w
+        yield buckets[Value3.TRUE], buckets[Value3.FALSE], buckets[Value3.UNDEF]
+
+
+def test_pr_series_equals_the_fraction_reference():
+    for p in (MIXED_TABLE_AB, MIXED_INDEPENDENT_AB):
+        for text, c in CORPUS:
+            ch = chain_from_machine(minimize(compile_cond(c, ALG_AB)), p)
+            rows = list(pr_series(ch, 60))
+            assert rows == list(fraction_series(ch, 60)), text
+            assert all(type(x) is Fraction for row in rows for x in row), text
+
+
 def test_pr_n_rejects_time_zero():
     with pytest.raises(ValueError):
         pr_n(_chain("(a|b)"), 0)
@@ -287,12 +412,11 @@ def test_stationary_laws_of_corpus_closed_classes_are_fixed_points():
     for p in (UNIFORM_AB, SKEWED_AB):
         for text, c in CORPUS:
             ch = chain_from_machine(minimize(compile_cond(c, ALG_AB)), p)
-            succ = _successors(ch)
-            adj = [[t for t, _ in pairs] for pairs in succ]
+            adj = [[t for t, _ in pairs] for pairs in ch.succ]
             for comp in _sccs(ch.n_states, adj):
                 if any(t not in comp for s in comp for t in adj[s]):
                     continue  # not closed
-                pi = stationary_distribution(succ, comp)
+                pi = stationary_distribution(ch, comp)
                 assert sum(pi.values()) == 1, text
                 for t in comp:
                     assert sum(pi[s] * ch.trans[s][t] for s in comp) == pi[t], text
@@ -335,8 +459,7 @@ def test_deep_past_limits_on_large_closed_classes():
 def _full_solve_masses(ch):
     """Limiting label masses with every absorption and stationary law
     solved, as before the one-class and one-state shortcuts."""
-    succ = _successors(ch)
-    adj = [[t for t, _ in pairs] for pairs in succ]
+    adj = [[t for t, _ in pairs] for pairs in ch.succ]
     comps = _sccs(ch.n_states, adj)
     closed = [c for c in comps if all(t in c for s in c for t in adj[s])]
     transient = [s for s in range(ch.n_states) if not any(s in c for c in closed)]
@@ -352,7 +475,7 @@ def _full_solve_masses(ch):
     masses = {Value3.TRUE: 0, Value3.FALSE: 0, Value3.UNDEF: 0}
     for k, c in enumerate(closed):
         if absorb[k]:
-            pi = stationary_distribution(succ, c)
+            pi = stationary_distribution(ch, c)
             for s in c:
                 masses[ch.labels[s]] += absorb[k] * pi[s]
     return masses
@@ -364,7 +487,7 @@ def test_limit_shortcuts_equal_the_full_solve():
         for text, c in CORPUS:
             ch = chain_from_machine(minimize(compile_cond(c, ALG_AB)), p)
             assert limiting_label_masses(ch) == _full_solve_masses(ch), text
-            adj = [[t for t, _ in row] for row in _successors(ch)]
+            adj = [[t for t, _ in row] for row in ch.succ]
             closed = [comp for comp in _sccs(ch.n_states, adj)
                       if all(t in comp for s in comp for t in adj[s])]
             seen |= {(min(len(closed), 2), min(len(comp), 2)) for comp in closed}
@@ -381,7 +504,7 @@ def test_deep_past_conditional_runs_no_transient_solve(monkeypatch):
     monkeypatch.setattr(markov, "solve_linear",
                         lambda a, b: dims.append(len(a)) or solve(a, b))
     monkeypatch.setattr(markov, "absorbing_solve",
-                        lambda q, r: absorbing.append(len(q)))
+                        lambda q, r, den=1: absorbing.append(len(q)))
     alg = algebra("a")
     p = ProbAssignment.independent(alg, {"a": Fraction(2, 7)})
     c = parse_cond(f"({'Y ' * 6}a | {'Y ' * 6}true)", alg)
@@ -560,30 +683,39 @@ def dense_solve_reference(a, b):
     return [row[n:] for row in m]
 
 
-_NONZERO = st.builds(Fraction, st.sampled_from((-4, -3, -2, -1, 1, 2, 3, 4)),
-                     st.sampled_from((1, 2, 3)))
-_CELL = st.one_of(st.just(Fraction(0)), _NONZERO)
+_NUMERATORS = st.sampled_from((-4, -3, -2, -1, 1, 2, 3, 4))
+# entries over one small denominator set, Python ints, and Fractions whose
+# denominators differ within a row
+_NONZERO = {
+    "fraction": st.builds(Fraction, _NUMERATORS, st.sampled_from((1, 2, 3))),
+    "integer": st.builds(lambda x, s: x * s, _NUMERATORS, st.sampled_from((1, 5, 12))),
+    "mixed": st.builds(Fraction, _NUMERATORS, st.sampled_from((1, 2, 5, 6, 7, 12))),
+}
 
 
 @st.composite
 def linear_systems(draw):
     """Square systems with n = 1..6 and 1..3 right-hand sides: dense or
-    sparse, with a row made a multiple of another to force some singular."""
+    sparse, over Fractions, ints or rows of unequal denominators, with a row
+    made a multiple of another to force some singular."""
     n = draw(st.integers(1, 6))
     k = draw(st.integers(1, 3))
-    cell = _NONZERO if draw(st.booleans()) else _CELL
+    nonzero = _NONZERO[draw(st.sampled_from(sorted(_NONZERO)))]
+    zero = st.just(0) if nonzero is _NONZERO["integer"] else st.just(Fraction(0))
+    any_cell = st.one_of(zero, nonzero)
+    cell = nonzero if draw(st.booleans()) else any_cell
     cells = draw(st.lists(cell, min_size=n * n, max_size=n * n))
     a = [cells[i * n:(i + 1) * n] for i in range(n)]
     if n > 1 and draw(st.integers(0, 3)) == 0:
         i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
-        factor = draw(_CELL)
+        factor = draw(any_cell)
         a[i] = [factor * x for x in a[j]]
-    cells = draw(st.lists(_CELL, min_size=n * k, max_size=n * k))
+    cells = draw(st.lists(any_cell, min_size=n * k, max_size=n * k))
     b = [cells[i * k:(i + 1) * k] for i in range(n)]
     return a, b
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=400, deadline=None, derandomize=True)
 @given(linear_systems())
 def test_solve_linear_equals_dense_reference(system):
     a, b = system
@@ -595,6 +727,7 @@ def test_solve_linear_equals_dense_reference(system):
         return
     x = solve_linear(a, b)
     assert x == want
+    assert all(type(v) is Fraction for row in x for v in row)
     n, k = len(a), len(b[0])
     for i in range(n):
         for j in range(k):
