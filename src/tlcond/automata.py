@@ -64,20 +64,6 @@ class MooreMachine3:
         for atom in range(self.alg.num_atoms):
             assert self.classes[self.class_of_atom[atom]] >> atom & 1
 
-    @staticmethod
-    def from_atom_table(alg: EventAlgebra, labels: Sequence[Value3],
-                        delta_by_atom: Sequence[Sequence[int]],
-                        initial: int) -> "MooreMachine3":
-        """Build a machine from a full state x atom transition table."""
-        classes, class_of_atom, cols = _classes_from_columns(
-            alg.num_atoms,
-            ((tuple(row[atom] for row in delta_by_atom), 1 << atom)
-             for atom in range(alg.num_atoms)))
-        delta = [[col[q] for col in cols] for q in range(len(delta_by_atom))]
-        m = MooreMachine3(alg, initial, list(labels), delta, classes, class_of_atom)
-        m.validate()
-        return m
-
 
 def _lowest_atom(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
@@ -112,34 +98,24 @@ def _classes_from_columns(num_atoms: int, keyed_masks: Iterable[tuple]
 
 def event_mask(f: TLFormula, alg: EventAlgebra) -> int:
     """The set of atoms (bitmask) at which a present-tense formula holds."""
-    full = alg.full_event
-    holds = []  # event index -> atoms in which the event holds
-    for i in range(len(alg.events)):
-        run = 1 << i  # atoms come in alternating runs of this length
-        mask, width = ((1 << run) - 1) << run, 2 * run
-        while width < alg.num_atoms:
-            mask |= mask << width
-            width *= 2
-        holds.append(mask)
-
-    def rec(x: TLFormula) -> int:
+    subs = subformulas([f])
+    index = {x: i for i, x in enumerate(subs)}
+    vals: list[int] = []  # subformula index -> its atom set
+    for x in subs:
         if isinstance(x, Atom):
-            return holds[alg.index(x.name)]
-        if isinstance(x, Const):
-            return full if x.value else 0
-        if isinstance(x, Not):
-            return full ^ rec(x.child)
-        if isinstance(x, And):
-            return rec(x.left) & rec(x.right)
-        if isinstance(x, Or):
-            return rec(x.left) | rec(x.right)
-        if isinstance(x, Implies):
-            return (full ^ rec(x.left)) | rec(x.right)
-        if isinstance(x, Iff):
-            return full ^ rec(x.left) ^ rec(x.right)
-        raise ValueError(f"not a present-tense formula: {x!r}")
-
-    return rec(f)
+            run = 1 << alg.index(x.name)  # atoms alternate in runs this long
+            mask, width = ((1 << run) - 1) << run, 2 * run
+            while width < alg.num_atoms:
+                mask |= mask << width
+                width *= 2
+            vals.append(mask)
+        elif isinstance(x, Const):
+            vals.append(alg.full_event if x.value else 0)
+        elif isinstance(x, (Prev, Since)):
+            raise ValueError(f"not a present-tense formula: {x!r}")
+        else:
+            vals.append(_step(x, index, {}, alg.full_event)(vals, 0))
+    return vals[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -160,20 +136,25 @@ def event_mask(f: TLFormula, alg: EventAlgebra) -> int:
 # which all of these agree form one letter class, and each of them is a leaf
 # whose value is a fixed set of classes.  A step computes every other
 # subformula's value on all classes at once, as a bitmask over class
-# indices, with one closure per subformula.  The classes that lead to one
-# successor are then found by splitting the three label masks by each
-# remembered subformula's mask.
+# indices, with one closure per subformula.  A state's key is one int: its
+# label's code in the low two bits and, above them, bit s set when remembered
+# subformula s holds, so the key shifted right by two is the memory.  The
+# classes that lead to one successor are found by splitting the three label
+# masks by each remembered mask that differs between classes; a remembered
+# subformula that holds on every class sets its bit once for all of them.
+
+_LABELS = (Value3.UNDEF, Value3.TRUE, Value3.FALSE)  # label code -> value
 
 
 def _step(f, index: dict, slot: dict, full: int):
     """The closure computing ``f``'s class mask from the masks of the
-    subformulas before it and the remembered masks (``full`` or 0)."""
+    subformulas before it and the memory (an int, bit s for slot s)."""
     if isinstance(f, Not):
         a = index[f.child]
         return lambda vals, mem: full ^ vals[a]
     if isinstance(f, Prev):
         s = slot[index[f.child]]
-        return lambda vals, mem: mem[s]
+        return lambda vals, mem: -(mem >> s & 1) & full
     a, b = index[f.left], index[f.right]
     if isinstance(f, And):
         return lambda vals, mem: vals[a] & vals[b]
@@ -184,7 +165,7 @@ def _step(f, index: dict, slot: dict, full: int):
     if isinstance(f, Iff):
         return lambda vals, mem: full ^ vals[a] ^ vals[b]
     s = slot[index[f]]  # Since
-    return lambda vals, mem: vals[b] | (vals[a] & mem[s])
+    return lambda vals, mem: vals[b] | (vals[a] & -(mem >> s & 1))
 
 
 def compile_cond(c: CondObject, alg: EventAlgebra) -> MooreMachine3:
@@ -216,30 +197,33 @@ def compile_cond(c: CondObject, alg: EventAlgebra) -> MooreMachine3:
     remembered = sorted({index[f.child] for f in subs if isinstance(f, Prev)}
                         | {i for i, f in enumerate(subs) if isinstance(f, Since)})
     slot = {i: s for s, i in enumerate(remembered)}
+    slots = [(4 << s, i) for s, i in enumerate(remembered)]  # (key bit, index)
     leaf_mask = {i: sum(1 << k for k, key in enumerate(class_keys) if key[j])
                  for j, i in enumerate(leaf_order)}
     steps = [(lambda vals, mem, mask=leaf_mask[i]: mask) if i in leaf_mask
              else _step(f, index, slot, full) for i, f in enumerate(subs)]
     num_idx, den_idx = index[c.num], index[c.den]
 
-    def successors(mem: tuple) -> list[tuple[tuple, int]]:
-        """(successor key, class mask) pairs of a state with memory ``mem``.
-
-        A key is the label followed by the remembered masks, each ``full``
-        (true) or 0 (false), so the key's tail is the successor's memory."""
+    def successors(mem: int) -> list[tuple[int, int]]:
+        """(successor key, class mask) pairs of a state with memory ``mem``,
+        in the order of their lowest class."""
         vals: list[int] = []
         for step in steps:
             vals.append(step(vals, mem))
         den, num = vals[den_idx], vals[num_idx]
-        parts = [((label,), mask) for label, mask in
-                 ((Value3.UNDEF, full ^ den), (Value3.TRUE, den & num),
-                  (Value3.FALSE, den & ~num)) if mask]
-        for i in remembered:
+        parts = [(code, mask) for code, mask in  # codes index _LABELS
+                 ((0, full ^ den), (1, den & num), (2, den & ~num)) if mask]
+        held = 0  # the remembered subformulas that hold on every class
+        for bit, i in slots:
             value = vals[i]
-            parts = [(key + (held,), part) for key, mask in parts
-                     for held, part in ((full, mask & value),
-                                       (0, mask & ~value)) if part]
-        return parts
+            if value == full:
+                held |= bit
+            elif value:
+                parts = [(k, part) for key, mask in parts
+                         for k, part in ((key | bit, mask & value),
+                                         (key, mask & ~value)) if part]
+        parts.sort(key=lambda kv: kv[1] & -kv[1])
+        return [(key | held, mask) for key, mask in parts]
 
     # states are numbered as they are discovered, each state's successors in
     # the order of their lowest class: breadth-first in class order, the
@@ -247,16 +231,15 @@ def compile_cond(c: CondObject, alg: EventAlgebra) -> MooreMachine3:
     # differ only in label, so a memory is expanded once: when a later state
     # has it, its successors are already numbered and its row is reused.
     states: list = [None]  # the start state, read as the all-false memory
-    state_ids = {None: 0}
+    state_ids: dict = {None: 0}
     delta: list[list[int]] = []
-    rows: dict = {}  # memory -> row
-    q = 0
-    while q < len(states):
-        mem = states[q][1:] if q else (0,) * len(remembered)
+    rows: dict[int, list[int]] = {}  # memory -> row
+    for key in states:  # states grows while it is read
+        mem = 0 if key is None else key >> 2
         row = rows.get(mem)
         if row is None:
             row = rows[mem] = [0] * len(classes)
-            for nxt, mask in sorted(successors(mem), key=lambda kv: kv[1] & -kv[1]):
+            for nxt, mask in successors(mem):
                 tid = state_ids.get(nxt)
                 if tid is None:
                     tid = state_ids[nxt] = len(states)
@@ -266,9 +249,8 @@ def compile_cond(c: CondObject, alg: EventAlgebra) -> MooreMachine3:
                     row[low.bit_length() - 1] = tid
                     mask ^= low
         delta.append(list(row))
-        q += 1
 
-    labels = [Value3.UNDEF] + [key[0] for key in states[1:]]
+    labels = [Value3.UNDEF] + [_LABELS[key & 3] for key in states[1:]]
     m = MooreMachine3(alg, 0, labels, delta, classes, class_of_atom)
     m.validate()
     return m
@@ -339,10 +321,9 @@ def product(ms: Sequence[MooreMachine3],
 def minimize(m: MooreMachine3) -> MooreMachine3:
     n = m.n_states
     entered = m.initial_is_entered
-    states = list(range(n))
-    consider = states if entered else [q for q in states if q != m.initial]
+    consider = [q for q in range(n) if entered or q != m.initial]
 
-    block: dict[int, int] = {}
+    block = [-1] * n  # state -> block; -1 for a start state not considered
     label_ids: dict[Value3, int] = {}
     for q in consider:
         block[q] = label_ids.setdefault(m.labels[q], len(label_ids))
@@ -350,14 +331,13 @@ def minimize(m: MooreMachine3) -> MooreMachine3:
 
     while True:
         sig_ids: dict = {}
-        new_block: dict[int, int] = {}
+        new_block = [-1] * n
         for q in consider:
             sig = (block[q], tuple(map(block.__getitem__, m.delta[q])))
             new_block[q] = sig_ids.setdefault(sig, len(sig_ids))
-        if len(sig_ids) == n_blocks:
-            block = new_block
-            break
         block = new_block
+        if len(sig_ids) == n_blocks:
+            break
         n_blocks = len(sig_ids)
 
     reps: list[int] = [-1] * n_blocks

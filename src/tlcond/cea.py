@@ -226,16 +226,17 @@ def _require_flat(e: CeaExpr):
         raise ValueError("expression has variable leaves; events required")
 
 
+_FORMULA_OF = {CeaNeg: Not, CeaAnd: And, CeaOr: Or}
+
+
 def _map_leaves(e: CeaExpr, leaf: Callable[[CeaSimple], TLFormula]) -> TLFormula:
-    if isinstance(e, CeaSimple):
-        return leaf(e)
-    if isinstance(e, CeaNeg):
-        return Not(_map_leaves(e.child, leaf))
-    if isinstance(e, CeaAnd):
-        return And(_map_leaves(e.left, leaf), _map_leaves(e.right, leaf))
-    if isinstance(e, CeaOr):
-        return Or(_map_leaves(e.left, leaf), _map_leaves(e.right, leaf))
-    raise TypeError(f"unexpected node in a flat expression: {e!r}")
+    """A flat expression's formula: ``leaf`` of each simple conditional, and
+    not/and/or for ~/and/or; built children first, without recursion."""
+    out: dict[int, TLFormula] = {}  # id(node) -> its formula
+    for x in reversed([x for x in walk(e) if isinstance(x, CeaExpr)]):
+        out[id(x)] = leaf(x) if isinstance(x, CeaSimple) else _FORMULA_OF[type(x)](
+            *(out[id(y)] for y in children(x)))
+    return out[id(e)]
 
 
 def embed_ps(e: CeaExpr, which: Embedding) -> CondObject:

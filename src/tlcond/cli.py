@@ -18,7 +18,7 @@ from typing import Optional
 from . import cea
 from .automata import compile_cond, is_counter_free, minimize, to_dot
 from .markov import (PeriodicChainError, ProbAssignment, chain_from_machine,
-                     check_time_index, pr_series)
+                     check_time_index, label_weights)
 from .syntax import (_KEYWORDS, FACTORED_EVENT_LIMIT, EventAlgebra, ParseError,
                      algebra, formula_events, parse_cea, parse_cond)
 
@@ -117,10 +117,17 @@ def cmd_series(args) -> int:
     ch = chain_from_machine(
         minimize(_expr_machine(args.cea, args.embedding, e, p.alg)), p)
     print("n,p1,p0,pbot,ratio")
-    for n, (p1, p0, pbot) in enumerate(pr_series(ch, args.n), 1):
-        ratio = "undef" if p1 + p0 == 0 else p1 / (p1 + p0)
+    for n, (p1, p0, pbot, ratio) in enumerate(series_rows(ch, args.n), 1):
         print(f"{n},{p1},{p0},{pbot},{ratio}")
     return OK
+
+
+def series_rows(ch, n: int):
+    """(p1, p0, pbot, ratio) at times 1..n, each one ``Fraction`` of the
+    label weights; the ratio is "undef" when p1 + p0 = 0."""
+    for scale, w1, w0, wbot in label_weights(ch, n):
+        yield (Fraction(w1, scale), Fraction(w0, scale), Fraction(wbot, scale),
+               Fraction(w1, w1 + w0) if w1 + w0 else "undef")
 
 
 def cmd_machine(args) -> int:

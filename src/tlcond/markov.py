@@ -310,10 +310,10 @@ def _step(dist: list[int], succ: Sequence[Sequence[tuple[int, int]]]) -> list[in
     return out
 
 
-def pr_series(ch: MarkovChain3, n: int
-              ) -> Iterator[tuple[Fraction, Fraction, Fraction]]:
-    """(Pr value 1, Pr value 0, Pr undefined) at times 1..n, stepping the
-    integer state weights once per time; at time t they are over den^t."""
+def label_weights(ch: MarkovChain3, n: int) -> Iterator[tuple[int, int, int, int]]:
+    """(den^t, weight of value 1, of value 0, of undefined) at times
+    t = 1..n, the probabilities over den^t; the integer state weights are
+    stepped once per time."""
     by_label = [[s for s, lab in enumerate(ch.labels) if lab is v]
                 for v in (Value3.TRUE, Value3.FALSE, Value3.UNDEF)]
     dist, scale = list(ch.init_weights), ch.den
@@ -321,9 +321,14 @@ def pr_series(ch: MarkovChain3, n: int
         if t > 1:
             dist = _step(dist, ch.succ)
             scale *= ch.den
-        p1, p0, pbot = (Fraction(sum(dist[s] for s in states), scale)
-                        for states in by_label)
-        yield p1, p0, pbot
+        yield scale, *[sum(map(dist.__getitem__, states)) for states in by_label]
+
+
+def pr_series(ch: MarkovChain3, n: int
+              ) -> Iterator[tuple[Fraction, Fraction, Fraction]]:
+    """(Pr value 1, Pr value 0, Pr undefined) at times 1..n."""
+    for scale, *weights in label_weights(ch, n):
+        yield tuple(Fraction(w, scale) for w in weights)
 
 
 def check_time_index(n: int) -> None:

@@ -12,12 +12,13 @@ parser:
 
 The bar ``|`` appears only immediately inside a parenthesized group at its
 lowest precedence, so it never clashes with disjunction (spelled ``or``).
-Parsing and the tree walks here use explicit stacks, so no depth of nesting
-exhausts Python's recursion limit.
+Parsing and the tree walks here, except the pretty-printer, use explicit
+stacks, so no depth of nesting exhausts Python's recursion limit.
 """
 from __future__ import annotations
 
 import re
+import weakref
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
@@ -83,9 +84,6 @@ class EventAlgebra:
         except ValueError:
             raise KeyError(f"unknown event: {name!r}") from None
 
-    def atom_has(self, atom: int, name: str) -> bool:
-        return bool(atom >> self.index(name) & 1)
-
     def atom_text(self, atom: int) -> str:
         present = [e for i, e in enumerate(self.events) if atom >> i & 1]
         return "{" + " ".join(present) + "}"
@@ -102,58 +100,79 @@ def algebra(names: str | tuple[str, ...] | list[str]) -> EventAlgebra:
 # Temporal formulas
 
 
+_INTERNED = weakref.WeakValueDictionary()  # (class, *fields) -> the formula
+
+
 class TLFormula:
-    __slots__ = ()
+    """A temporal formula.  Every node is built through one weak intern
+    table keyed on its class and fields, so equal formulas are one object:
+    ``==`` and ``hash`` are identity, O(1) at any depth."""
+
+    __slots__ = ("__weakref__",)
+    _fields: tuple[str, ...] = ()
+
+    def __new__(cls, *args, **kwargs):
+        fields = cls._fields
+        if kwargs:
+            args += tuple(kwargs.pop(name) for name in fields[len(args):]
+                          if name in kwargs)
+        if kwargs or len(args) != len(fields):
+            raise TypeError(f"{cls.__name__}() takes the fields {', '.join(fields)}")
+        key = (cls, *args)
+        f = _INTERNED.get(key)
+        if f is None:
+            f = _INTERNED[key] = object.__new__(cls)
+            for name, value in zip(fields, args):
+                object.__setattr__(f, name, value)
+        return f
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(" + ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self._fields) + ")"
 
 
-@dataclass(frozen=True)
 class Atom(TLFormula):
-    name: str
+    __slots__ = _fields = ("name",)
 
 
-@dataclass(frozen=True)
 class Const(TLFormula):
-    value: bool
+    __slots__ = _fields = ("value",)
 
 
-@dataclass(frozen=True)
 class Not(TLFormula):
-    child: TLFormula
+    __slots__ = _fields = ("child",)
 
 
-@dataclass(frozen=True)
 class And(TLFormula):
-    left: TLFormula
-    right: TLFormula
+    __slots__ = _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Or(TLFormula):
-    left: TLFormula
-    right: TLFormula
+    __slots__ = _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Implies(TLFormula):
-    left: TLFormula
-    right: TLFormula
+    __slots__ = _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Iff(TLFormula):
-    left: TLFormula
-    right: TLFormula
+    __slots__ = _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Prev(TLFormula):
-    child: TLFormula
+    __slots__ = _fields = ("child",)
 
 
-@dataclass(frozen=True)
 class Since(TLFormula):
-    left: TLFormula
-    right: TLFormula
+    __slots__ = _fields = ("left", "right")
 
 
 TRUE = Const(True)
@@ -275,17 +294,15 @@ def subformulas(forms: Sequence[TLFormula]) -> list[TLFormula]:
     """Distinct subformulas of ``forms``, each after its children."""
     seen: set[TLFormula] = set()
     out: list[TLFormula] = []
-
-    def walk(f: TLFormula):
-        if f in seen:
-            return
-        for x in children(f):
-            walk(x)
-        seen.add(f)
-        out.append(f)
-
-    for f in forms:
-        walk(f)
+    todo = [(f, False) for f in reversed(forms)]
+    while todo:
+        f, expanded = todo.pop()
+        if expanded:
+            out.append(f)
+        elif f not in seen:
+            seen.add(f)
+            todo.append((f, True))
+            todo += [(x, False) for x in reversed(children(f))]
     return out
 
 
@@ -591,6 +608,10 @@ def _check_dialect(e: CeaExpr, dialect: str):
 # and "historically" patterns are re-sugared to O/H.
 
 _LVL_IFF, _LVL_IMP, _LVL_SINCE, _LVL_OR, _LVL_AND, _LVL_UN, _LVL_ATOM = range(1, 8)
+# infix node -> (operator, level, levels more that its left and right need)
+_TL_INFIX = {Iff: (" <-> ", _LVL_IFF, 0, 1), Implies: (" -> ", _LVL_IMP, 1, 0),
+             Since: (" S ", _LVL_SINCE, 0, 1), Or: (" or ", _LVL_OR, 0, 1),
+             And: (" and ", _LVL_AND, 0, 1)}
 
 
 def _tl_text(f: TLFormula) -> tuple[str, int]:
@@ -605,24 +626,12 @@ def _tl_text(f: TLFormula) -> tuple[str, int]:
         return "not " + _tl_wrap(inner, _LVL_UN), _LVL_UN
     if isinstance(f, Prev):
         return "Y " + _tl_wrap(f.child, _LVL_UN), _LVL_UN
-    if isinstance(f, Since):
-        if f.left == TRUE:
-            return "O " + _tl_wrap(f.right, _LVL_UN), _LVL_UN
-        return (_tl_wrap(f.left, _LVL_SINCE) + " S " + _tl_wrap(f.right, _LVL_SINCE + 1),
-                _LVL_SINCE)
-    if isinstance(f, And):
-        return (_tl_wrap(f.left, _LVL_AND) + " and " + _tl_wrap(f.right, _LVL_AND + 1),
-                _LVL_AND)
-    if isinstance(f, Or):
-        return (_tl_wrap(f.left, _LVL_OR) + " or " + _tl_wrap(f.right, _LVL_OR + 1),
-                _LVL_OR)
-    if isinstance(f, Implies):
-        return (_tl_wrap(f.left, _LVL_IMP + 1) + " -> " + _tl_wrap(f.right, _LVL_IMP),
-                _LVL_IMP)
-    if isinstance(f, Iff):
-        return (_tl_wrap(f.left, _LVL_IFF) + " <-> " + _tl_wrap(f.right, _LVL_IFF + 1),
-                _LVL_IFF)
-    raise TypeError(f"not a temporal formula: {f!r}")
+    if isinstance(f, Since) and f.left is TRUE:
+        return "O " + _tl_wrap(f.right, _LVL_UN), _LVL_UN
+    if type(f) not in _TL_INFIX:
+        raise TypeError(f"not a temporal formula: {f!r}")
+    op, level, left, right = _TL_INFIX[type(f)]
+    return _tl_wrap(f.left, level + left) + op + _tl_wrap(f.right, level + right), level
 
 
 def _tl_wrap(f: TLFormula, min_level: int) -> str:
@@ -642,12 +651,9 @@ def _cea_text(e: CeaExpr) -> tuple[str, int]:
         return e.name, _CLVL_ATOM
     if isinstance(e, CeaNeg):
         return "~" + _cea_wrap(e.child, _CLVL_NEG), _CLVL_NEG
-    if isinstance(e, CeaAnd):
-        return (_cea_wrap(e.left, _CLVL_AND) + " and " + _cea_wrap(e.right, _CLVL_AND + 1),
-                _CLVL_AND)
-    if isinstance(e, CeaOr):
-        return (_cea_wrap(e.left, _CLVL_OR) + " or " + _cea_wrap(e.right, _CLVL_OR + 1),
-                _CLVL_OR)
+    if isinstance(e, (CeaAnd, CeaOr)):
+        op, level = (" and ", _CLVL_AND) if isinstance(e, CeaAnd) else (" or ", _CLVL_OR)
+        return _cea_wrap(e.left, level) + op + _cea_wrap(e.right, level + 1), level
     raise TypeError(f"not a conditional expression node: {e!r}")
 
 

@@ -1,10 +1,13 @@
-"""Hand-built expected machines shared by the automata and acceptance suites,
-a per-leaf product reference for the first interpretation, and fixed DOT
-texts of minimized compiled machines."""
+"""Machines built from full transition tables, hand-built expected machines
+shared by the automata and acceptance suites, a per-leaf product reference
+for the first interpretation, fixed DOT texts of minimized compiled
+machines, and a tuple-keyed compiler that ``compile_cond`` must agree with
+field for field."""
 from tlcond import (CeaAnd, CeaNeg, CeaOr, CeaSimple, CondObject, TRUE, Value3,
                     algebra, compile_cond, first_resolution, minimize, product)
-from tlcond.automata import MooreMachine3
-from tlcond.syntax import collect_simples
+from tlcond.automata import MooreMachine3, _classes_from_columns, event_mask
+from tlcond.syntax import (And, EventAlgebra, Iff, Implies, Not, Or, Prev,
+                           Since, children, collect_simples, subformulas)
 
 F, T = Value3.FALSE, Value3.TRUE
 
@@ -12,11 +15,23 @@ ALG_AB = algebra("a b")
 ALG_ABCD = algebra("a b c d")
 
 
+def machine_from_atom_table(alg, labels, delta_by_atom, initial) -> MooreMachine3:
+    """Build a machine from a full state x atom transition table."""
+    classes, class_of_atom, cols = _classes_from_columns(
+        alg.num_atoms,
+        ((tuple(row[atom] for row in delta_by_atom), 1 << atom)
+         for atom in range(alg.num_atoms)))
+    delta = [[col[q] for col in cols] for q in range(len(delta_by_atom))]
+    m = MooreMachine3(alg, initial, list(labels), delta, classes, class_of_atom)
+    m.validate()
+    return m
+
+
 def expected_first_machine() -> MooreMachine3:
     """The three-state machine of the first-resolution conditional on (a|b):
     a waiting state looping while b is absent, and two absorbing outcomes."""
     # atoms over {a, b}: 0 = {}, 1 = {a}, 2 = {b}, 3 = {a b}
-    return MooreMachine3.from_atom_table(
+    return machine_from_atom_table(
         ALG_AB,
         labels=[F, T, F],
         delta_by_atom=[[0, 0, 2, 1], [1, 1, 1, 1], [2, 2, 2, 2]],
@@ -46,7 +61,7 @@ def expected_conjunction_machine() -> MooreMachine3:
         return state  # M and W absorb
 
     table = [[target(s, atom) for atom in range(16)] for s in range(5)]
-    return MooreMachine3.from_atom_table(
+    return machine_from_atom_table(
         ALG_ABCD, labels=[F, F, F, F, T], delta_by_atom=table, initial=I)
 
 
@@ -85,7 +100,7 @@ def assert_first_machine_shape(raw: MooreMachine3, n_leaves: int) -> None:
 
 def two_cycle_machine() -> MooreMachine3:
     alg = algebra("a")
-    return MooreMachine3.from_atom_table(
+    return machine_from_atom_table(
         alg, labels=[F, T], delta_by_atom=[[1, 1], [0, 0]], initial=0)
 
 
@@ -308,3 +323,113 @@ digraph "machine" {
   q3 -> q3 [label="!b"];
 }"""),
 ]
+
+
+def _reference_step(f, index: dict, slot: dict, full: int):
+    """The closure computing ``f``'s class mask from the masks of the
+    subformulas before it and the remembered masks (``full`` or 0)."""
+    if isinstance(f, Not):
+        a = index[f.child]
+        return lambda vals, mem: full ^ vals[a]
+    if isinstance(f, Prev):
+        s = slot[index[f.child]]
+        return lambda vals, mem: mem[s]
+    a, b = index[f.left], index[f.right]
+    if isinstance(f, And):
+        return lambda vals, mem: vals[a] & vals[b]
+    if isinstance(f, Or):
+        return lambda vals, mem: vals[a] | vals[b]
+    if isinstance(f, Implies):
+        return lambda vals, mem: (full ^ vals[a]) | vals[b]
+    if isinstance(f, Iff):
+        return lambda vals, mem: full ^ vals[a] ^ vals[b]
+    s = slot[index[f]]  # Since
+    return lambda vals, mem: vals[b] | (vals[a] & mem[s])
+
+
+def compile_cond_reference(c: CondObject, alg: EventAlgebra) -> MooreMachine3:
+    """The memory-keyed compiler with tuple state keys and per-memory
+    splitting of label masks, kept as a reference for ``compile_cond``."""
+    # a step computes each subformula over Y or S (its ancestors are too)
+    # and reads the maximal present-tense ones, the leaves, as class sets
+    subs = subformulas([c.num, c.den])
+    present: set = set()
+    for f in subs:
+        if not isinstance(f, (Prev, Since)) and all(
+                x in present for x in children(f)):
+            present.add(f)
+    leaves = present & ({c.num, c.den} | {x for f in subs if f not in present
+                                          for x in children(f)})
+    subs = [f for f in subs if f not in present or f in leaves]
+    index = {f: i for i, f in enumerate(subs)}
+    leaf_order = [i for i, f in enumerate(subs) if f in leaves]
+
+    # atoms split by every leaf's value; a class's key holds the leaf values
+    parts = [((), alg.full_event)]
+    for i in leaf_order:
+        holds = event_mask(subs[i], alg)
+        parts = [(key + (bit,), part) for key, mask in parts
+                 for bit, part in ((1, mask & holds), (0, mask & ~holds)) if part]
+    classes, class_of_atom, class_keys = _classes_from_columns(alg.num_atoms,
+                                                               parts)
+    full = (1 << len(classes)) - 1
+
+    remembered = sorted({index[f.child] for f in subs if isinstance(f, Prev)}
+                        | {i for i, f in enumerate(subs) if isinstance(f, Since)})
+    slot = {i: s for s, i in enumerate(remembered)}
+    leaf_mask = {i: sum(1 << k for k, key in enumerate(class_keys) if key[j])
+                 for j, i in enumerate(leaf_order)}
+    steps = [(lambda vals, mem, mask=leaf_mask[i]: mask) if i in leaf_mask
+             else _reference_step(f, index, slot, full) for i, f in enumerate(subs)]
+    num_idx, den_idx = index[c.num], index[c.den]
+
+    def successors(mem: tuple) -> list[tuple[tuple, int]]:
+        """(successor key, class mask) pairs of a state with memory ``mem``.
+
+        A key is the label followed by the remembered masks, each ``full``
+        (true) or 0 (false), so the key's tail is the successor's memory."""
+        vals: list[int] = []
+        for step in steps:
+            vals.append(step(vals, mem))
+        den, num = vals[den_idx], vals[num_idx]
+        parts = [((label,), mask) for label, mask in
+                 ((Value3.UNDEF, full ^ den), (Value3.TRUE, den & num),
+                  (Value3.FALSE, den & ~num)) if mask]
+        for i in remembered:
+            value = vals[i]
+            parts = [(key + (held,), part) for key, mask in parts
+                     for held, part in ((full, mask & value),
+                                       (0, mask & ~value)) if part]
+        return parts
+
+    # states are numbered as they are discovered, each state's successors in
+    # the order of their lowest class: breadth-first in class order, the
+    # numbering that minimize gives its output.  States with one memory
+    # differ only in label, so a memory is expanded once: when a later state
+    # has it, its successors are already numbered and its row is reused.
+    states: list = [None]  # the start state, read as the all-false memory
+    state_ids = {None: 0}
+    delta: list[list[int]] = []
+    rows: dict = {}  # memory -> row
+    q = 0
+    while q < len(states):
+        mem = states[q][1:] if q else (0,) * len(remembered)
+        row = rows.get(mem)
+        if row is None:
+            row = rows[mem] = [0] * len(classes)
+            for nxt, mask in sorted(successors(mem), key=lambda kv: kv[1] & -kv[1]):
+                tid = state_ids.get(nxt)
+                if tid is None:
+                    tid = state_ids[nxt] = len(states)
+                    states.append(nxt)
+                while mask:
+                    low = mask & -mask
+                    row[low.bit_length() - 1] = tid
+                    mask ^= low
+        delta.append(list(row))
+        q += 1
+
+    labels = [Value3.UNDEF] + [key[0] for key in states[1:]]
+    m = MooreMachine3(alg, 0, labels, delta, classes, class_of_atom)
+    m.validate()
+    return m

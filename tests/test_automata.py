@@ -3,17 +3,22 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tlcond import (ConnectiveId, Value3, algebra, apply_binary, canonical_key,
+from tlcond import (And, Atom, CondObject, ConnectiveId, FALSE, Iff, Implies,
+                    Not, Or, Prev, Since, TRUE, Value3, algebra, apply_binary, canonical_key,
                     compile_cond, cond_output, embed_ps, event_text,
                     is_counter_free, isomorphic, minimize, parse_cea,
                     parse_cond, pretty, product, to_dot, word)
 from tlcond.automata import MonoidSizeError, MooreMachine3
 from tlcond.cea import first_machine
+from tlcond.syntax import hist, once
 
 from corpus import ALG_AB, CORPUS
 from machines import (MINIMAL_DOTS, assert_first_machine_shape,
-                      expected_conjunction_machine, expected_first_machine,
+                      compile_cond_reference, expected_conjunction_machine,
+                      expected_first_machine, machine_from_atom_table,
                       two_cycle_machine)
 from walkers import outputs_match_everywhere
 
@@ -199,6 +204,42 @@ def test_compiled_machine_is_numbered_canonically():
             (r.initial, r.labels, r.delta, r.classes, r.class_of_atom), text
 
 
+def _fields(m: MooreMachine3) -> tuple:
+    return m.initial, m.labels, m.delta, m.classes, m.class_of_atom
+
+
+def _formulas(events: str):
+    leaves = st.sampled_from([Atom(e) for e in events.split()] + [TRUE, FALSE])
+    return st.recursive(leaves, lambda sub: st.one_of(
+        *(st.builds(node, sub) for node in (Not, Prev, once, hist)),
+        *(st.builds(node, sub, sub) for node in (And, Or, Implies, Iff, Since))),
+        max_leaves=8)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(*(st.tuples(st.just(algebra(events)),
+                             st.builds(CondObject, _formulas(events),
+                                       _formulas(events)))
+                   for events in ("a b", "a b c"))))
+def test_random_machines_equal_the_reference_compilers(alg_and_cond):
+    alg, c = alg_and_cond
+    assert _fields(compile_cond(c, alg)) == \
+        _fields(compile_cond_reference(c, alg)), pretty(c)
+
+
+def test_corpus_ps_and_deep_past_machines_equal_the_reference_compilers():
+    cases = [(c, ALG_AB) for _, c in CORPUS]
+    cases += [_ps_ladder(k, embedding) for k in (1, 2, 3)
+              for embedding in ("first", "reverse", "sparse")]
+    for d in range(1, 7):
+        for second in range(d + 1):
+            num = "Y " * d + "a" + (" and " + "Y " * second + "b" if second else "")
+            cases.append((parse_cond(f"({num} | {'Y ' * d}true)", ALG_AB), ALG_AB))
+    for c, alg in cases:
+        assert _fields(compile_cond(c, alg)) == \
+            _fields(compile_cond_reference(c, alg)), pretty(c)
+
+
 # ---------------------------------------------------------------------------
 # Products
 
@@ -303,7 +344,7 @@ def test_alternation_conditional_has_one_state_per_value():
     m = minimize(compile_cond(c, one))
     # atoms over {a}: 0 = {}, 1 = {a}; states: after-odd (1), after-even (0),
     # broken (bottom); the start behaves like after-even
-    expected = MooreMachine3.from_atom_table(
+    expected = machine_from_atom_table(
         one,
         labels=[F, T, U],
         delta_by_atom=[[2, 1], [0, 2], [2, 2]],

@@ -139,6 +139,21 @@ def test_ps_conjunction_of_ten_with_an_independent_file(capsys, tmp_path):
     assert (code, err) == (1, "error: 20 basic events exceed the limit 16\n")
 
 
+DEEP = 10_000
+
+
+@pytest.mark.parametrize("argv, out", [
+    (("--expr", "(" + "not " * DEEP + "a | true)"), "1/2 (0.500000000000)\n"),
+    (("--expr", "(" + "not " * DEEP + "a | " + "not " * DEEP + "a)"),
+     "1 (1.000000000000)\n"),
+    (("--cea", "ps", "--expr", "~" * DEEP + "(a|b)"), "1/2 (0.500000000000)\n"),
+    (("--cea", "ps", "--embedding", "sparse", "--expr", "~" * DEEP + "(a|b)"),
+     "1/2 (0.500000000000)\n"),
+], ids=["negated numerator", "equal deep sides", "ps tildes", "ps sparse tildes"])
+def test_deep_input_answers(capsys, argv, out):
+    assert run(capsys, "prob", *argv) == (0, out, "")
+
+
 # ---------------------------------------------------------------------------
 # series
 

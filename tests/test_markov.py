@@ -355,6 +355,16 @@ def fraction_series(ch, n):
         yield buckets[Value3.TRUE], buckets[Value3.FALSE], buckets[Value3.UNDEF]
 
 
+def test_cli_series_rows_equal_the_fraction_reference():
+    from tlcond.cli import series_rows
+    for p in (MIXED_TABLE_AB, MIXED_INDEPENDENT_AB):
+        for text, c in CORPUS:
+            ch = chain_from_machine(minimize(compile_cond(c, ALG_AB)), p)
+            old = [(p1, p0, pbot, "undef" if p1 + p0 == 0 else p1 / (p1 + p0))
+                   for p1, p0, pbot in fraction_series(ch, 60)]
+            assert list(series_rows(ch, 60)) == old, text
+
+
 def test_pr_series_equals_the_fraction_reference():
     for p in (MIXED_TABLE_AB, MIXED_INDEPENDENT_AB):
         for text, c in CORPUS:
@@ -560,7 +570,7 @@ def test_limit_agrees_with_iterated_distribution_on_random_machines():
     """On random machines (arbitrary labels and transitions) the exact
     limiting masses are a fixed point of the transition matrix and match a
     long float-iterated distribution, whenever the limit exists."""
-    from tlcond.automata import MooreMachine3
+    from machines import machine_from_atom_table
     from tlcond.trivalue import Value3 as V
 
     rng = random.Random(51)
@@ -571,7 +581,7 @@ def test_limit_agrees_with_iterated_distribution_on_random_machines():
         labels = [rng.choice((V.FALSE, V.TRUE, V.UNDEF)) for _ in range(n)]
         table = [[rng.randrange(n) for _ in range(alg.num_atoms)]
                  for _ in range(n)]
-        m = MooreMachine3.from_atom_table(alg, labels, table, initial=0)
+        m = machine_from_atom_table(alg, labels, table, initial=0)
         p = _random_dist_local(rng, alg)
         ch = chain_from_machine(m, p)
         try:

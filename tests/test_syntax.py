@@ -1,6 +1,8 @@
 """Grammar, ASTs and the pretty-printer round trip."""
+import copy
 import gc
 import importlib
+import pickle
 import random
 import sys
 import weakref
@@ -10,10 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tlcond import (And, Atom, CeaAnd, CeaCond, CeaNeg, CeaOr, CeaSimple,
-                    CeaVar, CondObject, EventAlgebra, Iff, Implies, Not, Or,
-                    ParseError, Prev, Since, TRUE, FALSE, algebra, hist,
-                    parse_cea, parse_cond, parse_tl, pretty)
+                    CeaVar, CondObject, Const, EventAlgebra, Iff, Implies,
+                    Not, Or, ParseError, Prev, Since, TRUE, FALSE, algebra,
+                    hist, parse_cea, parse_cond, parse_tl, pretty)
 from tlcond.evaluate import Word, eval_tl
+from tlcond import syntax
 from tlcond.syntax import children, formula_events, once
 
 AB = algebra("a b")
@@ -270,6 +273,55 @@ def test_formula_and_conditional_round_trip(f, g):
 def test_expression_round_trip_with_events_and_with_variables(e, v):
     assert parse_cea(pretty(e), AB) == e
     assert parse_cea(pretty(v), None) == v
+
+
+# ---------------------------------------------------------------------------
+# Interning
+
+
+def test_equal_formulas_are_one_object_however_built():
+    a, b = Atom("a"), Atom("b")
+    built = Since(Not(a), And(a, b))
+    assert parse_tl("(not a) S (a and b)", AB) is built
+    assert Since(left=Not(child=Atom(name="a")),
+                 right=And(a, right=b)) is built
+    assert parse_tl(pretty(built), AB) is built
+    assert parse_cond("(O a | H b)", AB).num is once(a)
+    assert Const(True) is TRUE and Const(value=False) is FALSE
+    assert copy.deepcopy(built) is built
+    assert pickle.loads(pickle.dumps(built)) is built
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_FORMULAS, _FORMULAS)
+def test_distinct_formulas_are_distinct_objects(f, g):
+    assert (f is g) == (f == g) == (pretty(f) == pretty(g))
+    assert parse_tl(pretty(f), AB) is f
+
+
+def test_formula_fields_are_checked_and_frozen():
+    for bad in (lambda: And(Atom("a")), lambda: And(Atom("a"), left=TRUE),
+                lambda: Not(child=TRUE, other=TRUE), lambda: Atom()):
+        with pytest.raises(TypeError):
+            bad()
+    with pytest.raises(AttributeError):
+        Atom("a").name = "b"
+    assert repr(Not(Atom("a"))) == "Not(child=Atom(name='a'))"
+
+
+def test_deep_formulas_compare_and_hash_without_recursing():
+    built = [Atom("a"), Atom("a")]
+    for _ in range(DEPTH):
+        built = [Not(f) for f in built]
+    assert built[0] is built[1] and len({*built}) == 1
+
+
+def test_the_intern_table_keeps_no_unused_formula():
+    ref = weakref.ref(And(Atom("only_here"), Prev(Atom("only_here"))))
+    gc.collect()
+    assert ref() is None
+    assert not any(getattr(f, "name", None) == "only_here"
+                   for f in syntax._INTERNED.values())
 
 
 # ---------------------------------------------------------------------------
