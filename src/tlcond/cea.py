@@ -31,6 +31,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Callable, Literal, Optional
 
 from . import markov, syntax, trivalue
@@ -42,7 +43,7 @@ from .syntax import (And, CeaAnd, CeaCond, CeaExpr, CeaNeg, CeaOr, CeaSimple,
                      CeaVar, CondObject, EventAlgebra, Not, Or, Prev, Since,
                      TLFormula, TRUE, children, collect_simples,
                      formula_events, walk)
-from .trivalue import Value3, apply_binary, apply_unary
+from .trivalue import Value3
 
 Algebra = Literal["sac", "gnw", "sch"]
 Embedding = Literal["first", "reverse", "sparse"]
@@ -78,40 +79,17 @@ def _leaf(s: CeaSimple, alg: EventAlgebra) -> SimpleConditional:
     return SimpleConditional(alg, event_mask(s.num_event, alg) & den, den)
 
 
-_CONNECTIVE_OF = {CeaAnd: "and", CeaOr: "or", CeaCond: "cond"}
-
-
 def reduce_present(e: CeaExpr, alg: EventAlgebra, which: Algebra) -> SimpleConditional:
-    """Pointwise reduction of an expression to one simple conditional."""
-    conns = trivalue.ALGEBRA_CONNECTIVES[which]
-
-    def build(x: CeaExpr) -> Callable[[int], Value3]:
-        """The expression's value as a function of the atom."""
-        if isinstance(x, CeaSimple):
-            return _leaf(x, alg).value_at
-        if isinstance(x, CeaNeg):
-            f = build(x.child)
-            return lambda atom: apply_unary(conns["not"], f(atom))
-        if isinstance(x, (CeaAnd, CeaOr, CeaCond)):
-            name = _CONNECTIVE_OF[type(x)]
-            if name not in conns:
-                raise ValueError(
-                    f"re-conditioning is not supported in the {which} algebra")
-            conn, f, g = conns[name], build(x.left), build(x.right)
-            return lambda atom: apply_binary(conn, f(atom), g(atom))
+    """Pointwise reduction of an expression to one simple conditional,
+    evaluated at every atom at once."""
+    def leaf(x) -> tuple[int, int]:
         if isinstance(x, CeaVar):
             raise ValueError(f"variable {x.name!r} has no event semantics")
-        raise TypeError(f"not a conditional expression node: {x!r}")
+        s = _leaf(x, alg)
+        return s.yes_set, s.def_set & ~s.yes_set
 
-    value = build(e)
-    yes = defined = 0
-    for atom in range(alg.num_atoms):
-        v = value(atom)
-        if v is Value3.TRUE:
-            yes |= 1 << atom
-        if v.is_defined:
-            defined |= 1 << atom
-    return SimpleConditional(alg, yes, defined)
+    yes, no = trivalue.eval_sets(e, which, alg.full_event, leaf)
+    return SimpleConditional(alg, yes, yes | no)
 
 
 def reduce_syntactic(e: CeaExpr, alg: EventAlgebra, which: Algebra) -> SimpleConditional:
@@ -185,22 +163,10 @@ def _mask_formula(mask: int, alg: EventAlgebra) -> TLFormula:
         return TRUE
     if mask == 0:
         return syntax.FALSE
-    minterms = []
-    for atom in range(alg.num_atoms):
-        if not mask >> atom & 1:
-            continue
-        lits: list[TLFormula] = []
-        for i, name in enumerate(alg.events):
-            lit = syntax.Atom(name)
-            lits.append(lit if atom >> i & 1 else Not(lit))
-        term = lits[0]
-        for lit in lits[1:]:
-            term = And(term, lit)
-        minterms.append(term)
-    out = minterms[0]
-    for term in minterms[1:]:
-        out = Or(out, term)
-    return out
+    atoms = [syntax.Atom(name) for name in alg.events]
+    return reduce(Or, (reduce(And, (lit if atom >> i & 1 else Not(lit)
+                                    for i, lit in enumerate(atoms)))
+                       for atom in range(alg.num_atoms) if mask >> atom & 1))
 
 
 # ---------------------------------------------------------------------------
@@ -231,12 +197,9 @@ _FORMULA_OF = {CeaNeg: Not, CeaAnd: And, CeaOr: Or}
 
 def _map_leaves(e: CeaExpr, leaf: Callable[[CeaSimple], TLFormula]) -> TLFormula:
     """A flat expression's formula: ``leaf`` of each simple conditional, and
-    not/and/or for ~/and/or; built children first, without recursion."""
-    out: dict[int, TLFormula] = {}  # id(node) -> its formula
-    for x in reversed([x for x in walk(e) if isinstance(x, CeaExpr)]):
-        out[id(x)] = leaf(x) if isinstance(x, CeaSimple) else _FORMULA_OF[type(x)](
-            *(out[id(y)] for y in children(x)))
-    return out[id(e)]
+    not/and/or for ~/and/or."""
+    return syntax.fold(e, lambda x, values: _FORMULA_OF[type(x)](*values)
+                       if values else leaf(x))
 
 
 def embed_ps(e: CeaExpr, which: Embedding) -> CondObject:
@@ -250,12 +213,8 @@ def embed_ps(e: CeaExpr, which: Embedding) -> CondObject:
         return CondObject(num, TRUE)
     if which == "sparse":
         num = _map_leaves(e, lambda s: latest_resolution(s.num_event, s.den_event))
-        guards = [Or(s.den_event, Not(syntax.once(s.den_event)))
-                  for s in collect_simples(e)]
-        den = guards[0]
-        for g in guards[1:]:
-            den = Or(den, g)
-        return CondObject(num, den)
+        return CondObject(num, reduce(Or, (Or(s.den_event, Not(syntax.once(s.den_event)))
+                                           for s in collect_simples(e))))
     raise ValueError(f"unknown interpretation {which!r}")
 
 
@@ -471,9 +430,23 @@ def weak_tautology(e: CeaExpr, which: Algebra, dialect: str = "full",
     names = sorted({x.name for x in walk(e) if isinstance(x, CeaVar)})
     if len(names) > variable_cap:
         raise ValueError(f"{len(names)} variables exceed the cap {variable_cap}")
-    for combo in itertools.product(
-            (Value3.FALSE, Value3.TRUE, Value3.UNDEF), repeat=len(names)):
-        valuation = dict(zip(names, combo))
-        if trivalue.eval_cea_valuation(e, valuation, which) is Value3.FALSE:
-            return False, valuation
+    # one pass evaluates every valuation of the last m variables at once:
+    # at point j, the i-th of them has the value of index j // 3^(m-1-i) % 3
+    m = min(len(names), DEFAULT_VARIABLE_CAP)
+    outer, inner = names[:len(names) - m], names[len(names) - m:]
+    full = (1 << 3 ** m) - 1
+    sets = {}
+    for i, name in enumerate(inner):
+        w = 3 ** (m - 1 - i)
+        comb = full // ((1 << 3 * w) - 1)  # bit 3w·r set for every r
+        sets[name] = ((1 << w) - 1 << w) * comb, ((1 << w) - 1) * comb
+    values = (Value3.FALSE, Value3.TRUE, Value3.UNDEF)
+    for combo in itertools.product(values, repeat=len(outer)):
+        sets.update((name, (full * (v is Value3.TRUE), full * (v is Value3.FALSE)))
+                    for name, v in zip(outer, combo))
+        _, no = trivalue.eval_sets(e, which, full, trivalue.variable_leaf(sets))
+        if no:
+            j = (no & -no).bit_length() - 1
+            return False, dict(zip(names, combo + tuple(
+                values[j // 3 ** (m - 1 - i) % 3] for i in range(m))))
     return True, None

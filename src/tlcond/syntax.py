@@ -12,8 +12,8 @@ parser:
 
 The bar ``|`` appears only immediately inside a parenthesized group at its
 lowest precedence, so it never clashes with disjunction (spelled ``or``).
-Parsing and the tree walks here, except the pretty-printer, use explicit
-stacks, so no depth of nesting exhausts Python's recursion limit.
+Parsing, the tree walks and the pretty-printer use explicit stacks, so no
+depth of nesting exhausts Python's recursion limit.
 """
 from __future__ import annotations
 
@@ -288,6 +288,29 @@ def walk(x: Union[TLFormula, CondObject, CeaExpr]) -> Iterator:
         x = todo.pop()
         yield x
         todo += children(x)[::-1]
+
+
+def fold(e: CeaExpr, visit: Callable) -> object:
+    """Fold a conditional expression children first, left to right, without
+    recursion: ``visit(node, values)`` gets the values of the node's
+    children.  Simple conditionals and variables are leaves (no values).
+    No node is hashed, since the expression nodes' ``==`` and hash recurse."""
+    values: list = []
+    todo: list = [e]
+    while todo:
+        x = todo.pop()
+        if type(x) is tuple:  # (node, number of children), children folded
+            x, n = x
+            args = values[len(values) - n:]
+            del values[len(values) - n:]
+            values.append(visit(x, args))
+        elif isinstance(x, CeaExpr):
+            kids = () if isinstance(x, (CeaSimple, CeaVar)) else children(x)
+            todo.append((x, len(kids)))
+            todo += reversed(kids)
+        else:
+            raise TypeError(f"not a conditional expression node: {x!r}")
+    return values[0]
 
 
 def subformulas(forms: Sequence[TLFormula]) -> list[TLFormula]:
@@ -612,62 +635,70 @@ _LVL_IFF, _LVL_IMP, _LVL_SINCE, _LVL_OR, _LVL_AND, _LVL_UN, _LVL_ATOM = range(1,
 _TL_INFIX = {Iff: (" <-> ", _LVL_IFF, 0, 1), Implies: (" -> ", _LVL_IMP, 1, 0),
              Since: (" S ", _LVL_SINCE, 0, 1), Or: (" or ", _LVL_OR, 0, 1),
              And: (" and ", _LVL_AND, 0, 1)}
+# prefix node -> operator; "O" and "H" are re-sugared from their expansions
+_TL_PREFIX = {Not: "not ", Prev: "Y "}
 
 
-def _tl_text(f: TLFormula) -> tuple[str, int]:
-    if isinstance(f, Atom):
-        return f.name, _LVL_ATOM
-    if isinstance(f, Const):
-        return ("true" if f.value else "false"), _LVL_ATOM
-    if isinstance(f, Not):
-        inner = f.child
-        if isinstance(inner, Since) and inner.left == TRUE and isinstance(inner.right, Not):
-            return "H " + _tl_wrap(inner.right.child, _LVL_UN), _LVL_UN
-        return "not " + _tl_wrap(inner, _LVL_UN), _LVL_UN
-    if isinstance(f, Prev):
-        return "Y " + _tl_wrap(f.child, _LVL_UN), _LVL_UN
-    if isinstance(f, Since) and f.left is TRUE:
-        return "O " + _tl_wrap(f.right, _LVL_UN), _LVL_UN
-    if type(f) not in _TL_INFIX:
-        raise TypeError(f"not a temporal formula: {f!r}")
-    op, level, left, right = _TL_INFIX[type(f)]
-    return _tl_wrap(f.left, level + left) + op + _tl_wrap(f.right, level + right), level
-
-
-def _tl_wrap(f: TLFormula, min_level: int) -> str:
-    text, level = _tl_text(f)
+def _wrap(entry: tuple[str, int], min_level: int) -> str:
+    text, level = entry
     return f"({text})" if level < min_level else text
+
+
+def _tl_texts(forms: Sequence[TLFormula]) -> dict:
+    """(text, level) of every subformula of ``forms``, keyed on the
+    interned node and built children first."""
+    out: dict = {}
+    for f in subformulas(forms):
+        kind = type(f)
+        if kind is Atom or kind is Const:
+            out[f] = f.name if kind is Atom else str(f.value).lower(), _LVL_ATOM
+        elif kind is Since and f.left is TRUE:
+            out[f] = "O " + _wrap(out[f.right], _LVL_UN), _LVL_UN
+        elif kind in _TL_INFIX:
+            op, level, left, right = _TL_INFIX[kind]
+            out[f] = (_wrap(out[f.left], level + left) + op
+                      + _wrap(out[f.right], level + right), level)
+        elif kind in _TL_PREFIX:
+            op, x = _TL_PREFIX[kind], f.child
+            if (kind is Not and type(x) is Since and x.left is TRUE
+                    and type(x.right) is Not):
+                op, x = "H ", x.right.child
+            out[f] = op + _wrap(out[x], _LVL_UN), _LVL_UN
+        else:
+            raise TypeError(f"not a temporal formula: {f!r}")
+    return out
+
+
+def _pair_text(num: TLFormula, den: TLFormula) -> str:
+    texts = _tl_texts([num, den])
+    return f"({texts[num][0]} | {texts[den][0]})"
 
 
 _CLVL_OR, _CLVL_AND, _CLVL_NEG, _CLVL_ATOM = range(1, 5)
+# binary expression node -> (operator, level); "|" groups need no level
+_CEA_INFIX = {CeaOr: (" or ", _CLVL_OR), CeaAnd: (" and ", _CLVL_AND)}
 
 
-def _cea_text(e: CeaExpr) -> tuple[str, int]:
-    if isinstance(e, CeaSimple):
-        return f"({_tl_text(e.num_event)[0]} | {_tl_text(e.den_event)[0]})", _CLVL_ATOM
-    if isinstance(e, CeaCond):
-        return f"({_cea_text(e.left)[0]} | {_cea_text(e.right)[0]})", _CLVL_ATOM
-    if isinstance(e, CeaVar):
+def _cea_text(e: CeaExpr, values: list) -> tuple[str, int]:
+    kind = type(e)
+    if kind is CeaSimple:
+        return _pair_text(e.num_event, e.den_event), _CLVL_ATOM
+    if kind is CeaVar:
         return e.name, _CLVL_ATOM
-    if isinstance(e, CeaNeg):
-        return "~" + _cea_wrap(e.child, _CLVL_NEG), _CLVL_NEG
-    if isinstance(e, (CeaAnd, CeaOr)):
-        op, level = (" and ", _CLVL_AND) if isinstance(e, CeaAnd) else (" or ", _CLVL_OR)
-        return _cea_wrap(e.left, level) + op + _cea_wrap(e.right, level + 1), level
-    raise TypeError(f"not a conditional expression node: {e!r}")
-
-
-def _cea_wrap(e: CeaExpr, min_level: int) -> str:
-    text, level = _cea_text(e)
-    return f"({text})" if level < min_level else text
+    if kind is CeaNeg:
+        return "~" + _wrap(values[0], _CLVL_NEG), _CLVL_NEG
+    if kind is CeaCond:
+        return f"({values[0][0]} | {values[1][0]})", _CLVL_ATOM
+    op, level = _CEA_INFIX[kind]
+    return _wrap(values[0], level) + op + _wrap(values[1], level + 1), level
 
 
 def pretty(x: Union[TLFormula, CondObject, CeaExpr]) -> str:
     """Render an AST back to source text (minimal parentheses, O/H re-sugared)."""
     if isinstance(x, TLFormula):
-        return _tl_text(x)[0]
+        return _tl_texts([x])[x][0]
     if isinstance(x, CondObject):
-        return f"({_tl_text(x.num)[0]} | {_tl_text(x.den)[0]})"
+        return _pair_text(x.num, x.den)
     if isinstance(x, CeaExpr):
-        return _cea_text(x)[0]
+        return fold(x, _cea_text)[0]
     raise TypeError(f"cannot pretty-print {x!r}")

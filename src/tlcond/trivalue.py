@@ -4,12 +4,18 @@ The logic has three truth values: false (0), true (1) and undefined (⊥).
 Connectives come in families named after the algebras they belong to
 (SAC = Schay/Adams/Calabrese, GNW = Goodman/Nguyen/Walker, Sch = Schay's
 strict pair), plus the two re-conditioning operators and the auxiliary
-``sqcap`` connective definable inside SAC.
+``sqcap`` connective definable inside SAC; :func:`eval_sets` applies them
+at every point of a universe at once.
 """
 from __future__ import annotations
 
 import enum
-from typing import Mapping
+import itertools
+from functools import reduce
+from operator import and_, getitem
+from typing import Callable, Mapping
+
+from .syntax import CeaAnd, CeaCond, CeaNeg, CeaOr, CeaSimple, fold
 
 
 class Value3(enum.Enum):
@@ -29,10 +35,6 @@ class Value3(enum.Enum):
     @staticmethod
     def from_bool(b: bool) -> "Value3":
         return Value3.TRUE if b else Value3.FALSE
-
-    @property
-    def is_defined(self) -> bool:
-        return self is not Value3.UNDEF
 
 
 FALSE3 = Value3.FALSE
@@ -138,46 +140,48 @@ def apply_binary(conn: ConnectiveId, x: Value3, y: Value3) -> Value3:
     return table[x.value][y.value]
 
 
-def sqcap_term(x: Value3, y: Value3) -> Value3:
-    """Evaluate the defining SAC term of sqcap directly (reference for tests)."""
-    land = ConnectiveId.AND_SAC
-    lor = ConnectiveId.OR_SAC
-
-    def neg(v: Value3) -> Value3:
-        return apply_unary(ConnectiveId.NOT0, v)
-
-    def a(u: Value3, v: Value3) -> Value3:
-        return apply_binary(land, u, v)
-
-    def o(u: Value3, v: Value3) -> Value3:
-        return apply_binary(lor, u, v)
-
-    left = o(x, a(y, o(x, neg(y))))
-    right = o(y, a(x, o(y, neg(x))))
-    return a(left, right)
-
-
-# Connective selection for the two algebras that support re-conditioning.
+# Connective selection for each present-tense algebra; Schay's system has
+# no conditioning operator.
 ALGEBRA_CONNECTIVES = {
-    "sac": {
-        "and": ConnectiveId.AND_SAC,
-        "or": ConnectiveId.OR_SAC,
-        "not": ConnectiveId.NOT0,
-        "cond": ConnectiveId.COND_SAC,
-    },
-    "gnw": {
-        "and": ConnectiveId.AND_GNW,
-        "or": ConnectiveId.OR_GNW,
-        "not": ConnectiveId.NOT0,
-        "cond": ConnectiveId.COND_GNW,
-    },
-    "sch": {
-        "and": ConnectiveId.AND_SCH,
-        "or": ConnectiveId.OR_SCH,
-        "not": ConnectiveId.NOT0,
-        # Schay's system has no conditioning operator.
-    },
+    "sac": {"and": ConnectiveId.AND_SAC, "or": ConnectiveId.OR_SAC,
+            "not": ConnectiveId.NOT0, "cond": ConnectiveId.COND_SAC},
+    "gnw": {"and": ConnectiveId.AND_GNW, "or": ConnectiveId.OR_GNW,
+            "not": ConnectiveId.NOT0, "cond": ConnectiveId.COND_GNW},
+    "sch": {"and": ConnectiveId.AND_SCH, "or": ConnectiveId.OR_SCH,
+            "not": ConnectiveId.NOT0},
 }
+_CONNECTIVE_OF = {CeaNeg: "not", CeaAnd: "and", CeaOr: "or", CeaCond: "cond"}
+
+
+def apply_sets(conn: ConnectiveId, full: int, *args: tuple[int, int]) -> tuple[int, int]:
+    """Apply a connective table at every point of the universe ``full`` at
+    once.  A value is the pair (set where it is 1, set where it is 0), as
+    bitmasks; it is ⊥ on the rest of ``full``."""
+    parts = [(f, t, full & ~(t | f)) for t, f in args]  # by Value3.value
+    table = _UNARY_TABLES.get(conn) or _BINARY_TABLES[conn]
+    sets = dict.fromkeys(Value3, 0)
+    for cell in itertools.product(range(3), repeat=len(args)):
+        # the table's value at the cell holds where the arguments take its values
+        sets[reduce(getitem, cell, table)] |= reduce(and_, map(getitem, parts, cell))
+    return sets[TRUE3], sets[FALSE3]
+
+
+def eval_sets(e, algebra: str, full: int, leaf: Callable) -> tuple[int, int]:
+    """An expression's value at every point of ``full`` as (set where it is
+    1, set where it is 0), with ``leaf(node)`` the value of a simple
+    conditional or variable and and/or/~/| read from ``algebra``'s tables."""
+    conns = ALGEBRA_CONNECTIVES[algebra]
+
+    def visit(x, values):
+        if not values:
+            return leaf(x)
+        name = _CONNECTIVE_OF[type(x)]
+        if name not in conns:
+            raise ValueError(
+                f"re-conditioning is not supported in the {algebra} algebra")
+        return apply_sets(conns[name], full, *values)
+
+    return fold(e, visit)
 
 
 class UnboundVariableError(ValueError):
@@ -186,35 +190,26 @@ class UnboundVariableError(ValueError):
         self.name = name
 
 
+def variable_leaf(sets: Mapping[str, tuple[int, int]]) -> Callable:
+    """The leaf of :func:`eval_sets` over variables: each variable's pair
+    from ``sets``."""
+    def leaf(x) -> tuple[int, int]:
+        if isinstance(x, CeaSimple):
+            raise ValueError("expression mixes events with variables; "
+                             "valuation semantics needs variable leaves only")
+        try:
+            return sets[x.name]
+        except KeyError:
+            raise UnboundVariableError(x.name) from None
+    return leaf
+
+
 def eval_cea_valuation(expr, valuation: Mapping[str, Value3], algebra: str) -> Value3:
     """Evaluate a conditional expression over variables under a valuation.
 
     ``expr`` is a ``syntax.CeaExpr`` whose leaves are variables; ``algebra``
     selects which connective family interprets and/or/~/| ("sac" or "gnw").
     """
-    from . import syntax  # deferred; the kernel stays import-light
-
-    conns = ALGEBRA_CONNECTIVES[algebra]
-
-    def walk(e) -> Value3:
-        if isinstance(e, syntax.CeaVar):
-            try:
-                return valuation[e.name]
-            except KeyError:
-                raise UnboundVariableError(e.name) from None
-        if isinstance(e, syntax.CeaNeg):
-            return apply_unary(conns["not"], walk(e.child))
-        if isinstance(e, syntax.CeaAnd):
-            return apply_binary(conns["and"], walk(e.left), walk(e.right))
-        if isinstance(e, syntax.CeaOr):
-            return apply_binary(conns["or"], walk(e.left), walk(e.right))
-        if isinstance(e, syntax.CeaCond):
-            if "cond" not in conns:
-                raise ValueError(f"algebra {algebra!r} has no conditioning operator")
-            return apply_binary(conns["cond"], walk(e.left), walk(e.right))
-        if isinstance(e, syntax.CeaSimple):
-            raise ValueError("expression mixes events with variables; "
-                             "valuation semantics needs variable leaves only")
-        raise TypeError(f"not a conditional expression node: {e!r}")
-
-    return walk(expr)
+    sets = {name: (int(v is TRUE3), int(v is FALSE3)) for name, v in valuation.items()}
+    t, f = eval_sets(expr, algebra, 1, variable_leaf(sets))
+    return TRUE3 if t else FALSE3 if f else UNDEF3

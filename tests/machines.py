@@ -1,13 +1,21 @@
 """Machines built from full transition tables, hand-built expected machines
 shared by the automata and acceptance suites, a per-leaf product reference
 for the first interpretation, fixed DOT texts of minimized compiled
-machines, and a tuple-keyed compiler that ``compile_cond`` must agree with
-field for field."""
+machines, a tuple-keyed compiler that ``compile_cond`` must agree with
+field for field, and the per-atom and per-valuation present-tense
+interpreters that the bit-parallel evaluator must agree with."""
+import itertools
+from typing import Callable
+
 from tlcond import (CeaAnd, CeaNeg, CeaOr, CeaSimple, CondObject, TRUE, Value3,
-                    algebra, compile_cond, first_resolution, minimize, product)
+                    algebra, compile_cond, first_resolution, minimize, product,
+                    syntax, trivalue)
 from tlcond.automata import MooreMachine3, _classes_from_columns, event_mask
-from tlcond.syntax import (And, EventAlgebra, Iff, Implies, Not, Or, Prev,
-                           Since, children, collect_simples, subformulas)
+from tlcond.cea import DEFAULT_VARIABLE_CAP, SimpleConditional, _leaf
+from tlcond.syntax import (And, CeaCond, CeaExpr, CeaVar, EventAlgebra, Iff,
+                           Implies, Not, Or, Prev, Since, children,
+                           collect_simples, subformulas, walk)
+from tlcond.trivalue import UnboundVariableError, apply_binary, apply_unary
 
 F, T = Value3.FALSE, Value3.TRUE
 
@@ -433,3 +441,97 @@ def compile_cond_reference(c: CondObject, alg: EventAlgebra) -> MooreMachine3:
     m = MooreMachine3(alg, 0, labels, delta, classes, class_of_atom)
     m.validate()
     return m
+
+
+# ---------------------------------------------------------------------------
+# Present-tense interpreters: one closure per node called once per atom, and
+# one recursive walk per valuation, kept as they were (``Value3.is_defined``,
+# since deleted, is spelled out)
+
+
+_CONNECTIVE_OF = {CeaAnd: "and", CeaOr: "or", CeaCond: "cond"}
+
+
+def reduce_present_reference(e: CeaExpr, alg: EventAlgebra, which) -> SimpleConditional:
+    """Pointwise reduction of an expression to one simple conditional."""
+    conns = trivalue.ALGEBRA_CONNECTIVES[which]
+
+    def build(x: CeaExpr) -> Callable[[int], Value3]:
+        """The expression's value as a function of the atom."""
+        if isinstance(x, CeaSimple):
+            return _leaf(x, alg).value_at
+        if isinstance(x, CeaNeg):
+            f = build(x.child)
+            return lambda atom: apply_unary(conns["not"], f(atom))
+        if isinstance(x, (CeaAnd, CeaOr, CeaCond)):
+            name = _CONNECTIVE_OF[type(x)]
+            if name not in conns:
+                raise ValueError(
+                    f"re-conditioning is not supported in the {which} algebra")
+            conn, f, g = conns[name], build(x.left), build(x.right)
+            return lambda atom: apply_binary(conn, f(atom), g(atom))
+        if isinstance(x, CeaVar):
+            raise ValueError(f"variable {x.name!r} has no event semantics")
+        raise TypeError(f"not a conditional expression node: {x!r}")
+
+    value = build(e)
+    yes = defined = 0
+    for atom in range(alg.num_atoms):
+        v = value(atom)
+        if v is Value3.TRUE:
+            yes |= 1 << atom
+        if v is not Value3.UNDEF:
+            defined |= 1 << atom
+    return SimpleConditional(alg, yes, defined)
+
+
+def eval_cea_valuation_reference(expr, valuation, algebra: str) -> Value3:
+    """Evaluate a conditional expression over variables under a valuation.
+
+    ``expr`` is a ``syntax.CeaExpr`` whose leaves are variables; ``algebra``
+    selects which connective family interprets and/or/~/| ("sac" or "gnw").
+    """
+    conns = trivalue.ALGEBRA_CONNECTIVES[algebra]
+
+    def walk(e) -> Value3:
+        if isinstance(e, syntax.CeaVar):
+            try:
+                return valuation[e.name]
+            except KeyError:
+                raise UnboundVariableError(e.name) from None
+        if isinstance(e, syntax.CeaNeg):
+            return apply_unary(conns["not"], walk(e.child))
+        if isinstance(e, syntax.CeaAnd):
+            return apply_binary(conns["and"], walk(e.left), walk(e.right))
+        if isinstance(e, syntax.CeaOr):
+            return apply_binary(conns["or"], walk(e.left), walk(e.right))
+        if isinstance(e, syntax.CeaCond):
+            if "cond" not in conns:
+                raise ValueError(f"algebra {algebra!r} has no conditioning operator")
+            return apply_binary(conns["cond"], walk(e.left), walk(e.right))
+        if isinstance(e, syntax.CeaSimple):
+            raise ValueError("expression mixes events with variables; "
+                             "valuation semantics needs variable leaves only")
+        raise TypeError(f"not a conditional expression node: {e!r}")
+
+    return walk(expr)
+
+
+def weak_tautology_reference(e: CeaExpr, which, dialect: str = "full",
+                             variable_cap: int = DEFAULT_VARIABLE_CAP):
+    """Exhaustively check that no valuation makes the expression false.
+
+    Returns (True, None) or (False, counterexample valuation).
+    """
+    if which not in ("sac", "gnw"):
+        raise ValueError("tautology checking targets the sac and gnw algebras")
+    syntax._check_dialect(e, dialect)
+    names = sorted({x.name for x in walk(e) if isinstance(x, CeaVar)})
+    if len(names) > variable_cap:
+        raise ValueError(f"{len(names)} variables exceed the cap {variable_cap}")
+    for combo in itertools.product(
+            (Value3.FALSE, Value3.TRUE, Value3.UNDEF), repeat=len(names)):
+        valuation = dict(zip(names, combo))
+        if eval_cea_valuation_reference(e, valuation, which) is Value3.FALSE:
+            return False, valuation
+    return True, None

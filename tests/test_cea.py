@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tlcond import (CondObject, TRUE, Value3, algebra, brute_joint, cea,
+from tlcond import (And, Atom, CeaAnd, CeaCond, CeaNeg, CeaOr, CeaSimple,
+                    CeaVar, CondObject, FALSE, Not, Or, TRUE, Value3, algebra,
+                    brute_joint, cea, eval_cea_valuation,
                     canonical_key, compile_cond, embed_ps, minimize,
                     parse_cea, parse_cond, parse_tl, present_indep, pretty,
                     prob_present, prob_ps, product, reduce_present,
@@ -22,7 +24,9 @@ from tlcond.syntax import FACTORED_EVENT_LIMIT, EventAlgebra, collect_simples
 from tlcond.trivalue import ConnectiveId, apply_binary
 
 from corpus import ALG_AB, CORPUS, SKEWED_AB, UNIFORM_AB
-from machines import assert_first_machine_shape, first_product_machine
+from machines import (assert_first_machine_shape, eval_cea_valuation_reference,
+                      first_product_machine, reduce_present_reference,
+                      weak_tautology_reference)
 
 F, T, U = Value3.FALSE, Value3.TRUE, Value3.UNDEF
 
@@ -114,6 +118,32 @@ def test_reconditioning_unsupported_for_sch():
     e = parse_cea("((a|b) | (c|d))", ABCD)
     with pytest.raises(ValueError, match="re-conditioning"):
         reduce_present(e, ABCD, "sch")
+
+
+@st.composite
+def present_expressions(draw):
+    """An algebra of 2-6 events, an algebra name and an expression over
+    simple conditionals on those events; re-conditioning under sac and gnw."""
+    alg = algebra([f"e{i}" for i in range(draw(st.integers(2, 6)))])
+    which = draw(st.sampled_from(["sac", "gnw", "sch"]))
+    sides = st.recursive(
+        st.sampled_from([Atom(x) for x in alg.events] + [TRUE, FALSE]),
+        lambda sub: st.one_of(st.builds(Not, sub), st.builds(And, sub, sub),
+                              st.builds(Or, sub, sub)), max_leaves=4)
+    binary = (CeaAnd, CeaOr) + ((CeaCond,) if which != "sch" else ())
+    e = draw(st.recursive(
+        st.builds(CeaSimple, sides, sides),
+        lambda sub: st.one_of(st.builds(CeaNeg, sub),
+                              *(st.builds(node, sub, sub) for node in binary)),
+        max_leaves=8))
+    return alg, which, e
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(present_expressions())
+def test_reduction_equals_the_per_atom_reference(case):
+    alg, which, e = case
+    assert reduce_present(e, alg, which) == reduce_present_reference(e, alg, which)
 
 
 def test_simple_conditional_requires_containment():
@@ -435,6 +465,73 @@ def test_excluded_middle_is_weak_only_in_sac():
     assert ok_gnw          # 0 or 1 -> 1; bottom or bottom -> bottom
     e2 = parse_cea("p or q", None, dialect="flat")
     assert not weak_tautology(e2, "sac")[0]
+
+
+def _variable_expressions(names):
+    return st.recursive(
+        st.sampled_from([CeaVar(x) for x in names]),
+        lambda sub: st.one_of(st.builds(CeaNeg, sub),
+                              *(st.builds(node, sub, sub)
+                                for node in (CeaAnd, CeaOr, CeaCond))),
+        max_leaves=10)
+
+
+@st.composite
+def variable_expressions(draw):
+    """An expression over 1-9 variables, an algebra name and a valuation."""
+    names = [f"p{i}" for i in range(draw(st.integers(1, 9)))]
+    valuation = {x: draw(st.sampled_from([F, T, U])) for x in names}
+    which = draw(st.sampled_from(["sac", "gnw"]))
+    return draw(_variable_expressions(names)), which, valuation
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(variable_expressions())
+def test_tautology_and_valuation_equal_the_per_valuation_reference(case):
+    e, which, valuation = case
+    assert weak_tautology(e, which, variable_cap=9) == \
+        weak_tautology_reference(e, which, variable_cap=9)
+    assert eval_cea_valuation(e, valuation, which) is \
+        eval_cea_valuation_reference(e, valuation, which)
+
+
+NINE = [f"p{i}" for i in range(9)]
+
+
+@st.composite
+def late_counterexamples(draw):
+    """Expressions over nine variables that are never false while p0 is 0,
+    so their first counterexample, if any, lies past the first 3^8
+    valuations (those with p0 = 0)."""
+    every = CeaVar(NINE[0])
+    for x in NINE[1:]:  # all nine occur; (x | x) is never 0
+        every = CeaAnd(every, CeaCond(CeaVar(x), CeaVar(x)))
+    rest = draw(_variable_expressions(NINE))
+    p0 = CeaVar("p0")
+    e = draw(st.sampled_from([CeaOr(CeaNeg(p0), CeaAnd(every, rest)),
+                              CeaCond(CeaAnd(every, rest), p0)]))
+    return e, draw(st.sampled_from(["sac", "gnw"]))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(late_counterexamples())
+def test_tautology_counterexamples_past_the_first_pass(case):
+    e, which = case
+    got = weak_tautology(e, which, variable_cap=9)
+    assert got == weak_tautology_reference(e, which, variable_cap=9)
+    ok, witness = got
+    assert ok or witness["p0"] is not F
+
+
+def test_tautology_witness_is_the_first_in_valuation_order():
+    # under gnw false only when p0 and p9 are 1 and p1 .. p8 are 0: the
+    # fourth pass over the last eight variables (p0 = 1, p1 = 0)
+    names = [f"p{i}" for i in range(10)]
+    e = parse_cea("~(p0 and p9)" + "".join(f" or {x}" for x in names[1:9]),
+                  None, dialect="flat")
+    ok, witness = weak_tautology(e, "gnw", variable_cap=10)
+    assert not ok and list(witness) == names
+    assert witness == {**dict.fromkeys(names[1:9], F), "p0": T, "p9": T}
 
 
 # ---------------------------------------------------------------------------

@@ -154,6 +154,28 @@ def test_deep_input_answers(capsys, argv, out):
     assert run(capsys, "prob", *argv) == (0, out, "")
 
 
+@pytest.mark.parametrize("which", ["sac", "gnw", "sch"])
+def test_deep_present_tense_probability(capsys, which):
+    assert run(capsys, "prob", "--cea", which, "--expr", "~" * DEEP + "(a|b)") \
+        == (0, "1/2 (0.500000000000)\n", "")
+
+
+@pytest.mark.parametrize("which", ["sac", "gnw", "sch"])
+@pytest.mark.parametrize("command", [("series", "--n", "3"), ("machine", "--minimize")],
+                         ids=["series", "machine"])
+def test_deep_present_tense_output_equals_the_shallow_one(capsys, command, which):
+    # an even number of ~ leaves (a|b)
+    got = run(capsys, *command, "--cea", which, "--expr", "~" * DEEP + "(a|b)")
+    assert got[0] == 0
+    assert got == run(capsys, *command, "--cea", which, "--expr", "(a|b)")
+
+
+@pytest.mark.parametrize("which", ["sac", "gnw"])
+def test_deep_tautology_answers(capsys, which):
+    assert run(capsys, "taut", "--cea", which, "--expr", "~" * DEEP + "(x | x)") \
+        == (0, "weak-tautology: yes\n", "")
+
+
 # ---------------------------------------------------------------------------
 # series
 

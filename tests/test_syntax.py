@@ -451,6 +451,19 @@ def test_deep_input_parses_under_every_entry_point_that_accepts_it(text, heights
             _ENTRY_POINTS[entry](text)
 
 
+@pytest.mark.parametrize("entry, text", [
+    ("cea", "~" * DEPTH + "(a | b)"),
+    ("cea", "(" + "not " * DEPTH + "a | b)"),
+    ("variables", " and ".join(["(p | q)"] * DEPTH)),
+    ("tl", "not " * DEPTH + "a"),
+    ("tl", "H " * DEPTH + "a"),
+    ("cond", "(" + "Y " * DEPTH + "a | O b)"),
+], ids=["tilde", "negated side", "conjuncts", "not", "H", "Y"])
+def test_deep_input_pretty_prints_and_round_trips(entry, text):
+    # compared as text: ``==`` on deep conditional expressions recurses
+    assert pretty(_ENTRY_POINTS[entry](text)) == text
+
+
 def test_deep_expressions_pass_the_dialect_checks_without_recursing():
     deep = "~" * DEPTH + "(p|q)"
     with pytest.raises(ValueError, match="pure-conditional"):

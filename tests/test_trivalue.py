@@ -8,7 +8,8 @@ from tlcond import (CeaAnd, CeaCond, CeaNeg, CeaOr, CeaVar, ConnectiveId,
                     Value3, algebra, apply_binary, apply_unary,
                     eval_cea_valuation, parse_cea)
 from tlcond.cea import reduce_syntactic
-from tlcond.trivalue import UnboundVariableError, sqcap_term
+from tlcond.trivalue import (_BINARY_TABLES, _UNARY_TABLES, UnboundVariableError,
+                             apply_sets)
 
 F, T, U = Value3.FALSE, Value3.TRUE, Value3.UNDEF
 ALL3 = (F, T, U)
@@ -137,6 +138,25 @@ def test_conditioning_quotient_onto_reverse_implication():
         assert eta(apply_binary(ConnectiveId.COND_GNW, x, y)) == expected
 
 
+def sqcap_term(x: Value3, y: Value3) -> Value3:
+    """Evaluate the defining SAC term of sqcap directly."""
+    land = ConnectiveId.AND_SAC
+    lor = ConnectiveId.OR_SAC
+
+    def neg(v: Value3) -> Value3:
+        return apply_unary(ConnectiveId.NOT0, v)
+
+    def a(u: Value3, v: Value3) -> Value3:
+        return apply_binary(land, u, v)
+
+    def o(u: Value3, v: Value3) -> Value3:
+        return apply_binary(lor, u, v)
+
+    left = o(x, a(y, o(x, neg(y))))
+    right = o(y, a(x, o(y, neg(x))))
+    return a(left, right)
+
+
 def test_sqcap_equals_its_defining_term_and_detects_joint_truth():
     for x, y in itertools.product(ALL3, repeat=2):
         v = apply_binary(ConnectiveId.SQCAP, x, y)
@@ -173,6 +193,34 @@ def test_valuation_reports_unbound_variable():
     e = parse_cea("p and q", None, dialect="flat")
     with pytest.raises(UnboundVariableError, match="q"):
         eval_cea_valuation(e, {"p": T}, "sac")
+
+
+def _sets(values) -> tuple[int, int]:
+    """(points where 1, points where 0) of a sequence of values."""
+    return (sum(1 << i for i, v in enumerate(values) if v is T),
+            sum(1 << i for i, v in enumerate(values) if v is F))
+
+
+def test_set_application_reads_every_cell_of_every_table():
+    # one point per cell: point 3i + j holds the argument values (i, j)
+    pairs = list(itertools.product(ALL3, repeat=2))
+    full = (1 << len(pairs)) - 1
+    xs, ys = _sets([x for x, _ in pairs]), _sets([y for _, y in pairs])
+    for conn in _BINARY_TABLES:
+        want = _sets([apply_binary(conn, x, y) for x, y in pairs])
+        assert apply_sets(conn, full, xs, ys) == want, conn
+    for conn in _UNARY_TABLES:
+        assert apply_sets(conn, 0b111, _sets(ALL3)) == \
+            _sets([apply_unary(conn, x) for x in ALL3])
+
+
+def test_valuation_without_a_conditioning_operator():
+    e = CeaCond(CeaVar("p"), CeaVar("q"))
+    with pytest.raises(ValueError,
+                       match="re-conditioning is not supported in the sch algebra"):
+        eval_cea_valuation(e, {"p": T, "q": T}, "sch")
+    with pytest.raises(ValueError, match="mixes events with variables"):
+        eval_cea_valuation(parse_cea("(a|b)", algebra("a b")), {}, "sac")
 
 
 def test_valuation_all_undefined_yields_undefined_on_random_expressions():
