@@ -17,27 +17,30 @@ Markov chain.  All three give the same number for every expression and every
 distribution.
 
 :func:`prob_ps` uses the product law to solve less than the whole
-expression.  A distribution is a tuple of independent blocks of events; a
-binary node whose two children touch disjoint sets of blocks has children
-whose value sequences are independent, so its limit is combined exactly
-from theirs (``and`` multiplies, ``or`` is 1-(1-x)(1-y), ``~`` is 1-x; for
-``sparse`` the limits also carry the guard, see :func:`_combine`).
-Every other maximal subtree is compiled and solved over the product of the
-blocks it touches only; when the root is such a subtree, the whole
-expression is one compile and one solve.
+expression.  A distribution is a tuple of independent blocks of events;
+parts of an expression that touch disjoint sets of blocks have independent
+value sequences, so a limit is combined exactly from theirs (``and``
+multiplies, ``or`` is 1-(1-x)(1-y), ``~`` is 1-x; for ``sparse`` the
+limits also carry the guard, see :func:`_combine`).  Since ``and`` and
+``or`` are associative and commutative, a run of either is regrouped into
+the connected components of its operands by shared blocks.  A simple
+conditional (a|b) alone in its part takes its limit in closed form,
+Pr(a and b) / Pr b; only parts whose leaves share events are compiled and
+solved, over the product of the blocks they touch.  When the root is such
+a part, the whole expression is one compile and one solve.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 from typing import Callable, Literal, Optional
 
 from . import markov, syntax, trivalue
 from .automata import (MooreMachine3, _classes_from_columns, compile_cond,
                        event_mask, minimize)
-from .markov import (ProbAssignment, asymptotic, chain_from_machine,
+from .markov import (ZERO, ProbAssignment, asymptotic, chain_from_machine,
                      limiting_label_masses, pr_n_ratio)
 from .syntax import (And, CeaAnd, CeaCond, CeaExpr, CeaNeg, CeaOr, CeaSimple,
                      CeaVar, CondObject, EventAlgebra, Not, Or, Prev, Since,
@@ -234,66 +237,145 @@ def prob_ps(e: CeaExpr, p: ProbAssignment,
             which: Embedding = "first") -> Optional[Fraction]:
     """Product-space probability of a flat expression.
 
-    A binary node whose children touch disjoint sets of the distribution's
-    independent blocks is split, and so is a ``~`` over a split node; every
-    other maximal subtree, a piece, is compiled and solved over only the
-    blocks it touches, and the pieces' limits are combined exactly.  A root
-    that is itself a piece is the whole expression's one compile and solve.
+    A maximal run of ``and`` nodes, or of ``or`` nodes, is regrouped into
+    the connected components of its operands by shared blocks of the
+    distribution, and the components' limits are combined exactly.  An
+    operand alone in its component is split further; the operands of a
+    larger component form a piece, as does a run that is one component.
+    A ``~`` is split when what it negates is.  A simple conditional's
+    limits are taken in closed form, and every other piece is compiled and
+    solved over only the blocks it touches (see :func:`_piece_limits`).  A
+    root that is itself a piece is the whole expression's one compile and
+    solve.
     """
     _require_flat(e)
     block_of = {name: k for k, b in enumerate(p.blocks) for name in b.events}
     blocks: dict[int, int] = {}  # id(node) -> bitmask of the blocks it touches
-    split: dict[int, bool] = {}  # id(node) -> its limit is combined from its children's
-    nodes = [x for x in walk(e) if isinstance(x, CeaExpr)]
-    for x in reversed(nodes):  # children before parents
+    # children before parents
+    for x in reversed([x for x in walk(e) if isinstance(x, CeaExpr)]):
+        touched = 0
         if isinstance(x, CeaSimple):
-            touched = 0
             for name in formula_events(x):
                 touched |= 1 << block_of[name]
-            blocks[id(x)], split[id(x)] = touched, False
-        elif isinstance(x, CeaNeg):
-            blocks[id(x)], split[id(x)] = blocks[id(x.child)], split[id(x.child)]
         else:
-            left, right = blocks[id(x.left)], blocks[id(x.right)]
-            blocks[id(x)], split[id(x)] = left | right, not left & right
+            for child in children(x):
+                touched |= blocks[id(child)]
+        blocks[id(x)] = touched
 
-    def embedded_limit(x: CeaExpr, how: Embedding, sub: ProbAssignment):
-        return cond_asymptotic(embed_ps(x, how), sub.alg, sub)
-
-    if not split[id(e)]:
-        return embedded_limit(e, which, p.restrict(blocks[id(e)]))
-
-    def piece(x: CeaExpr):
-        """The limits (v, u, g) of a piece (see :func:`_combine`); under
-        ``first`` and ``reverse`` the condition is true, so u = g = 0."""
-        sub = p.restrict(blocks[id(x)])
-        if which != "sparse":
-            return embedded_limit(x, which, sub), 0, 0
-        v = embedded_limit(x, "reverse", sub)
-        m = minimize(compile_cond(embed_ps(x, "sparse"), sub.alg))
-        masses = limiting_label_masses(chain_from_machine(m, sub))
-        return v, v - masses[Value3.TRUE], masses[Value3.UNDEF]
-
-    # the split nodes reachable from the root through split nodes, and the
-    # pieces below them, parents first
-    order, todo = [], [e]
+    # the steps, each before the steps of its operands; operands are pushed
+    # left to right, so reversed, the plan runs them left to right
+    plan: list[tuple] = []
+    todo: list = [e]
     while todo:
         x = todo.pop()
-        order.append(x)
-        if split[id(x)]:
-            todo.extend(children(x))
-    value: dict[int, tuple] = {}
-    for x in reversed(order):
-        if not split[id(x)]:
-            value[id(x)] = piece(x)
-        elif isinstance(x, CeaNeg):
-            v, u, g = value[id(x.child)]
-            value[id(x)] = 1 - v, g - u, g
+        if type(x) is tuple:  # a regrouped piece
+            plan.append(x)
+            continue
+        y, negated = x, False
+        while isinstance(y, CeaNeg):
+            y, negated = y.child, not negated
+        groups = None
+        if not isinstance(y, CeaSimple):
+            groups = _components(_run_operands(y), blocks)
+            if len(groups) == 1:  # x is a piece
+                if x is e:
+                    sub = p.restrict(blocks[id(e)])
+                    return cond_asymptotic(embed_ps(e, which), sub.alg, sub)
+                plan.append(("piece", x, blocks[id(x)]))
+                continue
+        if negated:
+            plan.append(("~",))
+        if groups is None:
+            plan.append(("piece", y, blocks[id(y)]))
+            continue
+        plan.append((type(y), len(groups)))
+        for group in groups:
+            if len(group) == 1:
+                todo.append(group[0])
+            else:
+                touched = 0
+                for z in group:
+                    touched |= blocks[id(z)]
+                todo.append(("piece", reduce(type(y), group), touched))
+
+    values: list[tuple] = []
+    for step in reversed(plan):
+        if step[0] == "piece":
+            values.append(_piece_limits(step[1], p.restrict(step[2]), which))
+        elif step[0] == "~":
+            v, u, g = values.pop()
+            values.append((1 - v, g - u, g))
         else:
-            value[id(x)] = _combine(isinstance(x, CeaAnd),
-                                    value[id(x.left)], value[id(x.right)])
-    v, u, g = value[id(e)]
+            kind, n = step
+            values[-n:] = [reduce(partial(_combine, kind is CeaAnd), values[-n:])]
+    (v, u, g), = values
     return None if g == 1 else (v - u) / (1 - g)
+
+
+def _run_operands(x: CeaExpr) -> list[CeaExpr]:
+    """The operands of the maximal run of nodes of ``x``'s type below
+    ``x``, left to right."""
+    kind, out, todo = type(x), [], [x]
+    while todo:
+        y = todo.pop()
+        if type(y) is kind:
+            todo += (y.right, y.left)
+        else:
+            out.append(y)
+    return out
+
+
+def _components(operands: list[CeaExpr], blocks: dict[int, int]) -> list[list[CeaExpr]]:
+    """``operands`` grouped into the connected components of "touch a
+    common block", each group in operand order and ordered by its first."""
+    parent = list(range(len(operands)))
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    first: dict[int, int] = {}  # block bit -> the first operand touching it
+    for i, x in enumerate(operands):
+        rest = blocks[id(x)]
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            parent[root(first.setdefault(bit, i))] = root(i)
+    groups: dict[int, list[CeaExpr]] = {}
+    for i, x in enumerate(operands):
+        groups.setdefault(root(i), []).append(x)
+    return list(groups.values())
+
+
+def _piece_limits(x: CeaExpr, sub: ProbAssignment, which: Embedding) -> tuple:
+    """The limits (v, u, g) of a piece (see :func:`_combine`) over ``sub``,
+    the distribution of the blocks it touches.
+
+    Under ``first`` and ``reverse`` the condition is true, so u = g = 0.  A
+    simple conditional (a|b) needs no machine: under every embedding v =
+    Pr(a and b) / Pr b, its first and its latest defined value both being
+    1 with that probability in the limit.  Its ``sparse`` guard fails when
+    b does not hold now but has held before, which in the limit has
+    probability g = 1 - Pr b, independently of the latest defined value,
+    so u = v g.  When Pr b = 0, (a|b) is never defined and never fails its
+    guard: all three limits are 0.  Any other piece runs compile ->
+    minimize -> chain -> limit, twice under ``sparse``: v from the
+    ``reverse`` machine, and u and g from the ``sparse`` machine's masses.
+    """
+    if isinstance(x, CeaSimple):
+        s = _leaf(x, sub.alg)
+        pb = sub.of_event(s.def_set)
+        if pb == 0:
+            return ZERO, ZERO, ZERO
+        v = sub.of_event(s.yes_set) / pb
+        return (v, v * (1 - pb), 1 - pb) if which == "sparse" else (v, ZERO, ZERO)
+    if which != "sparse":
+        return cond_asymptotic(embed_ps(x, which), sub.alg, sub), ZERO, ZERO
+    v = cond_asymptotic(embed_ps(x, "reverse"), sub.alg, sub)
+    m = minimize(compile_cond(embed_ps(x, "sparse"), sub.alg))
+    masses = limiting_label_masses(chain_from_machine(m, sub))
+    return v, v - masses[Value3.TRUE], masses[Value3.UNDEF]
 
 
 def _combine(conj: bool, x: tuple, y: tuple) -> tuple:

@@ -40,43 +40,68 @@ def reverse_word(w: Word) -> Word:
     return Word(w.alg, w.letters[::-1])
 
 
+def _clause(w: Word, t: int, g: TLFormula):
+    """The satisfaction clause of ``g`` at position ``t``, as a generator:
+    it yields each (position, subformula) whose truth it needs, in the
+    order the clause reads them, receives that truth, and returns the
+    truth of ``g``."""
+    if isinstance(g, Atom):
+        return bool(w.letters[t] >> w.alg.index(g.name) & 1)
+    if isinstance(g, Const):
+        return g.value
+    if isinstance(g, Not):
+        return not (yield t, g.child)
+    if isinstance(g, And):
+        return (yield t, g.left) and (yield t, g.right)
+    if isinstance(g, Or):
+        return (yield t, g.left) or (yield t, g.right)
+    if isinstance(g, Implies):
+        return (not (yield t, g.left)) or (yield t, g.right)
+    if isinstance(g, Iff):
+        return (yield t, g.left) == (yield t, g.right)
+    if isinstance(g, Prev):
+        return t > 0 and (yield t - 1, g.child)
+    if isinstance(g, Since):
+        # some witness s <= t of the right side, the left side at every
+        # position after it up to t
+        for s in range(t, -1, -1):
+            if (yield s, g.right):
+                for u in range(s + 1, t + 1):
+                    if not (yield u, g.left):
+                        break
+                else:
+                    return True
+        return False
+    raise TypeError(f"not a temporal formula: {g!r}")
+
+
 def eval_tl(w: Word, pos: int, f: TLFormula, _memo=None) -> bool:
-    """Satisfaction of ``f`` at position ``pos`` of ``w`` (0-based)."""
+    """Satisfaction of ``f`` at position ``pos`` of ``w`` (0-based).
+
+    The clauses run on an explicit stack, so the depth of ``f`` is not
+    bounded by Python's recursion limit."""
     if not 0 <= pos < len(w):
         raise IndexError(f"position {pos} out of range for a word of length {len(w)}")
     if _memo is None:
         _memo = {}
-
-    def ev(t: int, g: TLFormula) -> bool:
-        key = (t, g)
-        hit = _memo.get(key)
-        if hit is not None:
-            return hit
-        if isinstance(g, Atom):
-            v = bool(w.letters[t] >> w.alg.index(g.name) & 1)
-        elif isinstance(g, Const):
-            v = g.value
-        elif isinstance(g, Not):
-            v = not ev(t, g.child)
-        elif isinstance(g, And):
-            v = ev(t, g.left) and ev(t, g.right)
-        elif isinstance(g, Or):
-            v = ev(t, g.left) or ev(t, g.right)
-        elif isinstance(g, Implies):
-            v = (not ev(t, g.left)) or ev(t, g.right)
-        elif isinstance(g, Iff):
-            v = ev(t, g.left) == ev(t, g.right)
-        elif isinstance(g, Prev):
-            v = t > 0 and ev(t - 1, g.child)
-        elif isinstance(g, Since):
-            v = any(ev(s, g.right) and all(ev(u, g.left) for u in range(s + 1, t + 1))
-                    for s in range(t, -1, -1))
-        else:
-            raise TypeError(f"not a temporal formula: {g!r}")
-        _memo[key] = v
-        return v
-
-    return ev(pos, f)
+    hit = _memo.get((pos, f))
+    if hit is not None:
+        return hit
+    stack = [((pos, f), _clause(w, pos, f))]
+    answer = None  # the truth sent to the clause on top of the stack
+    while True:
+        key, clause = stack[-1]
+        try:
+            need = clause.send(answer)
+        except StopIteration as done:
+            answer = _memo[key] = done.value
+            stack.pop()
+            if not stack:
+                return answer
+            continue
+        answer = _memo.get(need)
+        if answer is None:
+            stack.append((need, _clause(w, *need)))
 
 
 def value_at(w: Word, pos: int, c: CondObject, _memo=None) -> Value3:

@@ -572,20 +572,22 @@ def limiting_label_masses(ch: MarkovChain3) -> dict[Value3, Fraction]:
                 absorb[comp_of[s]] += init[s]
         if any(init[s] for s in transient):
             tpos = {s: i for i, s in enumerate(transient)}
-            # a transient state's successor is transient or in a closed class
-            q_block = [[0] * len(transient) for _ in transient]
-            r_block = [[0] * len(closed) for _ in transient]
+            # the transient initial weights y0 reach closed class k with
+            # weight y0 (den Id - Q)^-1 R[:, k]: solve y (den Id - Q) = y0,
+            # the transposed system with one right-hand side, then take y R
+            id_minus_q = [[0] * len(transient) for _ in transient]
             for i, s in enumerate(transient):
+                id_minus_q[i][i] = ch.den
                 for t, w in ch.succ[s]:
                     if t in tpos:
-                        q_block[i][tpos[t]] = w
-                    else:
-                        r_block[i][closed_pos[comp_of[t]]] += w
-            b = absorbing_solve(q_block, r_block, ch.den)
-            for s in transient:
-                if init[s]:
-                    for k, ci in enumerate(closed):
-                        absorb[ci] += init[s] * b[tpos[s]][k]
+                        id_minus_q[tpos[t]][i] -= w
+            y = solve_linear(id_minus_q, [[init[s]] for s in transient])
+            for i, s in enumerate(transient):
+                if y[i][0]:
+                    # a transient state's successor is transient or in a closed class
+                    for t, w in ch.succ[s]:
+                        if t not in tpos:
+                            absorb[comp_of[t]] += y[i][0] * w
         absorb = {ci: w / ch.den for ci, w in absorb.items()}
 
     masses = {Value3.TRUE: ZERO, Value3.FALSE: ZERO, Value3.UNDEF: ZERO}

@@ -638,67 +638,58 @@ _TL_INFIX = {Iff: (" <-> ", _LVL_IFF, 0, 1), Implies: (" -> ", _LVL_IMP, 1, 0),
 # prefix node -> operator; "O" and "H" are re-sugared from their expansions
 _TL_PREFIX = {Not: "not ", Prev: "Y "}
 
-
-def _wrap(entry: tuple[str, int], min_level: int) -> str:
-    text, level = entry
-    return f"({text})" if level < min_level else text
-
-
-def _tl_texts(forms: Sequence[TLFormula]) -> dict:
-    """(text, level) of every subformula of ``forms``, keyed on the
-    interned node and built children first."""
-    out: dict = {}
-    for f in subformulas(forms):
-        kind = type(f)
-        if kind is Atom or kind is Const:
-            out[f] = f.name if kind is Atom else str(f.value).lower(), _LVL_ATOM
-        elif kind is Since and f.left is TRUE:
-            out[f] = "O " + _wrap(out[f.right], _LVL_UN), _LVL_UN
-        elif kind in _TL_INFIX:
-            op, level, left, right = _TL_INFIX[kind]
-            out[f] = (_wrap(out[f.left], level + left) + op
-                      + _wrap(out[f.right], level + right), level)
-        elif kind in _TL_PREFIX:
-            op, x = _TL_PREFIX[kind], f.child
-            if (kind is Not and type(x) is Since and x.left is TRUE
-                    and type(x.right) is Not):
-                op, x = "H ", x.right.child
-            out[f] = op + _wrap(out[x], _LVL_UN), _LVL_UN
-        else:
-            raise TypeError(f"not a temporal formula: {f!r}")
-    return out
-
-
-def _pair_text(num: TLFormula, den: TLFormula) -> str:
-    texts = _tl_texts([num, den])
-    return f"({texts[num][0]} | {texts[den][0]})"
-
-
 _CLVL_OR, _CLVL_AND, _CLVL_NEG, _CLVL_ATOM = range(1, 5)
 # binary expression node -> (operator, level); "|" groups need no level
 _CEA_INFIX = {CeaOr: (" or ", _CLVL_OR), CeaAnd: (" and ", _CLVL_AND)}
 
 
-def _cea_text(e: CeaExpr, values: list) -> tuple[str, int]:
-    kind = type(e)
-    if kind is CeaSimple:
-        return _pair_text(e.num_event, e.den_event), _CLVL_ATOM
+def _layout(x) -> tuple[int, list]:
+    """A node's level and its text as a list of strings and (child, the
+    level the child needs) pairs; a child of a lower level is
+    parenthesized.  Formula and expression levels are separate scales."""
+    kind = type(x)
+    if kind is Atom:
+        return _LVL_ATOM, [x.name]
+    if kind is Const:
+        return _LVL_ATOM, [str(x.value).lower()]
+    if kind is Since and x.left is TRUE:
+        return _LVL_UN, ["O ", (x.right, _LVL_UN)]
+    if kind in _TL_INFIX:
+        op, level, left, right = _TL_INFIX[kind]
+        return level, [(x.left, level + left), op, (x.right, level + right)]
+    if kind in _TL_PREFIX:
+        op, child = _TL_PREFIX[kind], x.child
+        if (kind is Not and type(child) is Since and child.left is TRUE
+                and type(child.right) is Not):
+            op, child = "H ", child.right.child
+        return _LVL_UN, [op, (child, _LVL_UN)]
+    if kind is CondObject or kind is CeaSimple or kind is CeaCond:
+        left, right = children(x)
+        return _CLVL_ATOM, ["(", (left, 0), " | ", (right, 0), ")"]
     if kind is CeaVar:
-        return e.name, _CLVL_ATOM
+        return _CLVL_ATOM, [x.name]
     if kind is CeaNeg:
-        return "~" + _wrap(values[0], _CLVL_NEG), _CLVL_NEG
-    if kind is CeaCond:
-        return f"({values[0][0]} | {values[1][0]})", _CLVL_ATOM
-    op, level = _CEA_INFIX[kind]
-    return _wrap(values[0], level) + op + _wrap(values[1], level + 1), level
+        return _CLVL_NEG, ["~", (x.child, _CLVL_NEG)]
+    if kind in _CEA_INFIX:
+        op, level = _CEA_INFIX[kind]
+        return level, [(x.left, level), op, (x.right, level + 1)]
+    raise TypeError(f"cannot pretty-print {x!r}")
 
 
 def pretty(x: Union[TLFormula, CondObject, CeaExpr]) -> str:
-    """Render an AST back to source text (minimal parentheses, O/H re-sugared)."""
-    if isinstance(x, TLFormula):
-        return _tl_texts([x])[x][0]
-    if isinstance(x, CondObject):
-        return _pair_text(x.num, x.den)
-    if isinstance(x, CeaExpr):
-        return fold(x, _cea_text)[0]
-    raise TypeError(f"cannot pretty-print {x!r}")
+    """Render an AST back to source text (minimal parentheses, O/H
+    re-sugared), in time linear in the text: the pieces are written once,
+    without recursion, and joined once."""
+    out: list[str] = []
+    todo: list = [(x, 0)]
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        node, min_level = item
+        level, parts = _layout(node)
+        if level < min_level:
+            parts = ["(", *parts, ")"]
+        todo += reversed(parts)
+    return "".join(out)

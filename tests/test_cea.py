@@ -19,7 +19,8 @@ from tlcond.cea import (SimpleConditional, cond_asymptotic, event_mask,
                         first_machine, lift_defined, present_machine,
                         simple_to_cond)
 from tlcond.markov import (Block, ProbAssignment, asymptotic,
-                           chain_from_machine, pr_series)
+                           chain_from_machine, limiting_label_masses,
+                           pr_series)
 from tlcond.syntax import FACTORED_EVENT_LIMIT, EventAlgebra, collect_simples
 from tlcond.trivalue import ConnectiveId, apply_binary
 
@@ -630,7 +631,8 @@ def flat_expressions(draw):
     """1-5 leaves over the six-event pool joined by and/or, ~ sprinkled in.
     Leaves are joined in the order of their pairs, so that subtrees over
     one half of the pool are common: some leaves share events and some do
-    not."""
+    not.  In a shuffled order, leaves that share events are often apart,
+    so that runs of and/or are regrouped."""
     def side(x, y):
         return draw(st.sampled_from([x, y, f"{x} and {y}", f"{x} or {y}",
                                      f"not {x}", "true"]))
@@ -642,6 +644,8 @@ def flat_expressions(draw):
                    for _ in range(draw(st.integers(1, 5))))
     parts = [maybe_negated(f"({side(*PAIRS[i])} | {side(*reversed(PAIRS[i]))})")
              for i in pairs]
+    if draw(st.booleans()):
+        parts = draw(st.permutations(parts))
     while len(parts) > 1:
         i = draw(st.integers(0, len(parts) - 2))
         op = draw(st.sampled_from(["and", "or"]))
@@ -681,6 +685,40 @@ def test_compositional_prob_ps_equals_the_monolithic_solve(e, p):
         assert prob_ps(e, p, which) == want, (pretty(e), which)
 
 
+LEAF_SIDES = ("a", "b", "a and b", "a or c", "not b", "b and not b", "true", "false")
+
+
+@st.composite
+def leaves_and_distributions(draw):
+    """A simple conditional over three events, its sides possibly constant
+    or equal, under per-event marginals in {0, 1/3, 1/2, 1} or an atom table
+    with zero atoms."""
+    num = draw(st.sampled_from(LEAF_SIDES))
+    den = num if draw(st.booleans()) else draw(st.sampled_from(LEAF_SIDES))
+    if draw(st.booleans()):
+        p = ProbAssignment(ABC, _weights(draw, ABC.num_atoms, 2))
+    else:
+        p = ProbAssignment.independent(ABC, {e: draw(st.sampled_from(
+            (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1))))
+            for e in ABC.events})
+    return parse_cea(f"({num} | {den})", ABC), p
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(leaves_and_distributions())
+def test_leaf_limits_in_closed_form_equal_the_compiled_ones(case):
+    x, p = case
+    for which in ("first", "reverse", "sparse"):
+        if which == "sparse":
+            v = cond_asymptotic(embed_ps(x, "reverse"), ABC, p)
+            m = minimize(compile_cond(embed_ps(x, "sparse"), ABC))
+            masses = limiting_label_masses(chain_from_machine(m, p))
+            want = v, v - masses[T], masses[U]
+        else:
+            want = cond_asymptotic(embed_ps(x, which), ABC, p), 0, 0
+        assert cea._piece_limits(x, p, which) == want, (pretty(x), which)
+
+
 def test_disjoint_conjunction_of_ten_is_solved_without_the_atom_table():
     names = [f"{s}{i}" for i in range(1, 11) for s in "ab"]
     marginals = {f"a{i}": Fraction(1, i + 1) for i in range(1, 11)}
@@ -708,17 +746,26 @@ def test_a_piece_touching_more_than_a_table_holds_fails_with_the_limit():
 
 
 def test_shared_events_are_solved_as_one_piece(monkeypatch):
-    # ((A and B) and C) with A and C sharing b: the root is one piece,
-    # although A and B are disjoint
     from tlcond import cea
     calls = []
     compile_ = cea.compile_cond
     monkeypatch.setattr(cea, "compile_cond",
                         lambda c, alg: calls.append(alg.events) or compile_(c, alg))
+    # ((A and B) and C) with A and C sharing b and B and C sharing d: the
+    # root is one piece, although A and B are disjoint
     e = parse_cea("((a|b) and (c|d)) and (d|b)", ABCD)
     assert prob_ps(e, HALF4) == Fraction(1, 8)
     assert calls == [ABCD.events]
     calls.clear()
+    # leaves alone in their component take their limits in closed form
     e = parse_cea("~((a|b) or (c|d))", ABCD)
     assert prob_ps(e, HALF4) == Fraction(1, 4)
-    assert calls == [("a", "b"), ("c", "d")]
+    assert calls == []
+    # the and-run is regrouped: A and C share a and are one piece, B splits off
+    abcde = algebra("a b c d e")
+    half5 = ProbAssignment.independent(abcde, {n: Fraction(1, 2) for n in "abcde"})
+    e = parse_cea("((a|b) and (c|d)) and (a|e)", abcde)
+    for which in ("first", "reverse", "sparse"):
+        calls.clear()
+        assert prob_ps(e, half5, which) == Fraction(1, 6)
+        assert set(calls) == {("a", "b", "e")}, which

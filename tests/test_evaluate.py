@@ -3,8 +3,9 @@ import random
 
 import pytest
 
-from tlcond import (CondObject, TRUE, Value3, algebra, cond_output, eval_cond,
-                    eval_tl, parse_cond, parse_tl, reverse_word, word)
+from tlcond import (Atom, CondObject, Not, Prev, Since, TRUE, Value3, algebra,
+                    cond_output, eval_cond, eval_tl, parse_cond, parse_tl,
+                    reverse_word, word)
 from tlcond.evaluate import Word
 
 AB = algebra("a b")
@@ -81,3 +82,27 @@ def test_historically_and_once_match_quantifier_semantics():
             vals = [eval_tl(w, t, f) for t in range(pos + 1)]
             assert eval_tl(w, pos, once_f) == any(vals)
             assert eval_tl(w, pos, hist_f) == all(vals)
+
+
+DEPTH = 10_000
+
+
+def test_deep_formulas_evaluate_without_recursing():
+    a, b = Atom("a"), Atom("b")
+    nots = a
+    for _ in range(DEPTH):
+        nots = Not(nots)
+    assert eval_tl(word(AB, (A,)), 0, nots) is True
+    assert eval_tl(word(AB, (B, A)), 1, Not(nots)) is False
+    # Y^DEPTH a at the last of DEPTH + 1 letters reads the first letter
+    prevs = a
+    for _ in range(DEPTH):
+        prevs = Prev(prevs)
+    assert eval_tl(word(AB, (A,) + (NONE,) * DEPTH), DEPTH, prevs) is True
+    assert eval_tl(word(AB, (B,) + (A,) * DEPTH), DEPTH, prevs) is False
+    # a S (a S (... (a S b))): b once, and a at every later position
+    since = b
+    for _ in range(DEPTH):
+        since = Since(a, since)
+    assert eval_tl(word(AB, (B, A, AB_)), 2, since) is True
+    assert eval_tl(word(AB, (B, NONE, A)), 2, since) is False

@@ -5,6 +5,7 @@ import importlib
 import pickle
 import random
 import sys
+import time
 import weakref
 
 import pytest
@@ -462,6 +463,17 @@ def test_deep_input_parses_under_every_entry_point_that_accepts_it(text, heights
 def test_deep_input_pretty_prints_and_round_trips(entry, text):
     # compared as text: ``==`` on deep conditional expressions recurses
     assert pretty(_ENTRY_POINTS[entry](text)) == text
+
+
+def test_pretty_is_linear_on_a_long_chain():
+    # 50,000 nested H print in about 0.1 s on a 2-core x86-64 VM when the
+    # pieces are joined once, and in about 10 s when each child's text is
+    # concatenated into its parent's
+    f = parse_tl("H " * 50_000 + "a", AB)
+    start = time.perf_counter()
+    text = pretty(f)
+    assert time.perf_counter() - start < 2
+    assert parse_tl(text, AB) is f
 
 
 def test_deep_expressions_pass_the_dialect_checks_without_recursing():
