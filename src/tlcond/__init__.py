@@ -13,9 +13,8 @@ from .automata import (MooreMachine3, canonical_key, compile_cond,
                        event_mask, event_text, is_counter_free, isomorphic,
                        minimize, product, to_dot)
 from .markov import (MarkovChain3, PeriodicChainError, ProbAssignment,
-                     SingularMatrixError, absorbing_solve, asymptotic,
-                     chain_from_machine, limiting_label_masses, pr_n,
-                     pr_n_ratio, pr_series)
+                     SingularMatrixError, asymptotic, chain_from_machine,
+                     limiting_label_masses, pr_n, pr_n_ratio, pr_series)
 from .cea import (SimpleConditional, cond_asymptotic, embed_ps, first_machine,
                   first_resolution, latest_resolution, lift_defined,
                   present_indep, present_machine, prob_present, prob_ps,

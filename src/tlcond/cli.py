@@ -19,8 +19,8 @@ from . import cea
 from .automata import compile_cond, is_counter_free, minimize, to_dot
 from .markov import (PeriodicChainError, ProbAssignment, chain_from_machine,
                      check_time_index, label_weights)
-from .syntax import (_KEYWORDS, FACTORED_EVENT_LIMIT, EventAlgebra, ParseError,
-                     algebra, formula_events, parse_cea, parse_cond)
+from .syntax import (_KEYWORDS, EventAlgebra, ParseError, algebra,
+                     formula_events, parse_cea, parse_cond)
 
 OK, INPUT_ERROR, UNDEFINED = 0, 1, 2
 
@@ -49,17 +49,10 @@ def _load_dist(path: str) -> ProbAssignment:
         raise _InputError(f"bad distribution file {path}: {exc}") from None
 
 
-def _own_algebra(events: tuple[str, ...]) -> EventAlgebra:
-    """An algebra over the request's own events; it may name more events
-    than one atom table holds, since the default distribution is one block
-    per event."""
-    return EventAlgebra(events, limit=FACTORED_EVENT_LIMIT)
-
-
 def _half(events: tuple[str, ...]) -> ProbAssignment:
     """Every event independent with probability 1/2, one block per event."""
     return ProbAssignment.independent(
-        _own_algebra(events), {e: Fraction(1, 2) for e in events})
+        EventAlgebra(events), {e: Fraction(1, 2) for e in events})
 
 
 def _parse_expr(kind: str, text: str, alg):
@@ -72,7 +65,7 @@ def _parse_expr(kind: str, text: str, alg):
 def _parse_own(kind: str, text: str):
     """Parse over the expression's own identifiers; return the expression
     and its events, sorted."""
-    e = _parse_expr(kind, text, _own_algebra(_idents_of(text)))
+    e = _parse_expr(kind, text, EventAlgebra(_idents_of(text)))
     return e, tuple(sorted(formula_events(e)))
 
 

@@ -16,7 +16,7 @@ from math import gcd, lcm
 from typing import Iterator, Optional, Sequence
 
 from .automata import MooreMachine3
-from .syntax import FACTORED_EVENT_LIMIT, EventAlgebra, algebra
+from .syntax import EventAlgebra
 from .trivalue import Value3
 
 ZERO = Fraction(0)
@@ -148,16 +148,16 @@ class ProbAssignment:
         ``events: a b c`` then either one ``atom {a c}: 3/8`` line per atom
         (all 2^n atoms, masses summing to 1) or a single
         ``independent: a=1/2 b=1/3`` line.  An ``independent:`` line may
-        name up to ``FACTORED_EVENT_LIMIT`` events, since it builds no table.
+        name more events than an atom table holds, since it builds no table.
         """
         lines = [ln.strip() for ln in text.splitlines()]
         lines = [ln for ln in lines if ln and not ln.startswith("#")]
         if not lines or not lines[0].startswith("events:"):
             raise ValueError("distribution file must start with 'events: ...'")
         names = tuple(lines[0][len("events:"):].split())
+        alg_ = EventAlgebra(names)
         body = lines[1:]
         if len(body) == 1 and body[0].startswith("independent:"):
-            alg_ = EventAlgebra(names, limit=FACTORED_EVENT_LIMIT)
             probs = {}
             for item in body[0][len("independent:"):].split():
                 name, _, value = item.partition("=")
@@ -167,7 +167,6 @@ class ProbAssignment:
                     raise ValueError(f"marginal for {name!r} listed twice")
                 probs[name] = _fraction(value)
             return ProbAssignment.independent(alg_, probs)
-        alg_ = algebra(names)
         mass = [None] * alg_.num_atoms
         pat = re.compile(r"atom\s*\{([^}]*)\}\s*:\s*(\S+)$")
         for ln in body:
@@ -216,32 +215,10 @@ class MarkovChain3:
     ``init_weights[s]`` is state s's initial weight and ``succ[s]`` its
     (successor, weight) pairs with nonzero weight, in successor order.  A
     row is valid when its weights are nonnegative and sum to ``den``.
-    ``MarkovChain3(init, trans, labels)`` builds a chain from rational
-    tables, ``from_weights`` from the integer form; ``init`` and ``trans``
-    are ``Fraction`` views built on first use.
     """
 
-    def __init__(self, init: Sequence[Fraction],
-                 trans: Sequence[Sequence[Fraction]], labels: Sequence[Value3]):
-        n = len(labels)
-        if len(init) != n or len(trans) != n or any(len(row) != n for row in trans):
-            raise ValueError("inconsistent chain dimensions")
-        cells = [(s, t, x) for s, row in enumerate(trans) for t, x in enumerate(row) if x]
-        den, weights = _over_lcd([*init, *(x for _, _, x in cells)])
-        succ: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for (s, t, _), w in zip(cells, weights[n:]):
-            succ[s].append((t, w))
-        self._set(den, weights[:n], succ, labels)
-
-    @classmethod
-    def from_weights(cls, den: int, init_weights: Sequence[int],
-                     succ: Sequence[Sequence[tuple[int, int]]],
-                     labels: Sequence[Value3]) -> "MarkovChain3":
-        ch = cls.__new__(cls)
-        ch._set(den, init_weights, succ, labels)
-        return ch
-
-    def _set(self, den, init_weights, succ, labels) -> None:
+    def __init__(self, den: int, init_weights: Sequence[int],
+                 succ: Sequence[Sequence[tuple[int, int]]], labels: Sequence[Value3]):
         if len(init_weights) != len(labels) or len(succ) != len(labels):
             raise ValueError("inconsistent chain dimensions")
         if any(w < 0 for w in init_weights):
@@ -261,20 +238,6 @@ class MarkovChain3:
     @property
     def n_states(self) -> int:
         return len(self.labels)
-
-    @cached_property
-    def init(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(w, self.den) if w else ZERO for w in self.init_weights)
-
-    @cached_property
-    def trans(self) -> tuple[tuple[Fraction, ...], ...]:
-        rows = []
-        for pairs in self.succ:
-            row = [ZERO] * self.n_states
-            for t, w in pairs:
-                row[t] += Fraction(w, self.den)
-            rows.append(tuple(row))
-        return tuple(rows)
 
 
 def chain_from_machine(m: MooreMachine3, p: ProbAssignment) -> MarkovChain3:
@@ -297,8 +260,7 @@ def chain_from_machine(m: MooreMachine3, p: ProbAssignment) -> MarkovChain3:
     init = [0] * m.n_states
     for t, w in pairs(m.delta[m.initial]):
         init[t] = w
-    return MarkovChain3.from_weights(den // common, init,
-                                     [pairs(row) for row in m.delta], m.labels)
+    return MarkovChain3(den // common, init, [pairs(row) for row in m.delta], m.labels)
 
 
 def _step(dist: list[int], succ: Sequence[Sequence[tuple[int, int]]]) -> list[int]:
@@ -357,34 +319,18 @@ def pr_n_ratio(ch: MarkovChain3, n: int) -> Optional[Fraction]:
 # Exact linear algebra
 
 
-def _divide_content(row: dict[int, int]) -> None:
-    content = gcd(*row.values())
-    if content > 1:
-        for c in row:
-            row[c] //= content
+def solve_linear(rows: list[dict[int, int]], width: int) -> list[list[Fraction]]:
+    """Solve A X = B exactly for n unknowns and ``width`` right-hand sides.
 
-
-def solve_linear(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Solve A X = B exactly.
-
-    Each row keeps its nonzero entries (column c of B is column n + c of the
-    row), scaled to integers over the row's LCD.  Forward elimination is
-    fraction-free: in each column it pivots on the candidate row with the
-    fewest nonzeros (lowest index on a tie) and replaces every other row
-    holding the column by ``row*(pivot/g) - prow*(factor/g)``, g =
-    gcd(pivot, factor), divided by its content.  Fractions appear only in
-    back substitution.
+    ``rows[i]`` holds equation i's nonzero integer entries: column c < n is
+    A's column c and column n + j is B's column j.  The rows are consumed.
+    Forward elimination is fraction-free: in each column it pivots on the
+    candidate row with the fewest nonzeros (lowest index on a tie) and
+    replaces every other row holding the column by ``row*(pivot/g) -
+    prow*(factor/g)``, g = gcd(pivot, factor), divided by its content.
+    Fractions appear only in back substitution.
     """
-    n = len(a)
-    rows = []
-    for row_a, row_b in zip(a, b):
-        cells = [(c, x) for c, x in enumerate(row_a) if x]
-        cells += [(n + c, x) for c, x in enumerate(row_b) if x]
-        _, weights = _over_lcd([x for _, x in cells])
-        row = {c: w for (c, _), w in zip(cells, weights)}
-        _divide_content(row)
-        rows.append(row)
-    width = len(b[0]) if b else 0
+    n = len(rows)
     # holders[c]: the rows not yet pivoted on that have a nonzero in column c
     holders = [set() for _ in range(n)]
     for r, row in enumerate(rows):
@@ -426,7 +372,10 @@ def solve_linear(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[
                         del row[c]
                         if c < n:
                             holders[c].discard(r)
-            _divide_content(row)
+            content = gcd(*row.values())
+            if content > 1:
+                for c in row:
+                    row[c] //= content
     x: list[list[Fraction]] = [[]] * n
     for col in range(n - 1, -1, -1):
         prow, head = pivots[col]
@@ -438,21 +387,6 @@ def solve_linear(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[
                         sol[j] -= coef * xc
         x[col] = [s / head for s in sol]
     return x
-
-
-def absorbing_solve(q_block: list[list[Fraction]],
-                    r_block: list[list[Fraction]], den: int = 1
-                    ) -> list[list[Fraction]]:
-    """Absorption probabilities B = (Id - Q)^-1 R for an absorbing chain
-    split into a transient block Q and a transient-to-absorbing block R,
-    both given as weights over ``den``: B solves (den Id - Q) B = R."""
-    n = len(q_block)
-    if any(len(row) != n for row in q_block) or len(r_block) != n:
-        raise ValueError("Q must be square with one R row per transient state")
-    id_minus_q = [[-w if w else w for w in row] for row in q_block]
-    for i, row in enumerate(id_minus_q):
-        row[i] += den
-    return solve_linear(id_minus_q, [list(row) for row in r_block])
 
 
 # ---------------------------------------------------------------------------
@@ -531,15 +465,15 @@ def stationary_distribution(ch: MarkovChain3, members: list[int]) -> dict[int, F
     sum = 1)."""
     k = len(members)
     pos = {s: i for i, s in enumerate(members)}
-    # (P_w^T - den Id) pi = 0 with the last equation replaced by sum(pi) = 1
-    a = [[0] * k for _ in range(k)]
+    # (P_w^T - den Id) pi = 0 with the last equation replaced by sum(pi) = 1;
+    # a diagonal entry -den + w is nonzero in an irreducible class of k > 1
+    rows = [{i: -ch.den} for i in range(k - 1)] + [dict.fromkeys(range(k + 1), 1)]
     for j, s in enumerate(members):
-        a[j][j] -= ch.den
         for t, w in ch.succ[s]:
-            a[pos[t]][j] += w
-    a[k - 1] = [1] * k
-    b = [[0] for _ in range(k - 1)] + [[1]]
-    x = solve_linear(a, b)
+            i = pos[t]
+            if i < k - 1:
+                rows[i][j] = rows[i].get(j, 0) + w
+    x = solve_linear(rows, 1)
     return {s: x[pos[s]][0] for s in members}
 
 
@@ -574,14 +508,18 @@ def limiting_label_masses(ch: MarkovChain3) -> dict[Value3, Fraction]:
             tpos = {s: i for i, s in enumerate(transient)}
             # the transient initial weights y0 reach closed class k with
             # weight y0 (den Id - Q)^-1 R[:, k]: solve y (den Id - Q) = y0,
-            # the transposed system with one right-hand side, then take y R
-            id_minus_q = [[0] * len(transient) for _ in transient]
+            # the transposed system with one right-hand side, then take y R.
+            # A transient state's self-loop weighs less than den, so no
+            # diagonal entry is zero.
+            rows = [{i: ch.den} for i in range(len(transient))]
             for i, s in enumerate(transient):
-                id_minus_q[i][i] = ch.den
+                if init[s]:
+                    rows[i][len(transient)] = init[s]
                 for t, w in ch.succ[s]:
                     if t in tpos:
-                        id_minus_q[tpos[t]][i] -= w
-            y = solve_linear(id_minus_q, [[init[s]] for s in transient])
+                        row = rows[tpos[t]]
+                        row[i] = row.get(i, 0) - w
+            y = solve_linear(rows, 1)
             for i, s in enumerate(transient):
                 if y[i][0]:
                     # a transient state's successor is transient or in a closed class

@@ -25,9 +25,9 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 # events of one flat atom table (2^16 atoms)
 DEFAULT_EVENT_LIMIT = 16
-# events of an algebra whose distribution is given as independent blocks:
-# such an algebra may name more events than one atom table can hold, and
-# asking for its atoms fails with the limit above
+# events of an algebra: one whose distribution is given as independent
+# blocks may name more events than one atom table can hold, and asking for
+# its atoms fails with the limit above
 FACTORED_EVENT_LIMIT = 64
 
 _KEYWORDS = {"true", "false", "not", "and", "or", "S", "Y", "O", "H"}
@@ -54,14 +54,13 @@ class EventAlgebra:
     """
 
     events: tuple[str, ...]
-    limit: int = DEFAULT_EVENT_LIMIT
 
     def __post_init__(self):
         if len(set(self.events)) != len(self.events):
             raise ValueError("duplicate basic event names")
-        if len(self.events) > self.limit:
-            raise ValueError(
-                f"{len(self.events)} basic events exceed the limit {self.limit}")
+        if len(self.events) > FACTORED_EVENT_LIMIT:
+            raise ValueError(f"{len(self.events)} basic events exceed the limit "
+                             f"{FACTORED_EVENT_LIMIT}")
         for name in self.events:
             if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name) or name in _KEYWORDS:
                 raise ValueError(f"invalid event name: {name!r}")

@@ -21,7 +21,7 @@ from tlcond.cea import (SimpleConditional, cond_asymptotic, event_mask,
 from tlcond.markov import (Block, ProbAssignment, asymptotic,
                            chain_from_machine, limiting_label_masses,
                            pr_series)
-from tlcond.syntax import FACTORED_EVENT_LIMIT, EventAlgebra, collect_simples
+from tlcond.syntax import EventAlgebra, collect_simples
 from tlcond.trivalue import ConnectiveId, apply_binary
 
 from corpus import ALG_AB, CORPUS, SKEWED_AB, UNIFORM_AB
@@ -737,8 +737,7 @@ def test_disjoint_conjunction_of_ten_is_solved_without_the_atom_table():
 
 def test_a_piece_touching_more_than_a_table_holds_fails_with_the_limit():
     # the shared event b ties 17 events into one piece
-    alg = EventAlgebra(tuple(f"a{i}" for i in range(16)) + ("b",),
-                       limit=FACTORED_EVENT_LIMIT)
+    alg = EventAlgebra(tuple(f"a{i}" for i in range(16)) + ("b",))
     p = ProbAssignment.independent(alg, {n: Fraction(1, 2) for n in alg.events})
     e = parse_cea(" and ".join(f"(a{i}|b)" for i in range(16)), alg)
     with pytest.raises(ValueError, match="17 basic events exceed the limit 16"):

@@ -1,8 +1,13 @@
 """The command-line front end is a thin adapter over the library."""
+import contextlib
+import io
+import re
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tlcond import ParseError, cli
 from tlcond.cli import main
@@ -168,6 +173,44 @@ def test_deep_present_tense_output_equals_the_shallow_one(capsys, command, which
     got = run(capsys, *command, "--cea", which, "--expr", "~" * DEEP + "(a|b)")
     assert got[0] == 0
     assert got == run(capsys, *command, "--cea", which, "--expr", "(a|b)")
+
+
+@st.composite
+def deep_requests(draw):
+    """``prob``, ``series --n 2`` or ``machine`` on an expression nested
+    10^3 to 10^4 levels deep: a short pattern of prefix operators and open
+    parentheses repeated to the depth, over ``a`` inside a tl conditional
+    or over ``(a|b)`` under sac or ps.  A tl expression also gets up to
+    three ``Y`` (each doubles the histories its machine keeps)."""
+    kind = draw(st.sampled_from(("tl", "sac", "ps")))
+    ops = ("not ", "O ", "H ", "(") if kind == "tl" else ("~", "(")
+    pattern = draw(st.lists(st.sampled_from(ops), min_size=1, max_size=4))
+    depth = draw(st.integers(1_000, 10_000))
+    nest = (pattern * depth)[:depth]
+    if kind == "tl":
+        for _ in range(draw(st.integers(0, 3))):
+            nest.insert(draw(st.integers(0, depth)), "Y ")
+        guard = draw(st.sampled_from(("true", "b", "not Y a")))
+        expr = f"({''.join(nest)}a{')' * nest.count('(')} | {guard})"
+    else:
+        expr = f"{''.join(nest)}(a|b){')' * nest.count('(')}"
+    command = draw(st.sampled_from((("prob",), ("series", "--n", "2"), ("machine",))))
+    embedding = ("--embedding", draw(st.sampled_from(("first", "reverse", "sparse"))))
+    return (*command, "--cea", kind, *(embedding if kind == "ps" else ()), "--expr", expr)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(deep_requests())
+def test_deep_requests_answer_or_name_a_limit(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    err = err.getvalue()
+    assert "recursion" not in err
+    if code == 1:
+        assert re.fullmatch(r"error: .* exceed the limit \d+\n", err), err
+    else:
+        assert code in (0, 2) and err == "" and out.getvalue()
 
 
 @pytest.mark.parametrize("which", ["sac", "gnw"])

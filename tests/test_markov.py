@@ -1,13 +1,13 @@
 """Distributions, chains, time-indexed and limiting probabilities."""
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tlcond import (ProbAssignment, absorbing_solve, algebra, asymptotic,
+from tlcond import (ProbAssignment, algebra, asymptotic,
                     brute_pr_series, chain_from_machine, compile_cond,
                     minimize, parse_cond, pr_n, pr_n_ratio, pr_series)
 from tlcond import markov
@@ -33,6 +33,18 @@ MIXED_INDEPENDENT_AB = ProbAssignment.independent(
 def _chain(text, p=UNIFORM_AB):
     c = parse_cond(text, p.alg)
     return chain_from_machine(minimize(compile_cond(c, p.alg)), p)
+
+
+def _tables(ch):
+    """A chain's initial distribution and transition matrix as dense
+    ``Fraction`` tables, built from its integer weights."""
+    trans = []
+    for pairs in ch.succ:
+        row = [Fraction(0)] * ch.n_states
+        for t, w in pairs:
+            row[t] = Fraction(w, ch.den)
+        trans.append(tuple(row))
+    return tuple(Fraction(w, ch.den) for w in ch.init_weights), tuple(trans)
 
 
 # ---------------------------------------------------------------------------
@@ -184,29 +196,26 @@ def test_restrict_keeps_the_marginal_of_its_blocks():
 
 def test_one_state_machine_gives_unit_chain():
     ch = _chain("(true|true)")
-    assert ch.trans == ((Fraction(1),),)
-    assert ch.init == (Fraction(1),)
+    assert (ch.den, ch.init_weights, ch.succ) == (1, (1,), (((0, 1),),))
+    assert _tables(ch) == ((Fraction(1),), ((Fraction(1),),))
 
 
 def test_first_resolution_chain_masses():
     ch = _chain("(O (a and b and not Y O b) | true)")
     # waiting state: self-loop 1/2 (condition absent), exits 1/4 and 1/4
-    by_label = {}
-    for i, lab in enumerate(ch.labels):
-        row = ch.trans[i]
-        by_label.setdefault(lab, []).append(row)
+    _, trans = _tables(ch)
     waiting = next(i for i in range(ch.n_states)
-                   if ch.trans[i][i] == F2 and ch.labels[i] is Value3.FALSE)
-    exits = sorted(w for j, w in enumerate(ch.trans[waiting]) if j != waiting)
+                   if trans[i][i] == F2 and ch.labels[i] is Value3.FALSE)
+    exits = sorted(w for j, w in enumerate(trans[waiting]) if j != waiting)
     assert exits == [Fraction(1, 4), Fraction(1, 4)]
 
 
 def test_rows_always_sum_to_one():
     for text, c in CORPUS:
         ch = chain_from_machine(minimize(compile_cond(c, ALG_AB)), SKEWED_AB)
-        for row in ch.trans:
-            assert sum(row) == 1
-        assert sum(ch.init) == 1
+        for pairs in ch.succ:
+            assert sum(w for _, w in pairs) == ch.den
+        assert sum(ch.init_weights) == ch.den
 
 
 def _fraction_chain(m, p):
@@ -230,7 +239,7 @@ def test_chain_from_machine_equals_the_fraction_reference():
         for text, c in CORPUS:
             m = minimize(compile_cond(c, ALG_AB))
             ch = chain_from_machine(m, p)
-            assert (ch.init, ch.trans) == _fraction_chain(m, p), text
+            assert _tables(ch) == _fraction_chain(m, p), text
             for pairs in ch.succ:  # positive weights, one pair per successor, in order
                 assert all(w > 0 for _, w in pairs), text
                 assert [t for t, _ in pairs] == sorted({t for t, _ in pairs}), text
@@ -245,42 +254,39 @@ def test_hand_built_chain_round_trips_its_tables():
     trans = ((Fraction(1, 4), Fraction(3, 4), zero),
              (Fraction(2, 5), zero, Fraction(3, 5)),
              (Fraction(1, 7), Fraction(2, 7), Fraction(4, 7)))
-    ch = MarkovChain3(init=init, trans=trans,
-                      labels=(Value3.TRUE, Value3.FALSE, Value3.UNDEF))
-    assert ch.den == lcm(6, 2, 3, 4, 5, 7)
-    assert ch.init_weights == (70, 210, 140)
-    assert ch.succ == (((0, 105), (1, 315)), ((0, 168), (2, 252)),
-                       ((0, 60), (1, 120), (2, 240)))
-    assert ch.init == init and ch.trans == trans
+    den = lcm(6, 2, 3, 4, 5, 7)
+    succ = (((0, 105), (1, 315)), ((0, 168), (2, 252)), ((0, 60), (1, 120), (2, 240)))
+    ch = MarkovChain3(den, [70, 210, 140], [list(pairs) for pairs in succ],
+                      [Value3.TRUE, Value3.FALSE, Value3.UNDEF])
+    assert (ch.den, ch.init_weights, ch.succ) == (420, (70, 210, 140), succ)
+    assert ch.labels == (Value3.TRUE, Value3.FALSE, Value3.UNDEF)
+    assert _tables(ch) == (init, trans)
     at_two = [sum(init[s] * trans[s][t] for s in range(3)) for t in range(3)]
     assert pr_n(ch, 2) == tuple(at_two)
-    same = MarkovChain3.from_weights(ch.den, ch.init_weights, ch.succ, ch.labels)
-    assert (same.init, same.trans) == (init, trans)
 
 
 def test_chain_weights_are_checked():
     labels = (Value3.TRUE, Value3.FALSE)
     with pytest.raises(ValueError, match="every transition row"):
-        MarkovChain3.from_weights(4, (4, 0), (((0, 3),), ((1, 4),)), labels)
+        MarkovChain3(4, (4, 0), (((0, 3),), ((1, 4),)), labels)
     with pytest.raises(ValueError, match="initial distribution"):
-        MarkovChain3.from_weights(4, (3, 0), (((0, 4),), ((1, 4),)), labels)
+        MarkovChain3(4, (3, 0), (((0, 4),), ((1, 4),)), labels)
     with pytest.raises(ValueError, match="negative"):
-        MarkovChain3.from_weights(4, (4, 0), (((0, 5), (1, -1)), ((1, 4),)), labels)
+        MarkovChain3(4, (4, 0), (((0, 5), (1, -1)), ((1, 4),)), labels)
     with pytest.raises(ValueError, match="dimensions"):
-        MarkovChain3(init=(Fraction(1),), trans=((Fraction(1),),), labels=labels)
+        MarkovChain3(1, (1,), (((0, 1),),), labels)
+    with pytest.raises(ValueError, match="dimensions"):
+        MarkovChain3(1, (1, 0), (((0, 1),),), labels)
 
 
 def test_negative_chain_entries_rejected():
     # rows summing to 1 with a negative entry: a "> 0" adjacency would drop
     # the -1 edge and answer TRUE = 1 for this chain
-    one, zero = Fraction(1), Fraction(0)
     labels = (Value3.TRUE, Value3.FALSE)
     with pytest.raises(ValueError, match="negative"):
-        MarkovChain3(init=(one, zero), trans=((Fraction(2), Fraction(-1)), (zero, one)),
-                     labels=labels)
+        MarkovChain3(1, (1, 0), (((0, 2), (1, -1)), ((1, 1),)), labels)
     with pytest.raises(ValueError, match="negative"):
-        MarkovChain3(init=(Fraction(2), Fraction(-1)), trans=((one, zero), (zero, one)),
-                     labels=labels)
+        MarkovChain3(1, (2, -1), (((0, 1),), ((1, 1),)), labels)
 
 
 def test_alphabet_mismatch_rejected():
@@ -341,11 +347,12 @@ def _fraction_step(dist, succ):
 
 
 def fraction_series(ch, n):
-    """The series stepped as ``Fraction``s through the rational rows of
-    ``ch.trans``: how ``pr_series`` stepped before it took integer weights,
-    kept as a reference."""
-    succ = [[(t, w) for t, w in enumerate(row) if w] for row in ch.trans]
-    dist = list(ch.init)
+    """The series stepped as ``Fraction``s through the chain's rational
+    rows: how ``pr_series`` stepped before it took integer weights, kept as
+    a reference."""
+    init, trans = _tables(ch)
+    succ = [[(t, w) for t, w in enumerate(row) if w] for row in trans]
+    dist = list(init)
     for t in range(1, n + 1):
         if t > 1:
             dist = _fraction_step(dist, succ)
@@ -422,6 +429,7 @@ def test_stationary_laws_of_corpus_closed_classes_are_fixed_points():
     for p in (UNIFORM_AB, SKEWED_AB):
         for text, c in CORPUS:
             ch = chain_from_machine(minimize(compile_cond(c, ALG_AB)), p)
+            _, trans = _tables(ch)
             adj = [[t for t, _ in pairs] for pairs in ch.succ]
             for comp in _sccs(ch.n_states, adj):
                 if any(t not in comp for s in comp for t in adj[s]):
@@ -429,21 +437,18 @@ def test_stationary_laws_of_corpus_closed_classes_are_fixed_points():
                 pi = stationary_distribution(ch, comp)
                 assert sum(pi.values()) == 1, text
                 for t in comp:
-                    assert sum(pi[s] * ch.trans[s][t] for s in comp) == pi[t], text
+                    assert sum(pi[s] * trans[s][t] for s in comp) == pi[t], text
 
 
 def test_limiting_masses_of_a_hand_built_absorbing_chain():
     # transient state 0 enters the closed class {1, 2} by both of its states
     # (mass 1/2 of the 3/4 that leaves) and the absorbing state 3 (1/4)
-    q = Fraction(1, 4)
-    zero = Fraction(0)
+    # (rows 1/4 each; 1/2, 1/2; 1/3, 2/3; 1 as weights over 12)
     ch = MarkovChain3(
-        init=(Fraction(1), zero, zero, zero),
-        trans=((q, q, q, q),
-               (zero, F2, F2, zero),
-               (zero, Fraction(1, 3), Fraction(2, 3), zero),
-               (zero, zero, zero, Fraction(1))),
-        labels=(Value3.UNDEF, Value3.TRUE, Value3.FALSE, Value3.FALSE))
+        12, (12, 0, 0, 0),
+        (((0, 3), (1, 3), (2, 3), (3, 3)), ((1, 6), (2, 6)), ((1, 4), (2, 8)),
+         ((3, 12),)),
+        (Value3.UNDEF, Value3.TRUE, Value3.FALSE, Value3.FALSE))
     # the class's stationary law is (2/5, 3/5); it absorbs 2/3 of the mass
     assert limiting_label_masses(ch) == {Value3.TRUE: Fraction(4, 15),
                                          Value3.FALSE: Fraction(11, 15),
@@ -466,28 +471,59 @@ def test_deep_past_limits_on_large_closed_classes():
             == probs["a"] * probs["b"])
 
 
+def _closed_walk_period(trans, comp):
+    """gcd of the lengths m <= |comp| of the closed walks inside ``comp``:
+    every simple cycle is one, so this is the class's period."""
+    g, reached = 0, {s: {s} for s in comp}  # reached[s]: where m steps lead
+    for m in range(1, len(comp) + 1):
+        reached = {s: {t for u in reached[s] for t in comp if trans[u][t]} for s in comp}
+        if any(s in reached[s] for s in comp):
+            g = gcd(g, m)
+    return g
+
+
 def _full_solve_masses(ch):
-    """Limiting label masses with every absorption and stationary law
-    solved, as before the one-class and one-state shortcuts."""
-    adj = [[t for t, _ in pairs] for pairs in ch.succ]
-    comps = _sccs(ch.n_states, adj)
-    closed = [c for c in comps if all(t in c for s in c for t in adj[s])]
-    transient = [s for s in range(ch.n_states) if not any(s in c for c in closed)]
-    absorb = [sum((ch.init[s] for s in c), Fraction(0)) for c in closed]
+    """Limiting label masses from dense ``Fraction`` tables, with every
+    absorption and every stationary law solved by ``dense_solve_reference``:
+    no shortcut and no code of ``markov``'s limit.  A closed class is the
+    set a state reaches when everything it reaches reaches it back.  Raises
+    ``PeriodicChainError`` when a closed class that keeps mass is periodic."""
+    init, trans = _tables(ch)
+    n = ch.n_states
+    reach = []  # the states reachable from s in one or more steps
+    for s in range(n):
+        seen, todo = set(), [s]
+        while todo:
+            for t, x in enumerate(trans[todo.pop()]):
+                if x and t not in seen:
+                    seen.add(t)
+                    todo.append(t)
+        reach.append(seen)
+    closed = []
+    for s in range(n):
+        comp = sorted(reach[s])
+        if all(s in reach[t] for t in comp) and comp not in closed:
+            closed.append(comp)
+    transient = [s for s in range(n) if not any(s in c for c in closed)]
+    absorb = [sum((init[s] for s in c), Fraction(0)) for c in closed]
     if transient:
-        b = absorbing_solve(
-            [[ch.trans[s][t] for t in transient] for s in transient],
-            [[sum((ch.trans[s][t] for t in c), Fraction(0)) for c in closed]
-             for s in transient])
+        b = dense_solve_reference(
+            [[(s == t) - trans[s][t] for t in transient] for s in transient],
+            [[sum(trans[s][t] for t in c) for c in closed] for s in transient])
         for i, s in enumerate(transient):
             for k in range(len(closed)):
-                absorb[k] += ch.init[s] * b[i][k]
+                absorb[k] += init[s] * b[i][k]
     masses = {Value3.TRUE: 0, Value3.FALSE: 0, Value3.UNDEF: 0}
     for k, c in enumerate(closed):
         if absorb[k]:
-            pi = stationary_distribution(ch, c)
-            for s in c:
-                masses[ch.labels[s]] += absorb[k] * pi[s]
+            if _closed_walk_period(trans, c) != 1:
+                raise PeriodicChainError("periodic")
+            # pi (P - Id) = 0 over the class, the last equation sum(pi) = 1
+            a = [[trans[s][t] - (s == t) for s in c] for t in c]
+            a[-1] = [1] * len(c)
+            pi = dense_solve_reference(a, [[0]] * (len(c) - 1) + [[1]])
+            for i, s in enumerate(c):
+                masses[ch.labels[s]] += absorb[k] * pi[i][0]
     return masses
 
 
@@ -504,6 +540,48 @@ def test_limit_shortcuts_equal_the_full_solve():
     # a lone closed class of one and of several states; one-state classes
     # among several
     assert {(1, 1), (1, 2), (2, 1)} <= seen
+
+
+@st.composite
+def integer_chains(draw):
+    """Chains of 1..8 states over den 2..12 with random weights and labels.
+    The states from ``split`` on fall in up to three groups that no
+    transition leaves, so several closed classes are common; the states
+    before it step anywhere, and the initial mass often sits on them alone."""
+    n = draw(st.integers(1, 8))
+    den = draw(st.integers(2, 12))
+    split = draw(st.integers(0, n - 1))
+    group = [None] * split + draw(st.lists(st.integers(0, 2), min_size=n - split,
+                                           max_size=n - split))
+
+    def weights_over(states):
+        # den cut into one part per drawn target; parts of one target add up
+        targets = draw(st.lists(st.sampled_from(states), min_size=1, max_size=4))
+        cuts = sorted(draw(st.lists(st.integers(0, den), min_size=len(targets) - 1,
+                                    max_size=len(targets) - 1)))
+        out = dict.fromkeys(sorted(targets), 0)
+        for t, lo, hi in zip(targets, [0, *cuts], [*cuts, den]):
+            out[t] += hi - lo
+        return [(t, w) for t, w in out.items() if w]
+
+    succ = [weights_over([t for t in range(n) if group[s] is None or group[t] == group[s]])
+            for s in range(n)]
+    first = list(range(split)) if split and draw(st.booleans()) else list(range(n))
+    init = dict(weights_over(first))
+    labels = draw(st.lists(st.sampled_from(list(Value3)), min_size=n, max_size=n))
+    return MarkovChain3(den, [init.get(s, 0) for s in range(n)], succ, labels)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(integer_chains())
+def test_limit_equals_the_dense_reference_on_random_integer_chains(ch):
+    try:
+        want = _full_solve_masses(ch)
+    except PeriodicChainError:
+        with pytest.raises(PeriodicChainError):
+            limiting_label_masses(ch)
+        return
+    assert limiting_label_masses(ch) == want
 
 
 def test_deep_past_conditional_runs_no_transient_solve(monkeypatch):
@@ -535,10 +613,7 @@ def test_first_resolution_limit_solves_no_stationary_system(monkeypatch):
 
 def test_periodic_reachable_class_fails_loudly():
     # hand-built two-state flip-flop: the distribution alternates forever
-    ch = MarkovChain3(
-        init=(Fraction(1), Fraction(0)),
-        trans=((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0))),
-        labels=(Value3.TRUE, Value3.FALSE))
+    ch = MarkovChain3(1, (1, 0), (((1, 1),), ((0, 1),)), (Value3.TRUE, Value3.FALSE))
     with pytest.raises(PeriodicChainError):
         asymptotic(ch)
 
@@ -590,8 +665,9 @@ def test_limit_agrees_with_iterated_distribution_on_random_machines():
         assert sum(masses.values()) == 1
 
         # long float iteration as an independent approximation of the limit
-        dist = [float(x) for x in ch.init]
-        trans = [[float(x) for x in row] for row in ch.trans]
+        init, trans = _tables(ch)
+        dist = [float(x) for x in init]
+        trans = [[float(x) for x in row] for row in trans]
         for _ in range(2000):
             dist = [sum(dist[i] * trans[i][j] for i in range(n))
                     for j in range(n)]
@@ -623,47 +699,42 @@ def test_reverse_words_give_equal_masses():
 # Exact linear algebra
 
 
-def test_absorbing_solve_scalar():
-    b = absorbing_solve([[F2]], [[Fraction(1, 4), Fraction(1, 4)]])
-    assert b == [[F2, F2]]
+def test_solve_linear_exact():
+    x = solve_linear([{0: 2, 1: 1, 2: 3}, {0: 1, 1: 3, 2: 5}], 1)
+    assert x == [[Fraction(4, 5)], [Fraction(7, 5)]]
 
 
-def test_absorbing_solve_identity_case():
-    r = [[Fraction(1, 3), Fraction(2, 3)], [Fraction(1), Fraction(0)]]
-    q = [[Fraction(0), Fraction(0)], [Fraction(0), Fraction(0)]]
-    assert absorbing_solve(q, r) == r
+def test_solve_linear_absorption_systems():
+    # (den Id - Q) B = R: Q = 1/2 and R = (1/4, 1/4) over den 4 give B = (1/2, 1/2)
+    assert solve_linear([{0: 2, 1: 1, 2: 1}], 2) == [[F2, F2]]
+    # Q = 0 gives B = R
+    assert solve_linear([{0: 3, 2: 1, 3: 2}, {1: 1, 2: 1}], 2) == [
+        [Fraction(1, 3), Fraction(2, 3)], [Fraction(1), Fraction(0)]]
 
 
-def test_absorbing_solve_rows_sum_to_one_on_random_chains():
+def test_absorption_rows_sum_to_one_on_random_chains():
     rng = random.Random(7)
     for _ in range(25):
         nt, na = rng.randint(1, 4), rng.randint(1, 3)
-        q = []
-        r = []
-        for _ in range(nt):
+        rows = []
+        for i in range(nt):
             weights = [rng.randint(0, 5) for _ in range(nt + na)]
             # guarantee some absorbing mass so absorption is certain
             weights[nt + rng.randrange(na)] += 1
-            total = sum(weights)
-            row = [Fraction(w, total) for w in weights]
-            q.append(row[:nt])
-            r.append(row[nt:])
-        b = absorbing_solve(q, r)
-        for row in b:
+            # transient state i's row over its total: (total Id - Q) B = R
+            row = {t: -w for t, w in enumerate(weights[:nt]) if w}
+            row[i] = row.get(i, 0) + sum(weights)
+            row.update((nt + k, w) for k, w in enumerate(weights[nt:]) if w)
+            rows.append(row)
+        for row in solve_linear(rows, na):
             assert sum(row) == 1
 
 
 def test_singular_system_is_reported():
-    one = Fraction(1)
     with pytest.raises(SingularMatrixError):
-        absorbing_solve([[one]], [[one]])  # Id - Q = 0
-
-
-def test_solve_linear_exact():
-    a = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(3)]]
-    b = [[Fraction(3)], [Fraction(5)]]
-    x = solve_linear(a, b)
-    assert x == [[Fraction(4, 5)], [Fraction(7, 5)]]
+        solve_linear([{1: 1}], 1)  # Id - Q = 0
+    with pytest.raises(SingularMatrixError):
+        solve_linear([{0: 1, 2: 1}, {0: 2, 2: 3}], 1)  # no row holds column 1
 
 
 def dense_solve_reference(a, b):
@@ -723,6 +794,18 @@ def linear_systems(draw):
     return a, b
 
 
+def sparse_rows(a, b):
+    """A dense rational system as ``solve_linear``'s rows: each row's
+    nonzero entries (B's column j at n + j), scaled to integers by the row's
+    least common denominator."""
+    rows = []
+    for row_a, row_b in zip(a, b):
+        cells = {c: Fraction(x) for c, x in enumerate([*row_a, *row_b]) if x}
+        scale = lcm(*(x.denominator for x in cells.values()))
+        rows.append({c: int(x * scale) for c, x in cells.items()})
+    return rows
+
+
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(linear_systems())
 def test_solve_linear_equals_dense_reference(system):
@@ -731,9 +814,9 @@ def test_solve_linear_equals_dense_reference(system):
         want = dense_solve_reference(a, b)
     except SingularMatrixError:
         with pytest.raises(SingularMatrixError):
-            solve_linear(a, b)
+            solve_linear(sparse_rows(a, b), len(b[0]))
         return
-    x = solve_linear(a, b)
+    x = solve_linear(sparse_rows(a, b), len(b[0]))
     assert x == want
     assert all(type(v) is Fraction for row in x for v in row)
     n, k = len(a), len(b[0])
@@ -743,7 +826,7 @@ def test_solve_linear_equals_dense_reference(system):
     # the transposed system Y A = B^T, as limiting_label_masses solves for
     # absorption, is nonsingular with A
     a_t = [list(col) for col in zip(*a)]
-    y = solve_linear(a_t, b)
+    y = solve_linear(sparse_rows(a_t, b), k)
     assert y == dense_solve_reference(a_t, b)
     for i in range(n):
         for j in range(k):

@@ -491,9 +491,13 @@ def test_deep_expressions_pass_the_dialect_checks_without_recursing():
 def test_algebra_rejects_duplicates_and_limit():
     with pytest.raises(ValueError):
         EventAlgebra(("a", "a"))
-    with pytest.raises(ValueError):
-        EventAlgebra(tuple(f"e{i}" for i in range(17)))
-    EventAlgebra(tuple(f"e{i}" for i in range(16)))  # at the limit
+    with pytest.raises(ValueError, match="65 basic events exceed the limit 64"):
+        EventAlgebra(tuple(f"e{i}" for i in range(65)))
+    EventAlgebra(tuple(f"e{i}" for i in range(64)))  # at the limit
+    # an atom table holds 16 events: more are refused when its atoms are asked for
+    assert EventAlgebra(tuple(f"e{i}" for i in range(16))).num_atoms == 1 << 16
+    with pytest.raises(ValueError, match="17 basic events exceed the limit 16"):
+        EventAlgebra(tuple(f"e{i}" for i in range(17))).num_atoms
 
 
 def test_algebra_counts():
