@@ -704,10 +704,14 @@ def test_solve_linear_exact():
     assert x == [[Fraction(4, 5)], [Fraction(7, 5)]]
 
 
-def test_solve_linear_absorption_systems():
-    # (den Id - Q) B = R: Q = 1/2 and R = (1/4, 1/4) over den 4 give B = (1/2, 1/2)
+def test_absorbing_solve_scalar():
+    # the absorption system (den Id - Q) B = R, solved by solve_linear:
+    # Q = 1/2 and R = (1/4, 1/4) over den 4 give B = (1/2, 1/2)
     assert solve_linear([{0: 2, 1: 1, 2: 1}], 2) == [[F2, F2]]
-    # Q = 0 gives B = R
+
+
+def test_absorbing_solve_identity_case():
+    # the absorption system with Q = 0, solved by solve_linear, gives B = R
     assert solve_linear([{0: 3, 2: 1, 3: 2}, {1: 1, 2: 1}], 2) == [
         [Fraction(1, 3), Fraction(2, 3)], [Fraction(1), Fraction(0)]]
 
