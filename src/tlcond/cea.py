@@ -14,34 +14,42 @@ object by one of three interpretations
 
 and its probability is the limiting probability of that conditional object's
 Markov chain.  All three give the same number for every expression and every
-distribution.
+distribution, and it is always defined.  Under ``first`` and ``reverse`` the
+condition is true.  Under ``sparse`` the numerator is ``reverse``'s; call a
+letter *quiet* when no leaf's b holds in it.  No guard holds exactly when
+the letter is quiet and every b has held before.  A quiet letter leaves each
+leaf's ``!b S (a and b)`` and each ``O b`` as they were, and it is
+independent of the past, so with v = lim Pr num and g = lim Pr(no guard
+holds), lim Pr(num and no guard holds) = v g.  The ``sparse`` limit is then
+(v - v g) / (1 - g) = v, and g < 1: g is Pr(quiet) < 1 when every b has
+positive probability, and 0 otherwise.
 
 :func:`prob_ps` uses the product law to solve less than the whole
 expression.  A distribution is a tuple of independent blocks of events;
 parts of an expression that touch disjoint sets of blocks have independent
-value sequences, so a limit is combined exactly from theirs (``and``
-multiplies, ``or`` is 1-(1-x)(1-y), ``~`` is 1-x; for ``sparse`` the
-limits also carry the guard, see :func:`_combine`).  Since ``and`` and
+value sequences, so the limit of their numerator is combined exactly from
+theirs (``and`` multiplies, ``or`` is 1-(1-x)(1-y), ``~`` is 1-x), and by
+the identity above that is each embedding's answer.  Since ``and`` and
 ``or`` are associative and commutative, a run of either is regrouped into
 the connected components of its operands by shared blocks.  A simple
 conditional (a|b) alone in its part takes its limit in closed form,
 Pr(a and b) / Pr b; only parts whose leaves share events are compiled and
-solved, over the product of the blocks they touch.  When the root is such
-a part, the whole expression is one compile and one solve.
+solved, once each, over the product of the blocks they touch.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial, reduce
+from functools import reduce
+from math import prod
 from typing import Callable, Literal, Optional
 
 from . import markov, syntax, trivalue
 from .automata import (MooreMachine3, _classes_from_columns, compile_cond,
                        event_mask, minimize)
-from .markov import (ZERO, ProbAssignment, asymptotic, chain_from_machine,
-                     limiting_label_masses, pr_n_ratio)
+from .markov import (ZERO, MarkovChain3, ProbAssignment, asymptotic,
+                     chain_from_machine, pr_n_ratio)
 from .syntax import (And, CeaAnd, CeaCond, CeaExpr, CeaNeg, CeaOr, CeaSimple,
                      CeaVar, CondObject, EventAlgebra, Not, Or, Prev, Since,
                      TLFormula, TRUE, children, collect_simples,
@@ -226,27 +234,33 @@ def first_machine(e: CeaExpr, alg: EventAlgebra) -> MooreMachine3:
     return compile_cond(embed_ps(e, "first"), alg)
 
 
+def _chain(c: CondObject, alg: EventAlgebra, p: ProbAssignment) -> MarkovChain3:
+    """Compile, minimize and weight."""
+    return chain_from_machine(minimize(compile_cond(c, alg)), p)
+
+
 def cond_asymptotic(c: CondObject, alg: EventAlgebra,
                     p: ProbAssignment) -> Optional[Fraction]:
     """Compile, minimize, weight and take the limit."""
-    m = minimize(compile_cond(c, alg))
-    return asymptotic(chain_from_machine(m, p))
+    return asymptotic(_chain(c, alg, p))
 
 
-def prob_ps(e: CeaExpr, p: ProbAssignment,
-            which: Embedding = "first") -> Optional[Fraction]:
+def prob_ps(e: CeaExpr, p: ProbAssignment, which: Embedding = "first") -> Fraction:
     """Product-space probability of a flat expression.
 
     A maximal run of ``and`` nodes, or of ``or`` nodes, is regrouped into
     the connected components of its operands by shared blocks of the
-    distribution, and the components' limits are combined exactly.  An
-    operand alone in its component is split further; the operands of a
-    larger component form a piece, as does a run that is one component.
-    A ``~`` is split when what it negates is.  A simple conditional's
-    limits are taken in closed form, and every other piece is compiled and
-    solved over only the blocks it touches (see :func:`_piece_limits`).  A
-    root that is itself a piece is the whole expression's one compile and
-    solve.
+    distribution, and the components' limits are combined exactly by the
+    product law.  An operand alone in its component is split further; the
+    operands of a larger component form a piece, as does a run that is one
+    component.  A ``~`` is split when what it negates is.  Each piece has
+    one limit (see :func:`_piece_limit`); a root that is itself a piece is
+    the whole expression's one compile and solve.
+
+    The answer is always defined: under ``sparse`` the limit of "no guard
+    holds" is below 1, and the ``sparse`` limit equals the numerator's (see
+    the module docstring), so the product law applies under every
+    embedding.
     """
     _require_flat(e)
     block_of = {name: k for k, b in enumerate(p.blocks) for name in b.events}
@@ -278,9 +292,6 @@ def prob_ps(e: CeaExpr, p: ProbAssignment,
         if not isinstance(y, CeaSimple):
             groups = _components(_run_operands(y), blocks)
             if len(groups) == 1:  # x is a piece
-                if x is e:
-                    sub = p.restrict(blocks[id(e)])
-                    return cond_asymptotic(embed_ps(e, which), sub.alg, sub)
                 plan.append(("piece", x, blocks[id(x)]))
                 continue
         if negated:
@@ -298,18 +309,19 @@ def prob_ps(e: CeaExpr, p: ProbAssignment,
                     touched |= blocks[id(z)]
                 todo.append(("piece", reduce(type(y), group), touched))
 
-    values: list[tuple] = []
+    values: list[Fraction] = []
     for step in reversed(plan):
         if step[0] == "piece":
-            values.append(_piece_limits(step[1], p.restrict(step[2]), which))
+            values.append(_piece_limit(step[1], p.restrict(step[2]), which))
         elif step[0] == "~":
-            v, u, g = values.pop()
-            values.append((1 - v, g - u, g))
+            values.append(1 - values.pop())
         else:
             kind, n = step
-            values[-n:] = [reduce(partial(_combine, kind is CeaAnd), values[-n:])]
-    (v, u, g), = values
-    return None if g == 1 else (v - u) / (1 - g)
+            last = values[-n:]
+            values[-n:] = [prod(last) if kind is CeaAnd
+                           else 1 - prod(1 - v for v in last)]
+    value, = values
+    return value
 
 
 def _run_operands(x: CeaExpr) -> list[CeaExpr]:
@@ -348,50 +360,20 @@ def _components(operands: list[CeaExpr], blocks: dict[int, int]) -> list[list[Ce
     return list(groups.values())
 
 
-def _piece_limits(x: CeaExpr, sub: ProbAssignment, which: Embedding) -> tuple:
-    """The limits (v, u, g) of a piece (see :func:`_combine`) over ``sub``,
-    the distribution of the blocks it touches.
+def _piece_limit(x: CeaExpr, sub: ProbAssignment, which: Embedding) -> Fraction:
+    """The limit of a piece under ``which`` over ``sub``, the distribution
+    of the blocks it touches.
 
-    Under ``first`` and ``reverse`` the condition is true, so u = g = 0.  A
-    simple conditional (a|b) needs no machine: under every embedding v =
-    Pr(a and b) / Pr b, its first and its latest defined value both being
-    1 with that probability in the limit.  Its ``sparse`` guard fails when
-    b does not hold now but has held before, which in the limit has
-    probability g = 1 - Pr b, independently of the latest defined value,
-    so u = v g.  When Pr b = 0, (a|b) is never defined and never fails its
-    guard: all three limits are 0.  Any other piece runs compile ->
-    minimize -> chain -> limit, twice under ``sparse``: v from the
-    ``reverse`` machine, and u and g from the ``sparse`` machine's masses.
+    A simple conditional (a|b) needs no machine: under every embedding its
+    limit is Pr(a and b) / Pr b, its first and its latest defined value
+    both being 1 with that probability in the limit, and 0 when Pr b = 0.
+    Any other piece runs compile -> minimize -> chain -> limit once.
     """
     if isinstance(x, CeaSimple):
         s = _leaf(x, sub.alg)
         pb = sub.of_event(s.def_set)
-        if pb == 0:
-            return ZERO, ZERO, ZERO
-        v = sub.of_event(s.yes_set) / pb
-        return (v, v * (1 - pb), 1 - pb) if which == "sparse" else (v, ZERO, ZERO)
-    if which != "sparse":
-        return cond_asymptotic(embed_ps(x, which), sub.alg, sub), ZERO, ZERO
-    v = cond_asymptotic(embed_ps(x, "reverse"), sub.alg, sub)
-    m = minimize(compile_cond(embed_ps(x, "sparse"), sub.alg))
-    masses = limiting_label_masses(chain_from_machine(m, sub))
-    return v, v - masses[Value3.TRUE], masses[Value3.UNDEF]
-
-
-def _combine(conj: bool, x: tuple, y: tuple) -> tuple:
-    """The limits of ``and`` (``conj``) or ``or`` from those of two
-    independent children.
-
-    The limits of a subexpression are (v, u, g) = (lim Pr num, lim Pr(num
-    and no guard holds), lim Pr(no guard holds)), and the answer is
-    (v - u) / (1 - g).  Under ``sparse`` the condition is the ``or`` of
-    every leaf's guard, so no guard of a node holds when none of either
-    child's does; ``~`` keeps the guards: (1 - v, g - u, g).
-    """
-    (v1, u1, g1), (v2, u2, g2) = x, y
-    if conj:
-        return v1 * v2, u1 * u2, g1 * g2
-    return 1 - (1 - v1) * (1 - v2), g1 * g2 - (g1 - u1) * (g2 - u2), g1 * g2
+        return sub.of_event(s.yes_set) / pb if pb else ZERO
+    return cond_asymptotic(embed_ps(x, which), sub.alg, sub)
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +391,7 @@ def _sch_and(c1: CondObject, c2: CondObject) -> CondObject:
 
 
 def _ratio(c: CondObject, p: ProbAssignment, n: Optional[int]) -> Optional[Fraction]:
-    ch = chain_from_machine(minimize(compile_cond(c, p.alg)), p)
+    ch = _chain(c, p.alg, p)
     return asymptotic(ch) if n is None else pr_n_ratio(ch, n)
 
 

@@ -709,14 +709,21 @@ def leaves_and_distributions(draw):
 def test_leaf_limits_in_closed_form_equal_the_compiled_ones(case):
     x, p = case
     for which in ("first", "reverse", "sparse"):
-        if which == "sparse":
-            v = cond_asymptotic(embed_ps(x, "reverse"), ABC, p)
-            m = minimize(compile_cond(embed_ps(x, "sparse"), ABC))
-            masses = limiting_label_masses(chain_from_machine(m, p))
-            want = v, v - masses[T], masses[U]
-        else:
-            want = cond_asymptotic(embed_ps(x, which), ABC, p), 0, 0
-        assert cea._piece_limits(x, p, which) == want, (pretty(x), which)
+        want = cond_asymptotic(embed_ps(x, which), ABC, p)
+        assert cea._piece_limit(x, p, which) == want, (pretty(x), which)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(flat_expressions(), pool_distributions())
+def test_sparse_masses_are_the_reverse_limit_times_the_guard(e, p):
+    """Under ``sparse``, lim Pr(num and no guard holds) = v g, where v is the
+    numerator's (the ``reverse``) limit and g the undefined mass: the
+    identity that lets :func:`prob_ps` carry one number per piece."""
+    v = cond_asymptotic(embed_ps(e, "reverse"), p.alg, p)
+    m = minimize(compile_cond(embed_ps(e, "sparse"), p.alg))
+    masses = limiting_label_masses(chain_from_machine(m, p))
+    assert masses[U] != 1, pretty(e)
+    assert masses[T] == v * (1 - masses[U]), pretty(e)
 
 
 def test_disjoint_conjunction_of_ten_is_solved_without_the_atom_table():
@@ -767,4 +774,4 @@ def test_shared_events_are_solved_as_one_piece(monkeypatch):
     for which in ("first", "reverse", "sparse"):
         calls.clear()
         assert prob_ps(e, half5, which) == Fraction(1, 6)
-        assert set(calls) == {("a", "b", "e")}, which
+        assert calls == [("a", "b", "e")], which
