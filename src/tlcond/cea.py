@@ -35,6 +35,13 @@ the connected components of its operands by shared blocks.  A simple
 conditional (a|b) alone in its part takes its limit in closed form,
 Pr(a and b) / Pr b; only parts whose leaves share events are compiled and
 solved, once each, over the product of the blocks they touch.
+
+:func:`cond_asymptotic` solves nothing for a conditional without ``S`` (so
+without ``O`` or ``H``).  With d its deepest nesting of ``Y``, its value
+from time d+1 on is a fixed function of the last d+1 letters, which are
+i.i.d., so its law no longer changes and the limit is the ratio at time
+d+1, read off the raw compiled chain.  Every embedding of a product-space
+leaf uses ``S``, so :func:`prob_ps` never takes this path.
 """
 from __future__ import annotations
 
@@ -48,12 +55,12 @@ from typing import Callable, Literal, Optional
 from . import markov, syntax, trivalue
 from .automata import (MooreMachine3, _classes_from_columns, compile_cond,
                        event_mask, minimize)
-from .markov import (ZERO, MarkovChain3, ProbAssignment, asymptotic,
-                     chain_from_machine, pr_n_ratio)
+from .markov import (ZERO, ProbAssignment, asymptotic, chain_from_machine,
+                     pr_n_ratio)
 from .syntax import (And, CeaAnd, CeaCond, CeaExpr, CeaNeg, CeaOr, CeaSimple,
                      CeaVar, CondObject, EventAlgebra, Not, Or, Prev, Since,
                      TLFormula, TRUE, children, collect_simples,
-                     formula_events, walk)
+                     formula_events, horizon, walk)
 from .trivalue import Value3
 
 Algebra = Literal["sac", "gnw", "sch"]
@@ -234,15 +241,36 @@ def first_machine(e: CeaExpr, alg: EventAlgebra) -> MooreMachine3:
     return compile_cond(embed_ps(e, "first"), alg)
 
 
-def _chain(c: CondObject, alg: EventAlgebra, p: ProbAssignment) -> MarkovChain3:
-    """Compile, minimize and weight."""
-    return chain_from_machine(minimize(compile_cond(c, alg)), p)
-
-
 def cond_asymptotic(c: CondObject, alg: EventAlgebra,
                     p: ProbAssignment) -> Optional[Fraction]:
-    """Compile, minimize, weight and take the limit."""
-    return asymptotic(_chain(c, alg, p))
+    """The limit of the conditional probability of 1 among defined values;
+    None when the defined mass vanishes.  See :func:`_ratio`."""
+    if alg.events != p.alg.events:
+        raise ValueError("machine and distribution use different event algebras")
+    return _ratio(c, p, None)
+
+
+def _ratio(c: CondObject, p: ProbAssignment, n: Optional[int]) -> Optional[Fraction]:
+    """The conditional probability of 1 among defined values at time ``n``,
+    or in the limit when ``n`` is None.
+
+    A conditional without ``S`` has a finite horizon d (see
+    :func:`~tlcond.syntax.horizon`): from time d+1 on, its value is a fixed
+    function of the last d+1 letters, which are i.i.d., so its law is the
+    same at every such time and the limit is the ratio at time d+1.  That
+    ratio is read off the raw compiled chain by stepping it, with no
+    minimization and no linear system.  It is the Fraction the exact solve
+    gives, and that solve could meet no periodic class here: a state
+    entered after time d is a function of the last d+1 letters, so any
+    such state leads to any other in exactly d+1 positive-mass letters.
+    A conditional with ``S`` is minimized and its limit solved exactly.
+    """
+    m, d = compile_cond(c, p.alg), horizon(c)
+    if d is not None:
+        return pr_n_ratio(chain_from_machine(m, p),
+                          d + 1 if n is None else min(n, d + 1))
+    ch = chain_from_machine(minimize(m), p)
+    return asymptotic(ch) if n is None else pr_n_ratio(ch, n)
 
 
 def prob_ps(e: CeaExpr, p: ProbAssignment, which: Embedding = "first") -> Fraction:
@@ -388,11 +416,6 @@ def lift_defined(c: CondObject) -> CondObject:
 def _sch_and(c1: CondObject, c2: CondObject) -> CondObject:
     """The Sch conjunction of (f1 | g1) and (f2 | g2): (f1 and f2 | g1 and g2)."""
     return CondObject(And(c1.num, c2.num), And(c1.den, c2.den))
-
-
-def _ratio(c: CondObject, p: ProbAssignment, n: Optional[int]) -> Optional[Fraction]:
-    ch = _chain(c, p.alg, p)
-    return asymptotic(ch) if n is None else pr_n_ratio(ch, n)
 
 
 def present_indep(c1: CondObject, c2: CondObject, p: ProbAssignment,

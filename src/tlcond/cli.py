@@ -148,6 +148,8 @@ def cmd_taut(args) -> int:
 
 
 def cmd_indep(args) -> int:
+    if args.mode != "present" and args.n is not None:
+        raise _InputError("--n applies to --mode present only")
     if args.dist is not None:
         p = _load_dist(args.dist)
         left = parse_cond(args.left, p.alg)

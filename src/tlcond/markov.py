@@ -249,13 +249,18 @@ def chain_from_machine(m: MooreMachine3, p: ProbAssignment) -> MarkovChain3:
         class_weight[c] += w
     common = gcd(den, *class_weight)
     live = [(c, w // common) for c, w in enumerate(class_weight) if w]
+    built: dict[tuple, tuple] = {}  # a raw machine repeats rows often
 
-    def pairs(targets: list[int]) -> list[tuple[int, int]]:
-        out: dict[int, int] = {}
-        for c, w in live:
-            t = targets[c]
-            out[t] = out.get(t, 0) + w
-        return sorted(out.items())
+    def pairs(targets: list[int]) -> tuple[tuple[int, int], ...]:
+        key = tuple(targets)
+        row = built.get(key)
+        if row is None:
+            out: dict[int, int] = {}
+            for c, w in live:
+                t = targets[c]
+                out[t] = out.get(t, 0) + w
+            row = built[key] = tuple(sorted(out.items()))
+        return row
 
     init = [0] * m.n_states
     for t, w in pairs(m.delta[m.initial]):

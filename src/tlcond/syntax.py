@@ -333,12 +333,36 @@ def formula_events(f: Union[TLFormula, CondObject, CeaExpr]) -> tuple[str, ...]:
     return tuple(dict.fromkeys(x.name for x in walk(f) if isinstance(x, Atom)))
 
 
-_PRESENT_TENSE = (Atom, Const, Not, And, Or, Implies, Iff)
+def horizon(f: Union[TLFormula, CondObject]) -> Optional[int]:
+    """How far back the value of a formula, or of both sides of a
+    conditional, reads: the deepest nesting of ``Y``, or None when an ``S``
+    (so also an ``O`` or ``H``) occurs.  With horizon d, the value at time t
+    depends only on the letters at times t-d..t.
+
+    One walk without recursion, top down; a shared subformula is walked
+    again only when it is reached under more ``Y``s than before."""
+    reached: dict = {}  # subformula -> the most Ys it was reached under
+    deepest = 0
+    todo = [(f, 0)]
+    while todo:
+        x, d = todo.pop()
+        if reached.get(x, -1) >= d:
+            continue
+        reached[x] = d
+        if type(x) is Since:
+            return None
+        if type(x) is Prev:
+            d += 1
+            if d > deepest:
+                deepest = d
+        for y in children(x):
+            todo.append((y, d))
+    return deepest
 
 
 def is_present_tense(f: TLFormula) -> bool:
     """True when the formula uses no temporal operator."""
-    return all(isinstance(x, _PRESENT_TENSE) for x in walk(f))
+    return horizon(f) == 0
 
 
 def has_reconditioning(e: CeaExpr) -> bool:

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tlcond import (And, Atom, CeaAnd, CeaCond, CeaNeg, CeaOr, CeaSimple,
-                    CeaVar, CondObject, FALSE, Not, Or, TRUE, Value3, algebra,
-                    brute_joint, cea, eval_cea_valuation,
+                    CeaVar, CondObject, FALSE, Not, Or, Prev, TRUE, Value3,
+                    algebra, brute_joint, brute_pr_n, cea, eval_cea_valuation,
                     canonical_key, compile_cond, embed_ps, minimize,
                     parse_cea, parse_cond, parse_tl, present_indep, pretty,
                     prob_present, prob_ps, product, reduce_present,
@@ -21,7 +21,7 @@ from tlcond.cea import (SimpleConditional, cond_asymptotic, event_mask,
 from tlcond.markov import (Block, ProbAssignment, asymptotic,
                            chain_from_machine, limiting_label_masses,
                            pr_series)
-from tlcond.syntax import EventAlgebra, collect_simples
+from tlcond.syntax import EventAlgebra, collect_simples, horizon
 from tlcond.trivalue import ConnectiveId, apply_binary
 
 from corpus import ALG_AB, CORPUS, SKEWED_AB, UNIFORM_AB
@@ -724,6 +724,65 @@ def test_sparse_masses_are_the_reverse_limit_times_the_guard(e, p):
     masses = limiting_label_masses(chain_from_machine(m, p))
     assert masses[U] != 1, pretty(e)
     assert masses[T] == v * (1 - masses[U]), pretty(e)
+
+
+# ---------------------------------------------------------------------------
+# Finite-horizon limits
+
+
+@st.composite
+def bounded_past(draw, alg, depth, size=4):
+    """A formula over ``alg``'s events with ``Y`` nested at most ``depth``
+    deep and no ``S``."""
+    leaves = [Atom(x) for x in alg.events] + [TRUE, FALSE]
+    kinds = ["leaf", "not", "and", "or", "Y", "Y"] if size else ["leaf"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "leaf" or (kind == "Y" and not depth):
+        return draw(st.sampled_from(leaves))
+    if kind == "Y":
+        return Prev(draw(bounded_past(alg, depth - 1, size - 1)))
+    if kind == "not":
+        return Not(draw(bounded_past(alg, depth, size - 1)))
+    return (And if kind == "and" else Or)(draw(bounded_past(alg, depth, size - 1)),
+                                          draw(bounded_past(alg, depth, size - 1)))
+
+
+@st.composite
+def conditionals_and_tables(draw, depth):
+    """A conditional of ``Y``-depth at most ``depth`` over 2 or 3 events and
+    an atom table with zero atoms allowed."""
+    alg = algebra("a b c"[:2 * draw(st.integers(2, 3)) - 1])
+    c = CondObject(draw(bounded_past(alg, depth)), draw(bounded_past(alg, depth)))
+    return c, ProbAssignment(alg, _weights(draw, alg.num_atoms, 3))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(conditionals_and_tables(3))
+def test_a_finite_horizon_limit_is_the_ratio_at_time_d_plus_one(case):
+    """Without S, the limit taken at time d+1 on the raw chain equals the
+    exact solve on the minimized chain and the brute-force ratio at d+1,
+    and the series is constant from d+1 on."""
+    c, p = case
+    d = horizon(c)
+    got = cond_asymptotic(c, p.alg, p)
+    assert got == asymptotic(chain_from_machine(minimize(compile_cond(c, p.alg)), p))
+    p1, p0, _ = brute_pr_n(c, p, d + 1)
+    assert got == (p1 / (p1 + p0) if p1 + p0 else None)
+    rows = list(pr_series(chain_from_machine(compile_cond(c, p.alg), p), d + 3))
+    assert rows[d] == rows[d + 1] == rows[d + 2]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(conditionals_and_tables(0))
+def test_the_solved_present_tense_limit_is_the_bayes_ratio(case):
+    """The exact solve on the minimized chain, which present-tense
+    conditionals no longer take, still gives Pr(num and den) / Pr den."""
+    c, p = case
+    num, den = event_mask(c.num, p.alg), event_mask(c.den, p.alg)
+    pd = p.of_event(den)
+    want = p.of_event(num & den) / pd if pd else None
+    assert asymptotic(chain_from_machine(minimize(compile_cond(c, p.alg)), p)) == want
+    assert cond_asymptotic(c, p.alg, p) == want
 
 
 def test_disjoint_conjunction_of_ten_is_solved_without_the_atom_table():

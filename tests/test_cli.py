@@ -456,6 +456,15 @@ def test_indep_strong_disjoint(capsys, half_abcd):
     assert out.strip() == "independent: yes"
 
 
+def test_indep_strong_rejects_a_fixed_time(capsys):
+    code, out, err = run(capsys, "indep", "--mode", "strong",
+                         "--left", "(a|true)", "--right", "(Y a|Y true)",
+                         "--n", "3")
+    assert code == 1
+    assert out == ""
+    assert err == "error: --n applies to --mode present only\n"
+
+
 def test_indep_present_vs_strong_for_shifted_copy(capsys):
     code, out, _ = run(capsys, "indep", "--mode", "present",
                        "--left", "(a|true)", "--right", "(Y a|Y true)",

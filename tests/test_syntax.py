@@ -44,6 +44,36 @@ def test_historically_desugars():
     assert parse_tl("H a", AB) == Not(Since(TRUE, Not(Atom("a"))))
 
 
+@pytest.mark.parametrize("text", ["a S b", "O a", "H a", "Y Y (a and O b)",
+                                  "not Y (b or H Y a)", "Y a -> (b S Y c)"])
+def test_horizon_is_none_when_since_occurs_anywhere(text):
+    assert syntax.horizon(parse_tl(text, ABCD)) is None
+    assert syntax.horizon(CondObject(Prev(Atom("a")), parse_tl(text, ABCD))) is None
+
+
+@pytest.mark.parametrize("text, depth", [
+    ("a", 0), ("true", 0), ("not (a <-> b)", 0), ("Y a", 1),
+    ("Y (a and Y b)", 2), ("Y a or Y Y Y b", 3), ("Y Y a -> Y b", 2)])
+def test_horizon_is_the_deepest_nesting_of_previously(text, depth):
+    f = parse_tl(text, ABCD)
+    assert syntax.horizon(f) == depth
+    assert syntax.is_present_tense(f) == (depth == 0)
+
+
+def test_horizon_of_a_conditional_is_the_maximum_over_both_sides():
+    assert syntax.horizon(parse_cond("(Y a | Y Y Y b)", AB)) == 3
+    assert syntax.horizon(parse_cond("(Y Y a | b)", AB)) == 2
+    assert syntax.horizon(parse_cond("(a | true)", AB)) == 0
+
+
+def test_horizon_of_ten_thousand_negations_does_not_recurse():
+    f = Prev(Atom("a"))
+    for _ in range(10_000):
+        f = Not(f)
+    assert syntax.horizon(f) == 1
+    assert syntax.horizon(parse_tl("not " * 10_000 + "Y a", AB)) == 1
+
+
 def test_precedence_since_between_implication_and_or():
     # S binds looser than or, tighter than ->
     assert parse_tl("a S b or c", ABCD) == Since(Atom("a"), Or(Atom("b"), Atom("c")))
