@@ -316,6 +316,14 @@ def product(ms: Sequence[MooreMachine3],
 # arrival.  The one exception is an initial state that no transition enters:
 # its label is never emitted, so it may be folded into any state with the
 # same successor behavior.
+#
+# A machine has one canonical form (_canonical), which minimize returns and
+# canonical_key reads: states numbered breadth-first from the start, each
+# state's successors in class order, unreachable states dropped, and the
+# classes whose columns are equal merged.  Every constructor sorts classes
+# by their lowest atom, so class order is atom order and the numbering
+# depends only on the machine's per-atom behavior; _canonical sorts them
+# too, in case a machine was built by hand.
 
 
 def minimize(m: MooreMachine3) -> MooreMachine3:
@@ -363,65 +371,39 @@ def minimize(m: MooreMachine3) -> MooreMachine3:
 
     labels = [m.labels[reps[b]] for b in range(n_blocks)]
     delta = [[block[t] for t in m.delta[reps[b]]] for b in range(n_blocks)]
+    return _canonical(MooreMachine3(m.alg, initial_block, labels, delta,
+                                    m.classes, m.class_of_atom))
 
-    out = MooreMachine3(m.alg, initial_block, labels, delta,
-                        list(m.classes), list(m.class_of_atom))
-    out = _compress_classes(_renumber_canonical(out))
+
+def _canonical(m: MooreMachine3) -> MooreMachine3:
+    """The canonical form of ``m`` (see above), validated."""
+    by_atom = sorted(range(len(m.classes)), key=lambda c: _lowest_atom(m.classes[c]))
+    order = [m.initial]
+    number = [-1] * m.n_states
+    number[m.initial] = 0
+    for q in order:  # order grows while it is read
+        for t in map(m.delta[q].__getitem__, by_atom):
+            if number[t] < 0:
+                number[t] = len(order)
+                order.append(t)
+    rows = [[number[t] for t in m.delta[q]] for q in order]
+    classes, class_of_atom, cols = _classes_from_columns(
+        m.alg.num_atoms, zip(zip(*rows), m.classes))
+    out = MooreMachine3(m.alg, 0, [m.labels[q] for q in order],
+                        [list(row) for row in zip(*cols)], classes, class_of_atom)
     out.validate()
     return out
 
 
-def _compress_classes(m: MooreMachine3) -> MooreMachine3:
-    masks, class_of_atom, cols = _classes_from_columns(
-        m.alg.num_atoms,
-        ((tuple(row[c] for row in m.delta), mask)
-         for c, mask in enumerate(m.classes)))
-    delta = [[col[q] for col in cols] for q in range(m.n_states)]
-    return MooreMachine3(m.alg, m.initial, list(m.labels), delta, masks,
-                         class_of_atom)
-
-
-def _renumber_canonical(m: MooreMachine3) -> MooreMachine3:
-    """Breadth-first renumbering (class order) for deterministic output;
-    unreachable states are dropped."""
-    order = [m.initial]
-    seen = {m.initial}
-    i = 0
-    while i < len(order):
-        for t in m.delta[order[i]]:
-            if t not in seen:
-                seen.add(t)
-                order.append(t)
-        i += 1
-    remap = {q: i for i, q in enumerate(order)}
-    return MooreMachine3(m.alg, 0,
-                         [m.labels[q] for q in order],
-                         [[remap[t] for t in m.delta[q]] for q in order],
-                         list(m.classes), list(m.class_of_atom))
-
-
 def canonical_key(m: MooreMachine3):
-    """A machine invariant: equal keys = isomorphic machines (the label of a
-    never-entered initial state is ignored)."""
-    num_atoms = m.alg.num_atoms
-    order = [m.initial]
-    seen = {m.initial}
-    i = 0
-    while i < len(order):
-        q = order[i]
-        for atom in range(num_atoms):
-            t = m.step(q, atom)
-            if t not in seen:
-                seen.add(t)
-                order.append(t)
-        i += 1
-    remap = {q: i for i, q in enumerate(order)}
-    labels = [m.labels[q] for q in order]
-    if not m.initial_is_entered:
+    """A machine invariant, the fields of its canonical form: equal keys =
+    isomorphic machines (the label of a never-entered initial state is
+    ignored)."""
+    c = _canonical(m)
+    labels = list(c.labels)
+    if not c.initial_is_entered:
         labels[0] = None
-    delta = tuple(tuple(remap[m.step(q, atom)] for atom in range(num_atoms))
-                  for q in order)
-    return len(order), tuple(labels), delta
+    return tuple(labels), tuple(map(tuple, c.delta)), tuple(c.classes)
 
 
 def isomorphic(m1: MooreMachine3, m2: MooreMachine3) -> bool:

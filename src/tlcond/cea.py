@@ -50,6 +50,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import prod
+from operator import or_
 from typing import Callable, Literal, Optional
 
 from . import markov, syntax, trivalue
@@ -241,12 +242,9 @@ def first_machine(e: CeaExpr, alg: EventAlgebra) -> MooreMachine3:
     return compile_cond(embed_ps(e, "first"), alg)
 
 
-def cond_asymptotic(c: CondObject, alg: EventAlgebra,
-                    p: ProbAssignment) -> Optional[Fraction]:
+def cond_asymptotic(c: CondObject, p: ProbAssignment) -> Optional[Fraction]:
     """The limit of the conditional probability of 1 among defined values;
     None when the defined mass vanishes.  See :func:`_ratio`."""
-    if alg.events != p.alg.events:
-        raise ValueError("machine and distribution use different event algebras")
     return _ratio(c, p, None)
 
 
@@ -273,22 +271,29 @@ def _ratio(c: CondObject, p: ProbAssignment, n: Optional[int]) -> Optional[Fract
     return asymptotic(ch) if n is None else pr_n_ratio(ch, n)
 
 
+# the limit of a node from its operands' limits, by the product law
+_COMBINE = {CeaNeg: lambda vs: 1 - vs[0], CeaAnd: prod,
+            CeaOr: lambda vs: 1 - prod(1 - v for v in vs)}
+
+
 def prob_ps(e: CeaExpr, p: ProbAssignment, which: Embedding = "first") -> Fraction:
     """Product-space probability of a flat expression.
 
+    One walk over the expression computes each value as it reaches it.
     A maximal run of ``and`` nodes, or of ``or`` nodes, is regrouped into
     the connected components of its operands by shared blocks of the
     distribution, and the components' limits are combined exactly by the
-    product law.  An operand alone in its component is split further; the
+    product law.  An operand alone in its component is walked further; the
     operands of a larger component form a piece, as does a run that is one
-    component.  A ``~`` is split when what it negates is.  Each piece has
-    one limit (see :func:`_piece_limit`); a root that is itself a piece is
-    the whole expression's one compile and solve.
+    component.  A ``~`` is the step 1 - x on what it negates, so a negated
+    piece is solved without its negation.  Each piece has one limit (see
+    :func:`_piece_limit`); a root that is itself a piece is the whole
+    expression's one compile and solve.
 
     The answer is always defined: under ``sparse`` the limit of "no guard
     holds" is below 1, and the ``sparse`` limit equals the numerator's (see
     the module docstring), so the product law applies under every
-    embedding.
+    embedding.  So does 1 - x, since ``e`` and ``~e`` have the same guard.
     """
     _require_flat(e)
     block_of = {name: k for k, b in enumerate(p.blocks) for name in b.events}
@@ -304,50 +309,28 @@ def prob_ps(e: CeaExpr, p: ProbAssignment, which: Embedding = "first") -> Fracti
                 touched |= blocks[id(child)]
         blocks[id(x)] = touched
 
-    # the steps, each before the steps of its operands; operands are pushed
-    # left to right, so reversed, the plan runs them left to right
-    plan: list[tuple] = []
+    # nodes, steps (kind, n) combining the last n values, and regrouped
+    # pieces (run, blocks); operands are pushed right to left, so that
+    # their values are pushed left to right
+    values: list[Fraction] = []
     todo: list = [e]
     while todo:
         x = todo.pop()
-        if type(x) is tuple:  # a regrouped piece
-            plan.append(x)
-            continue
-        y, negated = x, False
-        while isinstance(y, CeaNeg):
-            y, negated = y.child, not negated
-        groups = None
-        if not isinstance(y, CeaSimple):
-            groups = _components(_run_operands(y), blocks)
-            if len(groups) == 1:  # x is a piece
-                plan.append(("piece", x, blocks[id(x)]))
-                continue
-        if negated:
-            plan.append(("~",))
-        if groups is None:
-            plan.append(("piece", y, blocks[id(y)]))
-            continue
-        plan.append((type(y), len(groups)))
-        for group in groups:
-            if len(group) == 1:
-                todo.append(group[0])
-            else:
-                touched = 0
-                for z in group:
-                    touched |= blocks[id(z)]
-                todo.append(("piece", reduce(type(y), group), touched))
-
-    values: list[Fraction] = []
-    for step in reversed(plan):
-        if step[0] == "piece":
-            values.append(_piece_limit(step[1], p.restrict(step[2]), which))
-        elif step[0] == "~":
-            values.append(1 - values.pop())
+        if isinstance(x, CeaNeg):
+            todo += [(CeaNeg, 1), x.child]
+        elif isinstance(x, tuple) and isinstance(x[0], type):
+            kind, n = x
+            values[-n:] = [_COMBINE[kind](values[-n:])]
+        elif isinstance(x, tuple):
+            values.append(_piece_limit(x[0], p.restrict(x[1]), which))
+        elif isinstance(x, CeaSimple) or len(
+                groups := _components(_run_operands(x), blocks)) == 1:
+            values.append(_piece_limit(x, p.restrict(blocks[id(x)]), which))
         else:
-            kind, n = step
-            last = values[-n:]
-            values[-n:] = [prod(last) if kind is CeaAnd
-                           else 1 - prod(1 - v for v in last)]
+            todo.append((type(x), len(groups)))
+            for group in reversed(groups):
+                todo.append(group[0] if len(group) == 1 else (reduce(type(x), group),
+                            reduce(or_, (blocks[id(z)] for z in group))))
     value, = values
     return value
 
@@ -401,7 +384,7 @@ def _piece_limit(x: CeaExpr, sub: ProbAssignment, which: Embedding) -> Fraction:
         s = _leaf(x, sub.alg)
         pb = sub.of_event(s.def_set)
         return sub.of_event(s.yes_set) / pb if pb else ZERO
-    return cond_asymptotic(embed_ps(x, which), sub.alg, sub)
+    return cond_asymptotic(embed_ps(x, which), sub)
 
 
 # ---------------------------------------------------------------------------

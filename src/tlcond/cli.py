@@ -92,7 +92,7 @@ def _expr_machine(kind: str, embedding: str, e, alg):
 def cmd_prob(args) -> int:
     e, p = _parse_with_dist(args.cea, args.expr, args.dist)
     if args.cea == "tl":
-        value = cea.cond_asymptotic(e, p.alg, p)
+        value = cea.cond_asymptotic(e, p)
     elif args.cea == "ps":
         value = cea.prob_ps(e, p, args.embedding)
     else:

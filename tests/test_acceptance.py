@@ -49,7 +49,7 @@ def test_criterion_01_bayes_formula():
         if p.of_event(den_mask) == 0:
             continue
         c = CondObject(_mask_formula(num_mask, alg), _mask_formula(den_mask, alg))
-        got = cond_asymptotic(c, alg, p)
+        got = cond_asymptotic(c, p)
         want = p.of_event(num_mask & den_mask) / p.of_event(den_mask)
         assert got == want
         cases += 1

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tlcond import (And, Atom, CondObject, ConnectiveId, FALSE, Iff, Implies,
-                    Not, Or, Prev, Since, TRUE, Value3, algebra, apply_binary, canonical_key,
+from tlcond import (And, Atom, CeaAnd, CeaNeg, CeaOr, CeaSimple, CondObject,
+                    ConnectiveId, FALSE, Iff, Implies, Not, Or, Prev, Since,
+                    TRUE, Value3, algebra, apply_binary, canonical_key,
                     compile_cond, cond_output, embed_ps, event_text,
                     is_counter_free, isomorphic, minimize, parse_cea,
                     parse_cond, pretty, product, to_dot, word)
-from tlcond.automata import MonoidSizeError, MooreMachine3
+from tlcond.automata import MonoidSizeError, MooreMachine3, _canonical
 from tlcond.cea import first_machine
 from tlcond.syntax import hist, once
 
@@ -195,13 +196,17 @@ def test_first_conjunction_has_one_class_per_leaf_outcome():
 
 def test_compiled_machine_is_numbered_canonically():
     """compile_cond numbers states breadth-first in class order as it
-    discovers them, so renumbering its output changes nothing."""
-    from tlcond.automata import _renumber_canonical
+    discovers them, so its canonical form has the same states: the same
+    labels and, on every atom, the same steps."""
     for text, c in CORPUS:
-        m = compile_cond(c, ALG_AB)
-        r = _renumber_canonical(m)
-        assert (m.initial, m.labels, m.delta, m.classes, m.class_of_atom) == \
-            (r.initial, r.labels, r.delta, r.classes, r.class_of_atom), text
+        assert _numbered_canonically(compile_cond(c, ALG_AB)), text
+
+
+def _numbered_canonically(m: MooreMachine3) -> bool:
+    r = _canonical(m)
+    return (m.initial, m.labels) == (r.initial, r.labels) and all(
+        m.step(q, atom) == r.step(q, atom)
+        for q in range(m.n_states) for atom in range(m.alg.num_atoms))
 
 
 def _fields(m: MooreMachine3) -> tuple:
@@ -238,6 +243,49 @@ def test_corpus_ps_and_deep_past_machines_equal_the_reference_compilers():
     for c, alg in cases:
         assert _fields(compile_cond(c, alg)) == \
             _fields(compile_cond_reference(c, alg)), pretty(c)
+
+
+def _flat_expressions(events: str):
+    sides = st.sampled_from([Atom(e) for e in events.split()] + [TRUE])
+    return st.recursive(st.builds(CeaSimple, sides, sides), lambda sub: st.one_of(
+        st.builds(CeaNeg, sub), st.builds(CeaAnd, sub, sub), st.builds(CeaOr, sub, sub)),
+        max_leaves=3)
+
+
+def _conditionals(events: str):
+    alg = algebra(events)
+    return st.tuples(st.just(alg), st.one_of(
+        st.builds(CondObject, _formulas(events), _formulas(events)),
+        st.builds(embed_ps, _flat_expressions(events),
+                  st.sampled_from(["first", "reverse", "sparse"]))))
+
+
+def _rebuilt(m: MooreMachine3, perm: list[int]) -> MooreMachine3:
+    """``m`` rebuilt from its per-atom table, state q renumbered perm[q]."""
+    labels, table = [None] * m.n_states, [None] * m.n_states
+    for q in range(m.n_states):
+        labels[perm[q]] = m.labels[q]
+        table[perm[q]] = [perm[m.step(q, atom)] for atom in range(m.alg.num_atoms)]
+    return machine_from_atom_table(m.alg, labels, table, perm[m.initial])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(_conditionals("a b"), _conditionals("a b c")),
+       st.randoms(use_true_random=False))
+def test_minimize_is_idempotent_canonical_and_exact(alg_and_cond, rng):
+    alg, c = alg_and_cond
+    m = compile_cond(c, alg)
+    small = minimize(m)
+    assert _fields(minimize(small)) == _fields(small), pretty(c)
+    perm = list(range(m.n_states))
+    rng.shuffle(perm)
+    i = m.initial
+    if m.n_states > 1 and perm[i] == i:  # move the start
+        perm[i], perm[i - 1] = perm[i - 1], perm[i]
+    assert canonical_key(_rebuilt(m, perm)) == canonical_key(m), pretty(c)
+    assert outputs_match_everywhere(m, c, alg, 3), pretty(c)
+    assert outputs_match_everywhere(small, c, alg, 3), pretty(c)
+    assert _numbered_canonically(m), pretty(c)
 
 
 # ---------------------------------------------------------------------------

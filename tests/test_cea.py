@@ -196,7 +196,7 @@ def test_prob_present_agrees_with_machine_pipeline():
             direct = prob_present(e, p, which)
             s = reduce_present(e, alg, which)
             c = simple_to_cond(s)
-            via_chain = cond_asymptotic(c, alg, p)
+            via_chain = cond_asymptotic(c, p)
             assert direct == via_chain, (text, which)
             # the direct machine minimizes to the compiled one, DOT for DOT
             m = minimize(present_machine(s))
@@ -558,7 +558,7 @@ def test_first_machine_component_count_and_asymptotic_path():
     e = parse_cea("(a|b) and (c|d)", ABCD)
     assert_first_machine_shape(first_machine(e, ABCD), 2)
     c = embed_ps(e, "first")
-    assert cond_asymptotic(c, ABCD, HALF4) == Fraction(1, 4)
+    assert cond_asymptotic(c, HALF4) == Fraction(1, 4)
 
 
 def test_reverse_conjunction_machine_shape():
@@ -681,8 +681,17 @@ def pool_distributions(draw):
 @given(flat_expressions(), pool_distributions())
 def test_compositional_prob_ps_equals_the_monolithic_solve(e, p):
     for which in ("first", "reverse", "sparse"):
-        want = cond_asymptotic(embed_ps(e, which), p.alg, p)
+        want = cond_asymptotic(embed_ps(e, which), p)
         assert prob_ps(e, p, which) == want, (pretty(e), which)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(flat_expressions(), pool_distributions())
+def test_a_negation_is_one_minus_what_it_negates(e, p):
+    for which in ("first", "reverse", "sparse"):
+        got = prob_ps(CeaNeg(e), p, which)
+        assert got == 1 - prob_ps(e, p, which), (pretty(e), which)
+        assert got == cond_asymptotic(embed_ps(CeaNeg(e), which), p), (pretty(e), which)
 
 
 LEAF_SIDES = ("a", "b", "a and b", "a or c", "not b", "b and not b", "true", "false")
@@ -709,7 +718,7 @@ def leaves_and_distributions(draw):
 def test_leaf_limits_in_closed_form_equal_the_compiled_ones(case):
     x, p = case
     for which in ("first", "reverse", "sparse"):
-        want = cond_asymptotic(embed_ps(x, which), ABC, p)
+        want = cond_asymptotic(embed_ps(x, which), p)
         assert cea._piece_limit(x, p, which) == want, (pretty(x), which)
 
 
@@ -719,7 +728,7 @@ def test_sparse_masses_are_the_reverse_limit_times_the_guard(e, p):
     """Under ``sparse``, lim Pr(num and no guard holds) = v g, where v is the
     numerator's (the ``reverse``) limit and g the undefined mass: the
     identity that lets :func:`prob_ps` carry one number per piece."""
-    v = cond_asymptotic(embed_ps(e, "reverse"), p.alg, p)
+    v = cond_asymptotic(embed_ps(e, "reverse"), p)
     m = minimize(compile_cond(embed_ps(e, "sparse"), p.alg))
     masses = limiting_label_masses(chain_from_machine(m, p))
     assert masses[U] != 1, pretty(e)
@@ -764,7 +773,7 @@ def test_a_finite_horizon_limit_is_the_ratio_at_time_d_plus_one(case):
     and the series is constant from d+1 on."""
     c, p = case
     d = horizon(c)
-    got = cond_asymptotic(c, p.alg, p)
+    got = cond_asymptotic(c, p)
     assert got == asymptotic(chain_from_machine(minimize(compile_cond(c, p.alg)), p))
     p1, p0, _ = brute_pr_n(c, p, d + 1)
     assert got == (p1 / (p1 + p0) if p1 + p0 else None)
@@ -782,7 +791,7 @@ def test_the_solved_present_tense_limit_is_the_bayes_ratio(case):
     pd = p.of_event(den)
     want = p.of_event(num & den) / pd if pd else None
     assert asymptotic(chain_from_machine(minimize(compile_cond(c, p.alg)), p)) == want
-    assert cond_asymptotic(c, p.alg, p) == want
+    assert cond_asymptotic(c, p) == want
 
 
 def test_disjoint_conjunction_of_ten_is_solved_without_the_atom_table():
@@ -812,15 +821,21 @@ def test_a_piece_touching_more_than_a_table_holds_fails_with_the_limit():
 
 def test_shared_events_are_solved_as_one_piece(monkeypatch):
     from tlcond import cea
-    calls = []
+    calls, compiled = [], []
     compile_ = cea.compile_cond
-    monkeypatch.setattr(cea, "compile_cond",
-                        lambda c, alg: calls.append(alg.events) or compile_(c, alg))
+    monkeypatch.setattr(cea, "compile_cond", lambda c, alg: calls.append(alg.events)
+                        or compiled.append(c) or compile_(c, alg))
     # ((A and B) and C) with A and C sharing b and B and C sharing d: the
     # root is one piece, although A and B are disjoint
     e = parse_cea("((a|b) and (c|d)) and (d|b)", ABCD)
     assert prob_ps(e, HALF4) == Fraction(1, 8)
     assert calls == [ABCD.events]
+    # a negated piece is compiled without its negation and taken as 1 - x
+    for which in ("first", "reverse", "sparse"):
+        calls.clear()
+        assert prob_ps(CeaNeg(e), HALF4, which) == Fraction(7, 8)
+        assert calls == [ABCD.events]
+        assert compiled[-1] == embed_ps(e, which), which
     calls.clear()
     # leaves alone in their component take their limits in closed form
     e = parse_cea("~((a|b) or (c|d))", ABCD)
