@@ -348,44 +348,41 @@ def minimize(m: MooreMachine3) -> MooreMachine3:
             break
         n_blocks = len(sig_ids)
 
-    reps: list[int] = [-1] * n_blocks
+    reps = [0] * n_blocks  # block -> a state in it
     for q in consider:
-        if reps[block[q]] == -1:
-            reps[block[q]] = q
+        reps[block[q]] = q
+    delta = [[block[t] for t in m.delta[r]] for r in reps]
+    initial = block[m.initial]
+    if not entered:
+        # the start folds into the block with its row that comes first
+        # breadth-first from it, so the choice is the machine's, not its
+        # numbering's; with no such block, the start and its (never
+        # emitted) label are kept, and otherwise _canonical drops them
+        reps.append(m.initial)
+        delta.append([block[t] for t in m.delta[m.initial]])
+        initial = next((b for b in _breadth_first(delta, n_blocks, m.classes)[1:]
+                        if delta[b] == delta[n_blocks]), n_blocks)
+    return _canonical(MooreMachine3(m.alg, initial, [m.labels[r] for r in reps],
+                                    delta, m.classes, m.class_of_atom))
 
-    if entered:
-        initial_block = block[m.initial]
-    else:
-        want = tuple(map(block.__getitem__, m.delta[m.initial]))
-        match = next((b for b in range(n_blocks)
-                      if tuple(map(block.__getitem__, m.delta[reps[b]])) == want),
-                     None)
-        if match is not None:
-            initial_block = match
-        else:
-            # keep the start state; its (never emitted) label is preserved
-            block[m.initial] = n_blocks
-            reps.append(m.initial)
-            initial_block = n_blocks
-            n_blocks += 1
 
-    labels = [m.labels[reps[b]] for b in range(n_blocks)]
-    delta = [[block[t] for t in m.delta[reps[b]]] for b in range(n_blocks)]
-    return _canonical(MooreMachine3(m.alg, initial_block, labels, delta,
-                                    m.classes, m.class_of_atom))
+def _breadth_first(delta: list[list[int]], start: int, classes: list[int]) -> list[int]:
+    """The states reached from ``start``, breadth-first, each state's
+    successors in the order of their classes' lowest atoms."""
+    by_atom = sorted(range(len(classes)), key=lambda c: _lowest_atom(classes[c]))
+    order, seen = [start], {start}
+    for q in order:  # order grows while it is read
+        for t in map(delta[q].__getitem__, by_atom):
+            if t not in seen:
+                seen.add(t)
+                order.append(t)
+    return order
 
 
 def _canonical(m: MooreMachine3) -> MooreMachine3:
     """The canonical form of ``m`` (see above), validated."""
-    by_atom = sorted(range(len(m.classes)), key=lambda c: _lowest_atom(m.classes[c]))
-    order = [m.initial]
-    number = [-1] * m.n_states
-    number[m.initial] = 0
-    for q in order:  # order grows while it is read
-        for t in map(m.delta[q].__getitem__, by_atom):
-            if number[t] < 0:
-                number[t] = len(order)
-                order.append(t)
+    order = _breadth_first(m.delta, m.initial, m.classes)
+    number = {q: i for i, q in enumerate(order)}
     rows = [[number[t] for t in m.delta[q]] for q in order]
     classes, class_of_atom, cols = _classes_from_columns(
         m.alg.num_atoms, zip(zip(*rows), m.classes))

@@ -24,17 +24,17 @@ holds), lim Pr(num and no guard holds) = v g.  The ``sparse`` limit is then
 (v - v g) / (1 - g) = v, and g < 1: g is Pr(quiet) < 1 when every b has
 positive probability, and 0 otherwise.
 
-:func:`prob_ps` uses the product law to solve less than the whole
+Since the three limits are one, :func:`prob_ps` takes ``reverse``'s, whose
+condition is true, and uses the product law to solve less than the whole
 expression.  A distribution is a tuple of independent blocks of events;
 parts of an expression that touch disjoint sets of blocks have independent
 value sequences, so the limit of their numerator is combined exactly from
-theirs (``and`` multiplies, ``or`` is 1-(1-x)(1-y), ``~`` is 1-x), and by
-the identity above that is each embedding's answer.  Since ``and`` and
-``or`` are associative and commutative, a run of either is regrouped into
-the connected components of its operands by shared blocks.  A simple
-conditional (a|b) alone in its part takes its limit in closed form,
-Pr(a and b) / Pr b; only parts whose leaves share events are compiled and
-solved, once each, over the product of the blocks they touch.
+theirs (``and`` multiplies, ``or`` is 1-(1-x)(1-y), ``~`` is 1-x).  Since
+``and`` and ``or`` are associative and commutative, a run of either is
+regrouped into the connected components of its operands by shared blocks.
+A simple conditional (a|b) alone in its part takes its limit in closed
+form, Pr(a and b) / Pr b; only parts whose leaves share events are
+compiled and solved, once each, over the product of the blocks they touch.
 
 :func:`cond_asymptotic` solves nothing for a conditional without ``S`` (so
 without ``O`` or ``H``).  With d its deepest nesting of ``Y``, its value
@@ -154,12 +154,7 @@ def prob_present(e: CeaExpr, p: ProbAssignment, which: Algebra) -> Optional[Frac
 def present_machine(s: SimpleConditional) -> MooreMachine3:
     """The Moore machine of a simple conditional: one state per value that
     occurs, entered by the atoms taking that value, plus a never-entered
-    start state labelled undefined.
-
-    States are numbered by the lowest atom entering them, so that
-    :func:`~tlcond.automata.minimize` folds the start state into the same
-    state as it does for the compiled :func:`simple_to_cond` machine.
-    """
+    start state labelled undefined."""
     alg = s.alg
     by_value = ((Value3.TRUE, s.yes_set),
                 (Value3.FALSE, s.def_set & ~s.yes_set),
@@ -276,8 +271,10 @@ _COMBINE = {CeaNeg: lambda vs: 1 - vs[0], CeaAnd: prod,
             CeaOr: lambda vs: 1 - prod(1 - v for v in vs)}
 
 
-def prob_ps(e: CeaExpr, p: ProbAssignment, which: Embedding = "first") -> Fraction:
-    """Product-space probability of a flat expression.
+def prob_ps(e: CeaExpr, p: ProbAssignment) -> Fraction:
+    """Product-space probability of a flat expression: the one limit of its
+    ``first``, ``reverse`` and ``sparse`` embeddings (see the module
+    docstring), always defined.
 
     One walk over the expression computes each value as it reaches it.
     A maximal run of ``and`` nodes, or of ``or`` nodes, is regrouped into
@@ -289,11 +286,6 @@ def prob_ps(e: CeaExpr, p: ProbAssignment, which: Embedding = "first") -> Fracti
     piece is solved without its negation.  Each piece has one limit (see
     :func:`_piece_limit`); a root that is itself a piece is the whole
     expression's one compile and solve.
-
-    The answer is always defined: under ``sparse`` the limit of "no guard
-    holds" is below 1, and the ``sparse`` limit equals the numerator's (see
-    the module docstring), so the product law applies under every
-    embedding.  So does 1 - x, since ``e`` and ``~e`` have the same guard.
     """
     _require_flat(e)
     block_of = {name: k for k, b in enumerate(p.blocks) for name in b.events}
@@ -322,10 +314,10 @@ def prob_ps(e: CeaExpr, p: ProbAssignment, which: Embedding = "first") -> Fracti
             kind, n = x
             values[-n:] = [_COMBINE[kind](values[-n:])]
         elif isinstance(x, tuple):
-            values.append(_piece_limit(x[0], p.restrict(x[1]), which))
+            values.append(_piece_limit(x[0], p.restrict(x[1])))
         elif isinstance(x, CeaSimple) or len(
                 groups := _components(_run_operands(x), blocks)) == 1:
-            values.append(_piece_limit(x, p.restrict(blocks[id(x)]), which))
+            values.append(_piece_limit(x, p.restrict(blocks[id(x)])))
         else:
             todo.append((type(x), len(groups)))
             for group in reversed(groups):
@@ -371,20 +363,22 @@ def _components(operands: list[CeaExpr], blocks: dict[int, int]) -> list[list[Ce
     return list(groups.values())
 
 
-def _piece_limit(x: CeaExpr, sub: ProbAssignment, which: Embedding) -> Fraction:
-    """The limit of a piece under ``which`` over ``sub``, the distribution
-    of the blocks it touches.
+def _piece_limit(x: CeaExpr, sub: ProbAssignment) -> Fraction:
+    """The limit of a piece over ``sub``, the distribution of the blocks it
+    touches.
 
     A simple conditional (a|b) needs no machine: under every embedding its
     limit is Pr(a and b) / Pr b, its first and its latest defined value
     both being 1 with that probability in the limit, and 0 when Pr b = 0.
-    Any other piece runs compile -> minimize -> chain -> limit once.
+    Any other piece runs compile -> minimize -> chain -> limit once, on its
+    ``reverse`` embedding, whose condition is true: so the product law and
+    1 - x hold on the numerators' limits directly.
     """
     if isinstance(x, CeaSimple):
         s = _leaf(x, sub.alg)
         pb = sub.of_event(s.def_set)
         return sub.of_event(s.yes_set) / pb if pb else ZERO
-    return cond_asymptotic(embed_ps(x, which), sub)
+    return cond_asymptotic(embed_ps(x, "reverse"), sub)
 
 
 # ---------------------------------------------------------------------------

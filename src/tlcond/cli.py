@@ -4,7 +4,8 @@ Subcommands: ``prob`` (exact probability of an expression), ``series``
 (CSV of time-indexed probabilities), ``machine`` (DOT export), ``taut``
 (weak-tautology check) and ``indep`` (independence check).
 
-Exit codes: 0 success, 1 input error, 2 mathematically undefined result.
+Exit codes: 0 success, 1 input error (a usage error too), 2 mathematically
+undefined result.
 """
 from __future__ import annotations
 
@@ -94,7 +95,7 @@ def cmd_prob(args) -> int:
     if args.cea == "tl":
         value = cea.cond_asymptotic(e, p)
     elif args.cea == "ps":
-        value = cea.prob_ps(e, p, args.embedding)
+        value = cea.prob_ps(e, p)
     else:
         value = cea.prob_present(e, p, args.cea)
     if value is None:
@@ -193,7 +194,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="interpretation: direct conditional (tl), a "
                             "present-tense algebra, or the product space (ps)")
         p.add_argument("--embedding", choices=_EMBEDDINGS, default="first",
-                       help="product-space interpretation (with --cea ps)")
+                       help="product-space interpretation for series and "
+                            "machine (prob is one number under all three)")
         if dist:
             p.add_argument("--dist", help="distribution file (default: every "
                                           "event independent with probability 1/2)")
@@ -236,7 +238,10 @@ _PARSER = _build_parser()
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
+    try:
+        args = _PARSER.parse_args(argv)
+    except SystemExit as exc:  # a usage error is an input error; --help is not
+        raise SystemExit(exc.code and INPUT_ERROR) from None
     try:
         return args.fn(args)
     except PeriodicChainError as exc:

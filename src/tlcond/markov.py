@@ -306,9 +306,9 @@ def check_time_index(n: int) -> None:
 def pr_n(ch: MarkovChain3, n: int) -> tuple[Fraction, Fraction, Fraction]:
     """Probability that the value at time n is 1 / 0 / undefined (n >= 1)."""
     check_time_index(n)
-    for row in pr_series(ch, n):
+    for scale, *weights in label_weights(ch, n):
         pass
-    return row
+    return tuple(Fraction(w, scale) for w in weights)
 
 
 def pr_n_ratio(ch: MarkovChain3, n: int) -> Optional[Fraction]:

@@ -122,8 +122,7 @@ def test_criterion_03_embedding_equivalence():
 
         for p in dists:
             values = {asymptotic(chain_from_machine(m, p)) for m in machines}
-            assert len(values) == 1, (e, p.mass, values)
-            assert None not in values
+            assert values == {prob_ps(e, p)}, (e, p.mass, values)
     elapsed = time.monotonic() - t0
     assert elapsed < 120, f"took {elapsed:.1f}s"
     _report(3, f"100 expressions x 20 distributions, three interpretations "
@@ -165,8 +164,8 @@ def test_criterion_04_product_law_for_disjoint_generators():
                      for atom in range(16))
         p = ProbAssignment(joint, mass)
 
-        parts = prob_ps(e1, p, "first"), prob_ps(e2, p, "first")
-        whole = prob_ps(conj, p, "first")
+        parts = prob_ps(e1, p), prob_ps(e2, p)
+        whole = prob_ps(conj, p)
         assert whole == parts[0] * parts[1], (t1, t2, p.mass)
     _report(4, "50 disjoint-generator conjunctions factor exactly")
 

@@ -283,6 +283,7 @@ def test_minimize_is_idempotent_canonical_and_exact(alg_and_cond, rng):
     if m.n_states > 1 and perm[i] == i:  # move the start
         perm[i], perm[i - 1] = perm[i - 1], perm[i]
     assert canonical_key(_rebuilt(m, perm)) == canonical_key(m), pretty(c)
+    assert canonical_key(minimize(_rebuilt(m, perm))) == canonical_key(small), pretty(c)
     assert outputs_match_everywhere(m, c, alg, 3), pretty(c)
     assert outputs_match_everywhere(small, c, alg, 3), pretty(c)
     assert _numbered_canonically(m), pretty(c)

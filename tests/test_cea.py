@@ -238,26 +238,28 @@ def test_embeddings_reject_reconditioning_and_variables():
 
 def test_independent_conjunction_probability_is_the_product():
     e = parse_cea("(a|b) and (c|d)", ABCD)
-    assert prob_ps(e, HALF4, "first") == Fraction(1, 4)
+    assert prob_ps(e, HALF4) == Fraction(1, 4)
 
 
 def test_shared_condition_conjunction():
     # both conditionals resolve at the first b; win needs a and c there
     e = parse_cea("(a|b) and (c|b)", ABCD)
-    assert prob_ps(e, HALF4, "first") == Fraction(1, 4)
+    assert prob_ps(e, HALF4) == Fraction(1, 4)
 
 
 def test_three_interpretations_agree_spot():
     for text in ("(a|b)", "(a|b) and (c|d)", "~(a|b) or (c and d|b or d)"):
         e = parse_cea(text, ABCD, dialect="flat")
-        values = {prob_ps(e, HALF4, w) for w in ("first", "reverse", "sparse")}
-        assert len(values) == 1, text
+        values = {cond_asymptotic(embed_ps(e, w), HALF4)
+                  for w in ("first", "reverse", "sparse")}
+        assert values == {prob_ps(e, HALF4)}, text
 
 
 def test_degenerate_conditional_has_probability_zero():
     e = parse_cea("(a|false)", ALG_AB)
+    assert prob_ps(e, UNIFORM_AB) == 0
     for which in ("first", "reverse", "sparse"):
-        assert prob_ps(e, UNIFORM_AB, which) == 0
+        assert cond_asymptotic(embed_ps(e, which), UNIFORM_AB) == 0
 
 
 def test_interpretations_agree_when_a_condition_is_impossible():
@@ -265,8 +267,8 @@ def test_interpretations_agree_when_a_condition_is_impossible():
     p = ProbAssignment.independent(
         alg, {"a": Fraction(1, 2), "b": Fraction(0), "c": Fraction(2, 3)})
     e = parse_cea("(a|b) or (a|c)", alg)
-    values = {prob_ps(e, p, w) for w in ("first", "reverse", "sparse")}
-    assert len(values) == 1
+    values = {cond_asymptotic(embed_ps(e, w), p) for w in ("first", "reverse", "sparse")}
+    assert values == {prob_ps(e, p)}
 
 
 # ---------------------------------------------------------------------------
@@ -595,9 +597,10 @@ def test_sparse_interpretation_is_not_an_embedding():
 
     assert isomorphic(machine("(false|a)", "first"), machine("(false|b)", "first"))
     assert not isomorphic(machine("(false|a)", "sparse"), machine("(false|b)", "sparse"))
-    for which in ("first", "reverse", "sparse"):
-        assert prob_ps(parse_cea("(false|a)", ab), p, which) == 0
-        assert prob_ps(parse_cea("(false|b)", ab), p, which) == 0
+    for text in ("(false|a)", "(false|b)"):
+        assert prob_ps(parse_cea(text, ab), p) == 0
+        for which in ("first", "reverse", "sparse"):
+            assert cond_asymptotic(embed_ps(parse_cea(text, ab), which), p) == 0
 
 
 def test_monolithic_and_product_pipelines_agree():
@@ -680,17 +683,17 @@ def pool_distributions(draw):
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(flat_expressions(), pool_distributions())
 def test_compositional_prob_ps_equals_the_monolithic_solve(e, p):
+    got = prob_ps(e, p)
     for which in ("first", "reverse", "sparse"):
-        want = cond_asymptotic(embed_ps(e, which), p)
-        assert prob_ps(e, p, which) == want, (pretty(e), which)
+        assert got == cond_asymptotic(embed_ps(e, which), p), (pretty(e), which)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(flat_expressions(), pool_distributions())
 def test_a_negation_is_one_minus_what_it_negates(e, p):
+    got = prob_ps(CeaNeg(e), p)
+    assert got == 1 - prob_ps(e, p), pretty(e)
     for which in ("first", "reverse", "sparse"):
-        got = prob_ps(CeaNeg(e), p, which)
-        assert got == 1 - prob_ps(e, p, which), (pretty(e), which)
         assert got == cond_asymptotic(embed_ps(CeaNeg(e), which), p), (pretty(e), which)
 
 
@@ -717,9 +720,9 @@ def leaves_and_distributions(draw):
 @given(leaves_and_distributions())
 def test_leaf_limits_in_closed_form_equal_the_compiled_ones(case):
     x, p = case
+    got = cea._piece_limit(x, p)
     for which in ("first", "reverse", "sparse"):
-        want = cond_asymptotic(embed_ps(x, which), p)
-        assert cea._piece_limit(x, p, which) == want, (pretty(x), which)
+        assert got == cond_asymptotic(embed_ps(x, which), p), (pretty(x), which)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
@@ -805,8 +808,7 @@ def test_disjoint_conjunction_of_ten_is_solved_without_the_atom_table():
     want = Fraction(1)
     for i in range(1, 11):
         want *= marginals[f"a{i}"]
-    for which in ("first", "reverse", "sparse"):
-        assert prob_ps(e, p, which) == want == Fraction(1, 39916800)
+    assert prob_ps(e, p) == want == Fraction(1, 39916800)
     assert "mass" not in vars(p)  # the 4^10-atom table was never built
 
 
@@ -830,12 +832,13 @@ def test_shared_events_are_solved_as_one_piece(monkeypatch):
     e = parse_cea("((a|b) and (c|d)) and (d|b)", ABCD)
     assert prob_ps(e, HALF4) == Fraction(1, 8)
     assert calls == [ABCD.events]
-    # a negated piece is compiled without its negation and taken as 1 - x
-    for which in ("first", "reverse", "sparse"):
-        calls.clear()
-        assert prob_ps(CeaNeg(e), HALF4, which) == Fraction(7, 8)
-        assert calls == [ABCD.events]
-        assert compiled[-1] == embed_ps(e, which), which
+    # a piece is solved on its reverse embedding; a negated piece is
+    # compiled without its negation and taken as 1 - x
+    assert compiled == [embed_ps(e, "reverse")]
+    calls.clear()
+    assert prob_ps(CeaNeg(e), HALF4) == Fraction(7, 8)
+    assert calls == [ABCD.events]
+    assert compiled[-1] == embed_ps(e, "reverse")
     calls.clear()
     # leaves alone in their component take their limits in closed form
     e = parse_cea("~((a|b) or (c|d))", ABCD)
@@ -845,7 +848,6 @@ def test_shared_events_are_solved_as_one_piece(monkeypatch):
     abcde = algebra("a b c d e")
     half5 = ProbAssignment.independent(abcde, {n: Fraction(1, 2) for n in "abcde"})
     e = parse_cea("((a|b) and (c|d)) and (a|e)", abcde)
-    for which in ("first", "reverse", "sparse"):
-        calls.clear()
-        assert prob_ps(e, half5, which) == Fraction(1, 6)
-        assert calls == [("a", "b", "e")], which
+    calls.clear()
+    assert prob_ps(e, half5) == Fraction(1, 6)
+    assert calls == [("a", "b", "e")]

@@ -64,13 +64,15 @@ def test_prob_undefined_exits_two(capsys, half_ab):
 
 def test_prob_matches_library(capsys, half_abcd):
     from tlcond import ProbAssignment, algebra, parse_cea, prob_ps
-    code, out, _ = run(capsys, "prob", "--cea", "ps", "--embedding", "reverse",
-                       "--expr", "~(a|b) or (c|d)", "--dist", half_abcd)
-    assert code == 0
     alg = algebra("a b c d")
     p = ProbAssignment.independent(alg, {n: Fraction(1, 2) for n in "abcd"})
-    direct = prob_ps(parse_cea("~(a|b) or (c|d)", alg), p, "reverse")
-    assert out.split()[0] == str(direct)
+    for text in ("~(a|b) or (c|d)", "~(a|b) or (c|b)"):
+        direct = prob_ps(parse_cea(text, alg), p)
+        for embedding in ("first", "reverse", "sparse"):
+            code, out, _ = run(capsys, "prob", "--cea", "ps", "--embedding", embedding,
+                               "--expr", text, "--dist", half_abcd)
+            assert code == 0
+            assert out.split()[0] == str(direct), (text, embedding)
 
 
 def test_parse_error_exits_one(capsys, half_ab):
@@ -421,7 +423,7 @@ def test_argument_parser_is_built_once(capsys, monkeypatch):
     assert out.strip() == "1/2 (0.500000000000)"
     with pytest.raises(SystemExit) as exc:
         main(["prob"])
-    assert exc.value.code == 2
+    assert exc.value.code == 1
 
 
 def test_machine_output_is_deterministic(capsys):

@@ -337,6 +337,19 @@ def test_pr_series_steps_through_pr_n():
     assert list(pr_series(_chain("(a|b)"), 0)) == []
 
 
+def test_pr_n_at_a_large_time_equals_the_closed_form():
+    """(a S b | O b) at time n: undefined while no b has come, Pr (1-q)^n;
+    1 when a held at every step since the latest b, Pr q (1 - s^n) / (1 - s)
+    with q = Pr b and s = Pr(a and not b)."""
+    p = ProbAssignment.independent(ALG_AB, {"a": Fraction(2, 7), "b": Fraction(3, 11)})
+    ch = _chain("(a S b | O b)", p)
+    q, s = Fraction(3, 11), Fraction(2, 7) * Fraction(8, 11)
+    for n in (1, 2, 3000):
+        p1, pbot = q * (1 - s ** n) / (1 - s), (1 - q) ** n
+        assert pr_n(ch, n) == (p1, 1 - p1 - pbot, pbot), n
+        assert pr_n_ratio(ch, n) == p1 / (1 - pbot), n
+
+
 def _fraction_step(dist, succ):
     out = [Fraction(0)] * len(dist)
     for i, w in enumerate(dist):
