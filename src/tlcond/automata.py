@@ -168,38 +168,48 @@ def _step(f, index: dict, slot: dict, full: int):
     return lambda vals, mem: vals[b] | (vals[a] & -(mem >> s & 1))
 
 
-def compile_cond(c: CondObject, alg: EventAlgebra) -> MooreMachine3:
-    """Compile a conditional object into a Moore machine computing it."""
-    # a step computes each subformula over Y or S (its ancestors are too)
-    # and reads the maximal present-tense ones, the leaves, as class sets
+def leaf_classes(c: CondObject, alg: EventAlgebra
+                 ) -> tuple[list[TLFormula], list[TLFormula], list[int], list[int],
+                            list[tuple[int, ...]]]:
+    """The letter classes of a conditional: atoms on which every leaf, every
+    maximal present-tense subformula, takes one value.
+
+    Returns the subformulas a step computes, each after its children (every
+    subformula over ``Y`` or ``S``, since its ancestors are too, and the
+    leaves), the leaves in that order, the class masks sorted by lowest
+    atom, atom -> class index, and each class's key: the leaves' values,
+    1 or 0, in leaf order.
+    """
     subs = subformulas([c.num, c.den])
     present: set = set()
     for f in subs:
         if not isinstance(f, (Prev, Since)) and all(
                 x in present for x in children(f)):
             present.add(f)
-    leaves = present & ({c.num, c.den} | {x for f in subs if f not in present
-                                          for x in children(f)})
-    subs = [f for f in subs if f not in present or f in leaves]
-    index = {f: i for i, f in enumerate(subs)}
-    leaf_order = [i for i, f in enumerate(subs) if f in leaves]
-
-    # atoms split by every leaf's value; a class's key holds the leaf values
+    leaf_set = present & ({c.num, c.den} | {x for f in subs if f not in present
+                                            for x in children(f)})
+    subs = [f for f in subs if f not in present or f in leaf_set]
+    leaves = [f for f in subs if f in leaf_set]
     parts = [((), alg.full_event)]
-    for i in leaf_order:
-        holds = event_mask(subs[i], alg)
+    for f in leaves:
+        holds = event_mask(f, alg)
         parts = [(key + (bit,), part) for key, mask in parts
                  for bit, part in ((1, mask & holds), (0, mask & ~holds)) if part]
-    classes, class_of_atom, class_keys = _classes_from_columns(alg.num_atoms,
-                                                               parts)
+    return subs, leaves, *_classes_from_columns(alg.num_atoms, parts)
+
+
+def compile_cond(c: CondObject, alg: EventAlgebra) -> MooreMachine3:
+    """Compile a conditional object into a Moore machine computing it."""
+    subs, leaves, classes, class_of_atom, class_keys = leaf_classes(c, alg)
+    index = {f: i for i, f in enumerate(subs)}
     full = (1 << len(classes)) - 1
 
     remembered = sorted({index[f.child] for f in subs if isinstance(f, Prev)}
                         | {i for i, f in enumerate(subs) if isinstance(f, Since)})
     slot = {i: s for s, i in enumerate(remembered)}
     slots = [(4 << s, i) for s, i in enumerate(remembered)]  # (key bit, index)
-    leaf_mask = {i: sum(1 << k for k, key in enumerate(class_keys) if key[j])
-                 for j, i in enumerate(leaf_order)}
+    leaf_mask = {index[f]: sum(1 << k for k, key in enumerate(class_keys) if key[j])
+                 for j, f in enumerate(leaves)}
     steps = [(lambda vals, mem, mask=leaf_mask[i]: mask) if i in leaf_mask
              else _step(f, index, slot, full) for i, f in enumerate(subs)]
     num_idx, den_idx = index[c.num], index[c.den]

@@ -36,12 +36,18 @@ A simple conditional (a|b) alone in its part takes its limit in closed
 form, Pr(a and b) / Pr b; only parts whose leaves share events are
 compiled and solved, once each, over the product of the blocks they touch.
 
-:func:`cond_asymptotic` solves nothing for a conditional without ``S`` (so
-without ``O`` or ``H``).  With d its deepest nesting of ``Y``, its value
-from time d+1 on is a fixed function of the last d+1 letters, which are
-i.i.d., so its law no longer changes and the limit is the ratio at time
-d+1, read off the raw compiled chain.  Every embedding of a product-space
-leaf uses ``S``, so :func:`prob_ps` never takes this path.
+:func:`cond_asymptotic` builds no machine for a conditional without ``S``
+(so without ``O`` or ``H``).  With d its deepest nesting of ``Y``, its
+value from time d+1 on is a fixed function of the last d+1 letters, which
+are i.i.d., so its law no longer changes and the limit is the ratio at
+time d+1.  That ratio is taken by a walk backward over formulas from time
+d+1 to time 1 (:func:`_backward_ratio`): each step puts each letter
+class's constants in place of the leaves and ``f`` in place of ``Y f``,
+and merges equal residual pairs.  Its cost is the number of distinct
+residuals per step times the number of letter classes, where the compiled
+machine has about 2^(number of ``Y`` children) states.  Every embedding
+of a product-space leaf uses ``S``, so :func:`prob_ps` never takes this
+path.
 """
 from __future__ import annotations
 
@@ -55,13 +61,13 @@ from typing import Callable, Literal, Optional
 
 from . import markov, syntax, trivalue
 from .automata import (MooreMachine3, _classes_from_columns, compile_cond,
-                       event_mask, minimize)
+                       event_mask, leaf_classes, minimize)
 from .markov import (ZERO, ProbAssignment, asymptotic, chain_from_machine,
                      pr_n_ratio)
-from .syntax import (And, CeaAnd, CeaCond, CeaExpr, CeaNeg, CeaOr, CeaSimple,
-                     CeaVar, CondObject, EventAlgebra, Not, Or, Prev, Since,
-                     TLFormula, TRUE, children, collect_simples,
-                     formula_events, horizon, walk)
+from .syntax import (FALSE, TRUE, And, CeaAnd, CeaCond, CeaExpr, CeaNeg, CeaOr,
+                     CeaSimple, CeaVar, CondObject, Const, EventAlgebra, Iff,
+                     Implies, Not, Or, Prev, Since, TLFormula, children,
+                     collect_simples, formula_events, horizon, walk)
 from .trivalue import Value3
 
 Algebra = Literal["sac", "gnw", "sch"]
@@ -251,19 +257,127 @@ def _ratio(c: CondObject, p: ProbAssignment, n: Optional[int]) -> Optional[Fract
     :func:`~tlcond.syntax.horizon`): from time d+1 on, its value is a fixed
     function of the last d+1 letters, which are i.i.d., so its law is the
     same at every such time and the limit is the ratio at time d+1.  That
-    ratio is read off the raw compiled chain by stepping it, with no
-    minimization and no linear system.  It is the Fraction the exact solve
-    gives, and that solve could meet no periodic class here: a state
-    entered after time d is a function of the last d+1 letters, so any
-    such state leads to any other in exactly d+1 positive-mass letters.
-    A conditional with ``S`` is minimized and its limit solved exactly.
+    ratio, or the one at an earlier ``n``, is taken by
+    :func:`_backward_ratio` with no machine and no chain.  A conditional
+    with ``S`` is compiled and minimized, and its limit solved exactly.
     """
-    m, d = compile_cond(c, p.alg), horizon(c)
+    d = horizon(c)
     if d is not None:
-        return pr_n_ratio(chain_from_machine(m, p),
-                          d + 1 if n is None else min(n, d + 1))
-    ch = chain_from_machine(minimize(m), p)
+        return _backward_ratio(c, p, d + 1 if n is None else min(n, d + 1))
+    ch = chain_from_machine(minimize(compile_cond(c, p.alg)), p)
     return asymptotic(ch) if n is None else pr_n_ratio(ch, n)
+
+
+def _backward_ratio(c: CondObject, p: ProbAssignment, t: int) -> Optional[Fraction]:
+    """The ratio at time ``t`` of a conditional without ``S``, by a walk
+    backward over formulas from time ``t`` to time 1.
+
+    A residual is a pair (num, den) of formulas read at the current time,
+    with an integer weight.  One step reads the current letter: for each
+    letter class of the conditional (see
+    :func:`~tlcond.automata.leaf_classes`) every leaf becomes its constant
+    on that class and every ``Y f`` becomes ``f``, read one step earlier,
+    or false at time 1, and the constants are folded (:func:`_earlier`).
+    Equal residuals merge and their weights, products of integer class
+    weights, add up.  A residual whose den is false is undefined and
+    dropped; one whose den is true and whose num is constant is finished
+    as 1 or 0.  After time 1 every residual is finished, and the weights of
+    1 and 0, on one scale, give the ratio.  The cost is the number of
+    distinct residuals per step times the number of letter classes.
+    """
+    _, leaves, _, class_of_atom, keys = leaf_classes(c, p.alg)
+    markov.check_time_index(t)
+    scale, weights = markov.class_weights(p, class_of_atom, len(keys))
+    # each live class's leaf constants, its weight and its memo of _earlier
+    live = [({f: TRUE if bit else FALSE for f, bit in zip(leaves, key)}, w, {})
+            for key, w in zip(keys, weights) if w]
+    residuals = {(c.num, c.den): 1}
+    ones = zeros = 0  # finished weights, on the scale of the residuals
+    for time in range(t, 0, -1):
+        if time == 1:  # Y f is false now: the memos no longer hold
+            live = [(consts, w, {}) for consts, w, _ in live]
+        ones, zeros = ones * scale, zeros * scale
+        after: dict = {}
+        for (num, den), weight in residuals.items():
+            for consts, w, memo in live:
+                den_then = _earlier(den, consts, memo, time == 1)
+                if den_then is FALSE:
+                    continue
+                num_then = _earlier(num, consts, memo, time == 1)
+                if den_then is TRUE and type(num_then) is Const:
+                    if num_then is TRUE:
+                        ones += weight * w
+                    else:
+                        zeros += weight * w
+                else:
+                    key = (num_then, den_then)
+                    after[key] = after.get(key, 0) + weight * w
+        residuals = after
+    return Fraction(ones, ones + zeros) if ones + zeros else None
+
+
+def _not(a: TLFormula) -> TLFormula:
+    return FALSE if a is TRUE else TRUE if a is FALSE else Not(a)
+
+
+def _and(a: TLFormula, b: TLFormula) -> TLFormula:
+    if a is FALSE or b is FALSE:
+        return FALSE
+    return b if a is TRUE or a is b else a if b is TRUE else And(a, b)
+
+
+def _or(a: TLFormula, b: TLFormula) -> TLFormula:
+    if a is TRUE or b is TRUE:
+        return TRUE
+    return b if a is FALSE or a is b else a if b is FALSE else Or(a, b)
+
+
+def _implies(a: TLFormula, b: TLFormula) -> TLFormula:
+    if a is FALSE or b is TRUE or a is b:
+        return TRUE
+    return b if a is TRUE else _not(a) if b is FALSE else Implies(a, b)
+
+
+def _iff(a: TLFormula, b: TLFormula) -> TLFormula:
+    if a is b:
+        return TRUE
+    if a is TRUE or b is TRUE:
+        return b if a is TRUE else a
+    if a is FALSE or b is FALSE:
+        return _not(b if a is FALSE else a)
+    return Iff(a, b)
+
+
+# a connective node with folded operands, constants folded away
+_FOLD = {Not: _not, And: _and, Or: _or, Implies: _implies, Iff: _iff}
+
+
+def _earlier(f: TLFormula, consts: dict, memo: dict, first: bool) -> TLFormula:
+    """``f``, read at the current time, as a formula read one step earlier:
+    each leaf in ``consts`` becomes its constant, each ``Y g`` becomes ``g``
+    (false when ``first``, at time 1), and constants are folded.
+
+    Only the connective layer above leaves and ``Y`` nodes is walked, on an
+    explicit stack; ``memo`` keeps each rewritten node for one letter class
+    and one value of ``first``."""
+    todo: list = [f]
+    while todo:
+        x = todo.pop()
+        if type(x) is tuple:  # (connective, its operands), operands rewritten
+            x, args = x
+            memo[x] = _FOLD[type(x)](*map(memo.__getitem__, args))
+        elif x not in memo:
+            if x in consts:
+                memo[x] = consts[x]
+            elif type(x) is Prev:
+                memo[x] = FALSE if first else x.child
+            elif type(x) is Const:
+                memo[x] = x
+            else:
+                args = children(x)
+                todo.append((x, args))
+                todo += args
+    return memo[f]
 
 
 # the limit of a node from its operands' limits, by the product law
@@ -289,7 +403,9 @@ def prob_ps(e: CeaExpr, p: ProbAssignment) -> Fraction:
     """
     _require_flat(e)
     block_of = {name: k for k, b in enumerate(p.blocks) for name in b.events}
-    blocks: dict[int, int] = {}  # id(node) -> bitmask of the blocks it touches
+    # node -> bitmask of the blocks it touches; equal subexpressions are
+    # one interned node and touch the same blocks
+    blocks: dict[CeaExpr, int] = {}
     # children before parents
     for x in reversed([x for x in walk(e) if isinstance(x, CeaExpr)]):
         touched = 0
@@ -298,8 +414,8 @@ def prob_ps(e: CeaExpr, p: ProbAssignment) -> Fraction:
                 touched |= 1 << block_of[name]
         else:
             for child in children(x):
-                touched |= blocks[id(child)]
-        blocks[id(x)] = touched
+                touched |= blocks[child]
+        blocks[x] = touched
 
     # nodes, steps (kind, n) combining the last n values, and regrouped
     # pieces (run, blocks); operands are pushed right to left, so that
@@ -317,12 +433,12 @@ def prob_ps(e: CeaExpr, p: ProbAssignment) -> Fraction:
             values.append(_piece_limit(x[0], p.restrict(x[1])))
         elif isinstance(x, CeaSimple) or len(
                 groups := _components(_run_operands(x), blocks)) == 1:
-            values.append(_piece_limit(x, p.restrict(blocks[id(x)])))
+            values.append(_piece_limit(x, p.restrict(blocks[x])))
         else:
             todo.append((type(x), len(groups)))
             for group in reversed(groups):
                 todo.append(group[0] if len(group) == 1 else (reduce(type(x), group),
-                            reduce(or_, (blocks[id(z)] for z in group))))
+                            reduce(or_, (blocks[z] for z in group))))
     value, = values
     return value
 
@@ -340,7 +456,8 @@ def _run_operands(x: CeaExpr) -> list[CeaExpr]:
     return out
 
 
-def _components(operands: list[CeaExpr], blocks: dict[int, int]) -> list[list[CeaExpr]]:
+def _components(operands: list[CeaExpr], blocks: dict[CeaExpr, int]
+                ) -> list[list[CeaExpr]]:
     """``operands`` grouped into the connected components of "touch a
     common block", each group in operand order and ordered by its first."""
     parent = list(range(len(operands)))
@@ -352,7 +469,7 @@ def _components(operands: list[CeaExpr], blocks: dict[int, int]) -> list[list[Ce
 
     first: dict[int, int] = {}  # block bit -> the first operand touching it
     for i, x in enumerate(operands):
-        rest = blocks[id(x)]
+        rest = blocks[x]
         while rest:
             bit = rest & -rest
             rest ^= bit

@@ -240,15 +240,24 @@ class MarkovChain3:
         return len(self.labels)
 
 
+def class_weights(p: ProbAssignment, class_of_atom: Sequence[int],
+                  n: int) -> tuple[int, list[int]]:
+    """The law of a letter under ``p`` on ``n`` letter classes (atom ->
+    class index): ``(den, w)``, class c having probability ``w[c] / den``,
+    both divided by their gcd."""
+    den, atom_weights = p.weights
+    weights = [0] * n
+    for c, w in zip(class_of_atom, atom_weights):
+        weights[c] += w
+    common = gcd(den, *weights)
+    return den // common, [w // common for w in weights]
+
+
 def chain_from_machine(m: MooreMachine3, p: ProbAssignment) -> MarkovChain3:
     if m.alg.events != p.alg.events:
         raise ValueError("machine and distribution use different event algebras")
-    den, atom_weights = p.weights
-    class_weight = [0] * len(m.classes)
-    for c, w in zip(m.class_of_atom, atom_weights):
-        class_weight[c] += w
-    common = gcd(den, *class_weight)
-    live = [(c, w // common) for c, w in enumerate(class_weight) if w]
+    den, weights = class_weights(p, m.class_of_atom, len(m.classes))
+    live = [(c, w) for c, w in enumerate(weights) if w]
     built: dict[tuple, tuple] = {}  # a raw machine repeats rows often
 
     def pairs(targets: list[int]) -> tuple[tuple[int, int], ...]:
@@ -265,7 +274,7 @@ def chain_from_machine(m: MooreMachine3, p: ProbAssignment) -> MarkovChain3:
     init = [0] * m.n_states
     for t, w in pairs(m.delta[m.initial]):
         init[t] = w
-    return MarkovChain3(den // common, init, [pairs(row) for row in m.delta], m.labels)
+    return MarkovChain3(den, init, [pairs(row) for row in m.delta], m.labels)
 
 
 def _step(dist: list[int], succ: Sequence[Sequence[tuple[int, int]]]) -> list[int]:

@@ -99,13 +99,26 @@ def algebra(names: str | tuple[str, ...] | list[str]) -> EventAlgebra:
 # Temporal formulas
 
 
-_INTERNED = weakref.WeakValueDictionary()  # (class, *fields) -> the formula
+class _Ref(weakref.ref):
+    """A weak reference to an interned node that knows its table key."""
+
+    __slots__ = ("key",)
 
 
-class TLFormula:
-    """A temporal formula.  Every node is built through one weak intern
-    table keyed on its class and fields, so equal formulas are one object:
-    ``==`` and ``hash`` are identity, O(1) at any depth."""
+_INTERNED: dict = {}  # (class, *fields) -> a weak reference to the node
+
+
+def _forget(ref: _Ref, table: dict = _INTERNED) -> None:
+    """Drop a dead node's entry, unless a new node holds its key."""
+    if table.get(ref.key) is ref:
+        del table[ref.key]
+
+
+class _Interned:
+    """A syntax node built through one weak intern table keyed on its class
+    and fields, so equal nodes are one object: ``==`` and ``hash`` are
+    identity, O(1) at any depth.  Fields are read-only; ``copy`` and
+    ``pickle`` return the interned node."""
 
     __slots__ = ("__weakref__",)
     _fields: tuple[str, ...] = ()
@@ -118,11 +131,14 @@ class TLFormula:
         if kwargs or len(args) != len(fields):
             raise TypeError(f"{cls.__name__}() takes the fields {', '.join(fields)}")
         key = (cls, *args)
-        f = _INTERNED.get(key)
+        ref = _INTERNED.get(key)
+        f = None if ref is None else ref()
         if f is None:
-            f = _INTERNED[key] = object.__new__(cls)
+            f = object.__new__(cls)
             for name, value in zip(fields, args):
                 object.__setattr__(f, name, value)
+            ref = _INTERNED[key] = _Ref(f, _forget)
+            ref.key = key
         return f
 
     def __setattr__(self, name, value):
@@ -136,6 +152,12 @@ class TLFormula:
     def __repr__(self) -> str:
         return f"{type(self).__qualname__}(" + ", ".join(
             f"{name}={getattr(self, name)!r}" for name in self._fields) + ")"
+
+
+class TLFormula(_Interned):
+    """A temporal formula."""
+
+    __slots__ = ()
 
 
 class Atom(TLFormula):
@@ -188,62 +210,51 @@ def hist(f: TLFormula) -> TLFormula:
     return Not(Since(TRUE, Not(f)))
 
 
-@dataclass(frozen=True)
-class CondObject:
+class CondObject(_Interned):
     """A conditional (numerator | denominator) over temporal formulas."""
 
-    num: TLFormula
-    den: TLFormula
+    __slots__ = _fields = ("num", "den")
 
 
 # ---------------------------------------------------------------------------
 # Conditional expressions
 
 
-class CeaExpr:
+class CeaExpr(_Interned):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class CeaSimple(CeaExpr):
     """A simple conditional (x | y) with boolean event expressions as sides."""
 
-    num_event: TLFormula
-    den_event: TLFormula
+    __slots__ = _fields = ("num_event", "den_event")
 
-    def __post_init__(self):
-        for side in (self.num_event, self.den_event):
+    def __new__(cls, num_event: TLFormula, den_event: TLFormula):
+        for side in (num_event, den_event):
             if not is_present_tense(side):
                 raise ValueError("simple-conditional sides must be event "
                                  "expressions without temporal operators")
+        return super().__new__(cls, num_event, den_event)
 
 
-@dataclass(frozen=True)
 class CeaVar(CeaExpr):
-    name: str
+    __slots__ = _fields = ("name",)
 
 
-@dataclass(frozen=True)
 class CeaNeg(CeaExpr):
-    child: CeaExpr
+    __slots__ = _fields = ("child",)
 
 
-@dataclass(frozen=True)
 class CeaAnd(CeaExpr):
-    left: CeaExpr
-    right: CeaExpr
+    __slots__ = _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
 class CeaOr(CeaExpr):
-    left: CeaExpr
-    right: CeaExpr
+    __slots__ = _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
 class CeaCond(CeaExpr):
-    left: CeaExpr
-    right: CeaExpr
+    __slots__ = _fields = ("left", "right")
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +304,8 @@ def fold(e: CeaExpr, visit: Callable) -> object:
     """Fold a conditional expression children first, left to right, without
     recursion: ``visit(node, values)`` gets the values of the node's
     children.  Simple conditionals and variables are leaves (no values).
-    No node is hashed, since the expression nodes' ``==`` and hash recurse."""
+    A subexpression that occurs twice is one interned node, visited once
+    per occurrence."""
     values: list = []
     todo: list = [e]
     while todo:

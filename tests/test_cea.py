@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tlcond import (And, Atom, CeaAnd, CeaCond, CeaNeg, CeaOr, CeaSimple,
-                    CeaVar, CondObject, FALSE, Not, Or, Prev, TRUE, Value3,
-                    algebra, brute_joint, brute_pr_n, cea, eval_cea_valuation,
-                    canonical_key, compile_cond, embed_ps, minimize,
-                    parse_cea, parse_cond, parse_tl, present_indep, pretty,
+                    CeaVar, CondObject, FALSE, Iff, Implies, Not, Or, Prev,
+                    TRUE, Value3, algebra, brute_joint, brute_pr_n, cea,
+                    eval_cea_valuation, canonical_key, compile_cond, embed_ps,
+                    minimize, parse_cea, parse_cond, parse_tl, present_indep, pretty,
                     prob_present, prob_ps, product, reduce_present,
                     reduce_syntactic, strong_indep, weak_tautology)
 from tlcond.automata import to_dot
@@ -20,7 +20,8 @@ from tlcond.cea import (SimpleConditional, cond_asymptotic, event_mask,
                         simple_to_cond)
 from tlcond.markov import (Block, ProbAssignment, asymptotic,
                            chain_from_machine, limiting_label_masses,
-                           pr_series)
+                           pr_n_ratio, pr_series)
+from tlcond.oracle import brute_pr_series
 from tlcond.syntax import EventAlgebra, collect_simples, horizon
 from tlcond.trivalue import ConnectiveId, apply_binary
 
@@ -747,7 +748,7 @@ def bounded_past(draw, alg, depth, size=4):
     """A formula over ``alg``'s events with ``Y`` nested at most ``depth``
     deep and no ``S``."""
     leaves = [Atom(x) for x in alg.events] + [TRUE, FALSE]
-    kinds = ["leaf", "not", "and", "or", "Y", "Y"] if size else ["leaf"]
+    kinds = ["leaf", "not", "and", "or", "->", "<->", "Y", "Y"] if size else ["leaf"]
     kind = draw(st.sampled_from(kinds))
     if kind == "leaf" or (kind == "Y" and not depth):
         return draw(st.sampled_from(leaves))
@@ -755,8 +756,9 @@ def bounded_past(draw, alg, depth, size=4):
         return Prev(draw(bounded_past(alg, depth - 1, size - 1)))
     if kind == "not":
         return Not(draw(bounded_past(alg, depth, size - 1)))
-    return (And if kind == "and" else Or)(draw(bounded_past(alg, depth, size - 1)),
-                                          draw(bounded_past(alg, depth, size - 1)))
+    node = {"and": And, "or": Or, "->": Implies, "<->": Iff}[kind]
+    return node(draw(bounded_past(alg, depth, size - 1)),
+                draw(bounded_past(alg, depth, size - 1)))
 
 
 @st.composite
@@ -782,6 +784,46 @@ def test_a_finite_horizon_limit_is_the_ratio_at_time_d_plus_one(case):
     assert got == (p1 / (p1 + p0) if p1 + p0 else None)
     rows = list(pr_series(chain_from_machine(compile_cond(c, p.alg), p), d + 3))
     assert rows[d] == rows[d + 1] == rows[d + 2]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(conditionals_and_tables(2))
+def test_the_backward_walk_equals_the_compiled_chain_and_brute_force(case):
+    """At every time up to d+2 and in the limit, the ratio the backward
+    walk over formulas takes equals the one the raw compiled chain gives
+    when stepped, and the brute-force one."""
+    c, p = case
+    d = horizon(c)
+    chain = chain_from_machine(compile_cond(c, p.alg), p)
+    brute = brute_pr_series(c, p, d + 2)
+    for n in range(1, d + 3):
+        p1, p0, _ = brute[n - 1]
+        want = pr_n_ratio(chain, n)
+        assert want == (p1 / (p1 + p0) if p1 + p0 else None), (pretty(c), n)
+        assert cea._ratio(c, p, n) == want, (pretty(c), n)
+    assert cea._ratio(c, p, None) == pr_n_ratio(chain, d + 1), pretty(c)
+
+
+def test_deep_conditionals_without_since_answer():
+    a = algebra("a")
+    p = ProbAssignment.independent(a, {"a": Fraction(2, 7)})
+    ys = "Y " * 2_000
+    assert cond_asymptotic(parse_cond(f"({ys}a | {ys}true)", a), p) == Fraction(2, 7)
+    # at time 2000, Y^2000 a reads back past time 1: false
+    assert cea._ratio(parse_cond(f"({ys}a | true)", a), p, 2_000) == 0
+    c = parse_cond("(" + "not " * 10_000 + "Y a | Y true)", a)
+    assert cond_asymptotic(c, p) == Fraction(2, 7)
+    with pytest.raises(ValueError, match="time index starts at 1"):
+        cea._ratio(c, p, 0)
+
+
+def test_a_deep_chain_of_y_takes_no_compile_and_no_chain(monkeypatch):
+    monkeypatch.setattr(cea, "compile_cond", None)
+    monkeypatch.setattr(cea, "chain_from_machine", None)
+    ab = algebra("a b")
+    p = ProbAssignment.independent(ab, {"a": Fraction(2, 5), "b": Fraction(3, 5)})
+    c = parse_cond(f"({'Y ' * 60}a and {'Y ' * 30}b | {'Y ' * 60}true)", ab)
+    assert cond_asymptotic(c, p) == Fraction(6, 25)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

@@ -161,6 +161,19 @@ def test_deep_input_answers(capsys, argv, out):
     assert run(capsys, "prob", *argv) == (0, out, "")
 
 
+def test_deep_conditionals_without_since_answer(capsys, tmp_path):
+    path = tmp_path / "a27.dist"
+    path.write_text("events: a\nindependent: a=2/7\n")
+    ys = "Y " * 2_000
+    assert run(capsys, "prob", "--dist", str(path), "--expr", f"({ys}a | {ys}true)") \
+        == (0, "2/7 (0.285714285714)\n", "")
+    assert run(capsys, "prob", "--expr", "(" + "not " * DEEP + "Y a | Y true)") \
+        == (0, "1/2 (0.500000000000)\n", "")
+    assert run(capsys, "indep", "--mode", "present", "--left", f"({ys}a | {ys}true)",
+               "--right", "(b|a)", "--n", "0") \
+        == (1, "", "error: time index starts at 1\n")
+
+
 @pytest.mark.parametrize("which", ["sac", "gnw", "sch"])
 def test_deep_present_tense_probability(capsys, which):
     assert run(capsys, "prob", "--cea", which, "--expr", "~" * DEEP + "(a|b)") \

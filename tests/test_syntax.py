@@ -323,6 +323,25 @@ def test_equal_formulas_are_one_object_however_built():
     assert pickle.loads(pickle.dumps(built)) is built
 
 
+def test_equal_conditionals_and_expressions_are_one_object():
+    a, b = Atom("a"), Atom("b")
+    e = parse_cea("(a|b) and ~(a|b)", AB)
+    assert e.left is e.right.child is CeaSimple(num_event=a, den_event=b)
+    assert parse_cea("(a|b) and ~(a|b)", AB) is e
+    assert parse_cea("x or y", None) is CeaOr(CeaVar("x"), CeaVar("y"))
+    assert parse_cond("(Y a | b)", AB) is CondObject(Prev(a), den=b)
+    for node in (e, parse_cond("(Y a | b)", AB)):
+        assert copy.deepcopy(node) is node
+        assert pickle.loads(pickle.dumps(node)) is node
+    assert repr(CeaNeg(CeaVar("x"))) == "CeaNeg(child=CeaVar(name='x'))"
+    with pytest.raises(AttributeError):
+        e.left = e.right
+    with pytest.raises(ValueError, match="without temporal operators"):
+        CeaSimple(a, Prev(b))
+    with pytest.raises(TypeError):
+        CeaNeg(e, e)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_FORMULAS, _FORMULAS)
 def test_distinct_formulas_are_distinct_objects(f, g):
@@ -351,8 +370,7 @@ def test_the_intern_table_keeps_no_unused_formula():
     ref = weakref.ref(And(Atom("only_here"), Prev(Atom("only_here"))))
     gc.collect()
     assert ref() is None
-    assert not any(getattr(f, "name", None) == "only_here"
-                   for f in syntax._INTERNED.values())
+    assert not any("only_here" in key for key in syntax._INTERNED)
 
 
 # ---------------------------------------------------------------------------
