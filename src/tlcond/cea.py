@@ -541,52 +541,34 @@ def present_indep(c1: CondObject, c2: CondObject, p: ProbAssignment,
 def strong_indep(c1: CondObject, c2: CondObject,
                  p: ProbAssignment) -> tuple[bool, Optional[str]]:
     """Whether the two conditionals are projections of stochastically
-    independent chains: the minimal machines' joint chain must factorize
-    at the start and at every positively reachable state pair."""
-    alg = p.alg
-    m1 = minimize(compile_cond(c1, alg))
-    m2 = minimize(compile_cond(c2, alg))
-
+    independent chains: the joint chain of the two minimal machines must
+    factorize at the start and at every positively reachable state pair.
+    The check is exact, on the integer law of the joint letter classes; a
+    witness names states as ``minimize`` numbers them."""
+    m1 = minimize(compile_cond(c1, p.alg))
+    m2 = minimize(compile_cond(c2, p.alg))
     pairs = (((i, j), a & b) for i, a in enumerate(m1.classes)
              for j, b in enumerate(m2.classes) if a & b)
-    masks, _, keys = _classes_from_columns(alg.num_atoms, pairs)
-    mass = [p.of_event(mk) for mk in masks]
-
-    def row(target) -> dict:
-        """Next-state law; ``target`` maps a joint class's pair of class
-        indices to the next state."""
-        out = {}
-        for key, w in zip(keys, mass):
-            if w:
-                t = target(*key)
-                out[t] = out.get(t, markov.ZERO) + w
-        return out
-
-    def check(q1, q2, where) -> tuple[dict, Optional[str]]:
-        """The joint next-state law of (q1, q2), and a witness when it is not
-        the product of the two marginal laws."""
-        joint = row(lambda i, j: (m1.delta[q1][i], m2.delta[q2][j]))
-        marg1 = row(lambda i, j: m1.delta[q1][i])
-        marg2 = row(lambda i, j: m2.delta[q2][j])
-        for t1 in marg1:
-            for t2 in marg2:
-                if joint.get((t1, t2), markov.ZERO) != marg1[t1] * marg2[t2]:
-                    return joint, (f"{where}: joint mass of pair ({t1},{t2}) is "
-                                   f"{joint.get((t1, t2), markov.ZERO)}, product is "
-                                   f"{marg1[t1] * marg2[t2]}")
-        return joint, None
-
-    joint, witness = check(m1.initial, m2.initial, "start")
-    if witness:
-        return False, witness
-
-    seen = set(joint)
-    todo = list(joint)
-    while todo:
+    _, class_of_atom, keys = _classes_from_columns(p.alg.num_atoms, pairs)
+    den, weights = markov.class_weights(p, class_of_atom, len(keys))
+    live = [(i, j, w) for (i, j), w in zip(keys, weights) if w]
+    todo, seen = [(m1.initial, m2.initial)], set()
+    while todo:  # the start pair (while seen is empty), then pairs depth first
         q1, q2 = todo.pop()
-        joint, witness = check(q1, q2, f"pair ({q1},{q2})")
-        if witness:
-            return False, witness
+        where = f"pair ({q1},{q2})" if seen else "start"
+        joint, marg1, marg2 = {}, {}, {}
+        for i, j, w in live:
+            t1, t2 = m1.delta[q1][i], m2.delta[q2][j]
+            joint[t1, t2] = joint.get((t1, t2), 0) + w
+            marg1[t1] = marg1.get(t1, 0) + w
+            marg2[t2] = marg2.get(t2, 0) + w
+        for t1, w1 in marg1.items():
+            for t2, w2 in marg2.items():
+                w = joint.get((t1, t2), 0)
+                if w * den != w1 * w2:
+                    return False, (f"{where}: joint mass of pair ({t1},{t2}) is "
+                                   f"{Fraction(w, den)}, product is "
+                                   f"{Fraction(w1 * w2, den * den)}")
         for pair in joint:
             if pair not in seen:
                 seen.add(pair)

@@ -70,15 +70,17 @@ def _parse_own(kind: str, text: str):
     return e, tuple(sorted(formula_events(e)))
 
 
-def _parse_with_dist(kind: str, text: str, dist: Optional[str]):
-    """The expression parsed against the distribution file's algebra, or,
-    without a file, over its own events, each independent with probability
-    1/2; and the distribution."""
+def _parse_with_dist(kind: str, dist: Optional[str], *texts: str):
+    """The expressions parsed against the distribution file's algebra, or,
+    without a file, each over its own events, every event independent with
+    probability 1/2 (events ordered text by text, each text's sorted); and
+    the distribution."""
     if dist is not None:
         p = _load_dist(dist)
-        return _parse_expr(kind, text, p.alg), p
-    e, events = _parse_own(kind, text)
-    return e, _half(events)
+        return [_parse_expr(kind, text, p.alg) for text in texts], p
+    parsed = [_parse_own(kind, text) for text in texts]
+    events = dict.fromkeys(x for _, own in parsed for x in own)
+    return [e for e, _ in parsed], _half(tuple(events))
 
 
 def _expr_machine(kind: str, embedding: str, e, alg):
@@ -91,7 +93,7 @@ def _expr_machine(kind: str, embedding: str, e, alg):
 
 
 def cmd_prob(args) -> int:
-    e, p = _parse_with_dist(args.cea, args.expr, args.dist)
+    (e,), p = _parse_with_dist(args.cea, args.dist, args.expr)
     if args.cea == "tl":
         value = cea.cond_asymptotic(e, p)
     elif args.cea == "ps":
@@ -107,7 +109,7 @@ def cmd_prob(args) -> int:
 
 def cmd_series(args) -> int:
     check_time_index(args.n)
-    e, p = _parse_with_dist(args.cea, args.expr, args.dist)
+    (e,), p = _parse_with_dist(args.cea, args.dist, args.expr)
     ch = chain_from_machine(
         minimize(_expr_machine(args.cea, args.embedding, e, p.alg)), p)
     print("n,p1,p0,pbot,ratio")
@@ -151,14 +153,7 @@ def cmd_taut(args) -> int:
 def cmd_indep(args) -> int:
     if args.mode != "present" and args.n is not None:
         raise _InputError("--n applies to --mode present only")
-    if args.dist is not None:
-        p = _load_dist(args.dist)
-        left = parse_cond(args.left, p.alg)
-        right = parse_cond(args.right, p.alg)
-    else:
-        left, left_events = _parse_own("tl", args.left)
-        right, right_events = _parse_own("tl", args.right)
-        p = _half(tuple(dict.fromkeys(left_events + right_events)))
+    (left, right), p = _parse_with_dist("tl", args.dist, args.left, args.right)
     if args.mode == "present":
         ok, checks = cea.present_indep(left, right, p, args.n)
         print(f"independent: {'yes' if ok else 'no'}")

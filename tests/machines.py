@@ -3,13 +3,15 @@ shared by the automata and acceptance suites, a per-leaf product reference
 for the first interpretation, fixed DOT texts of minimized compiled
 machines, a tuple-keyed compiler that ``compile_cond`` must agree with
 field for field, and the per-atom and per-valuation present-tense
-interpreters that the bit-parallel evaluator must agree with."""
+interpreters that the bit-parallel evaluator must agree with, and the
+``Fraction``-dict strong-independence check that the integer one must agree
+with, verdict and witness."""
 import itertools
-from typing import Callable
+from typing import Callable, Optional
 
-from tlcond import (CeaAnd, CeaNeg, CeaOr, CeaSimple, CondObject, TRUE, Value3,
-                    algebra, compile_cond, first_resolution, minimize, product,
-                    syntax, trivalue)
+from tlcond import (CeaAnd, CeaNeg, CeaOr, CeaSimple, CondObject, ProbAssignment,
+                    TRUE, Value3, algebra, compile_cond, first_resolution, markov,
+                    minimize, product, syntax, trivalue)
 from tlcond.automata import MooreMachine3, _classes_from_columns, event_mask
 from tlcond.cea import DEFAULT_VARIABLE_CAP, SimpleConditional, _leaf
 from tlcond.syntax import (And, CeaCond, CeaExpr, CeaVar, EventAlgebra, Iff,
@@ -534,4 +536,60 @@ def weak_tautology_reference(e: CeaExpr, which, dialect: str = "full",
         valuation = dict(zip(names, combo))
         if eval_cea_valuation_reference(e, valuation, which) is Value3.FALSE:
             return False, valuation
+    return True, None
+
+
+def strong_indep_reference(c1: CondObject, c2: CondObject,
+                           p: ProbAssignment) -> tuple[bool, Optional[str]]:
+    """Whether the two conditionals are projections of stochastically
+    independent chains: the minimal machines' joint chain must factorize
+    at the start and at every positively reachable state pair."""
+    alg = p.alg
+    m1 = minimize(compile_cond(c1, alg))
+    m2 = minimize(compile_cond(c2, alg))
+
+    pairs = (((i, j), a & b) for i, a in enumerate(m1.classes)
+             for j, b in enumerate(m2.classes) if a & b)
+    masks, _, keys = _classes_from_columns(alg.num_atoms, pairs)
+    mass = [p.of_event(mk) for mk in masks]
+
+    def row(target) -> dict:
+        """Next-state law; ``target`` maps a joint class's pair of class
+        indices to the next state."""
+        out = {}
+        for key, w in zip(keys, mass):
+            if w:
+                t = target(*key)
+                out[t] = out.get(t, markov.ZERO) + w
+        return out
+
+    def check(q1, q2, where) -> tuple[dict, Optional[str]]:
+        """The joint next-state law of (q1, q2), and a witness when it is not
+        the product of the two marginal laws."""
+        joint = row(lambda i, j: (m1.delta[q1][i], m2.delta[q2][j]))
+        marg1 = row(lambda i, j: m1.delta[q1][i])
+        marg2 = row(lambda i, j: m2.delta[q2][j])
+        for t1 in marg1:
+            for t2 in marg2:
+                if joint.get((t1, t2), markov.ZERO) != marg1[t1] * marg2[t2]:
+                    return joint, (f"{where}: joint mass of pair ({t1},{t2}) is "
+                                   f"{joint.get((t1, t2), markov.ZERO)}, product is "
+                                   f"{marg1[t1] * marg2[t2]}")
+        return joint, None
+
+    joint, witness = check(m1.initial, m2.initial, "start")
+    if witness:
+        return False, witness
+
+    seen = set(joint)
+    todo = list(joint)
+    while todo:
+        q1, q2 = todo.pop()
+        joint, witness = check(q1, q2, f"pair ({q1},{q2})")
+        if witness:
+            return False, witness
+        for pair in joint:
+            if pair not in seen:
+                seen.add(pair)
+                todo.append(pair)
     return True, None

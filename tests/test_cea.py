@@ -25,10 +25,10 @@ from tlcond.oracle import brute_pr_series
 from tlcond.syntax import EventAlgebra, collect_simples, horizon
 from tlcond.trivalue import ConnectiveId, apply_binary
 
-from corpus import ALG_AB, CORPUS, SKEWED_AB, UNIFORM_AB
+from corpus import ALG_AB, CORPUS, CORPUS_TEXTS, SKEWED_AB, UNIFORM_AB
 from machines import (assert_first_machine_shape, eval_cea_valuation_reference,
                       first_product_machine, reduce_present_reference,
-                      weak_tautology_reference)
+                      strong_indep_reference, weak_tautology_reference)
 
 F, T, U = Value3.FALSE, Value3.TRUE, Value3.UNDEF
 
@@ -432,6 +432,22 @@ def test_strong_independence_implies_present_independence():
     assert strong_seen > 0
 
 
+def test_strong_independence_witnesses_are_exact():
+    """A witness names the start or a reachable pair of states, numbered as
+    ``minimize`` numbers them, and gives the joint mass and the product of
+    the marginals exactly."""
+    p = ProbAssignment.independent(ALG_AB, {"a": Fraction(2, 5), "b": Fraction(1, 3)})
+    assert strong_indep(parse_cond("(a | true)", ALG_AB),
+                        parse_cond("(a S b | true)", ALG_AB), p) == (
+        False, "pair (1,1): joint mass of pair (0,0) is 2/5, product is 6/25")
+    p = ProbAssignment.independent(
+        ABC, {"a": Fraction(2, 5), "b": Fraction(3, 5), "c": Fraction(1, 3)})
+    c = parse_cond("(a|b)", ABC)
+    assert strong_indep(c, c, p) == (
+        False, "start: joint mass of pair (0,0) is 2/5, product is 4/25")
+    assert strong_indep(c, parse_cond("(c|true)", ABC), p) == (True, None)
+
+
 def test_lift_defined():
     c = parse_cond("(a|b)", ALG_AB)
     assert lift_defined(c) == CondObject(parse_tl("b", ALG_AB), TRUE)
@@ -802,6 +818,38 @@ def test_the_backward_walk_equals_the_compiled_chain_and_brute_force(case):
         assert want == (p1 / (p1 + p0) if p1 + p0 else None), (pretty(c), n)
         assert cea._ratio(c, p, n) == want, (pretty(c), n)
     assert cea._ratio(c, p, None) == pr_n_ratio(chain, d + 1), pretty(c)
+
+
+@st.composite
+def strong_indep_cases(draw):
+    """Two conditionals and a distribution: a ``conditionals_and_tables``
+    draw and a second conditional over its algebra; two corpus
+    conditionals; or, over ``a b c``, a corpus conditional, which ignores
+    c, and a drawn one.  The atom tables of the last two have weights up to
+    1 or 3, so that joint letter classes without mass are common."""
+    kind = draw(st.sampled_from(["drawn", "corpus", "ignores c"]))
+    if kind == "drawn":
+        c1, p = draw(conditionals_and_tables(2))
+        return c1, CondObject(draw(bounded_past(p.alg, 2)),
+                              draw(bounded_past(p.alg, 2))), p
+    alg = ALG_AB if kind == "corpus" else ABC
+    c1 = parse_cond(draw(st.sampled_from(CORPUS_TEXTS)), alg)
+    c2 = (parse_cond(draw(st.sampled_from(CORPUS_TEXTS)), alg) if kind == "corpus"
+          else CondObject(draw(bounded_past(alg, 2)), draw(bounded_past(alg, 2))))
+    if draw(st.booleans()):
+        c1, c2 = c2, c1
+    top = draw(st.sampled_from([1, 3]))
+    return c1, c2, ProbAssignment(alg, _weights(draw, alg.num_atoms, top))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(strong_indep_cases())
+def test_strong_independence_equals_the_fraction_reference(case):
+    """The integer check gives the verdict and the witness text of the
+    ``Fraction``-dict reference."""
+    c1, c2, p = case
+    assert strong_indep(c1, c2, p) == strong_indep_reference(c1, c2, p), (
+        pretty(c1), pretty(c2))
 
 
 def test_deep_conditionals_without_since_answer():
