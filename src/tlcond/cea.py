@@ -44,10 +44,10 @@ time d+1.  That ratio is taken by a walk backward over formulas from time
 d+1 to time 1 (:func:`_backward_ratio`): each step puts each letter
 class's constants in place of the leaves and ``f`` in place of ``Y f``,
 and merges equal residual pairs.  Its cost is the number of distinct
-residuals per step times the number of letter classes, where the compiled
-machine has about 2^(number of ``Y`` children) states.  Every embedding
-of a product-space leaf uses ``S``, so :func:`prob_ps` never takes this
-path.
+residuals per step times the number of letter classes (a residual that
+reads no leaf is rewritten once), where the compiled machine has about
+2^(number of ``Y`` children) states.  Every embedding of a product-space
+leaf uses ``S``, so :func:`prob_ps` never takes this path.
 """
 from __future__ import annotations
 
@@ -282,8 +282,12 @@ def _backward_ratio(c: CondObject, p: ProbAssignment, t: int) -> Optional[Fracti
     weights, add up.  A residual whose den is false is undefined and
     dropped; one whose den is true and whose num is constant is finished
     as 1 or 0.  After time 1 every residual is finished, and the weights of
-    1 and 0, on one scale, give the ratio.  The cost is the number of
-    distinct residuals per step times the number of letter classes.
+    1 and 0, on one scale, give the ratio.  A residual whose connective
+    layer holds no leaf reads nothing of the current letter: it is
+    rewritten on the first live class alone and carries the weight of all
+    of them, ``scale``.  The cost is the number of distinct residuals per
+    step times the number of letter classes, or times one at a step that
+    reads no leaf.
     """
     _, leaves, _, class_of_atom, keys = leaf_classes(c, p.alg)
     markov.check_time_index(t)
@@ -291,6 +295,7 @@ def _backward_ratio(c: CondObject, p: ProbAssignment, t: int) -> Optional[Fracti
     # each live class's leaf constants, its weight and its memo of _earlier
     live = [({f: TRUE if bit else FALSE for f, bit in zip(leaves, key)}, w, {})
             for key, w in zip(keys, weights) if w]
+    reads: dict = {}  # node -> whether its connective layer holds a leaf
     residuals = {(c.num, c.den): 1}
     ones = zeros = 0  # finished weights, on the scale of the residuals
     for time in range(t, 0, -1):
@@ -300,10 +305,15 @@ def _backward_ratio(c: CondObject, p: ProbAssignment, t: int) -> Optional[Fracti
         after: dict = {}
         for (num, den), weight in residuals.items():
             for consts, w, memo in live:
-                den_then = _earlier(den, consts, memo, time == 1)
+                den_then = _earlier(den, consts, memo, time == 1, reads)
                 if den_then is FALSE:
-                    continue
-                num_then = _earlier(num, consts, memo, time == 1)
+                    if reads[den]:
+                        continue
+                    break  # false on every class
+                num_then = _earlier(num, consts, memo, time == 1, reads)
+                leafless = not (reads[den] or reads[num])
+                if leafless:  # the same pair on every class
+                    w = scale
                 if den_then is TRUE and type(num_then) is Const:
                     if num_then is TRUE:
                         ones += weight * w
@@ -312,6 +322,8 @@ def _backward_ratio(c: CondObject, p: ProbAssignment, t: int) -> Optional[Fracti
                 else:
                     key = (num_then, den_then)
                     after[key] = after.get(key, 0) + weight * w
+                if leafless:
+                    break
         residuals = after
     return Fraction(ones, ones + zeros) if ones + zeros else None
 
@@ -352,27 +364,31 @@ def _iff(a: TLFormula, b: TLFormula) -> TLFormula:
 _FOLD = {Not: _not, And: _and, Or: _or, Implies: _implies, Iff: _iff}
 
 
-def _earlier(f: TLFormula, consts: dict, memo: dict, first: bool) -> TLFormula:
+def _earlier(f: TLFormula, consts: dict, memo: dict, first: bool,
+             reads: dict) -> TLFormula:
     """``f``, read at the current time, as a formula read one step earlier:
     each leaf in ``consts`` becomes its constant, each ``Y g`` becomes ``g``
     (false when ``first``, at time 1), and constants are folded.
 
     Only the connective layer above leaves and ``Y`` nodes is walked, on an
     explicit stack; ``memo`` keeps each rewritten node for one letter class
-    and one value of ``first``."""
+    and one value of ``first``.  ``reads`` records, for every node put in
+    a memo, whether its connective layer holds a leaf; that does not depend
+    on the class or the time."""
     todo: list = [f]
     while todo:
         x = todo.pop()
         if type(x) is tuple:  # (connective, its operands), operands rewritten
             x, args = x
             memo[x] = _FOLD[type(x)](*map(memo.__getitem__, args))
+            reads[x] = any(map(reads.__getitem__, args))
         elif x not in memo:
-            if x in consts:
-                memo[x] = consts[x]
+            if type(x) is Const:
+                memo[x], reads[x] = x, False
             elif type(x) is Prev:
-                memo[x] = FALSE if first else x.child
-            elif type(x) is Const:
-                memo[x] = x
+                memo[x], reads[x] = FALSE if first else x.child, False
+            elif x in consts:
+                memo[x], reads[x] = consts[x], True
             else:
                 args = children(x)
                 todo.append((x, args))

@@ -5,15 +5,18 @@ Subcommands: ``prob`` (exact probability of an expression), ``series``
 (weak-tautology check) and ``indep`` (independence check).
 
 Exit codes: 0 success, 1 input error (a usage error too), 2 mathematically
-undefined result.
+undefined result.  A reader that closes stdout early, as ``head`` does,
+ends the command quietly with exit code 0.
 """
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from math import gcd
 from typing import Optional
 
 from . import cea
@@ -112,18 +115,21 @@ def cmd_series(args) -> int:
     (e,), p = _parse_with_dist(args.cea, args.dist, args.expr)
     ch = chain_from_machine(
         minimize(_expr_machine(args.cea, args.embedding, e, p.alg)), p)
-    print("n,p1,p0,pbot,ratio")
-    for n, (p1, p0, pbot, ratio) in enumerate(series_rows(ch, args.n), 1):
-        print(f"{n},{p1},{p0},{pbot},{ratio}")
+    write = sys.stdout.write
+    write("n,p1,p0,pbot,ratio\n")
+    # a row is written as soon as it is stepped; no row is kept
+    for n, (scale, w1, w0, wbot) in enumerate(label_weights(ch, args.n), 1):
+        ratio = _quotient(w1, w1 + w0) if w1 + w0 else "undef"
+        write(f"{n},{_quotient(w1, scale)},{_quotient(w0, scale)},"
+              f"{_quotient(wbot, scale)},{ratio}\n")
     return OK
 
 
-def series_rows(ch, n: int):
-    """(p1, p0, pbot, ratio) at times 1..n, each one ``Fraction`` of the
-    label weights; the ratio is "undef" when p1 + p0 = 0."""
-    for scale, w1, w0, wbot in label_weights(ch, n):
-        yield (Fraction(w1, scale), Fraction(w0, scale), Fraction(wbot, scale),
-               Fraction(w1, w1 + w0) if w1 + w0 else "undef")
+def _quotient(num: int, den: int) -> str:
+    """``str(Fraction(num, den))`` for ``num >= 0`` and ``den > 0``, from
+    one gcd."""
+    g = gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
 def cmd_machine(args) -> int:
@@ -237,6 +243,19 @@ def main(argv=None) -> int:
         args = _PARSER.parse_args(argv)
     except SystemExit as exc:  # a usage error is an input error; --help is not
         raise SystemExit(exc.code and INPUT_ERROR) from None
+    try:
+        code = _run(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout.  Point it at devnull so that Python's
+        # flush at exit does not fail again (the Python docs' "Note on
+        # SIGPIPE").
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return OK
+    return code
+
+
+def _run(args) -> int:
     try:
         return args.fn(args)
     except PeriodicChainError as exc:

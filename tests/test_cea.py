@@ -1,6 +1,7 @@
 """The conditional event algebras: present-tense reduction, the product-space
 interpretations, independence, tautologies."""
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -872,6 +873,27 @@ def test_a_deep_chain_of_y_takes_no_compile_and_no_chain(monkeypatch):
     p = ProbAssignment.independent(ab, {"a": Fraction(2, 5), "b": Fraction(3, 5)})
     c = parse_cond(f"({'Y ' * 60}a and {'Y ' * 30}b | {'Y ' * 60}true)", ab)
     assert cond_asymptotic(c, p) == Fraction(6, 25)
+
+
+def test_a_step_that_reads_no_leaf_rewrites_each_residual_once(monkeypatch):
+    """Over four live letter classes, the backward walk of
+    (Y^3 a or Y^3 b | Y^3 true) rewrites the one residual once at each of
+    times 4, 3 and 2, where it reads no leaf, and once per class at time 1."""
+    calls = []
+    earlier = cea._earlier
+
+    def counted(f, *rest):
+        calls.append(f)
+        return earlier(f, *rest)
+
+    monkeypatch.setattr(cea, "_earlier", counted)
+    ab = algebra("a b")
+    p = ProbAssignment.independent(ab, {"a": Fraction(2, 5), "b": Fraction(1, 3)})
+    c = parse_cond("(Y Y Y a or Y Y Y b | Y Y Y true)", ab)
+    assert cond_asymptotic(c, p) == 1 - Fraction(3, 5) * Fraction(2, 3)
+    want = {"Y Y Y a or Y Y Y b": 1, "Y Y a or Y Y b": 1, "Y a or Y b": 1,
+            "a or b": 4, "Y Y Y true": 1, "Y Y true": 1, "Y true": 1, "true": 4}
+    assert {pretty(f): n for f, n in Counter(calls).items()} == want
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

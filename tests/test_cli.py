@@ -1,9 +1,13 @@
 """The command-line front end is a thin adapter over the library."""
 import contextlib
 import io
+import os
 import re
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +17,7 @@ from tlcond import ParseError, cli
 from tlcond.cli import main
 from tlcond.syntax import collect_simples
 
+ROOT = Path(__file__).resolve().parent.parent
 INDEP_HALF_AB = "events: a b\nindependent: a=1/2 b=1/2\n"
 INDEP_HALF_ABCD = "events: a b c d\nindependent: a=1/2 b=1/2 c=1/2 d=1/2\n"
 
@@ -321,6 +326,23 @@ def test_series_matches_oracle(capsys, half_ab):
     for line, (p1, p0, pbot) in zip(out.strip().splitlines()[1:], series):
         cells = line.split(",")
         assert (str(p1), str(p0), str(pbot)) == (cells[1], cells[2], cells[3])
+
+
+def test_series_into_a_closed_pipe_ends_quietly():
+    """A reader that closes stdout early, as ``head`` does, ends the command
+    with exit code 0, no traceback and nothing at interpreter exit."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tlcond.cli", "series", "--expr", "(a|b)",
+         "--n", "100000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, cwd=ROOT)
+    assert proc.stdout.readline() == b"n,p1,p0,pbot,ratio\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert b"Traceback" not in err
+    assert err == b""
 
 
 # ---------------------------------------------------------------------------

@@ -375,14 +375,39 @@ def fraction_series(ch, n):
         yield buckets[Value3.TRUE], buckets[Value3.FALSE], buckets[Value3.UNDEF]
 
 
-def test_cli_series_rows_equal_the_fraction_reference():
-    from tlcond.cli import series_rows
-    for p in (MIXED_TABLE_AB, MIXED_INDEPENDENT_AB):
-        for text, c in CORPUS:
-            ch = chain_from_machine(minimize(compile_cond(c, ALG_AB)), p)
-            old = [(p1, p0, pbot, "undef" if p1 + p0 == 0 else p1 / (p1 + p0))
-                   for p1, p0, pbot in fraction_series(ch, 60)]
-            assert list(series_rows(ch, 60)) == old, text
+# distribution files for the series text: the two mixed-denominator
+# distributions above, degenerate marginals and a table with zero atoms
+SERIES_DISTS = [
+    "events: a b\natom {}: 1/6\natom {a}: 1/3\natom {b}: 1/4\natom {a b}: 1/4\n",
+    "events: a b\nindependent: a=2/5 b=3/7\n",
+    "events: a b\nindependent: a=0 b=1\n",
+    "events: a b\nindependent: a=1 b=0\n",
+    "events: a b\natom {}: 0\natom {a}: 1/3\natom {b}: 0\natom {a b}: 2/3\n",
+]
+
+
+def test_cli_series_stdout_equals_the_fraction_reference(tmp_path, capsys):
+    """``tlcond series`` prints each row as ``str`` of the ``Fraction``s of
+    the rational reference, and "undef" for an undefined ratio."""
+    from tlcond.cli import main
+    assert ProbAssignment.from_text(SERIES_DISTS[0]).mass == MIXED_TABLE_AB.mass
+    assert (ProbAssignment.from_text(SERIES_DISTS[1]).mass
+            == MIXED_INDEPENDENT_AB.mass)
+    cells = set()
+    for k, text in enumerate(SERIES_DISTS):
+        path = tmp_path / f"d{k}.dist"
+        path.write_text(text)
+        p = ProbAssignment.from_text(text)
+        for expr, c in CORPUS:
+            ch = chain_from_machine(minimize(compile_cond(c, p.alg)), p)
+            rows = [(n, p1, p0, pbot, p1 / (p1 + p0) if p1 + p0 else "undef")
+                    for n, (p1, p0, pbot) in enumerate(fraction_series(ch, 60), 1)]
+            want = "n,p1,p0,pbot,ratio\n" + "".join(
+                ",".join(map(str, row)) + "\n" for row in rows)
+            code = main(["series", "--expr", expr, "--dist", str(path), "--n", "60"])
+            assert (code, *capsys.readouterr()) == (0, want, ""), (text, expr)
+            cells.update(str(x) for row in rows for x in row[1:])
+    assert {"0", "1", "undef"} <= cells
 
 
 def test_pr_series_equals_the_fraction_reference():
