@@ -15,11 +15,10 @@ from .automata import (MooreMachine3, canonical_key, compile_cond,
 from .markov import (MarkovChain3, PeriodicChainError, ProbAssignment,
                      SingularMatrixError, asymptotic, chain_from_machine,
                      limiting_label_masses, pr_n, pr_n_ratio, pr_series)
-from .cea import (SimpleConditional, cond_asymptotic, embed_ps, first_machine,
-                  first_resolution, latest_resolution, lift_defined,
-                  present_indep, present_machine, prob_present, prob_ps,
-                  reduce_present, reduce_syntactic, simple_to_cond,
-                  strong_indep, weak_tautology)
+from .cea import (cond_asymptotic, embed_ps, first_machine, first_resolution,
+                  latest_resolution, lift_defined, present_indep,
+                  present_machine, prob_present, prob_ps, reduce_present,
+                  simple_to_cond, strong_indep, weak_tautology)
 from .oracle import (BudgetExceededError, brute_joint, brute_pr_n,
                      brute_pr_series, brute_reverse_check)
 

@@ -1,7 +1,8 @@
 """The conditional event algebras as interpretations.
 
-Present-tense algebras (SAC, GNW, Sch) reduce any expression to one simple
-conditional and take a ratio of event probabilities.  The product-space
+Present-tense algebras (SAC, GNW, Sch) reduce any expression to one value
+over the atoms, the pair (atoms where it is 1, atoms where it is 0), and
+take the ratio of the two events' probabilities.  The product-space
 algebra is past-tense: an expression is translated to a temporal conditional
 object by one of three interpretations
 
@@ -52,7 +53,6 @@ leaf uses ``S``, so :func:`prob_ps` never takes this path.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import prod
@@ -63,7 +63,7 @@ from . import markov, syntax, trivalue
 from .automata import (MooreMachine3, _classes_from_columns, compile_cond,
                        event_mask, leaf_classes, minimize)
 from .markov import (ZERO, ProbAssignment, asymptotic, chain_from_machine,
-                     pr_n_ratio)
+                     defined_ratio, pr_n_ratio)
 from .syntax import (FALSE, TRUE, And, CeaAnd, CeaCond, CeaExpr, CeaNeg, CeaOr,
                      CeaSimple, CeaVar, CondObject, Const, EventAlgebra, Iff,
                      Implies, Not, Or, Prev, Since, TLFormula, children,
@@ -80,91 +80,38 @@ DEFAULT_VARIABLE_CAP = 8
 # Present-tense algebras
 
 
-@dataclass(frozen=True)
-class SimpleConditional:
-    """Normal form (yes | defined) of a present-tense conditional: the set of
-    atoms where it is 1 and the set where it is defined."""
-
-    alg: EventAlgebra
-    yes_set: int
-    def_set: int
-
-    def __post_init__(self):
-        if self.yes_set & ~self.def_set:
-            raise ValueError("yes_set must be contained in def_set")
-
-    def value_at(self, atom: int) -> Value3:
-        if not self.def_set >> atom & 1:
-            return Value3.UNDEF
-        return Value3.from_bool(bool(self.yes_set >> atom & 1))
+def _leaf(s: CeaSimple, alg: EventAlgebra) -> tuple[int, int]:
+    """The value of a simple conditional (a|b): (atoms where a and b hold,
+    atoms where b holds and a does not)."""
+    num, den = event_mask(s.num_event, alg), event_mask(s.den_event, alg)
+    return num & den, den & ~num
 
 
-def _leaf(s: CeaSimple, alg: EventAlgebra) -> SimpleConditional:
-    den = event_mask(s.den_event, alg)
-    return SimpleConditional(alg, event_mask(s.num_event, alg) & den, den)
-
-
-def reduce_present(e: CeaExpr, alg: EventAlgebra, which: Algebra) -> SimpleConditional:
-    """Pointwise reduction of an expression to one simple conditional,
-    evaluated at every atom at once."""
+def reduce_present(e: CeaExpr, alg: EventAlgebra, which: Algebra) -> tuple[int, int]:
+    """Pointwise reduction of an expression to one value over the atoms,
+    evaluated at every atom at once: the pair (atoms where it is 1, atoms
+    where it is 0), undefined on the rest."""
     def leaf(x) -> tuple[int, int]:
         if isinstance(x, CeaVar):
             raise ValueError(f"variable {x.name!r} has no event semantics")
-        s = _leaf(x, alg)
-        return s.yes_set, s.def_set & ~s.yes_set
+        return _leaf(x, alg)
 
-    yes, no = trivalue.eval_sets(e, which, alg.full_event, leaf)
-    return SimpleConditional(alg, yes, yes | no)
-
-
-def reduce_syntactic(e: CeaExpr, alg: EventAlgebra, which: Algebra) -> SimpleConditional:
-    """Reduction by the rewriting rules on pairs of simple conditionals
-    (cross-check for :func:`reduce_present`; and/or/~ only)."""
-
-    def rec(x: CeaExpr) -> SimpleConditional:
-        if isinstance(x, CeaSimple):
-            return _leaf(x, alg)
-        if isinstance(x, CeaNeg):
-            s = rec(x.child)
-            return SimpleConditional(alg, s.def_set & ~s.yes_set, s.def_set)
-        if isinstance(x, (CeaAnd, CeaOr)):
-            l, r = rec(x.left), rec(x.right)
-            y1, d1, y2, d2 = l.yes_set, l.def_set, r.yes_set, r.def_set
-            z1, z2 = d1 & ~y1, d2 & ~y2
-            if isinstance(x, CeaAnd):
-                if which == "sac":
-                    yes = (y1 & y2) | (y1 & ~d2) | (y2 & ~d1)
-                    return SimpleConditional(alg, yes, d1 | d2)
-                if which == "gnw":
-                    return SimpleConditional(alg, y1 & y2, z1 | z2 | (y1 & y2))
-                return SimpleConditional(alg, y1 & y2, d1 & d2)
-            if which == "sac":
-                return SimpleConditional(alg, y1 | y2, d1 | d2)
-            if which == "gnw":
-                return SimpleConditional(alg, y1 | y2, y1 | y2 | (d1 & d2))
-            return SimpleConditional(alg, (y1 | y2) & d1 & d2, d1 & d2)
-        raise ValueError("syntactic reduction handles and/or/~ only")
-
-    return rec(e)
+    return trivalue.eval_sets(e, which, alg.full_event, leaf)
 
 
 def prob_present(e: CeaExpr, p: ProbAssignment, which: Algebra) -> Optional[Fraction]:
     """Probability of 1 among defined atoms; None when never defined."""
-    s = reduce_present(e, p.alg, which)
-    den = p.of_event(s.def_set)
-    if den == 0:
-        return None
-    return p.of_event(s.yes_set) / den
+    return defined_ratio(*map(p.weight, reduce_present(e, p.alg, which)))
 
 
-def present_machine(s: SimpleConditional) -> MooreMachine3:
-    """The Moore machine of a simple conditional: one state per value that
-    occurs, entered by the atoms taking that value, plus a never-entered
-    start state labelled undefined."""
-    alg = s.alg
-    by_value = ((Value3.TRUE, s.yes_set),
-                (Value3.FALSE, s.def_set & ~s.yes_set),
-                (Value3.UNDEF, alg.full_event & ~s.def_set))
+def present_machine(value: tuple[int, int], alg: EventAlgebra) -> MooreMachine3:
+    """The Moore machine of a present-tense value (atoms where it is 1,
+    atoms where it is 0): one state per value that occurs, entered by the
+    atoms taking that value, plus a never-entered start state labelled
+    undefined."""
+    yes, no = value
+    by_value = ((Value3.TRUE, yes), (Value3.FALSE, no),
+                (Value3.UNDEF, alg.full_event & ~(yes | no)))
     classes, class_of_atom, labels = _classes_from_columns(
         alg.num_atoms, ((v, mask) for v, mask in by_value if mask))
     row = list(range(1, len(classes) + 1))
@@ -173,9 +120,11 @@ def present_machine(s: SimpleConditional) -> MooreMachine3:
                          classes, class_of_atom)
 
 
-def simple_to_cond(s: SimpleConditional) -> CondObject:
-    """View a present-tense simple conditional as a conditional object."""
-    return CondObject(_mask_formula(s.yes_set, s.alg), _mask_formula(s.def_set, s.alg))
+def simple_to_cond(value: tuple[int, int], alg: EventAlgebra) -> CondObject:
+    """View a present-tense value (atoms where it is 1, atoms where it is 0)
+    as a conditional object."""
+    yes, no = value
+    return CondObject(_mask_formula(yes, alg), _mask_formula(yes | no, alg))
 
 
 def _mask_formula(mask: int, alg: EventAlgebra) -> TLFormula:
@@ -325,7 +274,7 @@ def _backward_ratio(c: CondObject, p: ProbAssignment, t: int) -> Optional[Fracti
                 if leafless:
                     break
         residuals = after
-    return Fraction(ones, ones + zeros) if ones + zeros else None
+    return defined_ratio(ones, zeros)
 
 
 def _not(a: TLFormula) -> TLFormula:
@@ -508,9 +457,7 @@ def _piece_limit(x: CeaExpr, sub: ProbAssignment) -> Fraction:
     1 - x hold on the numerators' limits directly.
     """
     if isinstance(x, CeaSimple):
-        s = _leaf(x, sub.alg)
-        pb = sub.of_event(s.def_set)
-        return sub.of_event(s.yes_set) / pb if pb else ZERO
+        return defined_ratio(*map(sub.weight, _leaf(x, sub.alg))) or ZERO
     return cond_asymptotic(embed_ps(x, "reverse"), sub)
 
 

@@ -92,7 +92,7 @@ def _expr_machine(kind: str, embedding: str, e, alg):
         return compile_cond(e, alg)
     if kind == "ps":
         return compile_cond(cea.embed_ps(e, embedding), alg)
-    return cea.present_machine(cea.reduce_present(e, alg, kind))
+    return cea.present_machine(cea.reduce_present(e, alg, kind), alg)
 
 
 def cmd_prob(args) -> int:

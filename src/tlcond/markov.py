@@ -109,16 +109,21 @@ class ProbAssignment:
         alg = EventAlgebra(tuple(e for e in self.alg.events if e in names))
         return ProbAssignment(alg, blocks=blocks)
 
-    def of_event(self, mask: int) -> Fraction:
-        """Probability of a set of atoms (bitmask over atom indices)."""
-        den, weights = self.weights
+    def weight(self, mask: int) -> int:
+        """The integer weight of a set of atoms (bitmask over atom indices),
+        on the scale of :attr:`weights`."""
+        weights = self.weights[1]
         total = 0
         rest = mask
         while rest:
             low = rest & -rest
             total += weights[low.bit_length() - 1]
             rest ^= low
-        return Fraction(total, den)
+        return total
+
+    def of_event(self, mask: int) -> Fraction:
+        """Probability of a set of atoms (bitmask over atom indices)."""
+        return Fraction(self.weight(mask), self.weights[0])
 
     @staticmethod
     def independent(alg: EventAlgebra, probs: dict[str, Fraction]) -> "ProbAssignment":
@@ -133,6 +138,8 @@ class ProbAssignment:
         blocks = []
         for name in alg.events:
             p = Fraction(probs[name])
+            if not 0 <= p <= 1:
+                raise ValueError(f"marginal for {name!r} is {p}, outside [0, 1]")
             blocks.append(Block((name,), (1 - p, p)))
         return ProbAssignment(alg, blocks=tuple(blocks))
 
@@ -324,9 +331,13 @@ def pr_n_ratio(ch: MarkovChain3, n: int) -> Optional[Fraction]:
     """Conditional probability of 1 among defined values at time n; None
     when the value is undefined almost surely."""
     p1, p0, _ = pr_n(ch, n)
-    if p1 + p0 == 0:
-        return None
-    return p1 / (p1 + p0)
+    return defined_ratio(p1, p0)
+
+
+def defined_ratio(ones, zeros) -> Optional[Fraction]:
+    """Pr(1 among defined) from the weights or masses of 1 and of 0, both on
+    one scale: ``ones / (ones + zeros)``; None when nothing is defined."""
+    return Fraction(ones, ones + zeros) if ones + zeros else None
 
 
 # ---------------------------------------------------------------------------
@@ -559,7 +570,4 @@ def limiting_label_masses(ch: MarkovChain3) -> dict[Value3, Fraction]:
 def asymptotic(ch: MarkovChain3) -> Optional[Fraction]:
     """Exact limit of ``pr_n_ratio``; None when the defined mass vanishes."""
     masses = limiting_label_masses(ch)
-    defined = masses[Value3.TRUE] + masses[Value3.FALSE]
-    if defined == 0:
-        return None
-    return masses[Value3.TRUE] / defined
+    return defined_ratio(masses[Value3.TRUE], masses[Value3.FALSE])

@@ -2,10 +2,10 @@
 shared by the automata and acceptance suites, a per-leaf product reference
 for the first interpretation, fixed DOT texts of minimized compiled
 machines, a tuple-keyed compiler that ``compile_cond`` must agree with
-field for field, and the per-atom and per-valuation present-tense
-interpreters that the bit-parallel evaluator must agree with, and the
-``Fraction``-dict strong-independence check that the integer one must agree
-with, verdict and witness."""
+field for field, the per-atom and per-valuation present-tense interpreters
+and the rewriting-rule reduction that the bit-parallel evaluator must agree
+with, and the ``Fraction``-dict strong-independence check that the integer
+one must agree with, verdict and witness."""
 import itertools
 from typing import Callable, Optional
 
@@ -13,7 +13,7 @@ from tlcond import (CeaAnd, CeaNeg, CeaOr, CeaSimple, CondObject, ProbAssignment
                     TRUE, Value3, algebra, compile_cond, first_resolution, markov,
                     minimize, product, syntax, trivalue)
 from tlcond.automata import MooreMachine3, _classes_from_columns, event_mask
-from tlcond.cea import DEFAULT_VARIABLE_CAP, SimpleConditional, _leaf
+from tlcond.cea import DEFAULT_VARIABLE_CAP, _leaf
 from tlcond.syntax import (And, CeaCond, CeaExpr, CeaVar, EventAlgebra, Iff,
                            Implies, Not, Or, Prev, Since, children,
                            collect_simples, subformulas, walk)
@@ -454,14 +454,24 @@ def compile_cond_reference(c: CondObject, alg: EventAlgebra) -> MooreMachine3:
 _CONNECTIVE_OF = {CeaAnd: "and", CeaOr: "or", CeaCond: "cond"}
 
 
-def reduce_present_reference(e: CeaExpr, alg: EventAlgebra, which) -> SimpleConditional:
-    """Pointwise reduction of an expression to one simple conditional."""
+def value_at(value: tuple[int, int], atom: int) -> Value3:
+    """A present-tense value (atoms where it is 1, atoms where it is 0) at
+    one atom."""
+    yes, no = value
+    if yes >> atom & 1:
+        return Value3.TRUE
+    return Value3.FALSE if no >> atom & 1 else Value3.UNDEF
+
+
+def reduce_present_reference(e: CeaExpr, alg: EventAlgebra, which) -> tuple[int, int]:
+    """Pointwise reduction of an expression to one value over the atoms."""
     conns = trivalue.ALGEBRA_CONNECTIVES[which]
 
     def build(x: CeaExpr) -> Callable[[int], Value3]:
         """The expression's value as a function of the atom."""
         if isinstance(x, CeaSimple):
-            return _leaf(x, alg).value_at
+            pair = _leaf(x, alg)
+            return lambda atom: value_at(pair, atom)
         if isinstance(x, CeaNeg):
             f = build(x.child)
             return lambda atom: apply_unary(conns["not"], f(atom))
@@ -484,7 +494,39 @@ def reduce_present_reference(e: CeaExpr, alg: EventAlgebra, which) -> SimpleCond
             yes |= 1 << atom
         if v is not Value3.UNDEF:
             defined |= 1 << atom
-    return SimpleConditional(alg, yes, defined)
+    return yes, defined & ~yes
+
+
+def reduce_syntactic_reference(e: CeaExpr, alg: EventAlgebra, which) -> tuple[int, int]:
+    """Reduction by the rewriting rules on pairs (1-set, defined-set) of
+    simple conditionals (cross-check for ``reduce_present``; and/or/~
+    only)."""
+
+    def rec(x: CeaExpr) -> tuple[int, int]:
+        if isinstance(x, CeaSimple):
+            yes, no = _leaf(x, alg)
+            return yes, yes | no
+        if isinstance(x, CeaNeg):
+            y, d = rec(x.child)
+            return d & ~y, d
+        if isinstance(x, (CeaAnd, CeaOr)):
+            (y1, d1), (y2, d2) = rec(x.left), rec(x.right)
+            z1, z2 = d1 & ~y1, d2 & ~y2
+            if isinstance(x, CeaAnd):
+                if which == "sac":
+                    return (y1 & y2) | (y1 & ~d2) | (y2 & ~d1), d1 | d2
+                if which == "gnw":
+                    return y1 & y2, z1 | z2 | (y1 & y2)
+                return y1 & y2, d1 & d2
+            if which == "sac":
+                return y1 | y2, d1 | d2
+            if which == "gnw":
+                return y1 | y2, y1 | y2 | (d1 & d2)
+            return (y1 | y2) & d1 & d2, d1 & d2
+        raise ValueError("syntactic reduction handles and/or/~ only")
+
+    yes, defined = rec(e)
+    return yes, defined & ~yes
 
 
 def eval_cea_valuation_reference(expr, valuation, algebra: str) -> Value3:

@@ -14,11 +14,10 @@ from tlcond import (And, Atom, CeaAnd, CeaCond, CeaNeg, CeaOr, CeaSimple,
                     eval_cea_valuation, canonical_key, compile_cond, embed_ps,
                     minimize, parse_cea, parse_cond, parse_tl, present_indep, pretty,
                     prob_present, prob_ps, product, reduce_present,
-                    reduce_syntactic, strong_indep, weak_tautology)
+                    strong_indep, weak_tautology)
 from tlcond.automata import to_dot
-from tlcond.cea import (SimpleConditional, cond_asymptotic, event_mask,
-                        first_machine, lift_defined, present_machine,
-                        simple_to_cond)
+from tlcond.cea import (cond_asymptotic, event_mask, first_machine,
+                        lift_defined, present_machine, simple_to_cond)
 from tlcond.markov import (Block, ProbAssignment, asymptotic,
                            chain_from_machine, limiting_label_masses,
                            pr_n_ratio, pr_series)
@@ -29,6 +28,7 @@ from tlcond.trivalue import ConnectiveId, apply_binary
 from corpus import ALG_AB, CORPUS, CORPUS_TEXTS, SKEWED_AB, UNIFORM_AB
 from machines import (assert_first_machine_shape, eval_cea_valuation_reference,
                       first_product_machine, reduce_present_reference,
+                      reduce_syntactic_reference,
                       strong_indep_reference, weak_tautology_reference)
 
 F, T, U = Value3.FALSE, Value3.TRUE, Value3.UNDEF
@@ -77,25 +77,25 @@ def test_event_mask_rejects_temporal_operators(text):
 
 
 def test_simple_conditional_normal_form():
-    s = reduce_present(parse_cea("(a|b)", ALG_AB), ALG_AB, "sac")
-    assert s.yes_set == _mask("a and b", ALG_AB)
-    assert s.def_set == _mask("b", ALG_AB)
+    yes, no = reduce_present(parse_cea("(a|b)", ALG_AB), ALG_AB, "sac")
+    assert yes == _mask("a and b", ALG_AB)
+    assert no == _mask("not a and b", ALG_AB)
 
 
 def test_sac_conjunction_reduction():
     e = parse_cea("(a|b) and (c|d)", ABCD)
-    s = reduce_present(e, ABCD, "sac")
-    assert s.yes_set == _mask("(a and b and c and d) or (a and b and not d) "
-                              "or (c and d and not b)", ABCD)
-    assert s.def_set == _mask("b or d", ABCD)
+    yes, no = reduce_present(e, ABCD, "sac")
+    assert yes == _mask("(a and b and c and d) or (a and b and not d) "
+                        "or (c and d and not b)", ABCD)
+    assert yes | no == _mask("b or d", ABCD)
 
 
 def test_gnw_conjunction_reduction():
     e = parse_cea("(a|b) and (c|d)", ABCD)
-    s = reduce_present(e, ABCD, "gnw")
-    assert s.yes_set == _mask("a and b and c and d", ABCD)
-    assert s.def_set == _mask("(not a and b) or (not c and d) "
-                              "or (a and b and c and d)", ABCD)
+    yes, no = reduce_present(e, ABCD, "gnw")
+    assert yes == _mask("a and b and c and d", ABCD)
+    assert yes | no == _mask("(not a and b) or (not c and d) "
+                             "or (a and b and c and d)", ABCD)
 
 
 def test_pointwise_and_syntactic_reductions_agree():
@@ -114,7 +114,7 @@ def test_pointwise_and_syntactic_reductions_agree():
         e = parse_cea(random_flat(3), ABCD, dialect="flat")
         for which in ("sac", "gnw", "sch"):
             assert reduce_present(e, ABCD, which) == \
-                reduce_syntactic(e, ABCD, which)
+                reduce_syntactic_reference(e, ABCD, which)
 
 
 def test_reconditioning_unsupported_for_sch():
@@ -147,11 +147,6 @@ def present_expressions(draw):
 def test_reduction_equals_the_per_atom_reference(case):
     alg, which, e = case
     assert reduce_present(e, alg, which) == reduce_present_reference(e, alg, which)
-
-
-def test_simple_conditional_requires_containment():
-    with pytest.raises(ValueError):
-        SimpleConditional(ALG_AB, yes_set=0b1111, def_set=0b0011)
 
 
 def test_prob_present_base_case_is_conditional_probability():
@@ -197,11 +192,11 @@ def test_prob_present_agrees_with_machine_pipeline():
         for which in ("sac", "gnw", "sch"):
             direct = prob_present(e, p, which)
             s = reduce_present(e, alg, which)
-            c = simple_to_cond(s)
+            c = simple_to_cond(s, alg)
             via_chain = cond_asymptotic(c, p)
             assert direct == via_chain, (text, which)
             # the direct machine minimizes to the compiled one, DOT for DOT
-            m = minimize(present_machine(s))
+            m = minimize(present_machine(s, alg))
             assert to_dot(m) == to_dot(minimize(compile_cond(c, alg))), (text, which)
             assert asymptotic(chain_from_machine(m, p)) == via_chain, (text, which)
 
@@ -561,7 +556,7 @@ def test_tautology_witness_is_the_first_in_valuation_order():
 
 def test_simple_to_cond_round_trip():
     s = reduce_present(parse_cea("(a|b)", ALG_AB), ALG_AB, "sac")
-    c = simple_to_cond(s)
+    c = simple_to_cond(s, ALG_AB)
     s2 = reduce_present(parse_cea(f"({pretty(c.num)} | {pretty(c.den)})",
                                   ALG_AB), ALG_AB, "sac")
     assert s == s2

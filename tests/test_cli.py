@@ -97,7 +97,9 @@ def test_bad_distribution_exits_one(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("body, message", [
-    ("independent: a=3/2 b=1/2", "negative mass"),
+    # a marginal outside [0, 1] is named, above and below
+    ("independent: a=3/2 b=1/2", "marginal for 'a' is 3/2, outside [0, 1]"),
+    ("independent: a=1/2 b=-1/2", "marginal for 'b' is -1/2, outside [0, 1]"),
     ("independent: a=1/2", "missing marginals for: ['b']"),
     ("independent: a=1/2 b=1/2 z=1/2", "marginals for unknown events: ['z']"),
     ("atom {}: 1/2\natom {a}: 1/4\natom {b}: 0\natom {a b}: 0",
@@ -275,10 +277,9 @@ def test_series_present_tense_over_ten_events(capsys, tmp_path):
                        "--dist", str(path), "--n", "3")
     assert code == 0
     p = ProbAssignment.from_text(path.read_text())
-    s = reduce_present(parse_cea(text, p.alg), p.alg, "sac")
-    p1 = p.of_event(s.yes_set)
-    p0 = p.of_event(s.def_set & ~s.yes_set)
-    pbot = p.of_event(p.alg.full_event & ~s.def_set)
+    yes, no = reduce_present(parse_cea(text, p.alg), p.alg, "sac")
+    p1, p0 = p.of_event(yes), p.of_event(no)
+    pbot = p.of_event(p.alg.full_event & ~(yes | no))
     row = f"{p1},{p0},{pbot},{p1 / (p1 + p0)}"
     assert out.strip().splitlines() == [
         "n,p1,p0,pbot,ratio", f"1,{row}", f"2,{row}", f"3,{row}"]

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from tlcond import (ProbAssignment, algebra, asymptotic,
                     brute_pr_series, chain_from_machine, compile_cond,
-                    minimize, parse_cond, pr_n, pr_n_ratio, pr_series)
+                    minimize, parse_cea, parse_cond, pr_n, pr_n_ratio,
+                    pr_series, prob_ps)
 from tlcond import markov
 from tlcond.markov import (Block, MarkovChain3, PeriodicChainError,
                            SingularMatrixError, _sccs,
@@ -130,8 +131,8 @@ def test_distribution_file_gives_blocks():
 
 
 @pytest.mark.parametrize("line, message", [
-    ("independent: a=3/2 b=1/2", "negative mass"),
-    ("independent: a=-1/2 b=1/2", "negative mass"),
+    ("independent: a=3/2 b=1/2", "marginal for 'a' is 3/2, outside [0, 1]"),
+    ("independent: a=-1/2 b=1/2", "marginal for 'a' is -1/2, outside [0, 1]"),
     ("independent: a=1/2", "missing marginals for: ['b']"),
     ("independent: a=1/2 b=1/2 z=1/2", "marginals for unknown events: ['z']"),
     ("atom {}: 1/2\natom {a}: 1/4\natom {b}: 0\natom {a b}: 0",
@@ -169,6 +170,14 @@ def test_integer_view_is_mass_times_den():
              (factored, 10 * 7), (factored.restrict(0b10), 7),
              (factored.restrict(0b01), 10), (independent, 6 * 4 * 1),
              (independent.restrict(0b110), 4)]
+    rng = random.Random(17)
+    for _ in range(10):  # random atom tables over mixed denominators
+        alg = algebra("a b c")
+        raw = [Fraction(rng.randint(0, 4), rng.randint(1, 6)) for _ in range(8)]
+        if not any(raw):
+            raw[0] = Fraction(1)
+        mass = tuple(m / sum(raw) for m in raw)
+        cases.append((ProbAssignment(alg, mass), lcm(*(m.denominator for m in mass))))
     for p, want_den in cases:
         den, weights = p.weights
         assert den == want_den  # the product of the blocks' LCDs
@@ -177,6 +186,18 @@ def test_integer_view_is_mass_times_den():
         for mask in range(1 << p.alg.num_atoms):
             want = sum((m for a, m in enumerate(p.mass) if mask >> a & 1), Fraction(0))
             assert p.of_event(mask) == want
+            assert type(p.weight(mask)) is int
+            assert p.weight(mask) == p.of_event(mask) * den
+
+
+def test_defined_ratio_on_weights_and_masses():
+    assert markov.defined_ratio(3, 1) == Fraction(3, 4)  # integer weights
+    assert markov.defined_ratio(0, 5) == 0
+    assert markov.defined_ratio(Fraction(1, 6), Fraction(1, 3)) == Fraction(1, 3)
+    assert markov.defined_ratio(0, 0) is None
+    assert markov.defined_ratio(Fraction(0), Fraction(0)) is None
+    # a product-space leaf that is never defined has limit 0, not None
+    assert prob_ps(parse_cea("(a|false)", ALG_AB), UNIFORM_AB) == 0
 
 
 def test_restrict_keeps_the_marginal_of_its_blocks():

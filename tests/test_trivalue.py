@@ -7,9 +7,10 @@ import pytest
 from tlcond import (CeaAnd, CeaCond, CeaNeg, CeaOr, CeaVar, ConnectiveId,
                     Value3, algebra, apply_binary, apply_unary,
                     eval_cea_valuation, parse_cea)
-from tlcond.cea import reduce_syntactic
 from tlcond.trivalue import (_BINARY_TABLES, _UNARY_TABLES, UnboundVariableError,
                              apply_sets)
+
+from machines import reduce_syntactic_reference, value_at
 
 F, T, U = Value3.FALSE, Value3.TRUE, Value3.UNDEF
 ALL3 = (F, T, U)
@@ -88,21 +89,21 @@ def _simple_pair_values(atom):
 def test_reduction_rules_match_tables(conn, expr_text):
     which = {"SAC": "sac", "GNW": "gnw", "SCH": "sch"}[conn.name.split("_")[1]]
     e = parse_cea(expr_text, ALG4, dialect="flat")
-    reduced = reduce_syntactic(e, ALG4, which)
+    reduced = reduce_syntactic_reference(e, ALG4, which)
     seen_pairs = set()
     for atom in range(ALG4.num_atoms):
         x, y = _simple_pair_values(atom)
         seen_pairs.add((x, y))
-        assert apply_binary(conn, x, y) is reduced.value_at(atom)
+        assert apply_binary(conn, x, y) is value_at(reduced, atom)
     assert len(seen_pairs) == 9
 
 
 def test_negation_rule_matches_table():
     e = parse_cea("~(a|b)", ALG4, dialect="flat")
-    reduced = reduce_syntactic(e, ALG4, "sac")
+    reduced = reduce_syntactic_reference(e, ALG4, "sac")
     for atom in range(ALG4.num_atoms):
         x, _ = _simple_pair_values(atom)
-        assert apply_unary(ConnectiveId.NOT0, x) is reduced.value_at(atom)
+        assert apply_unary(ConnectiveId.NOT0, x) is value_at(reduced, atom)
 
 
 def test_gnw_conjunction_denominator_reading():
