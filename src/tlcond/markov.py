@@ -3,13 +3,14 @@ time-indexed / limiting probabilities by rational linear algebra.
 
 Every result is a ``fractions.Fraction``, and no floating point enters any.
 Inside the layer, probabilities are integer weights over one common
-denominator: a distribution's atoms, a chain's rows, the state weights of a
-series and the rows of a linear system.
+denominator: a distribution's blocks (each over its own least common
+denominator, checked once when it is made) and atoms, a chain's rows, the
+state weights of a series and the rows of a linear system.  A
+distribution's ``Fraction`` masses are views of its weights.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -35,22 +36,50 @@ class SingularMatrixError(ValueError):
 # Distributions over atoms
 
 
-@dataclass(frozen=True)
 class Block:
     """One independent factor of a distribution: a flat table over its own
-    events, local atom bit i standing for ``events[i]``."""
+    events, local atom bit i standing for ``events[i]``, held as integer
+    ``weights`` over ``den``, their least common denominator, and checked
+    once, in integers, when it is made.  ``mass`` is a view of the weights.
+    """
 
-    events: tuple[str, ...]
-    mass: tuple[Fraction, ...]
+    def __init__(self, events: Sequence[str], mass: Sequence[Fraction]):
+        den = lcm(*(m.denominator for m in mass))
+        self._hold(tuple(events), den,
+                   tuple(m.numerator * (den // m.denominator) for m in mass))
+
+    @classmethod
+    def over(cls, events: tuple[str, ...], den: int, weights: tuple[int, ...]):
+        """The block of integer ``weights`` over their LCD ``den``."""
+        block = cls.__new__(cls)
+        block._hold(events, den, weights)
+        return block
+
+    def _hold(self, events, den, weights):
+        if len(weights) != 1 << len(events):
+            raise ValueError("one mass per atom required")
+        if min(weights) < 0:
+            k = next(k for k, w in enumerate(weights) if w < 0)
+            atom = " ".join(e for i, e in enumerate(events) if k >> i & 1)
+            raise ValueError(f"negative mass {Fraction(weights[k], den)} "
+                             f"for atom {{{atom}}}")
+        if sum(weights) != den:
+            raise ValueError("masses must sum to exactly 1")
+        self.events, self.den, self.weights = events, den, weights
+
+    @cached_property
+    def mass(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(w, self.den) if w else ZERO for w in self.weights)
 
 
 class ProbAssignment:
     """An exact probability distribution on the atoms of an event algebra,
     held as independent blocks that partition the algebra's events.
 
-    ``ProbAssignment(alg, mass)`` is one block over the whole algebra.  The
-    flat table ``mass``, one entry per atom of ``alg``, is built from the
-    blocks on first use and kept.
+    ``ProbAssignment(alg, mass)`` is one block over the whole algebra.  A
+    distribution checks only that its blocks, checked when made, partition
+    the events; :meth:`restrict` reuses them.  The flat table ``mass``, one
+    entry per atom of ``alg``, is a view built on first use and kept.
     """
 
     def __init__(self, alg: EventAlgebra, mass: Optional[Sequence[Fraction]] = None,
@@ -58,15 +87,9 @@ class ProbAssignment:
         if blocks is None:
             if len(mass) != alg.num_atoms:
                 raise ValueError("one mass per atom required")
-            blocks = (Block(alg.events, tuple(mass)),)
+            blocks = (Block(alg.events, mass),)
         if sorted(e for b in blocks for e in b.events) != sorted(alg.events):
             raise ValueError("blocks must partition the events")
-        if any(len(b.mass) != 1 << len(b.events) for b in blocks):
-            raise ValueError("one mass per atom required")
-        if any(m < 0 for b in blocks for m in b.mass):
-            raise ValueError("negative mass")
-        if any(sum(b.mass) != 1 for b in blocks):
-            raise ValueError("masses must sum to exactly 1")
         self.alg = alg
         self.blocks = blocks
 
@@ -81,12 +104,11 @@ class ProbAssignment:
         # block per event in event order this is the atom order itself
         atoms, weights, den = [0], [1], 1
         for b in self.blocks:
-            lcd, local = _over_lcd(b.mass)
             spread = [sum(bit[e] for i, e in enumerate(b.events) if k >> i & 1)
-                      for k in range(len(local))]
+                      for k in range(len(b.weights))]
             atoms = [a | s for s in spread for a in atoms]
-            weights = [w * v for v in local for w in weights]
-            den *= lcd
+            weights = [w * v for v in b.weights for w in weights]
+            den *= b.den
         for a, w in zip(atoms, weights):
             out[a] = w
         return den, tuple(out)
@@ -137,10 +159,13 @@ class ProbAssignment:
             raise ValueError(f"marginals for unknown events: {sorted(unknown)}")
         blocks = []
         for name in alg.events:
-            p = Fraction(probs[name])
-            if not 0 <= p <= 1:
+            p = probs[name]
+            if type(p) is not Fraction:
+                p = Fraction(p)
+            num, den = p.numerator, p.denominator
+            if not 0 <= num <= den:
                 raise ValueError(f"marginal for {name!r} is {p}, outside [0, 1]")
-            blocks.append(Block((name,), (1 - p, p)))
+            blocks.append(Block.over((name,), den, (den - num, num)))
         return ProbAssignment(alg, blocks=tuple(blocks))
 
     @staticmethod
@@ -192,12 +217,6 @@ class ProbAssignment:
         if absent:
             raise ValueError(f"atoms not covered: {' '.join(absent)}")
         return ProbAssignment(alg_, tuple(mass))
-
-
-def _over_lcd(values: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """Rationals as integers over their least common denominator."""
-    den = lcm(*(x.denominator for x in values))
-    return den, [x.numerator * (den // x.denominator) for x in values]
 
 
 def _fraction(text: str) -> Fraction:

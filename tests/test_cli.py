@@ -104,6 +104,11 @@ def test_bad_distribution_exits_one(capsys, tmp_path):
     ("independent: a=1/2 b=1/2 z=1/2", "marginals for unknown events: ['z']"),
     ("atom {}: 1/2\natom {a}: 1/4\natom {b}: 0\natom {a b}: 0",
      "masses must sum to exactly 1"),
+    # a negative atom mass is named with its atom
+    ("atom {}: 3/2\natom {a}: -1/2\natom {b}: 0\natom {a b}: 0",
+     "negative mass -1/2 for atom {a}"),
+    ("atom {}: 1/2\natom {a}: 1/2\natom {b}: 1/4\natom {a b}: -2/8",
+     "negative mass -1/4 for atom {a b}"),
     # a repeated marginal is not read as its last value
     ("independent: a=1/2 b=1/2 a=1/3", "marginal for 'a' listed twice"),
     # an unknown event is an input error of the file, not a KeyError

@@ -1,7 +1,7 @@
 """Distributions, chains, time-indexed and limiting probabilities."""
 import random
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -137,7 +137,8 @@ def test_distribution_file_gives_blocks():
     ("independent: a=1/2 b=1/2 z=1/2", "marginals for unknown events: ['z']"),
     ("atom {}: 1/2\natom {a}: 1/4\natom {b}: 0\natom {a b}: 0",
      "masses must sum to exactly 1"),
-    ("atom {}: 3/2\natom {a}: -1/2\natom {b}: 0\natom {a b}: 0", "negative mass"),
+    ("atom {}: 3/2\natom {a}: -1/2\natom {b}: 0\natom {a b}: 0",
+     "negative mass -1/2 for atom {a}"),
     ("independent: a=1/2 b=1/2 a=1/3", "marginal for 'a' listed twice"),
     ("atom {}: 1/2\natom {c}: 1/2", "unknown event: 'c'"),
 ])
@@ -209,6 +210,127 @@ def test_restrict_keeps_the_marginal_of_its_blocks():
                         Fraction(2, 3) * Fraction(1, 5), Fraction(1, 3) * Fraction(1, 5))
     assert p.restrict(0b111) is p
     assert p.restrict(0).alg.events == ()
+    assert sub.blocks == (p.blocks[0], p.blocks[2])  # the checked blocks, reused
+
+
+def test_a_block_is_checked_when_it_is_made():
+    with pytest.raises(ValueError) as info:
+        Block(("a", "b"), (F2, F2))
+    assert str(info.value) == "one mass per atom required"
+    with pytest.raises(ValueError) as info:
+        Block(("a", "b"), (Fraction(1), F2, Fraction(-1, 2), Fraction(0)))
+    assert str(info.value) == "negative mass -1/2 for atom {b}"
+    with pytest.raises(ValueError) as info:
+        Block(("a", "b"), (F2, Fraction(1, 4), Fraction(0), Fraction(1, 6)))
+    assert str(info.value) == "masses must sum to exactly 1"
+    block = Block(("b", "a"), (Fraction(1, 6), Fraction(1, 3), F2, Fraction(0)))
+    assert (block.den, block.weights) == (6, (1, 2, 3, 0))  # over the LCD
+    assert block.mass == (Fraction(1, 6), Fraction(1, 3), F2, 0)
+
+
+@pytest.mark.parametrize("events", [("a",), ("a", "b", "b"), ("a", "b", "c")])
+def test_blocks_must_partition_the_events(events):
+    blocks = tuple(Block((e,), (F2, F2)) for e in events)
+    with pytest.raises(ValueError) as info:
+        ProbAssignment(ALG_AB, blocks=blocks)
+    assert str(info.value) == "blocks must partition the events"
+
+
+def test_independent_reads_int_str_and_fraction_marginals_alike():
+    alg = algebra("a b c")
+    given_as = [{"a": 0, "b": 1, "c": Fraction(1, 2)},
+                {"a": "0", "b": "1", "c": "2/4"},
+                {"a": Fraction(0), "b": Fraction(1), "c": Fraction(2, 4)}]
+    dists = [ProbAssignment.independent(alg, probs) for probs in given_as]
+    for p in dists:
+        assert [(b.events, b.den, b.weights) for b in p.blocks] == [
+            (("a",), 1, (1, 0)), (("b",), 1, (0, 1)), (("c",), 2, (1, 1))]
+        assert p.mass == dists[0].mass
+
+
+# ---------------------------------------------------------------------------
+# Integer blocks against a Fraction reference
+
+MARGINAL_TEXTS = ("0", "1", "2/4", "1/3", "0/5", "3/3", "6/9", "5/7")
+
+
+@st.composite
+def distributions_with_reference(draw):
+    """A distribution over 1..4 events and, computed from the input
+    rationals alone, the reference: each block's events and local masses."""
+    kind = draw(st.sampled_from(["independent", "table", "pair"]))
+    names = ("a", "b", "c", "d")[:draw(st.integers(1 if kind != "pair" else 3, 4))]
+    alg = algebra(names)
+    if kind == "independent":
+        texts = {e: draw(st.sampled_from(MARGINAL_TEXTS)) for e in names}
+        p = ProbAssignment.from_text(
+            f"events: {' '.join(names)}\nindependent: "
+            + " ".join(f"{e}={t}" for e, t in texts.items()))
+        return p, [((e,), (1 - Fraction(t), Fraction(t))) for e, t in texts.items()]
+    if kind == "table":
+        raw = draw(st.lists(st.integers(0, 4), min_size=1 << len(names),
+                            max_size=1 << len(names)))
+        raw[draw(st.integers(0, len(raw) - 1))] += 1
+        total = sum(raw) * draw(st.integers(1, 3))  # unreduced texts
+        raw = [w * (total // sum(raw)) for w in raw]
+        lines = [f"atom {alg.atom_text(a)}: {w}/{total}" for a, w in enumerate(raw)]
+        p = ProbAssignment.from_text(f"events: {' '.join(names)}\n" + "\n".join(
+            draw(st.permutations(lines))))
+        return p, [(names, tuple(Fraction(w, total) for w in raw))]
+    pair = tuple(draw(st.permutations(names))[:2])
+    raw = draw(st.lists(st.integers(0, 5), min_size=4, max_size=4))
+    raw[0] += not any(raw)
+    ref = [(pair, tuple(Fraction(w, sum(raw)) for w in raw))]
+    for e in names:
+        if e not in pair:
+            m = Fraction(draw(st.sampled_from(MARGINAL_TEXTS)))
+            ref.append(((e,), (1 - m, m)))
+    ref = draw(st.permutations(ref))
+    return ProbAssignment(alg, blocks=tuple(Block(*b) for b in ref)), ref
+
+
+def _reference_mass(events, ref):
+    """The flat table over ``events`` (a union of the reference's blocks,
+    here in any order): each atom's mass the product of its blocks'."""
+    mass = []
+    for atom in range(1 << len(events)):
+        holds = {e for i, e in enumerate(events) if atom >> i & 1}
+        m = Fraction(1)
+        for names, local in ref:
+            m *= local[sum(1 << i for i, e in enumerate(names) if e in holds)]
+        mass.append(m)
+    return tuple(mass)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(distributions_with_reference(), st.data())
+def test_integer_blocks_equal_the_fraction_reference(case, data):
+    p, ref = case
+    events = p.alg.events
+    want = _reference_mass(events, ref)
+    assert p.mass == want
+    den, weights = p.weights
+    assert den == prod(lcm(*(m.denominator for m in local)) for _, local in ref)
+    assert tuple(Fraction(w, den) for w in weights) == want
+    for _ in range(5):
+        mask = data.draw(st.integers(0, (1 << len(want)) - 1))
+        assert p.weight(mask) == den * sum(
+            (m for a, m in enumerate(want) if mask >> a & 1), Fraction(0))
+    by_events = {names: (names, local) for names, local in ref}
+    for which in range(1 << len(p.blocks)):
+        kept = [by_events[p.blocks[k].events] for k in range(len(p.blocks))
+                if which >> k & 1]
+        names = {e for block, _ in kept for e in block}
+        sub_events = tuple(e for e in events if e in names)
+        # the reference marginal: the full table with the other events summed out
+        marginal = [Fraction(0)] * (1 << len(sub_events))
+        for atom, m in enumerate(want):
+            marginal[sum(1 << j for j, e in enumerate(sub_events)
+                         if atom >> events.index(e) & 1)] += m
+        sub = p.restrict(which)
+        assert sub.alg.events == sub_events
+        assert sub.mass == tuple(marginal)
+        assert sub.mass == _reference_mass(sub_events, kept)
 
 
 # ---------------------------------------------------------------------------
