@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import re
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -23,8 +22,8 @@ from . import cea
 from .automata import compile_cond, is_counter_free, minimize, to_dot
 from .markov import (PeriodicChainError, ProbAssignment, chain_from_machine,
                      check_time_index, label_weights)
-from .syntax import (_KEYWORDS, EventAlgebra, ParseError, algebra,
-                     formula_events, parse_cea, parse_cond)
+from .syntax import (_IDENT_RE, _KEYWORDS, EventAlgebra, ParseError,
+                     algebra, formula_events, parse_cea, parse_cond)
 
 OK, INPUT_ERROR, UNDEFINED = 0, 1, 2
 
@@ -115,13 +114,24 @@ def cmd_series(args) -> int:
     (e,), p = _parse_with_dist(args.cea, args.dist, args.expr)
     ch = chain_from_machine(
         minimize(_expr_machine(args.cea, args.embedding, e, p.alg)), p)
+    den = ch.den
     write = sys.stdout.write
     write("n,p1,p0,pbot,ratio\n")
     # a row is written as soon as it is stepped; no row is kept
     for n, (scale, w1, w0, wbot) in enumerate(label_weights(ch, args.n), 1):
+        # scale = den^t, so a weight coprime to a den > 1 shares no prime
+        # with scale and is in lowest terms over it: one small gcd, not one
+        # against den^t.  str(scale) is made at most once per row, and not
+        # at all when every cell takes the full gcd.
+        over, cells = "", []
+        for w in (w1, w0, wbot):
+            if den > 1 and gcd(w, den) == 1:
+                over = over or f"/{scale}"
+                cells.append(f"{w}{over}")
+            else:
+                cells.append(_quotient(w, scale))
         ratio = _quotient(w1, w1 + w0) if w1 + w0 else "undef"
-        write(f"{n},{_quotient(w1, scale)},{_quotient(w0, scale)},"
-              f"{_quotient(wbot, scale)},{ratio}\n")
+        write(f"{n},{','.join(cells)},{ratio}\n")
     return OK
 
 
@@ -178,9 +188,19 @@ def cmd_indep(args) -> int:
 
 
 def _idents_of(text: str) -> tuple[str, ...]:
-    found = dict.fromkeys(t for t in re.findall(r"[A-Za-z_][A-Za-z0-9_]*", text)
-                          if t not in _KEYWORDS)
+    found = dict.fromkeys(t for t in _IDENT_RE.findall(text) if t not in _KEYWORDS)
     return tuple(found)
+
+
+class _AtLeastZero(argparse.Action):
+    """Store an ``int`` option value, refusing a negative one as a usage
+    error that names the option."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        if value < 0:
+            parser.error(f"argument {option_string}: must be at least 0, "
+                         f"not {value}")
+        setattr(namespace, self.dest, value)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -221,7 +241,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cea", choices=("sac", "gnw"), required=True)
     p.add_argument("--dialect", choices=("flat", "pure-conditional", "full"),
                    default="full")
-    p.add_argument("--max-vars", type=int, default=cea.DEFAULT_VARIABLE_CAP)
+    p.add_argument("--max-vars", type=int, action=_AtLeastZero,
+                   default=cea.DEFAULT_VARIABLE_CAP)
     p.set_defaults(fn=cmd_taut)
 
     p = sub.add_parser("indep", help="independence of two conditionals")

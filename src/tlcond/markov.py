@@ -22,6 +22,8 @@ from .trivalue import Value3
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+# one line of a distribution file's atom table: ``atom {a c}: 3/8``
+_ATOM_LINE = re.compile(r"atom\s*\{([^}]*)\}\s*:\s*(\S+)$")
 
 
 class PeriodicChainError(RuntimeError):
@@ -200,9 +202,8 @@ class ProbAssignment:
                 probs[name] = _fraction(value)
             return ProbAssignment.independent(alg_, probs)
         mass = [None] * alg_.num_atoms
-        pat = re.compile(r"atom\s*\{([^}]*)\}\s*:\s*(\S+)$")
         for ln in body:
-            m = pat.fullmatch(ln)
+            m = _ATOM_LINE.fullmatch(ln)
             if not m:
                 raise ValueError(f"malformed distribution line: {ln!r}")
             atom = 0

@@ -31,6 +31,7 @@ DEFAULT_EVENT_LIMIT = 16
 FACTORED_EVENT_LIMIT = 64
 
 _KEYWORDS = {"true", "false", "not", "and", "or", "S", "Y", "O", "H"}
+_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 class ParseError(ValueError):
@@ -62,7 +63,7 @@ class EventAlgebra:
             raise ValueError(f"{len(self.events)} basic events exceed the limit "
                              f"{FACTORED_EVENT_LIMIT}")
         for name in self.events:
-            if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name) or name in _KEYWORDS:
+            if not _IDENT_RE.fullmatch(name) or name in _KEYWORDS:
                 raise ValueError(f"invalid event name: {name!r}")
 
     @property

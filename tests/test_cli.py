@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -13,9 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tlcond import ParseError, cli
+from tlcond import (ParseError, ProbAssignment, chain_from_machine, cli,
+                    compile_cond, minimize, parse_cond, pr_series)
 from tlcond.cli import main
 from tlcond.syntax import collect_simples
+
+from corpus import CORPUS_TEXTS
 
 ROOT = Path(__file__).resolve().parent.parent
 INDEP_HALF_AB = "events: a b\nindependent: a=1/2 b=1/2\n"
@@ -334,6 +338,68 @@ def test_series_matches_oracle(capsys, half_ab):
         assert (str(p1), str(p0), str(pbot)) == (cells[1], cells[2], cells[3])
 
 
+# marginals over prime, composite and unit denominators, unreduced ones too
+SERIES_MARGINALS = ("0", "1", "3/3", "1/2", "2/4", "1/3", "2/5", "5/7",
+                    "1/6", "3/4", "6/9", "5/12")
+
+
+@st.composite
+def series_distributions(draw):
+    """The text of a distribution over ``a b``: an ``independent:`` line, or
+    an atom table with zero atoms allowed and unreduced masses."""
+    if draw(st.booleans()):
+        a, b = (draw(st.sampled_from(SERIES_MARGINALS)) for _ in "ab")
+        return f"events: a b\nindependent: a={a} b={b}\n"
+    raw = draw(st.lists(st.integers(0, 4), min_size=4, max_size=4))
+    raw[draw(st.integers(0, 3))] += 1
+    total = sum(raw) * draw(st.integers(1, 3))
+    atoms = ("{}", "{a}", "{b}", "{a b}")
+    return "events: a b\n" + "".join(
+        f"atom {atom}: {w * (total // sum(raw))}/{total}\n" for atom, w in zip(atoms, raw))
+
+
+def reference_series_csv(text: str, dist_text: str, n: int) -> str:
+    """The ``series`` CSV written from ``pr_series``'s ``Fraction`` cells."""
+    p = ProbAssignment.from_text(dist_text)
+    ch = chain_from_machine(minimize(compile_cond(parse_cond(text, p.alg), p.alg)), p)
+    rows = ["n,p1,p0,pbot,ratio\n"]
+    for t, (p1, p0, pbot) in enumerate(pr_series(ch, n), 1):
+        ratio = p1 / (p1 + p0) if p1 + p0 else "undef"
+        rows.append(f"{t},{p1},{p0},{pbot},{ratio}\n")
+    return "".join(rows)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from(CORPUS_TEXTS), series_distributions(), st.integers(1, 40))
+def test_series_csv_equals_the_fraction_reference(text, dist_text, n):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ab.dist"
+        path.write_text(dist_text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["series", "--expr", text, "--dist", str(path), "--n", str(n)])
+    assert (code, err.getvalue()) == (0, "")
+    assert out.getvalue() == reference_series_csv(text, dist_text, n)
+
+
+@pytest.mark.parametrize("marginals, expr, n, last", [
+    # den = 1: every cell a whole number, never over 1
+    ("a=1 b=0", "(O a | true)", 2, "2,1,0,0,1"),
+    # composite den (6, then 24): cells coprime to it, zero cells and cells
+    # that share a factor with it
+    ("a=1/6 b=3/4", "(Y a | Y true)", 3, "3,1/6,5/6,0,1/6"),
+    ("a=1/6 b=3/4", "(a S b | O a)", 3, "3,803/2304,503/6912,125/216,2409/2912"),
+])
+def test_series_pinned_rows(capsys, tmp_path, marginals, expr, n, last):
+    path = tmp_path / "ab.dist"
+    path.write_text(f"events: a b\nindependent: {marginals}\n")
+    code, out, err = run(capsys, "series", "--expr", expr, "--dist", str(path),
+                         "--n", str(n))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == last
+    assert out == reference_series_csv(expr, path.read_text(), n)
+
+
 def test_series_into_a_closed_pipe_ends_quietly():
     """A reader that closes stdout early, as ``head`` does, ends the command
     with exit code 0, no traceback and nothing at interpreter exit."""
@@ -489,6 +555,17 @@ def test_taut_counterexample_is_printed(capsys):
     assert code == 0
     assert out.startswith("weak-tautology: no")
     assert "p=" in out
+
+
+def test_taut_rejects_a_negative_variable_cap(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["taut", "--cea", "sac", "--expr", "(p|p)", "--max-vars", "-1"])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (1, "")
+    assert err.endswith("error: argument --max-vars: must be at least 0, not -1\n")
+    # a cap of 0 parses, and the check then names it
+    assert run(capsys, "taut", "--cea", "sac", "--expr", "(p|p)", "--max-vars", "0") \
+        == (1, "", "error: 1 variables exceed the cap 0\n")
 
 
 def test_indep_strong_disjoint(capsys, half_abcd):
