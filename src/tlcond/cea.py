@@ -15,40 +15,31 @@ object by one of three interpretations
 
 and its probability is the limiting probability of that conditional object's
 Markov chain.  All three give the same number for every expression and every
-distribution, and it is always defined.  Under ``first`` and ``reverse`` the
-condition is true.  Under ``sparse`` the numerator is ``reverse``'s; call a
-letter *quiet* when no leaf's b holds in it.  No guard holds exactly when
-the letter is quiet and every b has held before.  A quiet letter leaves each
-leaf's ``!b S (a and b)`` and each ``O b`` as they were, and it is
-independent of the past, so with v = lim Pr num and g = lim Pr(no guard
-holds), lim Pr(num and no guard holds) = v g.  The ``sparse`` limit is then
-(v - v g) / (1 - g) = v, and g < 1: g is Pr(quiet) < 1 when every b has
-positive probability, and 0 otherwise.
+distribution, and it is always defined.  Under ``sparse`` the numerator is
+``reverse``'s; call a letter *quiet* when no leaf's b holds in it.  No guard
+holds exactly when the letter is quiet and every b has held before.  A quiet
+letter leaves each leaf's ``!b S (a and b)`` and each ``O b`` as they were,
+and it is independent of the past, so with v = lim Pr num and g = lim Pr(no
+guard holds), lim Pr(num and no guard holds) = v g.  The ``sparse`` limit is
+then (v - v g) / (1 - g) = v, and g < 1: g is Pr(quiet) < 1 when every b
+has positive probability, and 0 otherwise.
 
 Since the three limits are one, :func:`prob_ps` takes ``reverse``'s, whose
 condition is true, and uses the product law to solve less than the whole
 expression.  A distribution is a tuple of independent blocks of events;
 parts of an expression that touch disjoint sets of blocks have independent
-value sequences, so the limit of their numerator is combined exactly from
-theirs (``and`` multiplies, ``or`` is 1-(1-x)(1-y), ``~`` is 1-x).  Since
-``and`` and ``or`` are associative and commutative, a run of either is
+value sequences, so their numerators' limits combine exactly (``and``
+multiplies, ``or`` is 1-(1-x)(1-y), ``~`` is 1-x), as integer pairs (num,
+den) with one ``Fraction`` at the root.  A run of ``and`` or of ``or`` is
 regrouped into the connected components of its operands by shared blocks.
 A simple conditional (a|b) alone in its part takes its limit in closed
-form, Pr(a and b) / Pr b; only parts whose leaves share events are
-compiled and solved, once each, over the product of the blocks they touch.
+form, Pr(a and b) / Pr b, from the integer table of the blocks it touches;
+only the parts whose leaves share events are compiled and solved, once
+each, over the product of the blocks they touch.
 
 :func:`cond_asymptotic` builds no machine for a conditional without ``S``
-(so without ``O`` or ``H``).  With d its deepest nesting of ``Y``, its
-value from time d+1 on is a fixed function of the last d+1 letters, which
-are i.i.d., so its law no longer changes and the limit is the ratio at
-time d+1.  That ratio is taken by a walk backward over formulas from time
-d+1 to time 1 (:func:`_backward_ratio`): each step puts each letter
-class's constants in place of the leaves and ``f`` in place of ``Y f``,
-and merges equal residual pairs.  Its cost is the number of distinct
-residuals per step times the number of letter classes (a residual that
-reads no leaf is rewritten once), where the compiled machine has about
-2^(number of ``Y`` children) states.  Every embedding of a product-space
-leaf uses ``S``, so :func:`prob_ps` never takes this path.
+(see :func:`_ratio`).  Every embedding of a product-space leaf uses ``S``,
+so :func:`prob_ps` never takes that path.
 """
 from __future__ import annotations
 
@@ -57,17 +48,17 @@ from fractions import Fraction
 from functools import reduce
 from math import prod
 from operator import or_
-from typing import Callable, Literal, Optional
+from typing import Literal, Optional
 
 from . import markov, syntax, trivalue
 from .automata import (MooreMachine3, _classes_from_columns, compile_cond,
                        event_mask, leaf_classes, minimize)
-from .markov import (ZERO, ProbAssignment, asymptotic, chain_from_machine,
+from .markov import (ProbAssignment, asymptotic, chain_from_machine,
                      defined_ratio, pr_n_ratio)
-from .syntax import (FALSE, TRUE, And, CeaAnd, CeaCond, CeaExpr, CeaNeg, CeaOr,
-                     CeaSimple, CeaVar, CondObject, Const, EventAlgebra, Iff,
-                     Implies, Not, Or, Prev, Since, TLFormula, children,
-                     collect_simples, formula_events, horizon, walk)
+from .syntax import (FALSE, TRUE, And, Atom, CeaAnd, CeaCond, CeaExpr, CeaNeg,
+                     CeaOr, CeaSimple, CeaVar, CondObject, Const, EventAlgebra,
+                     Iff, Implies, Not, Or, Prev, Since, TLFormula, children,
+                     collect_simples, horizon, walk)
 from .trivalue import Value3
 
 Algebra = Literal["sac", "gnw", "sch"]
@@ -164,27 +155,19 @@ def _require_flat(e: CeaExpr):
 _FORMULA_OF = {CeaNeg: Not, CeaAnd: And, CeaOr: Or}
 
 
-def _map_leaves(e: CeaExpr, leaf: Callable[[CeaSimple], TLFormula]) -> TLFormula:
-    """A flat expression's formula: ``leaf`` of each simple conditional, and
-    not/and/or for ~/and/or."""
-    return syntax.fold(e, lambda x, values: _FORMULA_OF[type(x)](*values)
-                       if values else leaf(x))
-
-
 def embed_ps(e: CeaExpr, which: Embedding) -> CondObject:
     """Translate a flat expression to a conditional object."""
     _require_flat(e)
-    if which == "first":
-        num = _map_leaves(e, lambda s: first_resolution(s.num_event, s.den_event))
+    if which not in ("first", "reverse", "sparse"):
+        raise ValueError(f"unknown interpretation {which!r}")
+    leaf = first_resolution if which == "first" else latest_resolution
+    # not/and/or for ~/and/or, and ``leaf`` of each simple conditional
+    num = syntax.fold(e, lambda x, values: _FORMULA_OF[type(x)](*values)
+                      if values else leaf(x.num_event, x.den_event))
+    if which != "sparse":
         return CondObject(num, TRUE)
-    if which == "reverse":
-        num = _map_leaves(e, lambda s: latest_resolution(s.num_event, s.den_event))
-        return CondObject(num, TRUE)
-    if which == "sparse":
-        num = _map_leaves(e, lambda s: latest_resolution(s.num_event, s.den_event))
-        return CondObject(num, reduce(Or, (Or(s.den_event, Not(syntax.once(s.den_event)))
-                                           for s in collect_simples(e))))
-    raise ValueError(f"unknown interpretation {which!r}")
+    return CondObject(num, reduce(Or, (Or(s.den_event, Not(syntax.once(s.den_event)))
+                                       for s in collect_simples(e))))
 
 
 def first_machine(e: CeaExpr, alg: EventAlgebra) -> MooreMachine3:
@@ -345,67 +328,62 @@ def _earlier(f: TLFormula, consts: dict, memo: dict, first: bool,
     return memo[f]
 
 
-# the limit of a node from its operands' limits, by the product law
-_COMBINE = {CeaNeg: lambda vs: 1 - vs[0], CeaAnd: prod,
-            CeaOr: lambda vs: 1 - prod(1 - v for v in vs)}
-
-
 def prob_ps(e: CeaExpr, p: ProbAssignment) -> Fraction:
     """Product-space probability of a flat expression: the one limit of its
     ``first``, ``reverse`` and ``sparse`` embeddings (see the module
     docstring), always defined.
 
-    One walk over the expression computes each value as it reaches it.
-    A maximal run of ``and`` nodes, or of ``or`` nodes, is regrouped into
-    the connected components of its operands by shared blocks of the
-    distribution, and the components' limits are combined exactly by the
-    product law.  An operand alone in its component is walked further; the
-    operands of a larger component form a piece, as does a run that is one
-    component.  A ``~`` is the step 1 - x on what it negates, so a negated
-    piece is solved without its negation.  Each piece has one limit (see
-    :func:`_piece_limit`); a root that is itself a piece is the whole
-    expression's one compile and solve.
+    A first walk checks flatness and gives every node, formula nodes
+    included, the bitmask of the blocks it touches.  A second walk takes
+    each value, a pair (num, den), as it reaches it: a maximal run of
+    ``and`` or of ``or`` is regrouped into the connected components of its
+    operands by shared blocks, joined by :func:`_combine`; an operand alone
+    in its component is walked further, and a larger component, or a run
+    that is one, is a piece (:func:`_piece`).  A ``~`` is the step 1 - x,
+    so a negated piece is solved without its negation.
     """
-    _require_flat(e)
-    block_of = {name: k for k, b in enumerate(p.blocks) for name in b.events}
-    # node -> bitmask of the blocks it touches; equal subexpressions are
-    # one interned node and touch the same blocks
-    blocks: dict[CeaExpr, int] = {}
-    # children before parents
-    for x in reversed([x for x in walk(e) if isinstance(x, CeaExpr)]):
-        touched = 0
-        if isinstance(x, CeaSimple):
-            for name in formula_events(x):
-                touched |= 1 << block_of[name]
+    block_of = {name: 1 << k for k, b in enumerate(p.blocks) for name in b.events}
+    blocks: dict = {}  # node -> bitmask of the blocks it touches
+    for x in reversed(list(walk(e))):  # children before parents
+        if type(x) is Atom:
+            blocks[x] = block_of[x.name]
+        elif type(x) is CeaCond or type(x) is CeaVar:
+            _require_flat(e)  # raises, naming re-conditioning first
         else:
-            for child in children(x):
-                touched |= blocks[child]
-        blocks[x] = touched
+            blocks[x] = reduce(or_, map(blocks.__getitem__, children(x)), 0)
 
     # nodes, steps (kind, n) combining the last n values, and regrouped
     # pieces (run, blocks); operands are pushed right to left, so that
     # their values are pushed left to right
-    values: list[Fraction] = []
-    todo: list = [e]
+    values: list[tuple[int, int]] = []
+    todo = [e]
     while todo:
         x = todo.pop()
-        if isinstance(x, CeaNeg):
+        if type(x) is CeaNeg:
             todo += [(CeaNeg, 1), x.child]
-        elif isinstance(x, tuple) and isinstance(x[0], type):
+        elif type(x) is tuple and type(x[0]) is type:
             kind, n = x
-            values[-n:] = [_COMBINE[kind](values[-n:])]
-        elif isinstance(x, tuple):
-            values.append(_piece_limit(x[0], p.restrict(x[1])))
-        elif isinstance(x, CeaSimple) or len(
+            values[-n:] = [_combine(kind, values[-n:])]
+        elif type(x) is tuple:
+            values.append(_piece(*x, p))
+        elif type(x) is CeaSimple or len(
                 groups := _components(_run_operands(x), blocks)) == 1:
-            values.append(_piece_limit(x, p.restrict(blocks[x])))
+            values.append(_piece(x, blocks[x], p))
         else:
             todo.append((type(x), len(groups)))
             for group in reversed(groups):
                 todo.append(group[0] if len(group) == 1 else (reduce(type(x), group),
                             reduce(or_, (blocks[z] for z in group))))
-    value, = values
-    return value
+    return Fraction(*values.pop())
+
+
+def _combine(kind: type, values: list[tuple[int, int]]) -> tuple[int, int]:
+    """The limit of a ``~``, ``and`` or ``or`` from its operands', by the product law."""
+    den = prod(d for _, d in values)
+    if kind is CeaAnd:
+        return prod(n for n, _ in values), den
+    missed = prod(d - n for n, d in values)  # the product of the 1 - x
+    return (den - missed if kind is CeaOr else missed), den
 
 
 def _run_operands(x: CeaExpr) -> list[CeaExpr]:
@@ -445,20 +423,30 @@ def _components(operands: list[CeaExpr], blocks: dict[CeaExpr, int]
     return list(groups.values())
 
 
-def _piece_limit(x: CeaExpr, sub: ProbAssignment) -> Fraction:
-    """The limit of a piece over ``sub``, the distribution of the blocks it
-    touches.
+def _piece(x: CeaExpr, which: int, p: ProbAssignment) -> tuple[int, int]:
+    """The limit (num, den) of a piece over the blocks of ``p`` in bitmask
+    ``which``, the ones it touches.  A simple conditional (a|b) needs no
+    machine: its first and its latest defined value are both 1 with
+    probability Pr(a and b) / Pr b in the limit (0 when Pr b = 0), weighed
+    on the integer table of those blocks.  Any other piece runs compile ->
+    minimize -> chain -> limit once, on its ``reverse`` embedding, whose
+    condition is true, so the product law and 1 - x hold on the numerators'
+    limits directly."""
+    if type(x) is CeaSimple:
+        blocks = [b for k, b in enumerate(p.blocks) if which >> k & 1]
+        alg = EventAlgebra.of_checked(tuple(e for b in blocks for e in b.events))
+        yes, no = _leaf(x, alg)  # raises past the atom table limit
+        table = markov.block_table(blocks)[1]
+        ones = sum(w for a, w in enumerate(table) if yes >> a & 1)
+        defined = sum(w for a, w in enumerate(table) if (yes | no) >> a & 1)
+        return (ones, defined) if defined else (0, 1)
+    value = cond_asymptotic(embed_ps(x, "reverse"), p.restrict(which))
+    return value.numerator, value.denominator
 
-    A simple conditional (a|b) needs no machine: under every embedding its
-    limit is Pr(a and b) / Pr b, its first and its latest defined value
-    both being 1 with that probability in the limit, and 0 when Pr b = 0.
-    Any other piece runs compile -> minimize -> chain -> limit once, on its
-    ``reverse`` embedding, whose condition is true: so the product law and
-    1 - x hold on the numerators' limits directly.
-    """
-    if isinstance(x, CeaSimple):
-        return defined_ratio(*map(sub.weight, _leaf(x, sub.alg))) or ZERO
-    return cond_asymptotic(embed_ps(x, "reverse"), sub)
+
+def _piece_limit(x: CeaExpr, p: ProbAssignment) -> Fraction:
+    """The limit of a piece over all the blocks of ``p``, as a ``Fraction``."""
+    return Fraction(*_piece(x, (1 << len(p.blocks)) - 1, p))
 
 
 # ---------------------------------------------------------------------------

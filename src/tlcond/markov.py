@@ -100,20 +100,14 @@ class ProbAssignment:
         """The flat table as integers over one common denominator: ``(den,
         w)`` with ``mass[a] == Fraction(w[a], den)``.  ``den`` is the product
         of the blocks' LCDs and an atom's weight the product of its blocks'."""
-        out = [0] * self.alg.num_atoms  # raises past the atom table limit
-        bit = {name: 1 << i for i, name in enumerate(self.alg.events)}
-        # the table block by block, each block's absent half first: with one
-        # block per event in event order this is the atom order itself
-        atoms, weights, den = [0], [1], 1
-        for b in self.blocks:
-            spread = [sum(bit[e] for i, e in enumerate(b.events) if k >> i & 1)
-                      for k in range(len(b.weights))]
-            atoms = [a | s for s in spread for a in atoms]
-            weights = [w * v for v in b.weights for w in weights]
-            den *= b.den
-        for a, w in zip(atoms, weights):
-            out[a] = w
-        return den, tuple(out)
+        n = self.alg.num_atoms  # raises past the atom table limit
+        den, table = block_table(self.blocks)
+        events = tuple(e for b in self.blocks for e in b.events)
+        if events != self.alg.events:  # the table's atoms in the algebra's order
+            bit = [1 << self.alg.index(e) for e in events]
+            table = [table[sum(1 << i for i, b in enumerate(bit) if a & b)]
+                     for a in range(n)]
+        return den, tuple(table)
 
     @cached_property
     def mass(self) -> tuple[Fraction, ...]:
@@ -125,12 +119,12 @@ class ProbAssignment:
 
     def restrict(self, which: int) -> "ProbAssignment":
         """The marginal on the blocks in bitmask ``which``: those blocks,
-        over their events in the algebra's order."""
+        over their events in the algebra's order, not checked again."""
         if which == (1 << len(self.blocks)) - 1:
             return self
         blocks = tuple(b for k, b in enumerate(self.blocks) if which >> k & 1)
         names = {e for b in blocks for e in b.events}
-        alg = EventAlgebra(tuple(e for e in self.alg.events if e in names))
+        alg = EventAlgebra.of_checked(tuple(e for e in self.alg.events if e in names))
         return ProbAssignment(alg, blocks=blocks)
 
     def weight(self, mask: int) -> int:
@@ -218,6 +212,17 @@ class ProbAssignment:
         if absent:
             raise ValueError(f"atoms not covered: {' '.join(absent)}")
         return ProbAssignment(alg_, tuple(mass))
+
+
+def block_table(blocks: Sequence[Block]) -> tuple[int, list[int]]:
+    """The table of independent ``blocks``, their events numbered block by
+    block: ``(den, w)``, atom a weighing ``w[a]`` over ``den``, the product
+    of the blocks' LCDs.  Each block's absent half comes first."""
+    den, weights = 1, [1]
+    for b in blocks:
+        den *= b.den
+        weights = [w * v for v in b.weights for w in weights]
+    return den, weights
 
 
 def _fraction(text: str) -> Fraction:

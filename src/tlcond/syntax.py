@@ -66,6 +66,13 @@ class EventAlgebra:
             if not _IDENT_RE.fullmatch(name) or name in _KEYWORDS:
                 raise ValueError(f"invalid event name: {name!r}")
 
+    @classmethod
+    def of_checked(cls, events: tuple[str, ...]) -> "EventAlgebra":
+        """The algebra of names that an algebra has checked, not checked again."""
+        alg = object.__new__(cls)
+        object.__setattr__(alg, "events", events)
+        return alg
+
     @property
     def num_atoms(self) -> int:
         n = len(self.events)

@@ -958,3 +958,97 @@ def test_shared_events_are_solved_as_one_piece(monkeypatch):
     calls.clear()
     assert prob_ps(e, half5) == Fraction(1, 6)
     assert calls == [("a", "b", "e")]
+
+
+# each side of a disjoint leaf over its own events a and b: its text and its
+# truth value on the letter (a, b)
+NUM_SIDES = {"{a}": lambda a, b: a, "{a} and {b}": lambda a, b: a and b,
+             "{a} or {b}": lambda a, b: a or b, "not {a}": lambda a, b: not a,
+             "true": lambda a, b: True, "false": lambda a, b: False}
+DEN_SIDES = {"{b}": lambda a, b: b, "{a} or {b}": lambda a, b: a or b,
+             "not {b}": lambda a, b: not b, "{b} and not {a}": lambda a, b: b and not a,
+             "true": lambda a, b: True, "false": lambda a, b: False}
+WIDE_MARGINALS = (Fraction(0), Fraction(1), Fraction(1, 3), Fraction(1, 2),
+                  Fraction(2, 5), Fraction(3, 4))
+
+
+def _leaf_reference(num, den, pa, pb) -> Fraction:
+    """Pr(num and den) / Pr den over the four letters of two independent
+    events, or 0 when Pr den = 0."""
+    both = given_den = Fraction(0)
+    for a in (False, True):
+        for b in (False, True):
+            w = (pa if a else 1 - pa) * (pb if b else 1 - pb)
+            if den(a, b):
+                given_den += w
+                both += w if num(a, b) else 0
+    return both / given_den if given_den else Fraction(0)
+
+
+@st.composite
+def wide_disjoint_trees(draw):
+    """6-12 leaves, leaf i over its own events ai and bi, joined by and/or
+    with ~ sprinkled in, over an ``independent:`` line of 12-24 events with
+    0 and 1 marginals; one leaf's b has probability 0.  Returns the
+    distribution text, the expression text and the product-law value,
+    worked out from the marginals alone."""
+    n = draw(st.integers(6, 12))
+    dead = draw(st.integers(0, n - 1))
+    marginals, parts = {}, []
+    for i in range(n):
+        pa, pb = draw(st.sampled_from(WIDE_MARGINALS)), draw(st.sampled_from(WIDE_MARGINALS))
+        num = draw(st.sampled_from(sorted(NUM_SIDES)))
+        den = "{b}" if i == dead else draw(st.sampled_from(sorted(DEN_SIDES)))
+        if i == dead:
+            pb = Fraction(0)
+        marginals[f"a{i}"], marginals[f"b{i}"] = pa, pb
+        text = f"({num} | {den})".format(a=f"a{i}", b=f"b{i}")
+        parts.append((text, _leaf_reference(NUM_SIDES[num], DEN_SIDES[den], pa, pb)))
+
+    def maybe_negated(part):
+        text, value = part
+        return (f"~{text}", 1 - value) if draw(st.integers(0, 2)) == 0 else part
+
+    parts = [maybe_negated(part) for part in draw(st.permutations(parts))]
+    while len(parts) > 1:
+        i = draw(st.integers(0, len(parts) - 2))
+        (x, vx), (y, vy) = parts[i:i + 2]
+        if draw(st.booleans()):
+            joined = (f"({x} and {y})", vx * vy)
+        else:
+            joined = (f"({x} or {y})", 1 - (1 - vx) * (1 - vy))
+        parts[i:i + 2] = [maybe_negated(joined)]
+    dist = (f"events: {' '.join(marginals)}\nindependent: "
+            + " ".join(f"{k}={v}" for k, v in marginals.items()))
+    return dist, parts[0][0], parts[0][1]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(wide_disjoint_trees())
+def test_disjoint_trees_past_the_atom_table_follow_the_product_law(case):
+    dist, text, want = case
+    p = ProbAssignment.from_text(dist)
+    assert 12 <= len(p.alg.events) <= 24
+    assert prob_ps(parse_cea(text, p.alg), p) == want, text
+    # no flat table of the distribution was built, nor its masses
+    assert "weights" not in vars(p) and "mass" not in vars(p)
+
+
+RECONDITIONING = "the product-space algebra has no re-conditioning"
+VARIABLE_LEAVES = "expression has variable leaves; events required"
+
+
+def test_prob_ps_names_re_conditioning_before_variable_leaves():
+    simple = parse_cea("(a|b)", ALG_AB)
+    cond, var = CeaCond(simple, simple), CeaVar("x")
+    cases = [(cond, RECONDITIONING), (CeaNeg(cond), RECONDITIONING),
+             (CeaAnd(simple, var), VARIABLE_LEAVES), (CeaNeg(var), VARIABLE_LEAVES),
+             (var, VARIABLE_LEAVES),
+             # both: re-conditioning is named first, wherever either stands
+             (CeaAnd(var, cond), RECONDITIONING), (CeaOr(cond, var), RECONDITIONING),
+             (CeaCond(var, simple), RECONDITIONING),
+             (CeaOr(CeaNeg(var), CeaAnd(simple, CeaCond(simple, var))), RECONDITIONING)]
+    for e, message in cases:
+        with pytest.raises(ValueError) as info:
+            prob_ps(e, UNIFORM_AB)
+        assert str(info.value) == message, pretty(e)

@@ -228,6 +228,41 @@ def test_a_block_is_checked_when_it_is_made():
     assert block.mass == (Fraction(1, 6), Fraction(1, 3), F2, 0)
 
 
+
+def test_restrict_makes_its_algebra_without_checking_names_again(monkeypatch):
+    # a table block over (c, a), against the algebra's order, times b and d
+    p = ProbAssignment(algebra("a b c d"), blocks=(
+        Block(("c", "a"), (Fraction(1, 10), Fraction(1, 5), Fraction(3, 10),
+                           Fraction(2, 5))),
+        Block(("b",), (F2, F2)), Block(("d",), (Fraction(1, 3), Fraction(2, 3)))))
+    checks = []
+    post_init = EventAlgebra.__post_init__
+    monkeypatch.setattr(EventAlgebra, "__post_init__",
+                        lambda self: checks.append(self) or post_init(self))
+    for which in range(1 << len(p.blocks)):
+        sub = p.restrict(which)
+        names = {e for k, b in enumerate(p.blocks) if which >> k & 1 for e in b.events}
+        # the algebra's own order, as before: not the blocks' order
+        assert sub.alg.events == tuple(e for e in p.alg.events if e in names)
+        assert sub.alg == EventAlgebra(sub.alg.events)
+        checks.pop()  # the reference algebra just made
+        assert checks == [], which
+    assert p.restrict(0b101).alg.events == ("a", "c", "d")
+
+
+def test_block_table_numbers_the_events_block_by_block():
+    blocks = (Block(("c", "a"), (Fraction(1, 10), Fraction(1, 5), Fraction(3, 10),
+                                 Fraction(2, 5))),
+              Block(("b",), (Fraction(2, 3), Fraction(1, 3))))
+    den, weights = markov.block_table(blocks)
+    # bit 0 is c, bit 1 is a, bit 2 is b; each block's absent half first
+    assert (den, weights) == (30, [2, 4, 6, 8, 1, 2, 3, 4])
+    assert markov.block_table(()) == (1, [1])
+    # the algebra's table reads the same weights in its own order
+    p = ProbAssignment(algebra("a b c"), blocks=blocks)
+    assert p.weights == (30, tuple(weights[(a >> 2 & 1) | (a & 1) << 1 | (a >> 1 & 1) << 2]
+                                   for a in range(8)))
+
 @pytest.mark.parametrize("events", [("a",), ("a", "b", "b"), ("a", "b", "c")])
 def test_blocks_must_partition_the_events(events):
     blocks = tuple(Block((e,), (F2, F2)) for e in events)
