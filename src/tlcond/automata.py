@@ -97,25 +97,37 @@ def _classes_from_columns(num_atoms: int, keyed_masks: Iterable[tuple]
 
 
 def event_mask(f: TLFormula, alg: EventAlgebra) -> int:
-    """The set of atoms (bitmask) at which a present-tense formula holds."""
-    subs = subformulas([f])
-    index = {x: i for i, x in enumerate(subs)}
-    vals: list[int] = []  # subformula index -> its atom set
-    for x in subs:
-        if isinstance(x, Atom):
-            run = 1 << alg.index(x.name)  # atoms alternate in runs this long
-            mask, width = ((1 << run) - 1) << run, 2 * run
-            while width < alg.num_atoms:
-                mask |= mask << width
-                width *= 2
-            vals.append(mask)
-        elif isinstance(x, Const):
-            vals.append(alg.full_event if x.value else 0)
-        elif isinstance(x, (Prev, Since)):
-            raise ValueError(f"not a present-tense formula: {x!r}")
+    """The set of atoms (bitmask) at which a present-tense formula holds,
+    from one pass over its subformulas, children first."""
+    if type(f) is Atom:
+        return _atom_column(alg.index(f.name), alg.num_atoms)
+    full = alg.full_event
+    vals: dict = {}  # subformula -> its atom set
+    for x in subformulas([f]):
+        kind = type(x)
+        if kind is Atom:
+            vals[x] = _atom_column(alg.index(x.name), full.bit_length())
+        elif kind is Const:
+            vals[x] = full if x.value else 0
+        elif kind is Not:
+            vals[x] = full ^ vals[x.child]
+        elif kind in (And, Or, Implies, Iff):
+            a, b = vals[x.left], vals[x.right]
+            vals[x] = (a & b if kind is And else a | b if kind is Or
+                       else (full ^ a) | b if kind is Implies else full ^ a ^ b)
         else:
-            vals.append(_step(x, index, {}, alg.full_event)(vals, 0))
-    return vals[-1]
+            raise ValueError(f"not a present-tense formula: {x!r}")
+    return vals[f]
+
+
+def _atom_column(i: int, num_atoms: int) -> int:
+    """The atoms at which event ``i`` holds: runs of 2^i, doubled to fill."""
+    run = 1 << i
+    mask, width = ((1 << run) - 1) << run, 2 * run
+    while width < num_atoms:
+        mask |= mask << width
+        width *= 2
+    return mask
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,10 @@
 
 Subcommands: ``prob`` (exact probability of an expression), ``series``
 (CSV of time-indexed probabilities), ``machine`` (DOT export), ``taut``
-(weak-tautology check) and ``indep`` (independence check).
+(weak-tautology check) and ``indep`` (independence check).  A command
+line goes straight to its subcommand's parser; one without a known command,
+with ``--``, or with arguments that parser leaves unread goes through the
+top parser, so help and error texts are argparse's own.
 
 Exit codes: 0 success, 1 input error (a usage error too), 2 mathematically
 undefined result.  A reader that closes stdout early, as ``head`` does,
@@ -203,7 +206,8 @@ class _AtLeastZero(argparse.Action):
         setattr(namespace, self.dest, value)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The argument parser, and each subcommand's own parser by name."""
     top = argparse.ArgumentParser(
         prog="tlcond",
         description="three-valued temporal conditionals and their exact probabilities")
@@ -253,15 +257,29 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None,
                    help="fixed time for --mode present (default: the limit)")
     p.set_defaults(fn=cmd_indep)
-    return top
+    return top, sub.choices
 
 
-_PARSER = _build_parser()
+_PARSER, _COMMANDS = _build_parser()
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """The namespace that ``_PARSER.parse_args(argv)`` gives."""
+    sub = _COMMANDS.get(argv[0]) if argv and "--" not in argv else None
+    if sub is not None:
+        args, extra = sub.parse_known_args(argv[1:])
+        if not extra:
+            args.command = argv[0]
+            return args
+    return _PARSER.parse_args(argv)
 
 
 def main(argv=None) -> int:
+    """Run one command line (``sys.argv[1:]`` by default) and return its
+    exit code.  The subcommand's parser reads it when it reads every
+    argument and there is no ``--``; else the top parser reads it."""
     try:
-        args = _PARSER.parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:  # a usage error is an input error; --help is not
         raise SystemExit(exc.code and INPUT_ERROR) from None
     try:

@@ -136,17 +136,18 @@ class _Interned:
         if kwargs:
             args += tuple(kwargs.pop(name) for name in fields[len(args):]
                           if name in kwargs)
-        if kwargs or len(args) != len(fields):
-            raise TypeError(f"{cls.__name__}() takes the fields {', '.join(fields)}")
+        # one lookup returns a live node; no key in the table has a wrong arity
         key = (cls, *args)
         ref = _INTERNED.get(key)
-        f = None if ref is None else ref()
-        if f is None:
-            f = object.__new__(cls)
-            for name, value in zip(fields, args):
-                object.__setattr__(f, name, value)
-            ref = _INTERNED[key] = _Ref(f, _forget)
-            ref.key = key
+        if ref is not None and not kwargs and (f := ref()) is not None:
+            return f
+        if kwargs or len(args) != len(fields):
+            raise TypeError(f"{cls.__name__}() takes the fields {', '.join(fields)}")
+        f = object.__new__(cls)
+        for name, value in zip(fields, args):
+            object.__setattr__(f, name, value)
+        ref = _INTERNED[key] = _Ref(f, _forget)
+        ref.key = key
         return f
 
     def __setattr__(self, name, value):
@@ -397,49 +398,30 @@ def collect_simples(e: CeaExpr) -> list[CeaSimple]:
 # ---------------------------------------------------------------------------
 # Tokenizer
 
-_TOKEN_RE = re.compile(r"""
-    (?P<ws>\s+)
-  | (?P<arrow2><->)
-  | (?P<arrow>->)
-  | (?P<sym>[()|~!&])
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-""", re.VERBOSE)
+_TOKEN_RE = re.compile(r"\s*(?:(<->|->|[()|~!&])|([A-Za-z_][A-Za-z0-9_]*)|(\S))")
 
 
-class _Token(NamedTuple):
-    kind: str  # "(", ")", "|", "~", "!", "&", "->", "<->", keyword, "ident", "end"
-    text: str
-    line: int
-    col: int
-
-
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """The tokens of ``text`` as (kind, text, offset) triples, from one scan
+    for an operator, an identifier or keyword, or a bad character after any
+    whitespace.  The kind is an operator's or keyword's text, "ident", or
+    "end" after the last; line and column are found only for an error."""
     tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        tok = m.group(0)
-        if m.lastgroup == "ws":
-            for ch in tok:
-                if ch == "\n":
-                    line += 1
-                    col = 1
-                else:
-                    col += 1
-            pos = m.end()
-            continue
-        if m.lastgroup == "ident":
-            kind = tok if tok in _KEYWORDS else "ident"
-        else:
-            kind = tok
-        tokens.append(_Token(kind, tok, line, col))
-        col += len(tok)
-        pos = m.end()
-    tokens.append(_Token("end", "", line, col))
+    for m in _TOKEN_RE.finditer(text):
+        group = m.lastindex
+        tok = m[group]
+        if group == 3:
+            raise _error(f"unexpected character {tok!r}", text, m.start(group))
+        tokens.append((tok if group == 1 or tok in _KEYWORDS else "ident",
+                       tok, m.start(group)))
+    tokens.append(("end", "", len(text)))
     return tokens
+
+
+def _error(message: str, text: str, pos: int) -> ParseError:
+    """A syntax error at offset ``pos`` of ``text``."""
+    return ParseError(message, text.count("\n", 0, pos) + 1,
+                      pos - text.rfind("\n", 0, pos))
 
 
 # ---------------------------------------------------------------------------
@@ -456,6 +438,7 @@ def _tokenize(text: str) -> list[_Token]:
 _BARE_EVENT = "bare event {0!r} where a conditional is expected; write ({0} | true)"
 _NEGATED_CONDITIONAL = "'not'/'!' negates events; use '~' on conditionals"
 _CONSTANT = "constants are not conditional expressions"
+_BAR_OUTSIDE = "'|' is only allowed inside a parenthesized conditional group"
 
 
 def _cea_binary(event_node, cea_node):
@@ -522,15 +505,15 @@ def _language(column: int, noun: str, leaf, group, wrap=lambda node: node):
 _CONSTANTS = {"true": TRUE, "false": FALSE}
 _FORMULA = _language(
     1, "a formula",
-    lambda tok: Atom(tok.text) if tok.kind == "ident" else _CONSTANTS[tok.kind],
+    lambda tok: Atom(tok[1]) if tok[0] == "ident" else _CONSTANTS[tok[0]],
     None, wrap=lambda node: lambda f, tok: node(f))
 _EVENTS = _language(
     2, "an expression",
-    lambda tok: ((Atom(tok.text), (_BARE_EVENT, tok)) if tok.kind == "ident"
-                 else (_CONSTANTS[tok.kind], (_CONSTANT, tok))),
+    lambda tok: ((Atom(tok[1]), (_BARE_EVENT, tok)) if tok[0] == "ident"
+                 else (_CONSTANTS[tok[0]], (_CONSTANT, tok))),
     _cea_group)
 _VARIABLES = _EVENTS._replace(
-    leaf=lambda tok: ((CeaVar(tok.text), None) if tok.kind == "ident"
+    leaf=lambda tok: ((CeaVar(tok[1]), None) if tok[0] == "ident"
                       else (None, (_CONSTANT, tok))))
 
 # operator-stack entries of an open parenthesis and of the start of the
@@ -540,14 +523,8 @@ _OPEN = (_GROUP, None)  # a group without a bar; (_GROUP, left side) after it
 _BOTTOM = (-1,)
 
 
-def _expected(what: str, tok: _Token) -> ParseError:
-    return ParseError(f"expected {what}, found {tok.text or 'end of input'!r}",
-                      tok.line, tok.col)
-
-
-def _bar_outside(tok: _Token) -> ParseError:
-    return ParseError("'|' is only allowed inside a parenthesized conditional group",
-                      tok.line, tok.col)
+def _expected(what: str, tok: tuple, text: str) -> ParseError:
+    return _error(f"expected {what}, found {tok[1] or 'end of input'!r}", text, tok[2])
 
 
 def _parse(text: str, lang: _Language, alg: Optional[EventAlgebra], cond: bool = False):
@@ -556,8 +533,8 @@ def _parse(text: str, lang: _Language, alg: Optional[EventAlgebra], cond: bool =
     one bar, and the result is a :class:`CondObject`."""
     tokens = _tokenize(text)
     infix, prefix, leaf = lang.infix, lang.prefix, lang.leaf
-    if lang.group is None and tokens[0].kind == "|":
-        raise _bar_outside(tokens[0])
+    if lang.group is None and tokens[0][0] == "|":
+        raise _error(_BAR_OUTSIDE, text, tokens[0][2])
     # pending prefix (power, node, token) and infix (power, node, left
     # operand) operators and open groups
     ops: list = [_BOTTOM]
@@ -565,7 +542,7 @@ def _parse(text: str, lang: _Language, alg: Optional[EventAlgebra], cond: bool =
     while True:
         tok = tokens[i]
         i += 1
-        kind = tok.kind
+        kind = tok[0]
         if kind in prefix:
             ops.append((_PREFIX, prefix[kind], tok))
             continue
@@ -573,10 +550,10 @@ def _parse(text: str, lang: _Language, alg: Optional[EventAlgebra], cond: bool =
             ops.append(_OPEN)
             continue
         if kind == "ident":
-            if alg is not None and tok.text not in alg.events:
-                raise ParseError(f"unknown identifier {tok.text!r}", tok.line, tok.col)
+            if alg is not None and tok[1] not in alg.events:
+                raise _error(f"unknown identifier {tok[1]!r}", text, tok[2])
         elif kind not in _CONSTANTS:
-            raise _expected(lang.noun, tok)
+            raise _expected(lang.noun, tok, text)
         val = leaf(tok)
         # an operand is complete: what follows it is an infix operator, a
         # bar, a closing parenthesis or the end
@@ -588,7 +565,7 @@ def _parse(text: str, lang: _Language, alg: Optional[EventAlgebra], cond: bool =
                 top = ops[-1]
             tok = tokens[i]
             i += 1
-            kind = tok.kind
+            kind = tok[0]
             if kind in infix:
                 power, above, node = infix[kind]
                 while top[0] >= above:
@@ -605,14 +582,14 @@ def _parse(text: str, lang: _Language, alg: Optional[EventAlgebra], cond: bool =
                 if kind == "end":
                     return CondObject(val, TRUE) if cond else val
                 if kind == "|" and lang.group is None:
-                    raise _bar_outside(tok)
-                raise _expected("'end'", tok)
+                    raise _error(_BAR_OUTSIDE, text, tok[2])
+                raise _expected("'end'", tok, text)
             if kind == ")":
                 ops.pop()
                 if top is not _OPEN:
                     if cond:
-                        if tokens[i].kind != "end":
-                            raise _expected("'end'", tokens[i])
+                        if tokens[i][0] != "end":
+                            raise _expected("'end'", tokens[i], text)
                         return CondObject(top[1], val)
                     val = lang.group(top[1], val)
                 continue
@@ -620,7 +597,7 @@ def _parse(text: str, lang: _Language, alg: Optional[EventAlgebra], cond: bool =
                     lang.group is not None or cond and len(ops) == 2):
                 ops[-1] = (_GROUP, val)
                 break
-            raise _expected("')'", tok)
+            raise _expected("')'", tok, text)
 
 
 def parse_tl(text: str, alg: Optional[EventAlgebra] = None) -> TLFormula:
@@ -653,7 +630,7 @@ def parse_cea(text: str, alg: Optional[EventAlgebra] = None,
     e, error = _parse(text, _VARIABLES if alg is None else _EVENTS, alg)
     if error:
         message, tok = error
-        raise ParseError(message.format(tok.text), tok.line, tok.col)
+        raise _error(message.format(tok[1]), text, tok[2])
     _check_dialect(e, dialect)
     return e
 

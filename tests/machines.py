@@ -4,18 +4,21 @@ for the first interpretation, fixed DOT texts of minimized compiled
 machines, a tuple-keyed compiler that ``compile_cond`` must agree with
 field for field, the per-atom and per-valuation present-tense interpreters
 and the rewriting-rule reduction that the bit-parallel evaluator must agree
-with, and the ``Fraction``-dict strong-independence check that the integer
-one must agree with, verdict and witness."""
+with, the ``Fraction``-dict strong-independence check that the integer
+one must agree with, verdict and witness, and the per-character tokenizer
+whose tokens, lines and columns the one-scan tokenizer must reproduce."""
 import itertools
-from typing import Callable, Optional
+import re
+from typing import Callable, NamedTuple, Optional
+from unittest import mock
 
 from tlcond import (CeaAnd, CeaNeg, CeaOr, CeaSimple, CondObject, ProbAssignment,
                     TRUE, Value3, algebra, compile_cond, first_resolution, markov,
                     minimize, product, syntax, trivalue)
 from tlcond.automata import MooreMachine3, _classes_from_columns, event_mask
 from tlcond.cea import DEFAULT_VARIABLE_CAP, _leaf
-from tlcond.syntax import (And, CeaCond, CeaExpr, CeaVar, EventAlgebra, Iff,
-                           Implies, Not, Or, Prev, Since, children,
+from tlcond.syntax import (_KEYWORDS, And, CeaCond, CeaExpr, CeaVar, EventAlgebra,
+                           Iff, Implies, Not, Or, ParseError, Prev, Since, children,
                            collect_simples, subformulas, walk)
 from tlcond.trivalue import UnboundVariableError, apply_binary, apply_unary
 
@@ -635,3 +638,70 @@ def strong_indep_reference(c1: CondObject, c2: CondObject,
                 seen.add(pair)
                 todo.append(pair)
     return True, None
+
+
+# ---------------------------------------------------------------------------
+# Tokenizer reference: one regex match per token, each whitespace run walked
+# character by character for the line and column, one NamedTuple per token
+
+_TOKEN_RE = re.compile(r"""
+    (?P<ws>\s+)
+  | (?P<arrow2><->)
+  | (?P<arrow>->)
+  | (?P<sym>[()|~!&])
+  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+""", re.VERBOSE)
+
+
+class Token(NamedTuple):
+    kind: str  # "(", ")", "|", "~", "!", "&", "->", "<->", keyword, "ident", "end"
+    text: str
+    line: int
+    col: int
+
+
+def tokenize_reference(text: str) -> list[Token]:
+    tokens = []
+    line, col = 1, 1
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if not m:
+            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+        tok = m.group(0)
+        if m.lastgroup == "ws":
+            for ch in tok:
+                if ch == "\n":
+                    line += 1
+                    col = 1
+                else:
+                    col += 1
+            pos = m.end()
+            continue
+        if m.lastgroup == "ident":
+            kind = tok if tok in _KEYWORDS else "ident"
+        else:
+            kind = tok
+        tokens.append(Token(kind, tok, line, col))
+        col += len(tok)
+        pos = m.end()
+    tokens.append(Token("end", "", line, col))
+    return tokens
+
+
+def parse_with_reference_tokens(parse: Callable, text: str, *args):
+    """``parse(text, *args)`` reading the reference's tokens, each error
+    placed at the reference token's line and column: the parser as it was
+    when its tokens carried their own positions."""
+    tokens: list[Token] = []
+
+    def tokenize(text):
+        tokens[:] = tokenize_reference(text)
+        return [(tok.kind, tok.text, i) for i, tok in enumerate(tokens)]
+
+    def error(message, text, i):
+        return ParseError(message, tokens[i].line, tokens[i].col)
+
+    with mock.patch.object(syntax, "_tokenize", tokenize), \
+            mock.patch.object(syntax, "_error", error):
+        return parse(text, *args)

@@ -70,10 +70,44 @@ def test_event_mask_matches_one_letter_evaluation():
     assert seen == {And, Atom, Const, Iff, Implies, Not, Or}
 
 
+@st.composite
+def _algebra_and_event_formula(draw):
+    alg = algebra([f"e{i}" for i in range(draw(st.integers(1, 6)))])
+    leaves = st.one_of(st.sampled_from([Atom(name) for name in alg.events]),
+                       st.just(TRUE), st.just(FALSE))
+    return alg, draw(st.recursive(leaves, lambda sub: st.one_of(
+        st.builds(Not, sub), *(st.builds(node, sub, sub)
+                               for node in (And, Or, Implies, Iff))), max_leaves=8))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_algebra_and_event_formula())
+def test_event_mask_bits_equal_per_atom_evaluation(case):
+    """Every atom's bit, for a lone atom of any index too, is the formula's
+    value on the one-letter word of that atom."""
+    from tlcond import Word, eval_tl
+    alg, f = case
+    mask = event_mask(f, alg)
+    assert mask >> alg.num_atoms == 0
+    for atom in range(alg.num_atoms):
+        assert mask >> atom & 1 == eval_tl(Word(alg, (atom,)), 0, f), (pretty(f), atom)
+
+
 @pytest.mark.parametrize("text", ["Y a", "a S b", "O a", "a and Y b"])
 def test_event_mask_rejects_temporal_operators(text):
     with pytest.raises(ValueError):
         event_mask(parse_tl(text, ABC), ABC)
+
+
+def test_event_mask_error_texts():
+    with pytest.raises(ValueError) as err:
+        event_mask(parse_tl("a and Y b", ABC), ABC)
+    assert str(err.value) == "not a present-tense formula: Prev(child=Atom(name='b'))"
+    wide = algebra([f"e{i}" for i in range(17)])
+    for f in (Atom("e3"), Or(Atom("e0"), Not(Atom("e16"))), TRUE):
+        with pytest.raises(ValueError) as err:
+            event_mask(f, wide)
+        assert str(err.value) == "17 basic events exceed the limit 16"
 
 
 def test_simple_conditional_normal_form():

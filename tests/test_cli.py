@@ -520,6 +520,67 @@ def test_unknown_identifier_against_the_distribution(capsys, half_ab):
     assert err.startswith("error: ") and "unknown identifier 'c'" in err
 
 
+# Argument lists for which ``main``, whose subcommand parser reads the
+# arguments itself, must end as the top parser alone would.
+ARGV_CORPUS = [
+    [], ["-h"], ["--help"], ["prob", "-h"], ["series", "--help"],
+    ["prob", "--expr", "(a|b)"], ["prob", "--exp", "(a|b)"],
+    ["prob", "--expr=(a|b)", "--cea=ps"], ["prob", "--expr", "-h"],
+    # "--" before and after the command's options, and before the command
+    ["prob", "--", "--expr", "(a|b)"], ["prob", "--expr", "(a|b)", "--"],
+    ["--", "prob", "--expr", "(a|b)"],
+    # left-over positionals and unknown options
+    ["prob", "--expr", "(a|b)", "extra"], ["prob", "--expr", "(a|b)", "--bogus"],
+    ["prob", "--bogus", "--expr", "(a|b)"], ["prob", "--expr"],
+    ["frob", "--expr", "(a|b)"], ["PROB", "--expr", "(a|b)"], ["-x", "prob"],
+    # each subcommand without a required option, and with a value outside
+    # an option's choices
+    ["prob"], ["prob", "--expr", "(a|b)", "--cea", "tl2"],
+    ["series", "--expr", "(a|b)"],
+    ["series", "--expr", "(a|b)", "--n", "1", "--embedding", "last"],
+    ["machine"], ["machine", "--expr", "(a|b)", "--cea", "TL"],
+    ["taut", "--expr", "(p|p)"], ["taut", "--expr", "(p|p)", "--cea", "tl"],
+    ["taut", "--expr", "(p|p)", "--cea", "sac", "--dialect", "flat2"],
+    ["indep", "--left", "(a|b)", "--right", "(c|d)"],
+    ["indep", "--mode", "weak", "--left", "(a|b)", "--right", "(c|d)"],
+    # bad and negative numbers, and repeated options
+    ["series", "--expr", "(a|b)", "--n", "x"], ["series", "--expr", "(a|b)", "--n", "-1"],
+    ["indep", "--mode", "present", "--left", "(a|true)", "--right", "(b|true)",
+     "--n", "x"],
+    ["taut", "--cea", "sac", "--expr", "(p|p)", "--max-vars", "-1"],
+    ["prob", "--expr", "(a|b)", "--expr", "(a|true)"],
+    ["machine", "--expr", "(a|b)", "--minimize", "--minimize"],
+    # one request of each command
+    ["series", "--expr", "(a|b)", "--n", "2"],
+    ["machine", "--expr", "(a|b)", "--check-counter-free"],
+    ["taut", "--cea", "gnw", "--expr", "p and q"],
+    ["indep", "--mode", "strong", "--left", "(a|b)", "--right", "(c|d)"],
+]
+
+
+@pytest.mark.parametrize("argv", ARGV_CORPUS)
+def test_direct_dispatch_ends_as_the_top_parser(capsys, monkeypatch, argv):
+    """Exit code, stdout, stderr and the namespace run are the same as when
+    ``_PARSER.parse_args`` reads the whole argument list, on the running
+    interpreter's argparse."""
+    namespaces = []
+    run_args = cli._run
+    monkeypatch.setattr(cli, "_run",
+                        lambda args: namespaces.append(vars(args)) or run_args(args))
+
+    def outcome():
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = f"exit {exc.code}"
+        return (code, *capsys.readouterr())
+
+    direct = outcome()
+    monkeypatch.setattr(cli, "_parse_args", cli._PARSER.parse_args)
+    assert outcome() == direct
+    assert len(namespaces) in (0, 2) and namespaces[:1] == namespaces[1:]
+
+
 def test_argument_parser_is_built_once(capsys, monkeypatch):
     def refuse():
         raise AssertionError("the argument parser was rebuilt")

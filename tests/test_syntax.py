@@ -9,7 +9,7 @@ import time
 import weakref
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tlcond import (And, Atom, CeaAnd, CeaCond, CeaNeg, CeaOr, CeaSimple,
@@ -19,6 +19,8 @@ from tlcond import (And, Atom, CeaAnd, CeaCond, CeaNeg, CeaOr, CeaSimple,
 from tlcond.evaluate import Word, eval_tl
 from tlcond import syntax
 from tlcond.syntax import children, formula_events, once
+
+from machines import parse_with_reference_tokens, tokenize_reference
 
 AB = algebra("a b")
 ABCD = algebra("a b c d")
@@ -460,6 +462,45 @@ def test_malformed_input_reports_message_and_position(entry, text, message,
         _ENTRY_POINTS[entry](text)
     assert str(err.value) == f"syntax error at line {line}, column {col}: {message}"
     assert (err.value.line, err.value.col) == (line, col)
+
+
+_TOKEN_PIECES = ["(", ")", "|", "~", "!", "&", "->", "<->", "and", "or", "not",
+                 "true", "false", "S", "Y", "O", "H", "a", "b", "zz", "x_1",
+                 " ", "\t", "\n", "\r\n", "$", "é", "<", "-"]
+
+
+def _line_col(text, pos):
+    err = syntax._error("", text, pos)
+    return err.line, err.col
+
+
+def _outcome(parse, text, *args):
+    try:
+        return repr(parse(text, *args))
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@settings(max_examples=1500, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from(_TOKEN_PIECES), max_size=16).map("".join))
+@example("(a | \n\t")
+@example("a and\r\n  ")
+@example("(a|b) é")
+def test_one_scan_tokens_and_errors_equal_the_per_character_reference(text):
+    try:
+        want = [tuple(tok) for tok in tokenize_reference(text)]
+    except ParseError as exc:
+        want = str(exc)
+    try:
+        got = [(kind, word, *_line_col(text, pos))
+               for kind, word, pos in syntax._tokenize(text)]
+    except ParseError as exc:
+        got = str(exc)
+    assert got == want
+    for parse, args in ((parse_tl, (ABCD,)), (parse_tl, ()), (parse_cond, (ABCD,)),
+                        (parse_cond, ()), (parse_cea, (ABCD,)), (parse_cea, (None,))):
+        assert _outcome(parse, text, *args) == _outcome(
+            lambda *a: parse_with_reference_tokens(parse, *a), text, *args)
 
 
 # ---------------------------------------------------------------------------
