@@ -303,24 +303,18 @@ def product(ms: Sequence[MooreMachine3],
     state_ids = {start: 0}
     tuples = [start]
     delta: list[list[int]] = []
-    frontier = [start]
     deltas = [m.delta for m in ms]
     k = len(ms)
-    while frontier:
-        next_frontier = []
-        for tup in frontier:
-            row = []
-            for key in keys:
-                nxt = tuple(deltas[i][tup[i]][key[i]] for i in range(k))
-                tid = state_ids.get(nxt)
-                if tid is None:
-                    tid = len(tuples)
-                    state_ids[nxt] = tid
-                    tuples.append(nxt)
-                    next_frontier.append(nxt)
-                row.append(tid)
-            delta.append(row)
-        frontier = next_frontier
+    for tup in tuples:  # tuples grows while it is read: breadth-first
+        row = []
+        for key in keys:
+            nxt = tuple(deltas[i][tup[i]][key[i]] for i in range(k))
+            tid = state_ids.get(nxt)
+            if tid is None:
+                tid = state_ids[nxt] = len(tuples)
+                tuples.append(nxt)
+            row.append(tid)
+        delta.append(row)
 
     labels = [combine(tuple(ms[i].labels[tup[i]] for i in range(k)))
               for tup in tuples]

@@ -444,11 +444,6 @@ def _piece(x: CeaExpr, which: int, p: ProbAssignment) -> tuple[int, int]:
     return value.numerator, value.denominator
 
 
-def _piece_limit(x: CeaExpr, p: ProbAssignment) -> Fraction:
-    """The limit of a piece over all the blocks of ``p``, as a ``Fraction``."""
-    return Fraction(*_piece(x, (1 << len(p.blocks)) - 1, p))
-
-
 # ---------------------------------------------------------------------------
 # Independence
 

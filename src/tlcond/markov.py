@@ -147,36 +147,18 @@ class ProbAssignment:
     def independent(alg: EventAlgebra, probs: dict[str, Fraction]) -> "ProbAssignment":
         """Product distribution from one marginal per basic event: one block
         per event."""
-        missing = set(alg.events) - set(probs)
-        if missing:
-            raise ValueError(f"missing marginals for: {sorted(missing)}")
-        unknown = set(probs) - set(alg.events)
-        if unknown:
-            raise ValueError(f"marginals for unknown events: {sorted(unknown)}")
-        blocks = []
-        for name in alg.events:
-            p = probs[name]
-            if type(p) is not Fraction:
-                p = Fraction(p)
-            num, den = p.numerator, p.denominator
-            if not 0 <= num <= den:
-                raise ValueError(f"marginal for {name!r} is {p}, outside [0, 1]")
-            blocks.append(Block.over((name,), den, (den - num, num)))
-        return ProbAssignment(alg, blocks=tuple(blocks))
-
-    @staticmethod
-    def uniform(alg: EventAlgebra) -> "ProbAssignment":
-        share = Fraction(1, alg.num_atoms)
-        return ProbAssignment(alg, (share,) * alg.num_atoms)
+        probs = {e: p if type(p) is Fraction else Fraction(p) for e, p in probs.items()}
+        return _marginal_blocks(alg, {e: (p.numerator, p.denominator)
+                                      for e, p in probs.items()})
 
     @staticmethod
     def from_text(text: str) -> "ProbAssignment":
         """Parse the line-oriented distribution format.
 
         ``events: a b c`` then either one ``atom {a c}: 3/8`` line per atom
-        (all 2^n atoms, masses summing to 1) or a single
-        ``independent: a=1/2 b=1/3`` line.  An ``independent:`` line may
-        name more events than an atom table holds, since it builds no table.
+        (all 2^n atoms, masses summing to 1; one block over their LCD) or a
+        single ``independent: a=1/2 b=1/3`` line (one block per event, so it
+        may name more events than an atom table holds).  See :func:`_rational`.
         """
         lines = [ln.strip() for ln in text.splitlines()]
         lines = [ln for ln in lines if ln and not ln.startswith("#")]
@@ -189,12 +171,12 @@ class ProbAssignment:
             probs = {}
             for item in body[0][len("independent:"):].split():
                 name, _, value = item.partition("=")
-                if not value:
+                if not name or not value:
                     raise ValueError(f"malformed marginal {item!r}")
                 if name in probs:
                     raise ValueError(f"marginal for {name!r} listed twice")
-                probs[name] = _fraction(value)
-            return ProbAssignment.independent(alg_, probs)
+                probs[name] = _rational(value)
+            return _marginal_blocks(alg_, probs)
         mass = [None] * alg_.num_atoms
         for ln in body:
             m = _ATOM_LINE.fullmatch(ln)
@@ -207,11 +189,13 @@ class ProbAssignment:
                 atom |= 1 << alg_.index(name)
             if mass[atom] is not None:
                 raise ValueError(f"atom {alg_.atom_text(atom)} listed twice")
-            mass[atom] = _fraction(m.group(2))
+            mass[atom] = _rational(m.group(2))
         absent = [alg_.atom_text(a) for a, v in enumerate(mass) if v is None]
         if absent:
             raise ValueError(f"atoms not covered: {' '.join(absent)}")
-        return ProbAssignment(alg_, tuple(mass))
+        den = lcm(*(d for _, d in mass))
+        return ProbAssignment(alg_, blocks=(
+            Block.over(names, den, tuple(n * (den // d) for n, d in mass)),))
 
 
 def block_table(blocks: Sequence[Block]) -> tuple[int, list[int]]:
@@ -225,11 +209,40 @@ def block_table(blocks: Sequence[Block]) -> tuple[int, list[int]]:
     return den, weights
 
 
-def _fraction(text: str) -> Fraction:
+def _marginal_blocks(alg: EventAlgebra, pairs: dict) -> ProbAssignment:
+    """The product distribution of one marginal per event, given as its
+    (numerator, denominator) in lowest terms: one block per event."""
+    if pairs.keys() != set(alg.events):
+        missing = set(alg.events) - pairs.keys()
+        if missing:
+            raise ValueError(f"missing marginals for: {sorted(missing)}")
+        raise ValueError("marginals for unknown events: "
+                         f"{sorted(pairs.keys() - set(alg.events))}")
+    blocks = []
+    for name in alg.events:
+        num, den = pairs[name]
+        if not 0 <= num <= den:
+            raise ValueError(f"marginal for {name!r} is {Fraction(num, den)}, "
+                             "outside [0, 1]")
+        blocks.append(Block.over((name,), den, (den - num, num)))
+    return ProbAssignment(alg, blocks=tuple(blocks))
+
+
+def _rational(text: str) -> tuple[int, int]:
+    """A marginal or atom mass as (numerator, denominator) in lowest terms:
+    ASCII ``n`` or ``n/d`` by ``int`` and one gcd, else as ``Fraction`` reads it."""
+    num, slash, den = text.partition("/")
+    if num.isascii() and num.isdigit() and (
+            not slash or den.isascii() and den.isdigit()):
+        n, d = int(num), int(den) if slash else 1
+        if d:
+            g = gcd(n, d)
+            return n // g, d // g
     try:
-        return Fraction(text)
+        p = Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
+    return p.numerator, p.denominator
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,9 @@ they share no semantics with the machine/chain pipeline they are used to check.
 """
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from math import lcm
-from typing import Iterator
 
 from .evaluate import Word, eval_cond
 from .markov import ProbAssignment, ZERO
@@ -187,22 +187,13 @@ def brute_joint(c1: CondObject, c2: CondObject, p: ProbAssignment, n: int,
     return {key: Fraction(k, scale) for key, k in out.items()}
 
 
-def _words(num_atoms: int, n: int) -> Iterator[tuple[int, ...]]:
-    if n == 0:
-        yield ()
-        return
-    for prefix in _words(num_atoms, n - 1):
-        for atom in range(num_atoms):
-            yield prefix + (atom,)
-
-
 def brute_reverse_check(c: CondObject, p: ProbAssignment, n: int,
                         budget: int = DEFAULT_BUDGET) -> bool:
     """Whether value masses at time n agree between plain and reversed words."""
     _check_budget(p, n, budget)
     plain = {Value3.TRUE: ZERO, Value3.FALSE: ZERO, Value3.UNDEF: ZERO}
     rev = dict(plain)
-    for letters in _words(p.alg.num_atoms, n):
+    for letters in itertools.product(range(p.alg.num_atoms), repeat=n):
         mass = Fraction(1)
         for a in letters:
             mass *= p.mass[a]

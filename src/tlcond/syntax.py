@@ -239,8 +239,8 @@ class CeaSimple(CeaExpr):
     __slots__ = _fields = ("num_event", "den_event")
 
     def __new__(cls, num_event: TLFormula, den_event: TLFormula):
-        for side in (num_event, den_event):
-            if not is_present_tense(side):
+        for side in (num_event, den_event):  # a lone event is present tense
+            if type(side) is not Atom and not is_present_tense(side):
                 raise ValueError("simple-conditional sides must be event "
                                  "expressions without temporal operators")
         return super().__new__(cls, num_event, den_event)
@@ -530,8 +530,10 @@ def _expected(what: str, tok: tuple, text: str) -> ParseError:
 def _parse(text: str, lang: _Language, alg: Optional[EventAlgebra], cond: bool = False):
     """Read ``text`` in ``lang`` with explicit stacks.  With ``cond``, the
     text is a conditional object: a group opened by the first token may hold
-    one bar, and the result is a :class:`CondObject`."""
+    one bar, and the result is a :class:`CondObject`.  Returns it and
+    whether a bar group built a :class:`CeaCond`."""
     tokens = _tokenize(text)
+    conditioned = False
     infix, prefix, leaf = lang.infix, lang.prefix, lang.leaf
     if lang.group is None and tokens[0][0] == "|":
         raise _error(_BAR_OUTSIDE, text, tokens[0][2])
@@ -580,7 +582,7 @@ def _parse(text: str, lang: _Language, alg: Optional[EventAlgebra], cond: bool =
                 top = ops[-1]
             if top is _BOTTOM:
                 if kind == "end":
-                    return CondObject(val, TRUE) if cond else val
+                    return (CondObject(val, TRUE) if cond else val), conditioned
                 if kind == "|" and lang.group is None:
                     raise _error(_BAR_OUTSIDE, text, tok[2])
                 raise _expected("'end'", tok, text)
@@ -590,8 +592,9 @@ def _parse(text: str, lang: _Language, alg: Optional[EventAlgebra], cond: bool =
                     if cond:
                         if tokens[i][0] != "end":
                             raise _expected("'end'", tokens[i], text)
-                        return CondObject(top[1], val)
+                        return CondObject(top[1], val), False
                     val = lang.group(top[1], val)
+                    conditioned = conditioned or type(val[0]) is CeaCond
                 continue
             if kind == "|" and top is _OPEN and (
                     lang.group is not None or cond and len(ops) == 2):
@@ -603,12 +606,12 @@ def _parse(text: str, lang: _Language, alg: Optional[EventAlgebra], cond: bool =
 def parse_tl(text: str, alg: Optional[EventAlgebra] = None) -> TLFormula:
     """Parse a temporal formula.  Unknown identifiers are rejected when an
     algebra is given."""
-    return _parse(text, _FORMULA, alg)
+    return _parse(text, _FORMULA, alg)[0]
 
 
 def parse_cond(text: str, alg: Optional[EventAlgebra] = None) -> CondObject:
     """Parse a conditional object ``( f | g )``; a bare formula f means (f | true)."""
-    return _parse(text, _FORMULA, alg, cond=True)
+    return _parse(text, _FORMULA, alg, cond=True)[0]
 
 
 _CEA_DIALECTS = ("flat", "pure-conditional", "full")
@@ -627,16 +630,18 @@ def parse_cea(text: str, alg: Optional[EventAlgebra] = None,
     """
     if dialect not in _CEA_DIALECTS:
         raise ValueError(f"unknown dialect {dialect!r}")
-    e, error = _parse(text, _VARIABLES if alg is None else _EVENTS, alg)
+    (e, error), conditioned = _parse(text, _VARIABLES if alg is None else _EVENTS, alg)
     if error:
         message, tok = error
         raise _error(message.format(tok[1]), text, tok[2])
-    _check_dialect(e, dialect)
+    _check_dialect(e, dialect, conditioned)
     return e
 
 
-def _check_dialect(e: CeaExpr, dialect: str):
-    if dialect == "flat" and has_reconditioning(e):
+def _check_dialect(e: CeaExpr, dialect: str, conditioned: Optional[bool] = None):
+    """``conditioned``: whether ``e`` holds a CeaCond, if the parse said so."""
+    if dialect == "flat" and (
+            has_reconditioning(e) if conditioned is None else conditioned):
         raise ValueError("re-conditioning not allowed in the flat dialect")
     if dialect == "pure-conditional" and any(
             isinstance(x, (CeaNeg, CeaAnd, CeaOr)) for x in walk(e)):

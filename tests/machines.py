@@ -5,10 +5,13 @@ machines, a tuple-keyed compiler that ``compile_cond`` must agree with
 field for field, the per-atom and per-valuation present-tense interpreters
 and the rewriting-rule reduction that the bit-parallel evaluator must agree
 with, the ``Fraction``-dict strong-independence check that the integer
-one must agree with, verdict and witness, and the per-character tokenizer
-whose tokens, lines and columns the one-scan tokenizer must reproduce."""
+one must agree with, verdict and witness, the per-character tokenizer
+whose tokens, lines and columns the one-scan tokenizer must reproduce, and
+the distribution-file reader that makes a ``Fraction`` of every value, whose
+blocks and errors the integer reader must reproduce."""
 import itertools
 import re
+from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 from unittest import mock
 
@@ -17,6 +20,7 @@ from tlcond import (CeaAnd, CeaNeg, CeaOr, CeaSimple, CondObject, ProbAssignment
                     minimize, product, syntax, trivalue)
 from tlcond.automata import MooreMachine3, _classes_from_columns, event_mask
 from tlcond.cea import DEFAULT_VARIABLE_CAP, _leaf
+from tlcond.markov import Block
 from tlcond.syntax import (_KEYWORDS, And, CeaCond, CeaExpr, CeaVar, EventAlgebra,
                            Iff, Implies, Not, Or, ParseError, Prev, Since, children,
                            collect_simples, subformulas, walk)
@@ -705,3 +709,67 @@ def parse_with_reference_tokens(parse: Callable, text: str, *args):
     with mock.patch.object(syntax, "_tokenize", tokenize), \
             mock.patch.object(syntax, "_error", error):
         return parse(text, *args)
+
+
+# ---------------------------------------------------------------------------
+# Distribution-file reference: one ``Fraction`` per marginal and atom mass
+
+
+def _fraction_reference(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
+def from_text_reference(text: str) -> ProbAssignment:
+    """The distribution-file reader that makes a ``Fraction`` of every value:
+    an ``independent:`` line's blocks from the marginals, an atom table's
+    block from its masses, with the integer reader's errors in its order.
+    An empty event name is a malformed marginal."""
+    lines = [ln.strip() for ln in text.splitlines()]
+    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    if not lines or not lines[0].startswith("events:"):
+        raise ValueError("distribution file must start with 'events: ...'")
+    names = tuple(lines[0][len("events:"):].split())
+    alg = EventAlgebra(names)
+    body = lines[1:]
+    if len(body) == 1 and body[0].startswith("independent:"):
+        probs = {}
+        for item in body[0][len("independent:"):].split():
+            name, _, value = item.partition("=")
+            if not name or not value:
+                raise ValueError(f"malformed marginal {item!r}")
+            if name in probs:
+                raise ValueError(f"marginal for {name!r} listed twice")
+            probs[name] = _fraction_reference(value)
+        missing = set(alg.events) - set(probs)
+        if missing:
+            raise ValueError(f"missing marginals for: {sorted(missing)}")
+        unknown = set(probs) - set(alg.events)
+        if unknown:
+            raise ValueError(f"marginals for unknown events: {sorted(unknown)}")
+        blocks = []
+        for name in alg.events:
+            p = probs[name]
+            if not 0 <= p <= 1:
+                raise ValueError(f"marginal for {name!r} is {p}, outside [0, 1]")
+            blocks.append(Block((name,), (1 - p, p)))
+        return ProbAssignment(alg, blocks=tuple(blocks))
+    mass = [None] * alg.num_atoms
+    for ln in body:
+        m = re.fullmatch(r"atom\s*\{([^}]*)\}\s*:\s*(\S+)$", ln)
+        if not m:
+            raise ValueError(f"malformed distribution line: {ln!r}")
+        atom = 0
+        for name in m.group(1).split():
+            if name not in names:
+                raise ValueError(f"unknown event: {name!r}")
+            atom |= 1 << alg.index(name)
+        if mass[atom] is not None:
+            raise ValueError(f"atom {alg.atom_text(atom)} listed twice")
+        mass[atom] = _fraction_reference(m.group(2))
+    absent = [alg.atom_text(a) for a, v in enumerate(mass) if v is None]
+    if absent:
+        raise ValueError(f"atoms not covered: {' '.join(absent)}")
+    return ProbAssignment(alg, tuple(mass))

@@ -20,6 +20,7 @@ from tlcond.syntax import EventAlgebra
 from tlcond.trivalue import Value3
 
 from corpus import ALG_AB, CONVERGENCE_AB, CORPUS, SKEWED_AB, UNIFORM_AB
+from machines import from_text_reference
 
 F2 = Fraction(1, 2)
 
@@ -141,6 +142,10 @@ def test_distribution_file_gives_blocks():
      "negative mass -1/2 for atom {a}"),
     ("independent: a=1/2 b=1/2 a=1/3", "marginal for 'a' listed twice"),
     ("atom {}: 1/2\natom {c}: 1/2", "unknown event: 'c'"),
+    # an empty event name is a malformed marginal, reported in item order
+    ("independent: =1/2", "malformed marginal '=1/2'"),
+    ("independent: a=1/2 =1/3", "malformed marginal '=1/3'"),
+    ("independent: a=1/2 =1/3 a=1/4", "malformed marginal '=1/3'"),
 ])
 def test_distribution_file_errors_keep_their_messages(line, message):
     with pytest.raises(ValueError) as info:
@@ -285,6 +290,87 @@ def test_independent_reads_int_str_and_fraction_marginals_alike():
 
 # ---------------------------------------------------------------------------
 # Integer blocks against a Fraction reference
+
+# Marginals and masses in every literal form: plain ASCII ``n`` and ``n/d``
+# (unreduced, leading zeros, 0/7, 7/7, 30 digits), which the integer reader
+# reads by ``int`` and one gcd, and the forms it leaves to ``Fraction``
+IN_RANGE_TEXTS = ("2/5", "04/10", "006/015", "0/7", "7/7", "0", "1", "01", "000",
+                  "1/3", "7/0007", "1" * 30 + "/" + "1" * 30 + "3",
+                  "0.4", "4e-1", "+2/5", "1_0/25", "\u0663/5", "1/\u0663", ".5",
+                  "5E-1", "00.25", "+0", "-0", "-0/3")
+OTHER_TEXTS = ("3/2", "-1/2", "-1/4", "2", "1" * 30, "1/0", "0/0", "x", "=1/2", "1/2/3",
+               "/5", "5/", "\u00bd", "\u00b2/3", "2/-5", "1__0/25", "0x1")
+
+
+def _value_text(draw):
+    return draw(st.sampled_from(OTHER_TEXTS if draw(st.integers(0, 24)) == 0
+                                else IN_RANGE_TEXTS))
+
+
+def _perturbed(draw, entries, extra):
+    """``entries`` with, now and then, one dropped, one repeated and each of
+    ``extra`` added, in any order."""
+    entries = list(entries)
+    if len(entries) > 1 and draw(st.integers(0, 9)) == 0:
+        entries.pop(draw(st.integers(0, len(entries) - 1)))
+    if draw(st.integers(0, 9)) == 0:
+        entries.append(draw(st.sampled_from(entries)))
+    entries += [x for x in extra if draw(st.integers(0, 19)) == 0]
+    return draw(st.permutations(entries))
+
+
+@st.composite
+def independent_texts(draw):
+    """An ``independent:`` line over 1..20 events."""
+    names = [f"e{i}" for i in range(draw(st.integers(1, 20)))]
+    items = _perturbed(draw, [f"{e}={_value_text(draw)}" for e in names],
+                       ("z=1/2", "=1/3", "e0", "e0=", "E0=1/2"))
+    return f"events: {' '.join(names)}\nindependent: {' '.join(items)}\n"
+
+
+def _mass_forms(w, total):
+    """``w / total`` written in each literal form that a file may use."""
+    forms = [f"{w}/{total}", str(Fraction(w, total)), f"0{w * 3}/{total * 3}",
+             f"+{w}/{total}", f"{w}/{total}".replace("1", "\u0661")]
+    if 100 % total == 0:
+        cents = w * (100 // total)
+        forms += [f"{cents // 100}.{cents % 100:02d}", f"{cents}e-2"]
+    return forms
+
+
+@st.composite
+def table_texts(draw):
+    """An atom table over 1..4 events: masses that sum to 1, written in
+    mixed forms, now and then one of them replaced by any value text."""
+    names = ("a", "b", "c", "d")[:draw(st.integers(1, 4))]
+    alg = algebra(names)
+    total = draw(st.sampled_from((1, 2, 5, 10, 12, 17, 100)))
+    cuts = sorted(draw(st.lists(st.integers(0, total), min_size=alg.num_atoms - 1,
+                                max_size=alg.num_atoms - 1)))
+    weights = [b - a for a, b in zip([0] + cuts, cuts + [total])]
+    values = [draw(st.sampled_from(_mass_forms(w, total))) for w in weights]
+    if draw(st.integers(0, 4)) == 0:
+        values[draw(st.integers(0, len(values) - 1))] = draw(st.sampled_from(OTHER_TEXTS))
+    lines = [f"atom {alg.atom_text(a)}: {v}" for a, v in enumerate(values)]
+    lines = _perturbed(draw, lines, ("atom {z}: 0", "atom {a: 1", "# a comment", "",
+                                     "atom{}:1"))
+    return f"events: {' '.join(names)}\n" + "\n".join(lines) + "\n"
+
+
+def _read(reader, text):
+    """The blocks a reader gives, or the type and text of its error."""
+    try:
+        p = reader(text)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+    return p.alg.events, [(b.events, b.den, b.weights) for b in p.blocks]
+
+
+@settings(max_examples=800, deadline=None, derandomize=True)
+@given(st.one_of(independent_texts(), table_texts()))
+def test_integer_reader_equals_the_fraction_reference(text):
+    assert _read(ProbAssignment.from_text, text) == _read(from_text_reference, text)
+
 
 MARGINAL_TEXTS = ("0", "1", "2/4", "1/3", "0/5", "3/3", "6/9", "5/7")
 
@@ -469,7 +555,7 @@ def test_negative_chain_entries_rejected():
 
 def test_alphabet_mismatch_rejected():
     m = minimize(compile_cond(parse_cond("(a|b)", ALG_AB), ALG_AB))
-    other = ProbAssignment.uniform(algebra("a b c"))
+    other = ProbAssignment.independent(algebra("a b c"), dict.fromkeys("abc", F2))
     with pytest.raises(ValueError):
         chain_from_machine(m, other)
 

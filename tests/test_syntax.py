@@ -164,6 +164,100 @@ def test_tl_negation_rejected_on_conditionals():
         parse_cea("not (a|b)", ABCD)
 
 
+_FLAT = "re-conditioning not allowed in the flat dialect"
+_PURE = "pure-conditional dialect allows only the conditioning connective"
+_BARE = ("syntax error at line 1, column {}: bare event 'c' where a conditional "
+         "is expected; write (c | true)")
+_NOT = "syntax error at line 1, column {}: 'not'/'!' negates events; use '~' on conditionals"
+_CONST = "syntax error at line 1, column {}: constants are not conditional expressions"
+_END = "syntax error at line 1, column {}: expected 'end', found ')'"
+
+
+def _everywhere(message):
+    return (message,) * 3
+
+
+# text, and the first error under the flat, pure-conditional and full
+# dialects (None: it parses): a syntax error, then the first deferred
+# operand error (a bare event, a negated conditional, a constant), then the
+# dialect's error, whatever their order in the text
+@pytest.mark.parametrize("text, errors", [
+    ("(a|b)", (None, None, None)),
+    ("((a|b) | (c|d))", (_FLAT, None, None)),
+    ("~((a|b) | (c|d))", (_FLAT, _PURE, None)),
+    ("(a|b) and c", _everywhere(_BARE.format(11))),
+    ("((a|b) | (c|d)) and c", _everywhere(_BARE.format(21))),
+    ("c or ((a|b) | (c|d))", _everywhere(_BARE.format(1))),
+    ("not (a|b)", _everywhere(_NOT.format(1))),
+    ("not ((a|b) | (c|d))", _everywhere(_NOT.format(1))),
+    ("~((a|b) | (c|d)) and not (c|d)", _everywhere(_NOT.format(22))),
+    ("(a|b) and true", _everywhere(_CONST.format(11))),
+    ("((a|b) | (c|d)) and true", _everywhere(_CONST.format(21))),
+    ("false or ((a|b) | (c|d))", _everywhere(_CONST.format(1))),
+    ("(a|b) )", _everywhere(_END.format(7))),
+    ("((a|b) | (c|d)) )", _everywhere(_END.format(17))),
+    ("(a|b) and c )", _everywhere(_END.format(13))),
+    ("((a|b) | (c|d)) and c )", _everywhere(_END.format(23))),
+    ("not (a|b) )", _everywhere(_END.format(11))),
+    ("not ((a|b) | (c|d)) )", _everywhere(_END.format(21))),
+    ("(a|b) and true )", _everywhere(_END.format(16))),
+    ("((a|b) | (c|d)) and true )", _everywhere(_END.format(26))),
+])
+def test_first_error_of_each_dialect(text, errors):
+    for dialect, want in zip(("flat", "pure-conditional", "full"), errors):
+        try:
+            parse_cea(text, ABCD, dialect)
+            got = None
+        except ValueError as exc:
+            assert isinstance(exc, ParseError) == str(exc).startswith("syntax error")
+            got = str(exc)
+        assert got == want, dialect
+
+
+# mostly simple conditionals, now and then a bare event, a constant, a
+# negated conditional or a syntax error
+_SIDES = st.sampled_from(["a", "b", "not c", "a and d", "true", "(b or c)"])
+_SIMPLE = st.tuples(_SIDES, _SIDES).map("({0[0]} | {0[1]})".format)
+_CEA_TEXTS = st.tuples(st.recursive(
+    st.one_of(_SIMPLE, _SIMPLE, _SIMPLE, st.sampled_from(["a", "true", "false"])),
+    lambda sub: st.one_of(
+        st.tuples(st.sampled_from(["~"] * 6 + ["not ", "! "]), sub).map("".join),
+        st.tuples(sub, st.sampled_from([" and ", " or ", " | "]), sub).map(
+            lambda t: f"({''.join(t)})")),
+    max_leaves=6), st.sampled_from([""] * 6 + [" )", " and", "("])).map("".join)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(_CEA_TEXTS, st.sampled_from([ABCD, None]))
+def test_flat_dialect_refuses_exactly_what_the_reference_walk_finds(text, alg):
+    """The parse's own report of re-conditioning against a walk of the tree
+    that the full dialect returns."""
+    try:
+        full = parse_cea(text, alg, "full")
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            parse_cea(text, alg, "flat")
+        assert (type(info.value), str(info.value)) == (type(exc), str(exc))
+        return
+    if syntax.has_reconditioning(full):
+        with pytest.raises(ValueError) as info:
+            parse_cea(text, alg, "flat")
+        assert type(info.value) is ValueError and str(info.value) == _FLAT
+    else:
+        assert parse_cea(text, alg, "flat") is full
+
+
+def test_library_simple_conditionals_keep_the_present_tense_check():
+    # a side that is not a lone event is still walked, as the parser's are
+    for num, den in ((Prev(Atom("a")), Atom("b")), (Atom("a"), once(Atom("b"))),
+                     (Atom("a"), And(Atom("b"), Prev(TRUE)))):
+        with pytest.raises(ValueError) as info:
+            CeaSimple(num, den)
+        assert str(info.value) == ("simple-conditional sides must be event "
+                                   "expressions without temporal operators")
+    assert CeaSimple(Atom("a"), Not(Atom("b"))).den_event is Not(Atom("b"))
+
+
 # ---------------------------------------------------------------------------
 # Pretty-printing
 
