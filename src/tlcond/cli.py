@@ -159,8 +159,7 @@ def cmd_machine(args) -> int:
 
 def cmd_taut(args) -> int:
     e = parse_cea(args.expr, None, dialect=args.dialect)
-    ok, witness = cea.weak_tautology(e, args.cea, dialect=args.dialect,
-                                     variable_cap=args.max_vars)
+    ok, witness = cea.weak_tautology(e, args.cea, variable_cap=args.max_vars)
     if ok:
         print("weak-tautology: yes")
     else:

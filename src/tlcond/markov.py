@@ -457,63 +457,47 @@ def solve_linear(rows: list[dict[int, int]], width: int) -> list[list[Fraction]]
 
 
 def _sccs(n: int, adj: list[list[int]]) -> list[list[int]]:
-    """Strongly connected components (iterative Tarjan), in discovery order."""
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    out: list[list[int]] = []
-    counter = 0
+    """Strongly connected components in two passes (Sharir, 1981): a
+    depth-first pass records the states in finishing order, then each state
+    not yet placed, latest finisher first, gathers its component by walking
+    ``adj`` backward."""
+    seen, finished = [False] * n, []
     for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            for k in range(pi, len(adj[v])):
-                w = adj[v][k]
-                if index[w] == -1:
-                    work[-1] = (v, k + 1)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
+        if not seen[root]:
+            seen[root] = True
+            work = [(root, iter(adj[root]))]
+            while work:
+                for w in work[-1][1]:
+                    if not seen[w]:
+                        seen[w] = True
+                        work.append((w, iter(adj[w])))
                         break
-                out.append(comp)
+                else:
+                    finished.append(work.pop()[0])
+    back: list[list[int]] = [[] for _ in range(n)]
+    for v in range(n):
+        for w in adj[v]:
+            back[w].append(v)
+    out = []
+    for root in reversed(finished):
+        if seen[root]:  # every state is seen; placing one clears its mark
+            seen[root] = False
+            comp = [root]
+            for v in comp:  # comp grows while it is read
+                for u in back[v]:
+                    if seen[u]:
+                        seen[u] = False
+                        comp.append(u)
+            out.append(comp)
     return out
 
 
 def _class_period(members: list[int], adj: Sequence[list[int]]) -> int:
     """gcd of cycle lengths of a strongly connected graph; ``adj`` gives
     each member's successors, all inside the class."""
-    start = members[0]
-    level = {start: 0}
-    queue = [start]
-    g = 0
-    i = 0
-    while i < len(queue):
-        u = queue[i]
-        i += 1
+    level, g = {members[0]: 0}, 0
+    queue = [members[0]]
+    for u in queue:  # queue grows while it is read
         for v in adj[u]:
             if v not in level:
                 level[v] = level[u] + 1
@@ -523,21 +507,34 @@ def _class_period(members: list[int], adj: Sequence[list[int]]) -> int:
     return abs(g)
 
 
+def _solve_over(ch: MarkovChain3, states: list[int], b: dict[int, int]) -> list[Fraction]:
+    """y over a set S of chain ``states`` with y (den·Id − W_S) = b: W_S the
+    chain's integer weights among S, ``b`` a weight per state (0 when
+    absent).  Weight leaves S from every state of S, so the transposed
+    system, one sparse row per state, has no zero diagonal and is regular."""
+    k = len(states)
+    pos = {s: i for i, s in enumerate(states)}
+    rows = [{i: ch.den} for i in range(k)]
+    for i, s in enumerate(states):
+        if b.get(s):
+            rows[i][k] = b[s]
+        for t, w in ch.succ[s]:
+            j = pos.get(t)
+            if j is not None:
+                rows[j][i] = rows[j].get(i, 0) - w
+    return [y for y, in solve_linear(rows, 1)]
+
+
 def stationary_distribution(ch: MarkovChain3, members: list[int]) -> dict[int, Fraction]:
     """Stationary law of an irreducible closed class of ``ch`` (pi P = pi,
-    sum = 1)."""
-    k = len(members)
-    pos = {s: i for i, s in enumerate(members)}
-    # (P_w^T - den Id) pi = 0 with the last equation replaced by sum(pi) = 1;
-    # a diagonal entry -den + w is nonzero in an irreducible class of k > 1
-    rows = [{i: -ch.den} for i in range(k - 1)] + [dict.fromkeys(range(k + 1), 1)]
-    for j, s in enumerate(members):
-        for t, w in ch.succ[s]:
-            i = pos[t]
-            if i < k - 1:
-                rows[i][j] = rows[i].get(j, 0) + w
-    x = solve_linear(rows, 1)
-    return {s: x[pos[s]][0] for s in members}
+    sum = 1) as the expected visits between returns to its first state r
+    (Kemeny & Snell, 1960): with pi_r = 1, the other members S solve
+    pi_S (den·Id − W_S) = r's weights into S, and the law is scaled to sum
+    1.  A one-state class solves nothing."""
+    r, rest = members[0], members[1:]
+    x = _solve_over(ch, rest, dict(ch.succ[r])) if rest else []
+    total = 1 + sum(x)
+    return {r: ONE / total, **{s: v / total for s, v in zip(rest, x)}}
 
 
 def limiting_label_masses(ch: MarkovChain3) -> dict[Value3, Fraction]:
@@ -555,53 +552,42 @@ def limiting_label_masses(ch: MarkovChain3) -> dict[Value3, Fraction]:
             comp_of[s] = ci
     closed = [ci for ci, comp in enumerate(sccs)
               if all(comp_of[t] == ci for s in comp for t in adj[s])]
-    closed_pos = {ci: k for k, ci in enumerate(closed)}
-    transient = [s for s in range(n) if comp_of[s] not in closed_pos]
 
     # absorption probability per closed class
-    absorb = {ci: ZERO for ci in closed}
+    absorb = dict.fromkeys(closed, ZERO)
     if len(closed) == 1:
         absorb[closed[0]] = ONE  # a lone closed class absorbs everything
     else:
         init = ch.init_weights  # absorb holds weights over den until the end
+        transient = []
         for s in range(n):
-            if init[s] and comp_of[s] in closed_pos:
+            if comp_of[s] in absorb:
                 absorb[comp_of[s]] += init[s]
+            else:
+                transient.append(s)
         if any(init[s] for s in transient):
-            tpos = {s: i for i, s in enumerate(transient)}
             # the transient initial weights y0 reach closed class k with
-            # weight y0 (den Id - Q)^-1 R[:, k]: solve y (den Id - Q) = y0,
-            # the transposed system with one right-hand side, then take y R.
-            # A transient state's self-loop weighs less than den, so no
-            # diagonal entry is zero.
-            rows = [{i: ch.den} for i in range(len(transient))]
-            for i, s in enumerate(transient):
-                if init[s]:
-                    rows[i][len(transient)] = init[s]
-                for t, w in ch.succ[s]:
-                    if t in tpos:
-                        row = rows[tpos[t]]
-                        row[i] = row.get(i, 0) - w
-            y = solve_linear(rows, 1)
-            for i, s in enumerate(transient):
-                if y[i][0]:
-                    # a transient state's successor is transient or in a closed class
+            # weight y0 (den Id - Q)^-1 R[:, k]: solve y (den Id - Q) = y0
+            # over the transient states, then take y R
+            y = _solve_over(ch, transient, dict(enumerate(init)))
+            for s, ys in zip(transient, y):
+                if ys:
                     for t, w in ch.succ[s]:
-                        if t not in tpos:
-                            absorb[comp_of[t]] += y[i][0] * w
+                        if comp_of[t] in absorb:
+                            absorb[comp_of[t]] += ys * w
         absorb = {ci: w / ch.den for ci, w in absorb.items()}
 
     masses = {Value3.TRUE: ZERO, Value3.FALSE: ZERO, Value3.UNDEF: ZERO}
-    for ci in closed:
-        if absorb[ci] == 0:
+    for ci, mass in absorb.items():
+        if mass == 0:
             continue
         comp = sccs[ci]
         if _class_period(comp, adj) != 1:
             raise PeriodicChainError(
                 "a reachable closed class is periodic; the limit may not exist")
-        pi = {comp[0]: ONE} if len(comp) == 1 else stationary_distribution(ch, comp)
+        pi = stationary_distribution(ch, comp)
         for s in comp:
-            masses[ch.labels[s]] += absorb[ci] * pi[s]
+            masses[ch.labels[s]] += mass * pi[s]
     return masses
 
 

@@ -8,7 +8,9 @@ with, the ``Fraction``-dict strong-independence check that the integer
 one must agree with, verdict and witness, the per-character tokenizer
 whose tokens, lines and columns the one-scan tokenizer must reproduce, and
 the distribution-file reader that makes a ``Fraction`` of every value, whose
-blocks and errors the integer reader must reproduce."""
+blocks and errors the integer reader must reproduce, and Tarjan's components
+and the sum-row stationary system, which the two-pass components and the
+reference-state stationary law must reproduce."""
 import itertools
 import re
 from fractions import Fraction
@@ -773,3 +775,72 @@ def from_text_reference(text: str) -> ProbAssignment:
     if absent:
         raise ValueError(f"atoms not covered: {' '.join(absent)}")
     return ProbAssignment(alg, tuple(mass))
+
+
+# ---------------------------------------------------------------------------
+# Limit references: Tarjan's components and the sum-row stationary system
+
+
+def sccs_reference(n: int, adj: list[list[int]]) -> list[list[int]]:
+    """Strongly connected components (iterative Tarjan), in discovery order."""
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack: list[int] = []
+    out: list[list[int]] = []
+    counter = 0
+    for root in range(n):
+        if index[root] != -1:
+            continue
+        work = [(root, 0)]
+        while work:
+            v, pi = work[-1]
+            if pi == 0:
+                index[v] = low[v] = counter
+                counter += 1
+                stack.append(v)
+                on_stack[v] = True
+            advanced = False
+            for k in range(pi, len(adj[v])):
+                w = adj[v][k]
+                if index[w] == -1:
+                    work[-1] = (v, k + 1)
+                    work.append((w, 0))
+                    advanced = True
+                    break
+                if on_stack[w]:
+                    low[v] = min(low[v], index[w])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[v])
+            if low[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    comp.append(w)
+                    if w == v:
+                        break
+                out.append(comp)
+    return out
+
+
+def stationary_distribution_reference(ch, members: list[int]) -> dict[int, Fraction]:
+    """Stationary law of an irreducible closed class of ``ch`` (pi P = pi,
+    sum = 1), from one system over every member whose last equation is
+    replaced by the sum row."""
+    k = len(members)
+    pos = {s: i for i, s in enumerate(members)}
+    # (P_w^T - den Id) pi = 0 with the last equation replaced by sum(pi) = 1;
+    # a diagonal entry -den + w is nonzero in an irreducible class of k > 1
+    rows = [{i: -ch.den} for i in range(k - 1)] + [dict.fromkeys(range(k + 1), 1)]
+    for j, s in enumerate(members):
+        for t, w in ch.succ[s]:
+            i = pos[t]
+            if i < k - 1:
+                rows[i][j] = rows[i].get(j, 0) + w
+    x = markov.solve_linear(rows, 1)
+    return {s: x[pos[s]][0] for s in members}

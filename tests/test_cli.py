@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tlcond import (ParseError, ProbAssignment, chain_from_machine, cli,
-                    compile_cond, minimize, parse_cond, pr_series)
+                    compile_cond, minimize, parse_cond, pr_series, syntax)
 from tlcond.cli import main
 from tlcond.syntax import collect_simples
 
@@ -627,6 +627,38 @@ def test_taut_rejects_a_negative_variable_cap(capsys):
     # a cap of 0 parses, and the check then names it
     assert run(capsys, "taut", "--cea", "sac", "--expr", "(p|p)", "--max-vars", "0") \
         == (1, "", "error: 1 variables exceed the cap 0\n")
+
+
+@pytest.mark.parametrize("which, dialect, expr, out, walks", [
+    ("gnw", "flat", "p and ~q", "weak-tautology: no (p=0 q=0)\n", 0),
+    ("sac", "pure-conditional", "((p|q) | r)", "weak-tautology: no (p=0 q=1 r=1)\n", 1),
+])
+def test_taut_checks_the_dialect_only_in_the_parse(capsys, monkeypatch, which,
+                                                  dialect, expr, out, walks):
+    calls = []
+    walk = syntax.walk
+    monkeypatch.setattr(syntax, "walk", lambda e: calls.append(e) or walk(e))
+    assert run(capsys, "taut", "--cea", which, "--dialect", dialect,
+               "--expr", expr) == (0, out, "")
+    assert len(calls) == walks
+
+
+_NOT_INDEPENDENT_AB = ("independent: no\n  fails i1: lhs=1 rhs=1/4\n"
+                       "  fails i2: lhs=1/2 rhs=1/4\n  fails i3: lhs=1/2 rhs=1/4\n")
+
+
+@pytest.mark.parametrize("fixed", [(), ("--n", "1")])
+def test_indep_present_prints_each_failing_equation(capsys, fixed):
+    assert run(capsys, "indep", "--mode", "present", "--left", "(a|b)",
+               "--right", "(b|a)", *fixed) == (0, _NOT_INDEPENDENT_AB, "")
+
+
+def test_indep_present_fails_in_the_limit_of_a_since_conditional(capsys, tmp_path):
+    dist = tmp_path / "ab.dist"
+    dist.write_text("events: a b\nindependent: a=2/5 b=1/3\n")
+    assert run(capsys, "indep", "--mode", "present", "--left", "(a S b | O b)",
+               "--right", "(b | true)", "--dist", str(dist)) \
+        == (0, "independent: no\n  fails i1: lhs=1/3 rhs=5/33\n", "")
 
 
 def test_indep_strong_disjoint(capsys, half_abcd):
