@@ -11,7 +11,7 @@ from .syntax import (Atom, And, CeaAnd, CeaCond, CeaExpr, CeaNeg, CeaOr,
 from .evaluate import Word, cond_output, eval_cond, eval_tl, reverse_word, word
 from .automata import (MooreMachine3, canonical_key, compile_cond,
                        event_mask, event_text, is_counter_free, isomorphic,
-                       minimize, product, to_dot)
+                       minimal_machine, minimize, product, to_dot)
 from .markov import (MarkovChain3, PeriodicChainError, ProbAssignment,
                      SingularMatrixError, asymptotic, chain_from_machine,
                      limiting_label_masses, pr_n, pr_n_ratio, pr_series)

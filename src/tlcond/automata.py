@@ -9,6 +9,7 @@ below the raw ``states x atoms`` table size.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 from .syntax import (And, Atom, CondObject, Const, EventAlgebra, Iff, Implies,
@@ -380,6 +381,13 @@ def minimize(m: MooreMachine3) -> MooreMachine3:
                         if delta[b] == delta[n_blocks]), n_blocks)
     return _canonical(MooreMachine3(m.alg, initial, [m.labels[r] for r in reps],
                                     delta, m.classes, m.class_of_atom))
+
+
+@lru_cache
+def minimal_machine(c: CondObject, alg: EventAlgebra) -> MooreMachine3:
+    """``minimize(compile_cond(c, alg))``, kept for the 128 most recently used
+    keys (event order is part of a key).  The machine is shared: never mutate it."""
+    return minimize(compile_cond(c, alg))
 
 
 def _breadth_first(delta: list[list[int]], start: int, classes: list[int]) -> list[int]:

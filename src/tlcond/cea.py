@@ -45,14 +45,14 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from math import prod
 from operator import or_
 from typing import Literal, Optional
 
 from . import markov, syntax, trivalue
 from .automata import (MooreMachine3, _classes_from_columns, compile_cond,
-                       event_mask, leaf_classes, minimize)
+                       event_mask, leaf_classes, minimal_machine)
 from .markov import (ProbAssignment, asymptotic, chain_from_machine,
                      defined_ratio, pr_n_ratio)
 from .syntax import (FALSE, TRUE, And, Atom, CeaAnd, CeaCond, CeaExpr, CeaNeg,
@@ -78,10 +78,11 @@ def _leaf(s: CeaSimple, alg: EventAlgebra) -> tuple[int, int]:
     return num & den, den & ~num
 
 
+@lru_cache
 def reduce_present(e: CeaExpr, alg: EventAlgebra, which: Algebra) -> tuple[int, int]:
     """Pointwise reduction of an expression to one value over the atoms,
     evaluated at every atom at once: the pair (atoms where it is 1, atoms
-    where it is 0), undefined on the rest."""
+    where it is 0), undefined on the rest.  Kept for the 128 most recent keys."""
     def leaf(x) -> tuple[int, int]:
         if isinstance(x, CeaVar):
             raise ValueError(f"variable {x.name!r} has no event semantics")
@@ -196,7 +197,7 @@ def _ratio(c: CondObject, p: ProbAssignment, n: Optional[int]) -> Optional[Fract
     d = horizon(c)
     if d is not None:
         return _backward_ratio(c, p, d + 1 if n is None else min(n, d + 1))
-    ch = chain_from_machine(minimize(compile_cond(c, p.alg)), p)
+    ch = chain_from_machine(minimal_machine(c, p.alg), p)
     return asymptotic(ch) if n is None else pr_n_ratio(ch, n)
 
 
@@ -491,8 +492,7 @@ def strong_indep(c1: CondObject, c2: CondObject,
     factorize at the start and at every positively reachable state pair.
     The check is exact, on the integer law of the joint letter classes; a
     witness names states as ``minimize`` numbers them."""
-    m1 = minimize(compile_cond(c1, p.alg))
-    m2 = minimize(compile_cond(c2, p.alg))
+    m1, m2 = minimal_machine(c1, p.alg), minimal_machine(c2, p.alg)
     pairs = (((i, j), a & b) for i, a in enumerate(m1.classes)
              for j, b in enumerate(m2.classes) if a & b)
     _, class_of_atom, keys = _classes_from_columns(p.alg.num_atoms, pairs)

@@ -18,11 +18,13 @@ import os
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from typing import Optional
 
 from . import cea
-from .automata import compile_cond, is_counter_free, minimize, to_dot
+from .automata import (compile_cond, is_counter_free, minimal_machine,
+                       minimize, to_dot)
 from .markov import (PeriodicChainError, ProbAssignment, chain_from_machine,
                      check_time_index, label_weights)
 from .syntax import (_IDENT_RE, _KEYWORDS, EventAlgebra, ParseError,
@@ -61,8 +63,10 @@ def _half(events: tuple[str, ...]) -> ProbAssignment:
         EventAlgebra(events), {e: Fraction(1, 2) for e in events})
 
 
+@lru_cache
 def _parse_expr(kind: str, text: str, alg):
-    """Parse a conditional (tl) or an expression in the algebra's dialect."""
+    """Parse a conditional (tl) or an expression in the algebra's dialect;
+    kept for the 128 most recent keys (a failing parse raises anew)."""
     if kind == "tl":
         return parse_cond(text, alg)
     return parse_cea(text, alg, dialect="full" if kind in ("sac", "gnw") else "flat")
@@ -88,13 +92,14 @@ def _parse_with_dist(kind: str, dist: Optional[str], *texts: str):
     return [e for e, _ in parsed], _half(tuple(events))
 
 
-def _expr_machine(kind: str, embedding: str, e, alg):
-    """The (raw) machine of a parsed expression."""
-    if kind == "tl":
-        return compile_cond(e, alg)
+def _expr_machine(kind: str, embedding: str, e, alg, minimal: bool):
+    """The machine of a parsed expression, minimized when ``minimal``."""
     if kind == "ps":
-        return compile_cond(cea.embed_ps(e, embedding), alg)
-    return cea.present_machine(cea.reduce_present(e, alg, kind), alg)
+        e = cea.embed_ps(e, embedding)
+    if kind in ("tl", "ps"):
+        return (minimal_machine if minimal else compile_cond)(e, alg)
+    m = cea.present_machine(cea.reduce_present(e, alg, kind), alg)
+    return minimize(m) if minimal else m
 
 
 def cmd_prob(args) -> int:
@@ -116,7 +121,7 @@ def cmd_series(args) -> int:
     check_time_index(args.n)
     (e,), p = _parse_with_dist(args.cea, args.dist, args.expr)
     ch = chain_from_machine(
-        minimize(_expr_machine(args.cea, args.embedding, e, p.alg)), p)
+        _expr_machine(args.cea, args.embedding, e, p.alg, True), p)
     den = ch.den
     write = sys.stdout.write
     write("n,p1,p0,pbot,ratio\n")
@@ -147,9 +152,7 @@ def _quotient(num: int, den: int) -> str:
 
 def cmd_machine(args) -> int:
     e, events = _parse_own(args.cea, args.expr)
-    m = _expr_machine(args.cea, args.embedding, e, algebra(events))
-    if args.minimize:
-        m = minimize(m)
+    m = _expr_machine(args.cea, args.embedding, e, algebra(events), args.minimize)
     if args.check_counter_free:
         print(f"counter-free: {'yes' if is_counter_free(m) else 'no'}",
               file=sys.stderr)

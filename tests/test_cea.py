@@ -963,10 +963,12 @@ def test_a_piece_touching_more_than_a_table_holds_fails_with_the_limit():
 
 
 def test_shared_events_are_solved_as_one_piece(monkeypatch):
-    from tlcond import cea
+    from tlcond import automata
     calls, compiled = [], []
-    compile_ = cea.compile_cond
-    monkeypatch.setattr(cea, "compile_cond", lambda c, alg: calls.append(alg.events)
+    compile_ = automata.compile_cond
+    # the spy sits where the memoized minimal_machine looks compile_cond up
+    monkeypatch.setattr(automata, "compile_cond",
+                        lambda c, alg: calls.append(alg.events)
                         or compiled.append(c) or compile_(c, alg))
     # ((A and B) and C) with A and C sharing b and B and C sharing d: the
     # root is one piece, although A and B are disjoint
@@ -977,6 +979,10 @@ def test_shared_events_are_solved_as_one_piece(monkeypatch):
     # compiled without its negation and taken as 1 - x
     assert compiled == [embed_ps(e, "reverse")]
     calls.clear()
+    # the un-negated piece's machine is kept, so the negation compiles nothing
+    assert prob_ps(CeaNeg(e), HALF4) == Fraction(7, 8)
+    assert calls == []
+    automata.minimal_machine.cache_clear()
     assert prob_ps(CeaNeg(e), HALF4) == Fraction(7, 8)
     assert calls == [ABCD.events]
     assert compiled[-1] == embed_ps(e, "reverse")
@@ -1086,3 +1092,82 @@ def test_prob_ps_names_re_conditioning_before_variable_leaves():
         with pytest.raises(ValueError) as info:
             prob_ps(e, UNIFORM_AB)
         assert str(info.value) == message, pretty(e)
+
+
+# ---------------------------------------------------------------------------
+# Memoized distribution-free stages
+
+
+def _assert_kept_machines_equal_fresh_ones(c, algs):
+    """``minimal_machine`` equals a fresh ``minimize(compile_cond(...))``
+    field for field on a miss and on a hit, and keeps one entry per event
+    order."""
+    from tlcond.automata import minimal_machine
+    minimal_machine.cache_clear()  # hypothesis may draw one conditional twice
+    kept = []
+    for alg in algs:
+        fresh = minimize(compile_cond(c, alg))
+        before = minimal_machine.cache_info()
+        miss = minimal_machine(c, alg)
+        hit = minimal_machine(c, alg)
+        after = minimal_machine.cache_info()
+        assert (after.misses, after.hits) == (before.misses + 1, before.hits + 1)
+        assert hit is miss
+        assert vars(miss) == vars(fresh)
+        assert miss.alg == alg
+        kept.append(miss)
+    assert len({id(m) for m in kept}) == len(algs)
+
+
+@pytest.mark.parametrize("text,c", CORPUS)
+def test_the_kept_machine_of_a_corpus_conditional_is_a_fresh_one(text, c):
+    _assert_kept_machines_equal_fresh_ones(
+        c, [ALG_AB, algebra("b a"), ABC])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(conditionals_and_tables(2))
+def test_the_kept_machine_of_a_drawn_conditional_is_a_fresh_one(case):
+    c, p = case
+    events = p.alg.events
+    _assert_kept_machines_equal_fresh_ones(
+        c, [p.alg, algebra(events[::-1]), algebra(events + ("z",))])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(present_expressions())
+def test_the_kept_present_value_is_a_fresh_one(case):
+    """``reduce_present`` equals an un-memoized ``eval_sets`` on a miss and
+    on a hit under each algebra and event order, and a failure, kept by
+    nothing, raises again."""
+    from tlcond import trivalue
+    alg, _, e = case
+    for events in (alg.events, alg.events[::-1], alg.events + ("z",)):
+        over = algebra(events)
+        for which in ("sac", "gnw", "sch"):
+            try:
+                want = trivalue.eval_sets(e, which, over.full_event,
+                                          lambda s: cea._leaf(s, over))
+            except ValueError as exc:
+                for _ in range(2):
+                    with pytest.raises(ValueError) as info:
+                        reduce_present(e, over, which)
+                    assert str(info.value) == str(exc)
+                continue
+            assert reduce_present(e, over, which) == want
+            hits = reduce_present.cache_info().hits
+            assert reduce_present(e, over, which) == want
+            assert reduce_present.cache_info().hits == hits + 1
+
+
+def test_the_memos_keep_at_most_128_entries():
+    from tlcond import cli
+    from tlcond.automata import minimal_machine
+    for i in range(300):
+        alg = algebra(f"x{i} y")
+        c = parse_cond(f"(x{i} S y | true)", alg)
+        minimal_machine(c, alg)
+        reduce_present(parse_cea(f"(x{i}|y)", alg), alg, "sac")
+        cli._parse_expr("tl", f"(x{i} | y)", alg)
+    for memo in (minimal_machine, reduce_present, cli._parse_expr):
+        assert memo.cache_info().currsize == 128

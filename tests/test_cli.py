@@ -1,5 +1,6 @@
 """The command-line front end is a thin adapter over the library."""
 import contextlib
+import copy
 import io
 import os
 import re
@@ -14,8 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tlcond import (ParseError, ProbAssignment, chain_from_machine, cli,
-                    compile_cond, minimize, parse_cond, pr_series, syntax)
+from tlcond import (ParseError, ProbAssignment, automata, cea,
+                    chain_from_machine, cli, compile_cond, minimize,
+                    parse_cond, pr_series, syntax)
 from tlcond.cli import main
 from tlcond.syntax import collect_simples
 
@@ -85,10 +87,12 @@ def test_prob_matches_library(capsys, half_abcd):
 
 
 def test_parse_error_exits_one(capsys, half_ab):
-    code, _, err = run(capsys, "prob", "--cea", "tl",
-                       "--expr", "(a |", "--dist", half_ab)
+    argv = ("prob", "--cea", "tl", "--expr", "(a |", "--dist", half_ab)
+    code, _, err = run(capsys, *argv)
     assert code == 1
     assert "error:" in err
+    # a failing parse is not kept: the same text fails the same way again
+    assert run(capsys, *argv) == (code, "", err)
 
 
 def test_bad_distribution_exits_one(capsys, tmp_path):
@@ -518,6 +522,55 @@ def test_unknown_identifier_against_the_distribution(capsys, half_ab):
                        "--dist", half_ab)
     assert code == 1
     assert err.startswith("error: ") and "unknown identifier 'c'" in err
+
+
+def test_a_kept_parse_is_keyed_on_the_events(capsys, tmp_path, half_ab):
+    """(a|c) fails over a b, holds over a b c, and fails over a b again."""
+    abc = tmp_path / "abc.dist"
+    abc.write_text("events: a b c\nindependent: a=1/2 b=1/2 c=1/2\n")
+    failed = run(capsys, "prob", "--cea", "ps", "--expr", "(a|c)", "--dist", half_ab)
+    assert failed[0] == 1 and "unknown identifier 'c'" in failed[2]
+    assert run(capsys, "prob", "--cea", "ps", "--expr", "(a|c)",
+               "--dist", str(abc)) == (0, "1/2 (0.500000000000)\n", "")
+    assert run(capsys, "prob", "--cea", "ps", "--expr", "(a|c)",
+               "--dist", half_ab) == failed
+
+
+def test_answers_follow_a_rewritten_distribution_file(capsys, tmp_path):
+    """Nothing read from a distribution file is kept: the same path,
+    rewritten with other marginals, gives the new file's answers although
+    the expression's parse and machine are kept."""
+    path = tmp_path / "ab.dist"
+    argvs = [("prob", "--expr", "(a S b | O b)", "--dist", str(path)),
+             ("series", "--expr", "(a S b | O b)", "--n", "3", "--dist", str(path))]
+    want = {"a=1/2 b=1/2": ["2/3 (0.666666666667)\n",
+                            "n,p1,p0,pbot,ratio\n1,1/2,0,1/2,1\n2,5/8,1/8,1/4,5/6\n"
+                            "3,21/32,7/32,1/8,3/4\n"],
+            "a=2/5 b=1/3": ["5/11 (0.454545454545)\n",
+                            "n,p1,p0,pbot,ratio\n1,1/3,0,2/3,1\n2,19/45,2/15,4/9,19/25\n"
+                            "3,301/675,58/225,8/27,301/475\n"]}
+    for marginals, outs in want.items():
+        path.write_text(f"events: a b\nindependent: {marginals}\n")
+        assert [run(capsys, *argv) for argv in argvs] == [(0, out, "") for out in outs]
+    assert cli._parse_expr.cache_info().hits == 3
+    assert automata.minimal_machine.cache_info().hits == 3
+
+
+@pytest.mark.parametrize("text", [t for t in CORPUS_TEXTS if "a" in t and "b" in t])
+def test_a_kept_machine_is_not_changed_by_its_users(capsys, text):
+    """series, machine --minimize --check-counter-free and strong_indep read
+    the one kept machine and leave it as it was."""
+    alg = syntax.algebra("a b")
+    c = parse_cond(text, alg)
+    kept = automata.minimal_machine(c, alg)
+    before = copy.deepcopy(kept)
+    assert run(capsys, "series", "--expr", text, "--n", "3")[0] == 0
+    assert run(capsys, "machine", "--expr", text, "--minimize",
+               "--check-counter-free")[0] == 0
+    cea.strong_indep(c, c, cli._half(alg.events))
+    assert automata.minimal_machine.cache_info().hits == 4
+    assert automata.minimal_machine(c, alg) is kept
+    assert kept == before
 
 
 # Argument lists for which ``main``, whose subcommand parser reads the
