@@ -2,10 +2,11 @@
 
 Subcommands: ``prob`` (exact probability of an expression), ``series``
 (CSV of time-indexed probabilities), ``machine`` (DOT export), ``taut``
-(weak-tautology check) and ``indep`` (independence check).  A command
-line goes straight to its subcommand's parser; one without a known command,
-with ``--``, or with arguments that parser leaves unread goes through the
-top parser, so help and error texts are argparse's own.
+(weak-tautology check) and ``indep`` (independence check).  One table
+declares every option; it builds the argparse parser, and a plain command
+line (its command's own options spelled out, each with a valid value) is
+read from it directly.  argparse reads any other line, so help and error
+texts are its own.
 
 Exit codes: 0 success, 1 input error (a usage error too), 2 mathematically
 undefined result.  A reader that closes stdout early, as ``head`` does,
@@ -208,80 +209,104 @@ class _AtLeastZero(argparse.Action):
         setattr(namespace, self.dest, value)
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
-    """The argument parser, and each subcommand's own parser by name."""
+_EXPR = {
+    "--expr": {"required": True, "help": "expression text"},
+    "--cea": {"choices": _CEA_CHOICES, "default": "tl",
+              "help": "interpretation: direct conditional (tl), a "
+                      "present-tense algebra, or the product space (ps)"},
+    "--embedding": {"choices": _EMBEDDINGS, "default": "first",
+                    "help": "product-space interpretation for series and "
+                            "machine (prob is one number under all three)"},
+}
+_DIST = {"--dist": {"help": "distribution file (default: every event "
+                            "independent with probability 1/2)"}}
+
+# Each subcommand's function, help line and options, every option with the
+# keywords that ``add_argument`` takes: the parser is built from this table
+# and ``_read_argv`` reads plain command lines from it.
+_OPTIONS = {
+    "prob": (cmd_prob, "exact probability of an expression", {**_EXPR, **_DIST}),
+    "series": (cmd_series, "CSV of time-indexed probabilities", {
+        **_EXPR, **_DIST,
+        "--n": {"type": int, "required": True, "help": "last time index"}}),
+    "machine": (cmd_machine, "DOT export of the compiled machine", {
+        **_EXPR, "--minimize": {"action": "store_true", "default": False},
+        "--check-counter-free": {"action": "store_true", "default": False}}),
+    "taut": (cmd_taut, "weak-tautology check over variables", {
+        "--expr": {"required": True},
+        "--cea": {"choices": ("sac", "gnw"), "required": True},
+        "--dialect": {"choices": ("flat", "pure-conditional", "full"), "default": "full"},
+        "--max-vars": {"type": int, "action": _AtLeastZero,
+                       "default": cea.DEFAULT_VARIABLE_CAP}}),
+    "indep": (cmd_indep, "independence of two conditionals", {
+        "--mode": {"choices": ("present", "strong"), "required": True},
+        "--left": {"required": True}, "--right": {"required": True}, "--dist": {},
+        "--n": {"type": int, "default": None,
+                "help": "fixed time for --mode present (default: the limit)"}}),
+}
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser of every subcommand in ``_OPTIONS``."""
     top = argparse.ArgumentParser(
         prog="tlcond",
         description="three-valued temporal conditionals and their exact probabilities")
     sub = top.add_subparsers(dest="command", required=True)
-
-    def common(p, dist=True):
-        p.add_argument("--expr", required=True, help="expression text")
-        p.add_argument("--cea", choices=_CEA_CHOICES, default="tl",
-                       help="interpretation: direct conditional (tl), a "
-                            "present-tense algebra, or the product space (ps)")
-        p.add_argument("--embedding", choices=_EMBEDDINGS, default="first",
-                       help="product-space interpretation for series and "
-                            "machine (prob is one number under all three)")
-        if dist:
-            p.add_argument("--dist", help="distribution file (default: every "
-                                          "event independent with probability 1/2)")
-
-    p = sub.add_parser("prob", help="exact probability of an expression")
-    common(p)
-    p.set_defaults(fn=cmd_prob)
-
-    p = sub.add_parser("series", help="CSV of time-indexed probabilities")
-    common(p)
-    p.add_argument("--n", type=int, required=True, help="last time index")
-    p.set_defaults(fn=cmd_series)
-
-    p = sub.add_parser("machine", help="DOT export of the compiled machine")
-    common(p, dist=False)
-    p.add_argument("--minimize", action="store_true")
-    p.add_argument("--check-counter-free", action="store_true")
-    p.set_defaults(fn=cmd_machine)
-
-    p = sub.add_parser("taut", help="weak-tautology check over variables")
-    p.add_argument("--expr", required=True)
-    p.add_argument("--cea", choices=("sac", "gnw"), required=True)
-    p.add_argument("--dialect", choices=("flat", "pure-conditional", "full"),
-                   default="full")
-    p.add_argument("--max-vars", type=int, action=_AtLeastZero,
-                   default=cea.DEFAULT_VARIABLE_CAP)
-    p.set_defaults(fn=cmd_taut)
-
-    p = sub.add_parser("indep", help="independence of two conditionals")
-    p.add_argument("--mode", choices=("present", "strong"), required=True)
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
-    p.add_argument("--dist")
-    p.add_argument("--n", type=int, default=None,
-                   help="fixed time for --mode present (default: the limit)")
-    p.set_defaults(fn=cmd_indep)
-    return top, sub.choices
+    for name, (fn, text, options) in _OPTIONS.items():
+        p = sub.add_parser(name, help=text)
+        for flag, kw in options.items():
+            p.add_argument(flag, **kw)
+        p.set_defaults(fn=fn)
+    return top
 
 
-_PARSER, _COMMANDS = _build_parser()
+_PARSER = _build_parser()
 
 
-def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """The namespace that ``_PARSER.parse_args(argv)`` gives."""
-    sub = _COMMANDS.get(argv[0]) if argv and "--" not in argv else None
-    if sub is not None:
-        args, extra = sub.parse_known_args(argv[1:])
-        if not extra:
-            args.command = argv[0]
-            return args
-    return _PARSER.parse_args(argv)
+def _read_argv(argv: list[str]) -> Optional[argparse.Namespace]:
+    """The namespace that ``_PARSER.parse_args(argv)`` gives, for a plain
+    line: a known command, then only its own options, spelled out, each
+    value the next item, neither empty nor starting with ``-``, and valid
+    for its option.  None for any other line."""
+    entry = _OPTIONS.get(argv[0]) if argv else None
+    if entry is None:
+        return None
+    fn, _, options = entry
+    given = {}
+    items = iter(argv[1:])
+    for flag in items:
+        kw = options.get(flag)
+        if kw is None:
+            return None
+        if kw.get("action") == "store_true":
+            given[flag] = True
+            continue
+        value = next(items, "")
+        if not value or value[0] == "-":
+            return None
+        if "type" in kw:
+            try:
+                value = kw["type"](value)
+            except ValueError:
+                return None
+        if "choices" in kw and value not in kw["choices"] or (
+                kw.get("action") is _AtLeastZero and value < 0):
+            return None
+        given[flag] = value
+    if any(kw.get("required") and flag not in given for flag, kw in options.items()):
+        return None
+    return argparse.Namespace(command=argv[0], fn=fn, **{
+        flag[2:].replace("-", "_"): given.get(flag, kw.get("default"))
+        for flag, kw in options.items()})
 
 
 def main(argv=None) -> int:
     """Run one command line (``sys.argv[1:]`` by default) and return its
-    exit code.  The subcommand's parser reads it when it reads every
-    argument and there is no ``--``; else the top parser reads it."""
+    exit code.  ``_read_argv`` reads a plain line; the top parser reads any
+    other, so help and usage errors are argparse's own."""
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _parse_args(sys.argv[1:] if argv is None else argv)
+        args = _read_argv(argv) or _PARSER.parse_args(argv)
     except SystemExit as exc:  # a usage error is an input error; --help is not
         raise SystemExit(exc.code and INPUT_ERROR) from None
     try:

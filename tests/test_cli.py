@@ -4,6 +4,7 @@ import copy
 import io
 import os
 import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -573,8 +574,8 @@ def test_a_kept_machine_is_not_changed_by_its_users(capsys, text):
     assert kept == before
 
 
-# Argument lists for which ``main``, whose subcommand parser reads the
-# arguments itself, must end as the top parser alone would.
+# Argument lists for which ``main``, which reads a plain command line from
+# the option table itself, must end as the top parser alone would.
 ARGV_CORPUS = [
     [], ["-h"], ["--help"], ["prob", "-h"], ["series", "--help"],
     ["prob", "--expr", "(a|b)"], ["prob", "--exp", "(a|b)"],
@@ -608,6 +609,18 @@ ARGV_CORPUS = [
     ["machine", "--expr", "(a|b)", "--check-counter-free"],
     ["taut", "--cea", "gnw", "--expr", "p and q"],
     ["indep", "--mode", "strong", "--left", "(a|b)", "--right", "(c|d)"],
+    # values and options at the edge of what the option table reads itself
+    ["prob", "--expr", ""], ["prob", "--expr", "-"],
+    ["series", "--expr", "(a|b)", "--n", " 2"], ["series", "--expr", "(a|b)", "--n", "2_0"],
+    ["series", "--expr", "(a|b)", "--n", " -1"],
+    ["taut", "--cea", "sac", "--expr", "(p|p)", "--max-vars", " -1"],
+    ["taut", "--cea", "sac", "--expr", "(p|p)", "--max-vars", "0"],
+    ["prob", "--expr", "(a|b)", "--minimize"], ["machine", "--expr", "(a|b)", "--dist", "x"],
+    ["indep", "--mode", "present", "--left", "(a|true)", "--right", "(b|true)",
+     "--n", "2"],
+    ["prob", "--expr", "(a|b)", "--dist"],
+    # more digits than int() converts
+    ["series", "--expr", "(a|b)", "--n", "9" * 5000],
 ]
 
 
@@ -629,9 +642,101 @@ def test_direct_dispatch_ends_as_the_top_parser(capsys, monkeypatch, argv):
         return (code, *capsys.readouterr())
 
     direct = outcome()
-    monkeypatch.setattr(cli, "_parse_args", cli._PARSER.parse_args)
+    monkeypatch.setattr(cli, "_read_argv", lambda argv: None)
     assert outcome() == direct
     assert len(namespaces) in (0, 2) and namespaces[:1] == namespaces[1:]
+
+
+_OPTION_NAMES = sorted({flag for _, _, options in cli._OPTIONS.values()
+                        for flag in options})
+_ARGV_TOKENS = (
+    *cli._OPTIONS, *_OPTION_NAMES,
+    # abbreviations, unique in some commands and ambiguous in others
+    "--exp", "--ce", "--emb", "--di", "--dia", "--m", "--mi", "--ma", "--mo",
+    "--check", "--l", "--ri", "--n=2", "--expr=(a|b)", "--cea=sac", "--dist=x",
+    "--max-vars=0", "--mode=strong", "--minimize=1", "-h", "--help", "--",
+    # values: plain, empty, dash-led, space-led, ints with "_" or non-ASCII
+    # digits, inside and outside the options' choices
+    "(a|b)", "(a S b | O b)", "p and q", "x", "", "-", "-1", "-x", " 2", " -1",
+    "2_0", "\u0663", "1\u0662", "0", "1", "2", "007",
+    *cli._CEA_CHOICES, *cli._EMBEDDINGS, "TL", "flat", "full", "pure-conditional",
+    "present", "strong", "weak",
+)
+
+
+def _value_for(kw):
+    """Mostly a value that the option takes, else any token."""
+    good = kw.get("choices") or (("0", "1", "2", "007", "\u0663") if "type" in kw
+                                 else ("(a|b)", "(a S b | O b)", "p and q", "x"))
+    return st.one_of(st.sampled_from(good), st.sampled_from(good),
+                     st.sampled_from(_ARGV_TOKENS))
+
+
+@st.composite
+def command_lines(draw):
+    """A command, its required options, then mostly its own options with
+    values, among other tokens."""
+    command = draw(st.sampled_from((*cli._OPTIONS, *cli._OPTIONS, "PROB", "-h", "--")))
+    own = cli._OPTIONS.get(command, (None, None, cli._OPTIONS["prob"][2]))[2]
+    argv = [command]
+    for flag, kw in own.items():
+        if kw.get("required") and draw(st.integers(0, 9)):
+            argv += [flag, draw(_value_for(kw))]
+    for _ in range(draw(st.integers(0, 4))):
+        shape = draw(st.sampled_from(("own", "own", "own", "option", "token")))
+        if shape == "token":
+            argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(_ARGV_TOKENS)))
+            continue
+        flag = draw(st.sampled_from(list(own) if shape == "own" else _OPTION_NAMES))
+        kw = own.get(flag, {})
+        argv += [flag] if kw.get("action") else [flag, draw(_value_for(kw))]
+    return argv
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(command_lines())
+def test_a_line_the_table_reads_is_read_as_the_top_parser_reads_it(argv):
+    args = cli._read_argv(argv)
+    if args is not None:
+        assert vars(args) == vars(cli._PARSER.parse_args(argv))
+
+
+def _readme_commands() -> list[list[str]]:
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line\n\n```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines()]
+
+
+def test_well_formed_lines_never_reach_argparse(capsys, monkeypatch, tmp_path):
+    (tmp_path / "indep.half").write_text(INDEP_HALF_AB)
+    (tmp_path / "indep4.half").write_text(INDEP_HALF_ABCD)
+    monkeypatch.chdir(tmp_path)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("argparse read a well-formed command line")
+
+    monkeypatch.setattr(cli._PARSER, "parse_args", refuse)
+    readme = _readme_commands()
+    assert len(readme) == 6
+    shapes = [
+        ["prob", "--cea", "ps", "--expr", "(a|b) and (c|d)", "--dist", "indep4.half"],
+        ["series", "--expr", "(a S b | O b)", "--dist", "indep.half", "--n", "3"],
+        ["prob", "--cea", "ps", "--embedding", "sparse", "--expr", "~(a|b) or (c|d)"],
+        ["machine", "--cea", "ps", "--expr", "(a|b)", "--minimize",
+         "--check-counter-free"],
+        ["indep", "--mode", "present", "--left", "(a|b)", "--right", "(b|a)", "--n", "1"],
+        ["taut", "--cea", "sac", "--expr", "(p|p)", "--max-vars", "0"],
+    ]
+    codes = [run(capsys, *argv)[0] for argv in readme + shapes]
+    assert codes == [0] * 11 + [1]
+
+
+def test_every_benchmark_line_is_read_from_the_table(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT))
+    from perfbench import workloads
+    for workload in workloads.WORKLOADS:
+        for request in workloads.generate(workload, 1):
+            assert cli._read_argv(list(request.argv)) is not None, request.argv
 
 
 def test_argument_parser_is_built_once(capsys, monkeypatch):
