@@ -27,15 +27,18 @@ class MooreMachine3:
     initial: int
     labels: list[Value3]          # state -> emitted value
     delta: list[list[int]]        # state -> class index -> state
-    classes: list[int]            # class index -> atom bitmask
-    class_of_atom: list[int]      # atom -> class index
+    classes: list[int]            # class index -> atom bitmask; they partition the atoms
 
     @property
     def n_states(self) -> int:
         return len(self.labels)
 
     def step(self, state: int, atom: int) -> int:
-        return self.delta[state][self.class_of_atom[atom]]
+        """The state after ``atom``; IndexError for an atom outside the algebra."""
+        for c, mask in enumerate(self.classes):
+            if mask >> atom & 1:
+                return self.delta[state][c]
+        raise IndexError(f"atom {atom} outside the algebra")
 
     def run(self, letters: Iterable[int]) -> list[Value3]:
         """Output sequence on a word (one value per letter)."""
@@ -61,36 +64,23 @@ class MooreMachine3:
             assert mask and covered & mask == 0, "classes must partition the atoms"
             covered |= mask
         assert covered == self.alg.full_event
-        assert len(self.class_of_atom) == self.alg.num_atoms
-        for atom in range(self.alg.num_atoms):
-            assert self.classes[self.class_of_atom[atom]] >> atom & 1
 
 
 def _lowest_atom(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
-def _classes_from_columns(num_atoms: int, keyed_masks: Iterable[tuple]
-                          ) -> tuple[list[int], list[int], list]:
+def _classes_from_columns(keyed_masks: Iterable[tuple]) -> tuple[list[int], list]:
     """Merge the atom sets whose keys agree into letter classes.
 
     ``keyed_masks`` yields (key, atom bitmask) pairs.  Returns the class
-    masks sorted by lowest atom, atom -> class index, and the keys in class
-    order.
+    masks sorted by lowest atom and the keys in class order.
     """
     by_key: dict = {}
     for key, mask in keyed_masks:
         by_key[key] = by_key.get(key, 0) | mask
     keys = sorted(by_key, key=lambda k: _lowest_atom(by_key[k]))
-    masks = [by_key[k] for k in keys]
-    class_of_atom = [0] * num_atoms
-    for idx, mask in enumerate(masks):
-        rest = mask
-        while rest:
-            low = rest & -rest
-            class_of_atom[low.bit_length() - 1] = idx
-            rest ^= low
-    return masks, class_of_atom, keys
+    return [by_key[k] for k in keys], keys
 
 
 # ---------------------------------------------------------------------------
@@ -181,17 +171,17 @@ def _step(f, index: dict, slot: dict, full: int):
     return lambda vals, mem: vals[b] | (vals[a] & -(mem >> s & 1))
 
 
-def leaf_classes(c: CondObject, alg: EventAlgebra
-                 ) -> tuple[list[TLFormula], list[TLFormula], list[int], list[int],
-                            list[tuple[int, ...]]]:
+@lru_cache
+def leaf_classes(c: CondObject, alg: EventAlgebra) -> tuple[tuple, tuple, tuple, tuple]:
     """The letter classes of a conditional: atoms on which every leaf, every
     maximal present-tense subformula, takes one value.
 
     Returns the subformulas a step computes, each after its children (every
     subformula over ``Y`` or ``S``, since its ancestors are too, and the
     leaves), the leaves in that order, the class masks sorted by lowest
-    atom, atom -> class index, and each class's key: the leaves' values,
-    1 or 0, in leaf order.
+    atom, and each class's key: the leaves' values, 1 or 0, in leaf order.
+    Kept for the 128 most recently used keys, as tuples, so that no caller
+    changes a kept entry.
     """
     subs = subformulas([c.num, c.den])
     present: set = set()
@@ -208,12 +198,13 @@ def leaf_classes(c: CondObject, alg: EventAlgebra
         holds = event_mask(f, alg)
         parts = [(key + (bit,), part) for key, mask in parts
                  for bit, part in ((1, mask & holds), (0, mask & ~holds)) if part]
-    return subs, leaves, *_classes_from_columns(alg.num_atoms, parts)
+    classes, keys = _classes_from_columns(parts)
+    return tuple(subs), tuple(leaves), tuple(classes), tuple(keys)
 
 
 def compile_cond(c: CondObject, alg: EventAlgebra) -> MooreMachine3:
     """Compile a conditional object into a Moore machine computing it."""
-    subs, leaves, classes, class_of_atom, class_keys = leaf_classes(c, alg)
+    subs, leaves, classes, class_keys = leaf_classes(c, alg)
     index = {f: i for i, f in enumerate(subs)}
     full = (1 << len(classes)) - 1
 
@@ -274,7 +265,7 @@ def compile_cond(c: CondObject, alg: EventAlgebra) -> MooreMachine3:
         delta.append(list(row))
 
     labels = [Value3.UNDEF] + [_LABELS[key & 3] for key in states[1:]]
-    m = MooreMachine3(alg, 0, labels, delta, classes, class_of_atom)
+    m = MooreMachine3(alg, 0, labels, delta, list(classes))
     m.validate()
     return m
 
@@ -298,7 +289,7 @@ def product(ms: Sequence[MooreMachine3],
     for m in ms:
         joint = [(key + (c,), mask & cm) for key, mask in joint
                  for c, cm in enumerate(m.classes) if mask & cm]
-    masks, class_of_atom, keys = _classes_from_columns(alg.num_atoms, joint)
+    masks, keys = _classes_from_columns(joint)
 
     start = tuple(m.initial for m in ms)
     state_ids = {start: 0}
@@ -322,7 +313,7 @@ def product(ms: Sequence[MooreMachine3],
     for v in labels:
         if not isinstance(v, Value3):
             raise ValueError("combine must return a truth value")
-    return MooreMachine3(alg, 0, labels, delta, masks, class_of_atom)
+    return MooreMachine3(alg, 0, labels, delta, masks)
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +371,7 @@ def minimize(m: MooreMachine3) -> MooreMachine3:
         initial = next((b for b in _breadth_first(delta, n_blocks, m.classes)[1:]
                         if delta[b] == delta[n_blocks]), n_blocks)
     return _canonical(MooreMachine3(m.alg, initial, [m.labels[r] for r in reps],
-                                    delta, m.classes, m.class_of_atom))
+                                    delta, m.classes))
 
 
 @lru_cache
@@ -408,10 +399,9 @@ def _canonical(m: MooreMachine3) -> MooreMachine3:
     order = _breadth_first(m.delta, m.initial, m.classes)
     number = {q: i for i, q in enumerate(order)}
     rows = [[number[t] for t in m.delta[q]] for q in order]
-    classes, class_of_atom, cols = _classes_from_columns(
-        m.alg.num_atoms, zip(zip(*rows), m.classes))
+    classes, cols = _classes_from_columns(zip(zip(*rows), m.classes))
     out = MooreMachine3(m.alg, 0, [m.labels[q] for q in order],
-                        [list(row) for row in zip(*cols)], classes, class_of_atom)
+                        [list(row) for row in zip(*cols)], classes)
     out.validate()
     return out
 

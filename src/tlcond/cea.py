@@ -104,12 +104,10 @@ def present_machine(value: tuple[int, int], alg: EventAlgebra) -> MooreMachine3:
     yes, no = value
     by_value = ((Value3.TRUE, yes), (Value3.FALSE, no),
                 (Value3.UNDEF, alg.full_event & ~(yes | no)))
-    classes, class_of_atom, labels = _classes_from_columns(
-        alg.num_atoms, ((v, mask) for v, mask in by_value if mask))
+    classes, labels = _classes_from_columns((v, mask) for v, mask in by_value if mask)
     row = list(range(1, len(classes) + 1))
     return MooreMachine3(alg, 0, [Value3.UNDEF] + labels,
-                         [list(row) for _ in range(len(row) + 1)],
-                         classes, class_of_atom)
+                         [list(row) for _ in range(len(row) + 1)], classes)
 
 
 def simple_to_cond(value: tuple[int, int], alg: EventAlgebra) -> CondObject:
@@ -222,9 +220,9 @@ def _backward_ratio(c: CondObject, p: ProbAssignment, t: int) -> Optional[Fracti
     step times the number of letter classes, or times one at a step that
     reads no leaf.
     """
-    _, leaves, _, class_of_atom, keys = leaf_classes(c, p.alg)
+    _, leaves, classes, keys = leaf_classes(c, p.alg)
     markov.check_time_index(t)
-    scale, weights = markov.class_weights(p, class_of_atom, len(keys))
+    scale, weights = markov.class_weights(p, classes)
     # each live class's leaf constants, its weight and its memo of _earlier
     live = [({f: TRUE if bit else FALSE for f, bit in zip(leaves, key)}, w, {})
             for key, w in zip(keys, weights) if w]
@@ -495,8 +493,8 @@ def strong_indep(c1: CondObject, c2: CondObject,
     m1, m2 = minimal_machine(c1, p.alg), minimal_machine(c2, p.alg)
     pairs = (((i, j), a & b) for i, a in enumerate(m1.classes)
              for j, b in enumerate(m2.classes) if a & b)
-    _, class_of_atom, keys = _classes_from_columns(p.alg.num_atoms, pairs)
-    den, weights = markov.class_weights(p, class_of_atom, len(keys))
+    classes, keys = _classes_from_columns(pairs)
+    den, weights = markov.class_weights(p, classes)
     live = [(i, j, w) for (i, j), w in zip(keys, weights) if w]
     todo, seen = [(m1.initial, m2.initial)], set()
     while todo:  # the start pair (while seen is empty), then pairs depth first

@@ -285,15 +285,12 @@ class MarkovChain3:
         return len(self.labels)
 
 
-def class_weights(p: ProbAssignment, class_of_atom: Sequence[int],
-                  n: int) -> tuple[int, list[int]]:
-    """The law of a letter under ``p`` on ``n`` letter classes (atom ->
-    class index): ``(den, w)``, class c having probability ``w[c] / den``,
+def class_weights(p: ProbAssignment, classes: Sequence[int]) -> tuple[int, list[int]]:
+    """The law of a letter under ``p`` on letter classes (class index ->
+    atom bitmask): ``(den, w)``, class c having probability ``w[c] / den``,
     both divided by their gcd."""
-    den, atom_weights = p.weights
-    weights = [0] * n
-    for c, w in zip(class_of_atom, atom_weights):
-        weights[c] += w
+    den = p.weights[0]
+    weights = [p.weight(mask) for mask in classes]
     common = gcd(den, *weights)
     return den // common, [w // common for w in weights]
 
@@ -301,7 +298,7 @@ def class_weights(p: ProbAssignment, class_of_atom: Sequence[int],
 def chain_from_machine(m: MooreMachine3, p: ProbAssignment) -> MarkovChain3:
     if m.alg.events != p.alg.events:
         raise ValueError("machine and distribution use different event algebras")
-    den, weights = class_weights(p, m.class_of_atom, len(m.classes))
+    den, weights = class_weights(p, m.classes)
     live = [(c, w) for c, w in enumerate(weights) if w]
     built: dict[tuple, tuple] = {}  # a raw machine repeats rows often
 

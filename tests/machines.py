@@ -8,12 +8,14 @@ with, the ``Fraction``-dict strong-independence check that the integer
 one must agree with, verdict and witness, the per-character tokenizer
 whose tokens, lines and columns the one-scan tokenizer must reproduce, and
 the distribution-file reader that makes a ``Fraction`` of every value, whose
-blocks and errors the integer reader must reproduce, and Tarjan's components
+blocks and errors the integer reader must reproduce, the atom-by-atom letter
+law that the law from class masks must reproduce, and Tarjan's components
 and the sum-row stationary system, which the two-pass components and the
 reference-state stationary law must reproduce."""
 import itertools
 import re
 from fractions import Fraction
+from math import gcd
 from typing import Callable, NamedTuple, Optional
 from unittest import mock
 
@@ -36,12 +38,11 @@ ALG_ABCD = algebra("a b c d")
 
 def machine_from_atom_table(alg, labels, delta_by_atom, initial) -> MooreMachine3:
     """Build a machine from a full state x atom transition table."""
-    classes, class_of_atom, cols = _classes_from_columns(
-        alg.num_atoms,
-        ((tuple(row[atom] for row in delta_by_atom), 1 << atom)
-         for atom in range(alg.num_atoms)))
+    classes, cols = _classes_from_columns(
+        (tuple(row[atom] for row in delta_by_atom), 1 << atom)
+        for atom in range(alg.num_atoms))
     delta = [[col[q] for col in cols] for q in range(len(delta_by_atom))]
-    m = MooreMachine3(alg, initial, list(labels), delta, classes, class_of_atom)
+    m = MooreMachine3(alg, initial, list(labels), delta, classes)
     m.validate()
     return m
 
@@ -389,8 +390,7 @@ def compile_cond_reference(c: CondObject, alg: EventAlgebra) -> MooreMachine3:
         holds = event_mask(subs[i], alg)
         parts = [(key + (bit,), part) for key, mask in parts
                  for bit, part in ((1, mask & holds), (0, mask & ~holds)) if part]
-    classes, class_of_atom, class_keys = _classes_from_columns(alg.num_atoms,
-                                                               parts)
+    classes, class_keys = _classes_from_columns(parts)
     full = (1 << len(classes)) - 1
 
     remembered = sorted({index[f.child] for f in subs if isinstance(f, Prev)}
@@ -449,7 +449,7 @@ def compile_cond_reference(c: CondObject, alg: EventAlgebra) -> MooreMachine3:
         q += 1
 
     labels = [Value3.UNDEF] + [key[0] for key in states[1:]]
-    m = MooreMachine3(alg, 0, labels, delta, classes, class_of_atom)
+    m = MooreMachine3(alg, 0, labels, delta, classes)
     m.validate()
     return m
 
@@ -601,7 +601,7 @@ def strong_indep_reference(c1: CondObject, c2: CondObject,
 
     pairs = (((i, j), a & b) for i, a in enumerate(m1.classes)
              for j, b in enumerate(m2.classes) if a & b)
-    masks, _, keys = _classes_from_columns(alg.num_atoms, pairs)
+    masks, keys = _classes_from_columns(pairs)
     mass = [p.of_event(mk) for mk in masks]
 
     def row(target) -> dict:
@@ -775,6 +775,24 @@ def from_text_reference(text: str) -> ProbAssignment:
     if absent:
         raise ValueError(f"atoms not covered: {' '.join(absent)}")
     return ProbAssignment(alg, tuple(mass))
+
+
+# ---------------------------------------------------------------------------
+# Letter law reference: one addition per atom into its class's weight, how
+# ``markov.class_weights`` read it while machines kept an atom -> class list
+
+
+def class_weights_reference(p: ProbAssignment, class_of_atom: list[int],
+                            n: int) -> tuple[int, list[int]]:
+    """The law of a letter under ``p`` on ``n`` letter classes (atom ->
+    class index): ``(den, w)``, class c having probability ``w[c] / den``,
+    both divided by their gcd."""
+    den, atom_weights = p.weights
+    weights = [0] * n
+    for c, w in zip(class_of_atom, atom_weights):
+        weights[c] += w
+    common = gcd(den, *weights)
+    return den // common, [w // common for w in weights]
 
 
 # ---------------------------------------------------------------------------

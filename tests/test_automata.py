@@ -67,6 +67,13 @@ def test_machine_run_agrees_with_cond_output_spot():
         assert m.run(letters) == cond_output(word(ALG_AB, letters), c)
 
 
+def test_step_finds_the_class_of_an_atom_and_refuses_one_outside_the_algebra():
+    m = expected_first_machine()  # classes {} | {a}, then {b}, then {a b}
+    assert [m.step(0, atom) for atom in range(4)] == [0, 0, 2, 1]
+    with pytest.raises(IndexError):
+        m.step(0, 4)
+
+
 def _ps_ladder(k: int, embedding: str):
     """(a1|b1) and ... and (ak|bk) under an embedding, and its algebra."""
     alg = algebra(" ".join(f"a{i} b{i}" for i in range(1, k + 1)))
@@ -210,7 +217,7 @@ def _numbered_canonically(m: MooreMachine3) -> bool:
 
 
 def _fields(m: MooreMachine3) -> tuple:
-    return m.initial, m.labels, m.delta, m.classes, m.class_of_atom
+    return m.initial, m.labels, m.delta, m.classes
 
 
 def _formulas(events: str):

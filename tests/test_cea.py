@@ -1160,14 +1160,37 @@ def test_the_kept_present_value_is_a_fresh_one(case):
             assert reduce_present.cache_info().hits == hits + 1
 
 
+@pytest.mark.parametrize("text", CORPUS_TEXTS)
+def test_a_kept_leaf_classes_entry_is_a_fresh_one_and_stays_unchanged(text, capsys):
+    """``leaf_classes`` equals an un-memoized call, and the stages that read
+    the entry leave it as it was: a compiled machine's classes are a list of
+    its own."""
+    from tlcond import cli
+    from tlcond.automata import leaf_classes
+    alg = algebra(sorted(cli._idents_of(text)))  # the events as cmd_machine orders them
+    c = parse_cond(text, alg)
+    kept = leaf_classes(c, alg)
+    assert kept == leaf_classes.__wrapped__(c, alg)
+    raw = compile_cond(c, alg)
+    assert raw.classes == list(kept[2])
+    raw.classes.reverse()
+    chain_from_machine(minimize(compile_cond(c, alg)), cli._half(alg.events))
+    hits = leaf_classes.cache_info().hits
+    assert cli.main(["machine", "--expr", text, "--minimize"]) == 0
+    assert capsys.readouterr().out.startswith("digraph")
+    assert leaf_classes.cache_info().hits == hits + 1
+    assert leaf_classes(c, alg) is kept
+    assert kept == leaf_classes.__wrapped__(c, alg)
+
+
 def test_the_memos_keep_at_most_128_entries():
     from tlcond import cli
-    from tlcond.automata import minimal_machine
+    from tlcond.automata import leaf_classes, minimal_machine
     for i in range(300):
         alg = algebra(f"x{i} y")
         c = parse_cond(f"(x{i} S y | true)", alg)
         minimal_machine(c, alg)
         reduce_present(parse_cea(f"(x{i}|y)", alg), alg, "sac")
         cli._parse_expr("tl", f"(x{i} | y)", alg)
-    for memo in (minimal_machine, reduce_present, cli._parse_expr):
+    for memo in (leaf_classes, minimal_machine, reduce_present, cli._parse_expr):
         assert memo.cache_info().currsize == 128

@@ -1,7 +1,9 @@
 """Distributions, chains, time-indexed and limiting probabilities."""
 import random
+import re
 from fractions import Fraction
 from math import gcd, lcm, prod
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -9,9 +11,10 @@ from hypothesis import strategies as st
 
 from tlcond import (ProbAssignment, algebra, asymptotic,
                     brute_pr_series, chain_from_machine, compile_cond,
-                    minimize, parse_cea, parse_cond, pr_n, pr_n_ratio,
-                    pr_series, prob_ps)
+                    minimal_machine, minimize, parse_cea, parse_cond, pr_n,
+                    pr_n_ratio, pr_series, prob_ps, strong_indep)
 from tlcond import markov
+from tlcond.automata import leaf_classes
 from tlcond.markov import (Block, MarkovChain3, PeriodicChainError,
                            SingularMatrixError, _sccs,
                            limiting_label_masses, solve_linear,
@@ -19,8 +22,9 @@ from tlcond.markov import (Block, MarkovChain3, PeriodicChainError,
 from tlcond.syntax import EventAlgebra
 from tlcond.trivalue import Value3
 
-from corpus import ALG_AB, CONVERGENCE_AB, CORPUS, SKEWED_AB, UNIFORM_AB
-from machines import (from_text_reference, sccs_reference,
+from corpus import (ALG_AB, CONVERGENCE_AB, CORPUS, CORPUS_TEXTS, SKEWED_AB,
+                    UNIFORM_AB)
+from machines import (class_weights_reference, from_text_reference, sccs_reference,
                       stationary_distribution_reference)
 
 F2 = Fraction(1, 2)
@@ -487,9 +491,8 @@ def _fraction_chain(m, p):
     """The chain as rational tables, one ``Fraction`` addition per atom and
     per class: how ``chain_from_machine`` built it before it took integer
     weights, kept as a reference."""
-    class_mass = [Fraction(0)] * len(m.classes)
-    for atom in range(m.alg.num_atoms):
-        class_mass[m.class_of_atom[atom]] += p.mass[atom]
+    class_mass = [sum((p.mass[atom] for atom in range(m.alg.num_atoms)
+                       if mask >> atom & 1), Fraction(0)) for mask in m.classes]
     rows = []
     for q in list(range(m.n_states)) + [m.initial]:
         row = [Fraction(0)] * m.n_states
@@ -511,6 +514,61 @@ def test_chain_from_machine_equals_the_fraction_reference():
     # the atoms' common factor is divided out: b is not read, so the
     # weights of the classes a and not a are over 2, not 4
     assert _chain("(O a | true)").den == 2
+
+
+def _class_of_atom(classes, num_atoms):
+    """Atom -> index of the class mask that holds it."""
+    return [next(c for c, mask in enumerate(classes) if mask >> atom & 1)
+            for atom in range(num_atoms)]
+
+
+def _assert_class_weights_equal_the_reference(p, classes):
+    assert markov.class_weights(p, classes) == class_weights_reference(
+        p, _class_of_atom(classes, p.alg.num_atoms), len(classes))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(distributions_with_reference(), st.data())
+def test_class_weights_equal_the_atom_loop_reference(case, data):
+    """The law from class masks equals the atom-by-atom law on the classes
+    of compiled corpus machines, their letter classes and strong_indep's
+    joint classes, over independent lines with 0 and 1 marginals and atom
+    tables with zero atoms."""
+    p, _ = case
+    alg = p.alg
+    conds = []
+    for _ in range(2):  # a corpus conditional with a and b renamed into alg
+        names = {"a": data.draw(st.sampled_from(alg.events)),
+                 "b": data.draw(st.sampled_from(alg.events))}
+        text = data.draw(st.sampled_from(CORPUS_TEXTS))
+        conds.append(parse_cond(re.sub(r"\b[ab]\b", lambda m: names[m[0]], text), alg))
+    c1, c2 = conds
+    for classes in (compile_cond(c1, alg).classes, minimal_machine(c1, alg).classes,
+                    leaf_classes(c1, alg)[2], [alg.full_event],
+                    [1 << atom for atom in range(alg.num_atoms)]):
+        _assert_class_weights_equal_the_reference(p, classes)
+    with mock.patch.object(markov, "class_weights", wraps=markov.class_weights) as spy:
+        strong_indep(c1, c2, p)
+    assert spy.call_count == 1
+    seen, joint = spy.call_args.args
+    assert seen is p
+    _assert_class_weights_equal_the_reference(p, joint)
+
+
+def test_class_weights_on_zero_and_unit_marginals_and_zero_atoms():
+    alg = algebra("a b c")
+    table = ProbAssignment(alg, (Fraction(1, 2), 0, Fraction(1, 4), 0,
+                                 Fraction(1, 4), 0, 0, 0))
+    edge = ProbAssignment.from_text("events: a b c\nindependent: a=0 b=1 c=1/3")
+    for p in (table, edge):
+        for text in CORPUS_TEXTS:
+            c = parse_cond(text, alg)
+            for m in (compile_cond(c, alg), minimal_machine(c, alg)):
+                _assert_class_weights_equal_the_reference(p, m.classes)
+    # a class of zero weight keeps its place in the law; under ``edge`` only
+    # the atoms {b} (2/3) and {b c} (1/3) weigh anything
+    assert markov.class_weights(table, [0b10101010, 0b01010101]) == (1, [0, 1])
+    assert markov.class_weights(edge, [0b001, 0b110, 0b11111000]) == (3, [0, 2, 1])
 
 
 def test_hand_built_chain_round_trips_its_tables():
