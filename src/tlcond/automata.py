@@ -377,8 +377,38 @@ def minimize(m: MooreMachine3) -> MooreMachine3:
 @lru_cache
 def minimal_machine(c: CondObject, alg: EventAlgebra) -> MooreMachine3:
     """``minimize(compile_cond(c, alg))``, kept for the 128 most recently used
-    keys (event order is part of a key).  The machine is shared: never mutate it."""
-    return minimize(compile_cond(c, alg))
+    keys and, behind them, shapes (``_shape``), so a copy of ``c`` with its
+    events renamed compiles nothing.  The machine is shared: never mutate it."""
+    key = _shape(c, alg)
+    m = _SHAPES.pop(key, None) or minimize(compile_cond(c, alg))
+    _SHAPES[key] = m  # the dict's order is least recently used first
+    if len(_SHAPES) > 128:
+        del _SHAPES[next(iter(_SHAPES))]
+    return MooreMachine3(alg, m.initial, m.labels, m.delta, m.classes)
+
+
+def _shape(c: CondObject, alg: EventAlgebra) -> tuple:
+    """All that the minimal machine of ``c`` reads of the events: the
+    subformulas, children first, each event as its position in ``alg.events``
+    (one outside, which ``compile_cond`` refuses, as itself), each other node
+    as its type and children's indices; then num's, den's, the event count."""
+    position = {name: i for i, name in enumerate(alg.events)}
+    index, key = {}, []  # subformula -> its index in key
+    for f in subformulas([c.num, c.den]):
+        kind = type(f)
+        index[f] = len(key)
+        key.append(position.get(f.name, f) if kind is Atom else f if kind is Const
+                   else (kind, *map(index.__getitem__, children(f))))
+    return tuple(key), index[c.num], index[c.den], len(alg.events)
+
+
+def _forget_machines(forget_keys=minimal_machine.cache_clear) -> None:
+    forget_keys()
+    _SHAPES.clear()
+
+
+_SHAPES: dict = {}  # shape -> minimal machine
+minimal_machine.cache_clear = _forget_machines  # both levels
 
 
 def _breadth_first(delta: list[list[int]], start: int, classes: list[int]) -> list[int]:
@@ -418,9 +448,7 @@ def canonical_key(m: MooreMachine3):
 
 
 def isomorphic(m1: MooreMachine3, m2: MooreMachine3) -> bool:
-    if m1.alg.events != m2.alg.events:
-        return False
-    return canonical_key(m1) == canonical_key(m2)
+    return m1.alg.events == m2.alg.events and canonical_key(m1) == canonical_key(m2)
 
 
 # ---------------------------------------------------------------------------

@@ -452,11 +452,6 @@ def lift_defined(c: CondObject) -> CondObject:
     return CondObject(c.den, TRUE)
 
 
-def _sch_and(c1: CondObject, c2: CondObject) -> CondObject:
-    """The Sch conjunction of (f1 | g1) and (f2 | g2): (f1 and f2 | g1 and g2)."""
-    return CondObject(And(c1.num, c2.num), And(c1.den, c2.den))
-
-
 def present_indep(c1: CondObject, c2: CondObject, p: ProbAssignment,
                   n: Optional[int] = None) -> tuple[bool, list[dict]]:
     """The four-equation independence test at time ``n`` (or in the limit).
@@ -471,16 +466,15 @@ def present_indep(c1: CondObject, c2: CondObject, p: ProbAssignment,
     singles = {x: _ratio(x, p, n) for x in (c1, c2, u1, u2)}
 
     checks = []
-    ok = True
     for tag, (x, y) in (("i1", (c1, c2)), ("i2", (c1, u2)),
                         ("i3", (u1, c2)), ("i4", (u1, u2))):
-        lhs = _ratio(_sch_and(x, y), p, n)
+        # the Sch conjunction of (f1 | g1) and (f2 | g2): (f1 and f2 | g1 and g2)
+        lhs = _ratio(CondObject(And(x.num, y.num), And(x.den, y.den)), p, n)
         fx, fy = singles[x], singles[y]
         rhs = None if fx is None or fy is None else fx * fy
         holds = lhs == rhs  # None == None covers the both-undefined convention
         checks.append({"eq": tag, "lhs": lhs, "rhs": rhs, "holds": holds})
-        ok = ok and holds
-    return ok, checks
+    return all(chk["holds"] for chk in checks), checks
 
 
 def strong_indep(c1: CondObject, c2: CondObject,

@@ -127,6 +127,7 @@ def cmd_series(args) -> int:
     write = sys.stdout.write
     write("n,p1,p0,pbot,ratio\n")
     # a row is written as soon as it is stepped; no row is kept
+    p1 = q1 = 0  # the last ratio p1/q1 in lowest terms; q1 = 0 after undef
     for n, (scale, w1, w0, wbot) in enumerate(label_weights(ch, args.n), 1):
         # scale = den^t, so a weight coprime to a den > 1 shares no prime
         # with scale and is in lowest terms over it: one small gcd, not one
@@ -139,7 +140,11 @@ def cmd_series(args) -> int:
                 cells.append(f"{w}{over}")
             else:
                 cells.append(_quotient(w, scale))
-        ratio = _quotient(w1, w1 + w0) if w1 + w0 else "undef"
+        total = w1 + w0
+        if not (total and q1 and w1 * q1 == p1 * total):  # else the last text stands
+            g = gcd(w1, total) or 1
+            p1, q1 = w1 // g, total // g
+            ratio = f"{p1}/{q1}" if q1 > 1 else str(p1) if q1 else "undef"
         write(f"{n},{','.join(cells)},{ratio}\n")
     return OK
 
@@ -181,10 +186,8 @@ def cmd_indep(args) -> int:
         print(f"independent: {'yes' if ok else 'no'}")
         for chk in checks:
             if not chk["holds"]:
-                def show(v):
-                    return "undef" if v is None else str(v)
-                print(f"  fails {chk['eq']}: lhs={show(chk['lhs'])} "
-                      f"rhs={show(chk['rhs'])}")
+                lhs, rhs = ("undef" if v is None else v for v in (chk["lhs"], chk["rhs"]))
+                print(f"  fails {chk['eq']}: lhs={lhs} rhs={rhs}")
     else:
         ok, witness = cea.strong_indep(left, right, p)
         print(f"independent: {'yes' if ok else 'no'}")
@@ -194,8 +197,7 @@ def cmd_indep(args) -> int:
 
 
 def _idents_of(text: str) -> tuple[str, ...]:
-    found = dict.fromkeys(t for t in _IDENT_RE.findall(text) if t not in _KEYWORDS)
-    return tuple(found)
+    return tuple(dict.fromkeys(t for t in _IDENT_RE.findall(text) if t not in _KEYWORDS))
 
 
 class _AtLeastZero(argparse.Action):

@@ -240,7 +240,7 @@ class CeaSimple(CeaExpr):
 
     def __new__(cls, num_event: TLFormula, den_event: TLFormula):
         for side in (num_event, den_event):  # a lone event is present tense
-            if type(side) is not Atom and not is_present_tense(side):
+            if type(side) is not Atom and horizon(side) != 0:
                 raise ValueError("simple-conditional sides must be event "
                                  "expressions without temporal operators")
         return super().__new__(cls, num_event, den_event)
@@ -379,15 +379,6 @@ def horizon(f: Union[TLFormula, CondObject]) -> Optional[int]:
         for y in children(x):
             todo.append((y, d))
     return deepest
-
-
-def is_present_tense(f: TLFormula) -> bool:
-    """True when the formula uses no temporal operator."""
-    return horizon(f) == 0
-
-
-def has_reconditioning(e: CeaExpr) -> bool:
-    return any(isinstance(x, CeaCond) for x in walk(e))
 
 
 def collect_simples(e: CeaExpr) -> list[CeaSimple]:
@@ -640,8 +631,8 @@ def parse_cea(text: str, alg: Optional[EventAlgebra] = None,
 
 def _check_dialect(e: CeaExpr, dialect: str, conditioned: Optional[bool] = None):
     """``conditioned``: whether ``e`` holds a CeaCond, if the parse said so."""
-    if dialect == "flat" and (
-            has_reconditioning(e) if conditioned is None else conditioned):
+    if dialect == "flat" and (conditioned if conditioned is not None else
+                              any(isinstance(x, CeaCond) for x in walk(e))):
         raise ValueError("re-conditioning not allowed in the flat dialect")
     if dialect == "pure-conditional" and any(
             isinstance(x, (CeaNeg, CeaAnd, CeaOr)) for x in walk(e)):

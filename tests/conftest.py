@@ -15,3 +15,4 @@ def _empty_memos():
     for memo in (automata.leaf_classes, automata.minimal_machine,
                  cea.reduce_present, cli._parse_expr):
         memo.cache_clear()
+    automata._SHAPES.clear()  # the machines kept per shape

@@ -1,6 +1,7 @@
 """The conditional event algebras: present-tense reduction, the product-space
 interpretations, independence, tautologies."""
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -22,7 +23,7 @@ from tlcond.markov import (Block, ProbAssignment, asymptotic,
                            chain_from_machine, limiting_label_masses,
                            pr_n_ratio, pr_series)
 from tlcond.oracle import brute_pr_series
-from tlcond.syntax import EventAlgebra, collect_simples, horizon
+from tlcond.syntax import EventAlgebra, Since, collect_simples, horizon
 from tlcond.trivalue import ConnectiveId, apply_binary
 
 from corpus import ALG_AB, CORPUS, CORPUS_TEXTS, SKEWED_AB, UNIFORM_AB
@@ -1184,13 +1185,105 @@ def test_a_kept_leaf_classes_entry_is_a_fresh_one_and_stays_unchanged(text, caps
 
 
 def test_the_memos_keep_at_most_128_entries():
-    from tlcond import cli
+    """300 conditionals of 300 shapes (``not`` taken i times), so that the
+    machines kept per shape fill up as well as every memo's keys."""
+    from tlcond import automata, cli
     from tlcond.automata import leaf_classes, minimal_machine
     for i in range(300):
         alg = algebra(f"x{i} y")
-        c = parse_cond(f"(x{i} S y | true)", alg)
+        c = parse_cond(f"(({'not ' * i}x{i}) S y | true)", alg)
         minimal_machine(c, alg)
         reduce_present(parse_cea(f"(x{i}|y)", alg), alg, "sac")
         cli._parse_expr("tl", f"(x{i} | y)", alg)
     for memo in (leaf_classes, minimal_machine, reduce_present, cli._parse_expr):
         assert memo.cache_info().currsize == 128
+    assert len(automata._SHAPES) == 128
+
+
+# names a drawn conditional's events are renamed to: a, b and c may trade
+# places, and "_0" and "_1" are spelled like positions
+RENAMES = ("a", "b", "c", "p", "q", "_0", "_1", "x9")
+
+
+@st.composite
+def renamed_conditionals(draw):
+    """A drawn conditional, ``S`` put over it half of the time, its
+    algebra, an injective renaming of the events and an order of them."""
+    c, p = draw(conditionals_and_tables(2))
+    if draw(st.booleans()):
+        c = CondObject(Since(c.num, Not(c.den)), Since(TRUE, c.den))
+    events = p.alg.events
+    names = draw(st.lists(st.sampled_from(RENAMES), min_size=len(events),
+                          max_size=len(events), unique=True))
+    return c, p.alg, dict(zip(events, names)), draw(st.permutations(events))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(renamed_conditionals())
+def test_a_renamed_or_reordered_conditional_gets_a_fresh_machine(case):
+    """The kept machine equals a fresh ``minimize(compile_cond(...))`` field
+    for field, algebra included, and prints the same DOT text: on a miss,
+    on a copy with its events renamed (a hit on the kept shape), and under
+    another event order (another shape)."""
+    from tlcond import automata
+    from tlcond.automata import minimal_machine
+    c, alg, names, order = case
+    minimal_machine.cache_clear()  # hypothesis may draw one conditional twice
+    text = re.sub(r"[A-Za-z_][A-Za-z0-9_]*", lambda m: names.get(m[0], m[0]), pretty(c))
+    renamed_alg = algebra([names[e] for e in alg.events])
+    cases = [(c, alg), (parse_cond(text, renamed_alg), renamed_alg), (c, algebra(order))]
+    for i, (x, over) in enumerate(cases):
+        kept, fresh = minimal_machine(x, over), minimize(compile_cond(x, over))
+        assert vars(kept) == vars(fresh)
+        assert kept.alg == over
+        assert to_dot(kept) == to_dot(fresh)
+        if i == 1:
+            assert len(automata._SHAPES) == 1
+
+
+def test_a_renamed_copy_compiles_nothing_and_another_order_compiles_once(monkeypatch):
+    from tlcond import automata
+    from tlcond.automata import minimal_machine
+    calls = []
+    for name in ("compile_cond", "minimize"):  # the spies sit where minimal_machine looks
+        monkeypatch.setattr(automata, name, lambda *args, name=name,
+                            stage=getattr(automata, name): calls.append(name) or stage(*args))
+    ab, xy = algebra("a b"), algebra("x y")
+    c = parse_cond("((not b) S (a and b) | O b)", ab)
+    m = minimal_machine(c, ab)
+    assert calls == ["compile_cond", "minimize"]
+    renamed = parse_cond("((not y) S (x and y) | O y)", xy)
+    m2 = minimal_machine(renamed, xy)
+    assert calls == ["compile_cond", "minimize"]
+    assert m2.alg == xy and (m2.initial, m2.labels, m2.delta, m2.classes) == (
+        m.initial, m.labels, m.delta, m.classes)
+    assert set(re.findall(r'-> q\d+ \[label="([^"]*)"', to_dot(m2))) == {
+        "!y", "!x&y", "x&y", "!x | !y", "x | !y"}
+    # b a puts b first: another shape, compiled once, then kept for y x
+    minimal_machine(c, algebra("b a"))
+    minimal_machine(renamed, algebra("y x"))
+    assert calls == ["compile_cond", "minimize"] * 2
+    assert minimal_machine.cache_info().currsize == 4
+    assert len(automata._SHAPES) == 2
+
+
+@pytest.mark.parametrize("events, text, error", [
+    ("a b", "(a S c | true)", KeyError("unknown event: 'c'")),
+    # an event outside the algebra spelled like a position
+    ("a b", "(_0 S b | true)", KeyError("unknown event: '_0'")),
+    (" ".join(f"e{i}" for i in range(17)), "(e0 S e1 | true)",
+     ValueError("17 basic events exceed the limit 16")),
+])
+def test_a_refused_conditional_keeps_nothing(events, text, error):
+    """The error of ``minimize(compile_cond(...))``, type and text, and no
+    machine kept at either level."""
+    from tlcond import automata
+    from tlcond.automata import minimal_machine
+    ab, alg = algebra("a b"), algebra(events)
+    minimal_machine(parse_cond("(a S b | true)", ab), ab)  # one machine kept
+    c = parse_cond(text)
+    for run in (lambda: minimize(compile_cond(c, alg)), lambda: minimal_machine(c, alg)):
+        with pytest.raises(type(error)) as info:
+            run()
+        assert str(info.value) == str(error)
+    assert minimal_machine.cache_info().currsize == len(automata._SHAPES) == 1

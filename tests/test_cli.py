@@ -13,11 +13,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tlcond import (ParseError, ProbAssignment, automata, cea,
-                    chain_from_machine, cli, compile_cond, minimize,
+                    chain_from_machine, cli, compile_cond, markov, minimize,
                     parse_cond, pr_series, syntax)
 from tlcond.cli import main
 from tlcond.syntax import collect_simples
@@ -385,6 +385,40 @@ def test_series_csv_equals_the_fraction_reference(text, dist_text, n):
             code = main(["series", "--expr", text, "--dist", str(path), "--n", str(n)])
     assert (code, err.getvalue()) == (0, "")
     assert out.getvalue() == reference_series_csv(text, dist_text, n)
+
+
+@st.composite
+def tables_with_zero_atoms(draw):
+    """An atom table over ``a b`` with one to three atoms of mass 0."""
+    raw = draw(st.lists(st.integers(0, 4), min_size=3, max_size=3).filter(any))
+    raw.insert(draw(st.integers(0, 3)), 0)
+    atoms = ("{}", "{a}", "{b}", "{a b}")
+    return "events: a b\n" + "".join(
+        f"atom {atom}: {w}/{sum(raw)}\n" for atom, w in zip(atoms, raw))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from(CORPUS_TEXTS), tables_with_zero_atoms(), st.integers(1, 60))
+# a always holds, so the den's alternation fails at time 2: a defined row,
+# then undef rows
+@example(CORPUS_TEXTS[-1], "events: a b\natom {}: 0/3\natom {a}: 1/3\n"
+         "atom {b}: 0/3\natom {a b}: 2/3\n", 4)
+def test_series_ratio_column_is_the_ratio_of_the_label_weights(text, dist_text, n):
+    """Row by row, the ratio is ``str(Fraction(w1, w1 + w0))`` of the
+    chain's label weights, or undef when ``w1 + w0`` is 0, whether a row
+    takes the last row's text or reduces its own."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ab.dist"
+        path.write_text(dist_text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["series", "--expr", text, "--dist", str(path), "--n", str(n)])
+    assert (code, err.getvalue()) == (0, "")
+    p = ProbAssignment.from_text(dist_text)
+    ch = chain_from_machine(minimize(compile_cond(parse_cond(text, p.alg), p.alg)), p)
+    want = [str(Fraction(w1, w1 + w0)) if w1 + w0 else "undef"
+            for _, w1, w0, _ in markov.label_weights(ch, n)]
+    assert [line.rsplit(",", 1)[1] for line in out.getvalue().splitlines()[1:]] == want
 
 
 @pytest.mark.parametrize("marginals, expr, n, last", [

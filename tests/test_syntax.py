@@ -59,7 +59,12 @@ def test_horizon_is_none_when_since_occurs_anywhere(text):
 def test_horizon_is_the_deepest_nesting_of_previously(text, depth):
     f = parse_tl(text, ABCD)
     assert syntax.horizon(f) == depth
-    assert syntax.is_present_tense(f) == (depth == 0)
+    assert is_present_tense(f) == (depth == 0)
+
+
+def is_present_tense(f) -> bool:
+    """True when the formula uses no temporal operator."""
+    return not any(isinstance(x, (Prev, Since)) for x in syntax.walk(f))
 
 
 def test_horizon_of_a_conditional_is_the_maximum_over_both_sides():
@@ -239,7 +244,7 @@ def test_flat_dialect_refuses_exactly_what_the_reference_walk_finds(text, alg):
             parse_cea(text, alg, "flat")
         assert (type(info.value), str(info.value)) == (type(exc), str(exc))
         return
-    if syntax.has_reconditioning(full):
+    if any(isinstance(x, CeaCond) for x in syntax.walk(full)):
         with pytest.raises(ValueError) as info:
             parse_cea(text, alg, "flat")
         assert type(info.value) is ValueError and str(info.value) == _FLAT
