@@ -493,44 +493,44 @@ def is_counter_free(m: MooreMachine3, monoid_cap: int = 100_000) -> bool:
 # DOT export
 
 
+def _primes(f: int, n: int, memo: dict) -> frozenset[tuple[int, int]]:
+    """The prime implicants ``(care, value)`` of the atom set ``f`` over events
+    0..n-1 by cofactoring on event n-1 (Brayton et al. 1984): those without it
+    are the conjunction f0 & f1's, those with it f0's or f1's that it lacks."""
+    if f == 0 or f == (1 << (1 << n)) - 1:
+        return frozenset([(0, 0)] if f else [])
+    if (f, n) not in memo:
+        e = 1 << (n - 1)  # the event's bit, and the atoms in a cofactor
+        f0, f1 = f & ((1 << e) - 1), f >> e
+        both = _primes(f0 & f1, n - 1, memo)
+        memo[f, n] = both.union(*(
+            {(care | e, value | bit) for care, value in _primes(g, n - 1, memo) - both}
+            for bit, g in ((0, f0), (e, f1))))
+    return memo[f, n]
+
+
+@lru_cache
 def event_text(mask: int, alg: EventAlgebra) -> str:
-    """Readable boolean description of an atom set (greedy implicant cover)."""
+    """Readable boolean description of an atom set: a greedy cover by its
+    prime implicants, fewest literals first."""
     if mask == alg.full_event:
         return "true"
     if mask == 0:
         return "false"
     nev = len(alg.events)
-    # merge step of the classic minimization: a term (care, value) fixes the
-    # events in ``care`` to their bits in ``value``, and merges with the term
-    # that flips one of them
-    atoms = [atom for atom in range(alg.num_atoms) if mask >> atom & 1]
-    current = {((1 << nev) - 1, atom) for atom in atoms}
-    primes: list[tuple[int, int]] = []
-    while current:
-        merged = set()
-        for care, value in current:
-            prime = True
-            for i in range(nev):
-                bit = 1 << i
-                if care & bit and (care, value ^ bit) in current:
-                    merged.add((care ^ bit, value & ~bit))
-                    prime = False
-            if prime:
-                primes.append((care, value))
-        current = merged
-
-    def literals(term: tuple[int, int]) -> list[tuple[int, bool]]:
-        care, value = term
-        return [(i, bool(value >> i & 1)) for i in range(nev) if care >> i & 1]
-
-    remaining = set(atoms)
-    chosen = []
-    for care, value in sorted(primes,
-                              key=lambda t: (t[0].bit_count(), literals(t))):
-        hit = {a for a in remaining if a & care == value}
+    # sides[i][v]: the atoms where event i is v
+    sides = [(alg.full_event ^ (col := _atom_column(i, alg.num_atoms)), col)
+             for i in range(nev)]
+    terms = ([(i, bool(value >> i & 1)) for i in range(nev) if care >> i & 1]
+             for care, value in _primes(mask, nev, {}))
+    remaining, chosen = mask, []
+    for lits in sorted(terms, key=lambda lits: (len(lits), lits)):
+        hit = remaining
+        for i, v in lits:
+            hit &= sides[i][v]
         if hit:
-            chosen.append(literals((care, value)))
-            remaining -= hit
+            chosen.append(lits)
+            remaining ^= hit
         if not remaining:
             break
     return " | ".join(

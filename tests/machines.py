@@ -11,7 +11,9 @@ the distribution-file reader that makes a ``Fraction`` of every value, whose
 blocks and errors the integer reader must reproduce, the atom-by-atom letter
 law that the law from class masks must reproduce, and Tarjan's components
 and the sum-row stationary system, which the two-pass components and the
-reference-state stationary law must reproduce."""
+reference-state stationary law must reproduce, and the merge-step DOT label
+and brute-force prime implicants, which the labels from cofactored primes
+must reproduce."""
 import itertools
 import re
 from fractions import Fraction
@@ -122,6 +124,65 @@ def two_cycle_machine() -> MooreMachine3:
     alg = algebra("a")
     return machine_from_atom_table(
         alg, labels=[F, T], delta_by_atom=[[1, 1], [0, 0]], initial=0)
+
+
+def event_text_reference(mask: int, alg: EventAlgebra) -> str:
+    """The DOT label of an atom set by the classic minimization's merge step
+    (Quine 1952; McCluskey 1956), whose unmerged terms are the prime
+    implicants, and the greedy cover that ``event_text`` keeps."""
+    if mask == alg.full_event:
+        return "true"
+    if mask == 0:
+        return "false"
+    nev = len(alg.events)
+    # a term (care, value) fixes the events in ``care`` to their bits in
+    # ``value``, and merges with the term that flips one of them
+    atoms = [atom for atom in range(alg.num_atoms) if mask >> atom & 1]
+    current = {((1 << nev) - 1, atom) for atom in atoms}
+    primes: list[tuple[int, int]] = []
+    while current:
+        merged = set()
+        for care, value in current:
+            prime = True
+            for i in range(nev):
+                bit = 1 << i
+                if care & bit and (care, value ^ bit) in current:
+                    merged.add((care ^ bit, value & ~bit))
+                    prime = False
+            if prime:
+                primes.append((care, value))
+        current = merged
+
+    def literals(term: tuple[int, int]) -> list[tuple[int, bool]]:
+        care, value = term
+        return [(i, bool(value >> i & 1)) for i in range(nev) if care >> i & 1]
+
+    remaining = set(atoms)
+    chosen = []
+    for care, value in sorted(primes,
+                              key=lambda t: (t[0].bit_count(), literals(t))):
+        hit = {a for a in remaining if a & care == value}
+        if hit:
+            chosen.append(literals((care, value)))
+            remaining -= hit
+        if not remaining:
+            break
+    return " | ".join(
+        "&".join(alg.events[i] if v else "!" + alg.events[i] for i, v in lits)
+        for lits in chosen)
+
+
+def primes_reference(f: int, n: int) -> set[tuple[int, int]]:
+    """The prime implicants ``(care, value)`` of the atom set ``f`` over n
+    events by brute force: the cubes inside ``f`` from which no literal can
+    be dropped with the cube still inside ``f``."""
+    def inside(care: int, value: int) -> bool:
+        return all(f >> atom & 1 for atom in range(1 << n) if atom & care == value)
+
+    return {(care, value) for care in range(1 << n) for value in range(1 << n)
+            if value & ~care == 0 and inside(care, value)
+            and not any(care >> i & 1 and inside(care ^ 1 << i, value & ~(1 << i))
+                        for i in range(n))}
 
 
 # Minimized machines as DOT text, fixed: the minimal machine and its

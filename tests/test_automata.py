@@ -1,6 +1,7 @@
 """Machine compilation, minimization, products, counter-freeness, DOT."""
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -12,14 +13,15 @@ from tlcond import (And, Atom, CeaAnd, CeaNeg, CeaOr, CeaSimple, CondObject,
                     compile_cond, cond_output, embed_ps, event_text,
                     is_counter_free, isomorphic, minimize, parse_cea,
                     parse_cond, pretty, product, to_dot, word)
-from tlcond.automata import MonoidSizeError, MooreMachine3, _canonical
+from tlcond.automata import MonoidSizeError, MooreMachine3, _canonical, _primes
 from tlcond.cea import first_machine
 from tlcond.syntax import hist, once
 
 from corpus import ALG_AB, CORPUS
 from machines import (MINIMAL_DOTS, assert_first_machine_shape,
-                      compile_cond_reference, expected_conjunction_machine,
-                      expected_first_machine, machine_from_atom_table,
+                      compile_cond_reference, event_text_reference,
+                      expected_conjunction_machine, expected_first_machine,
+                      machine_from_atom_table, primes_reference,
                       two_cycle_machine)
 from walkers import outputs_match_everywhere
 
@@ -518,6 +520,81 @@ def test_event_text_denotes_its_atom_set():
                        for name, value in lits):
                     denoted |= 1 << atom
         assert denoted == mask, text
+
+
+def _cube(n, care, value):
+    """The atoms over n events that agree with ``value`` on ``care``."""
+    return sum(1 << atom for atom in range(1 << n) if atom & care == value)
+
+
+@st.composite
+def atom_sets(draw, max_events):
+    """An event count n and an atom set over n events: empty, full, one atom,
+    all atoms but one, a union of 1 to 4 cubes, or uniform."""
+    n = draw(st.integers(1, max_events))
+    full = (1 << (1 << n)) - 1
+    kind = draw(st.sampled_from(["empty", "full", "atom", "all but one",
+                                 "cubes", "uniform"]))
+    if kind in ("empty", "full"):
+        return n, full if kind == "full" else 0
+    if kind in ("atom", "all but one"):
+        atom = 1 << draw(st.integers(0, (1 << n) - 1))
+        return n, atom if kind == "atom" else full ^ atom
+    if kind == "uniform":
+        return n, draw(st.integers(0, full))
+    mask = 0
+    for _ in range(draw(st.integers(1, 4))):
+        care = draw(st.integers(0, (1 << n) - 1))
+        mask |= _cube(n, care, draw(st.integers(0, (1 << n) - 1)) & care)
+    return n, mask
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(atom_sets(8))
+def test_event_text_equals_the_merge_step_cover(case):
+    n, mask = case
+    alg = algebra([f"e{i}" for i in range(n)])
+    assert event_text.__wrapped__(mask, alg) == event_text_reference(mask, alg)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(atom_sets(5))
+def test_cofactored_primes_are_the_brute_force_primes(case):
+    n, mask = case
+    assert _primes(mask, n, {}) == primes_reference(mask, n)
+
+
+def test_labels_at_the_event_limit_recurse_once_per_event():
+    """At 16 events, the most an algebra with atoms holds, the label of a
+    union of cubes is found within a recursion depth of a few frames per
+    event, so no label can reach the interpreter's limit."""
+    alg = algebra([f"e{i}" for i in range(16)])
+    rng = random.Random(16)
+    mask = 0
+    for _ in range(4):
+        care = rng.getrandbits(16)
+        mask |= _cube(16, care, rng.getrandbits(16) & care)
+    depth, frame = 0, sys._getframe()
+    while frame:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 3 * 16 + 10)
+    try:
+        text = event_text.__wrapped__(mask, alg)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert text == event_text_reference(mask, alg)
+
+
+def test_labels_are_kept_per_mask_and_algebra():
+    """A repeated label is a hit; the same mask under other names is a
+    miss that prints those names."""
+    mask = 0b0110
+    assert event_text(mask, ALG_AB) == "!a&b | a&!b"
+    assert event_text(mask, ALG_AB) == "!a&b | a&!b"
+    assert event_text(mask, algebra("x y")) == "!x&y | x&!y"
+    info = event_text.cache_info()
+    assert (info.hits, info.misses) == (1, 2)
 
 
 def test_dot_is_deterministic():

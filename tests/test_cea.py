@@ -28,7 +28,8 @@ from tlcond.trivalue import ConnectiveId, apply_binary
 
 from corpus import ALG_AB, CORPUS, CORPUS_TEXTS, SKEWED_AB, UNIFORM_AB
 from machines import (assert_first_machine_shape, eval_cea_valuation_reference,
-                      first_product_machine, reduce_present_reference,
+                      event_text_reference, first_product_machine,
+                      reduce_present_reference,
                       reduce_syntactic_reference,
                       strong_indep_reference, weak_tautology_reference)
 
@@ -1124,6 +1125,32 @@ def _assert_kept_machines_equal_fresh_ones(c, algs):
 def test_the_kept_machine_of_a_corpus_conditional_is_a_fresh_one(text, c):
     _assert_kept_machines_equal_fresh_ones(
         c, [ALG_AB, algebra("b a"), ABC])
+
+
+@pytest.mark.parametrize("text,c", CORPUS)
+def test_the_kept_label_of_a_corpus_machine_is_a_fresh_one(text, c, monkeypatch):
+    """``to_dot`` of a corpus machine prints the text of labels worked out
+    afresh with the label memo cold, warm and cleared, and a copy with its
+    events renamed, whose kept machine is shared, prints its own names."""
+    from tlcond import automata
+    names = {"a": "x", "b": "y", "c": "z"}
+
+    def rename(text):
+        return re.sub(r"\b[abc]\b", lambda m: names[m.group()], text)
+
+    for alg in (ALG_AB, algebra("b a"), ABC):
+        renamed_alg = algebra([names[e] for e in alg.events])
+        cases = [(c, alg), (parse_cond(rename(text), renamed_alg), renamed_alg)]
+        with monkeypatch.context() as patch:
+            patch.setattr(automata, "event_text", event_text_reference)
+            fresh = [to_dot(automata.minimal_machine(*case)) for case in cases]
+        assert fresh[1] == rename(fresh[0])  # the same labels over x, y, z
+        automata.event_text.cache_clear()
+        for _ in range(2):  # cold, then warm; no copy hits the other's labels
+            assert [to_dot(automata.minimal_machine(*case)) for case in cases] == fresh
+        automata.event_text.cache_clear()
+        assert [to_dot(automata.minimal_machine(*case)) for case in reversed(cases)] \
+            == fresh[::-1]
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
