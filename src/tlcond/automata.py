@@ -88,27 +88,38 @@ def _classes_from_columns(keyed_masks: Iterable[tuple]) -> tuple[list[int], list
 
 
 def event_mask(f: TLFormula, alg: EventAlgebra) -> int:
-    """The set of atoms (bitmask) at which a present-tense formula holds,
-    from one pass over its subformulas, children first."""
+    """The set of atoms (bitmask) at which a present-tense formula holds."""
     if type(f) is Atom:
         return _atom_column(alg.index(f.name), alg.num_atoms)
+    subs = subformulas([f])
+    vals = _present_masks(subs, alg)
+    if f not in vals:
+        bad = next(x for x in subs if x not in vals)
+        raise ValueError(f"not a present-tense formula: {bad!r}")
+    return vals[f]
+
+
+def _present_masks(subs: list, alg: EventAlgebra) -> dict:
+    """The atom set of every formula in ``subs`` (each after its children)
+    that holds no ``Y`` or ``S``, from one pass: a connective has a set when
+    its operands do."""
     full = alg.full_event
     vals: dict = {}  # subformula -> its atom set
-    for x in subformulas([f]):
+    for x in subs:
         kind = type(x)
+        if kind is Prev or kind is Since:
+            continue
         if kind is Atom:
             vals[x] = _atom_column(alg.index(x.name), full.bit_length())
         elif kind is Const:
             vals[x] = full if x.value else 0
-        elif kind is Not:
+        elif kind is Not and x.child in vals:
             vals[x] = full ^ vals[x.child]
-        elif kind in (And, Or, Implies, Iff):
+        elif kind in (And, Or, Implies, Iff) and x.left in vals and x.right in vals:
             a, b = vals[x.left], vals[x.right]
             vals[x] = (a & b if kind is And else a | b if kind is Or
                        else (full ^ a) | b if kind is Implies else full ^ a ^ b)
-        else:
-            raise ValueError(f"not a present-tense formula: {x!r}")
-    return vals[f]
+    return vals
 
 
 def _atom_column(i: int, num_atoms: int) -> int:
@@ -184,18 +195,14 @@ def leaf_classes(c: CondObject, alg: EventAlgebra) -> tuple[tuple, tuple, tuple,
     changes a kept entry.
     """
     subs = subformulas([c.num, c.den])
-    present: set = set()
-    for f in subs:
-        if not isinstance(f, (Prev, Since)) and all(
-                x in present for x in children(f)):
-            present.add(f)
-    leaf_set = present & ({c.num, c.den} | {x for f in subs if f not in present
-                                            for x in children(f)})
+    present = _present_masks(subs, alg)
+    leaf_set = present.keys() & ({c.num, c.den} | {x for f in subs if f not in present
+                                                    for x in children(f)})
     subs = [f for f in subs if f not in present or f in leaf_set]
     leaves = [f for f in subs if f in leaf_set]
     parts = [((), alg.full_event)]
     for f in leaves:
-        holds = event_mask(f, alg)
+        holds = present[f]
         parts = [(key + (bit,), part) for key, mask in parts
                  for bit, part in ((1, mask & holds), (0, mask & ~holds)) if part]
     classes, keys = _classes_from_columns(parts)

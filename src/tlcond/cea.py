@@ -518,7 +518,7 @@ def strong_indep(c1: CondObject, c2: CondObject,
 # Weak tautologies
 
 
-def weak_tautology(e: CeaExpr, which: Algebra, dialect: str = "full",
+def weak_tautology(e: CeaExpr, which: Algebra,
                    variable_cap: int = DEFAULT_VARIABLE_CAP
                    ) -> tuple[bool, Optional[dict[str, Value3]]]:
     """Exhaustively check that no valuation makes the expression false.
@@ -527,7 +527,6 @@ def weak_tautology(e: CeaExpr, which: Algebra, dialect: str = "full",
     """
     if which not in ("sac", "gnw"):
         raise ValueError("tautology checking targets the sac and gnw algebras")
-    syntax._check_dialect(e, dialect)
     names = sorted({x.name for x in walk(e) if isinstance(x, CeaVar)})
     if len(names) > variable_cap:
         raise ValueError(f"{len(names)} variables exceed the cap {variable_cap}")

@@ -262,14 +262,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-_PARSER = _build_parser()
-
-
 def _read_argv(argv: list[str]) -> Optional[argparse.Namespace]:
-    """The namespace that ``_PARSER.parse_args(argv)`` gives, for a plain
-    line: a known command, then only its own options, spelled out, each
-    value the next item, neither empty nor starting with ``-``, and valid
-    for its option.  None for any other line."""
+    """The namespace that the top parser (``_build_parser``) gives for
+    ``argv``, for a plain line: a known command, then only its own options,
+    spelled out, each value the next item, neither empty nor starting with
+    ``-``, and valid for its option.  None for any other line."""
     entry = _OPTIONS.get(argv[0]) if argv else None
     if entry is None:
         return None
@@ -304,11 +301,11 @@ def _read_argv(argv: list[str]) -> Optional[argparse.Namespace]:
 
 def main(argv=None) -> int:
     """Run one command line (``sys.argv[1:]`` by default) and return its
-    exit code.  ``_read_argv`` reads a plain line; the top parser reads any
-    other, so help and usage errors are argparse's own."""
+    exit code.  ``_read_argv`` reads a plain line; the top parser, built
+    only then, reads any other, so help and usage errors are argparse's own."""
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _read_argv(argv) or _PARSER.parse_args(argv)
+        args = _read_argv(argv) or _build_parser().parse_args(argv)
     except SystemExit as exc:  # a usage error is an input error; --help is not
         raise SystemExit(exc.code and INPUT_ERROR) from None
     try:

@@ -300,7 +300,7 @@ def chain_from_machine(m: MooreMachine3, p: ProbAssignment) -> MarkovChain3:
         raise ValueError("machine and distribution use different event algebras")
     den, weights = class_weights(p, m.classes)
     live = [(c, w) for c, w in enumerate(weights) if w]
-    built: dict[tuple, tuple] = {}  # a raw machine repeats rows often
+    built: dict[tuple, tuple] = {}  # states that differ only in label share a row
 
     def pairs(targets: list[int]) -> tuple[tuple[int, int], ...]:
         key = tuple(targets)

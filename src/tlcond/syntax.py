@@ -625,19 +625,13 @@ def parse_cea(text: str, alg: Optional[EventAlgebra] = None,
     if error:
         message, tok = error
         raise _error(message.format(tok[1]), text, tok[2])
-    _check_dialect(e, dialect, conditioned)
-    return e
-
-
-def _check_dialect(e: CeaExpr, dialect: str, conditioned: Optional[bool] = None):
-    """``conditioned``: whether ``e`` holds a CeaCond, if the parse said so."""
-    if dialect == "flat" and (conditioned if conditioned is not None else
-                              any(isinstance(x, CeaCond) for x in walk(e))):
+    if dialect == "flat" and conditioned:
         raise ValueError("re-conditioning not allowed in the flat dialect")
     if dialect == "pure-conditional" and any(
             isinstance(x, (CeaNeg, CeaAnd, CeaOr)) for x in walk(e)):
         raise ValueError("pure-conditional dialect allows only the "
                          "conditioning connective")
+    return e
 
 
 # ---------------------------------------------------------------------------

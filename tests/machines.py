@@ -24,12 +24,12 @@ from unittest import mock
 from tlcond import (CeaAnd, CeaNeg, CeaOr, CeaSimple, CondObject, ProbAssignment,
                     TRUE, Value3, algebra, compile_cond, first_resolution, markov,
                     minimize, product, syntax, trivalue)
-from tlcond.automata import MooreMachine3, _classes_from_columns, event_mask
+from tlcond.automata import MooreMachine3, _classes_from_columns
 from tlcond.cea import DEFAULT_VARIABLE_CAP, _leaf
 from tlcond.markov import Block
-from tlcond.syntax import (_KEYWORDS, And, CeaCond, CeaExpr, CeaVar, EventAlgebra,
-                           Iff, Implies, Not, Or, ParseError, Prev, Since, children,
-                           collect_simples, subformulas, walk)
+from tlcond.syntax import (_KEYWORDS, And, Atom, CeaCond, CeaExpr, CeaVar, Const,
+                           EventAlgebra, Iff, Implies, Not, Or, ParseError, Prev,
+                           Since, children, collect_simples, subformulas, walk)
 from tlcond.trivalue import UnboundVariableError, apply_binary, apply_unary
 
 F, T = Value3.FALSE, Value3.TRUE
@@ -406,6 +406,57 @@ digraph "machine" {
 ]
 
 
+def event_mask_reference(f, alg: EventAlgebra) -> int:
+    """The set of atoms (bitmask) at which a present-tense formula holds,
+    from one pass over its subformulas, children first, raising at the
+    first one that is not present-tense; kept as a reference for
+    ``event_mask``."""
+    def column(i: int, num_atoms: int) -> int:
+        return sum(1 << atom for atom in range(num_atoms) if atom >> i & 1)
+
+    if type(f) is Atom:
+        return column(alg.index(f.name), alg.num_atoms)
+    full = alg.full_event
+    vals: dict = {}  # subformula -> its atom set
+    for x in subformulas([f]):
+        kind = type(x)
+        if kind is Atom:
+            vals[x] = column(alg.index(x.name), full.bit_length())
+        elif kind is Const:
+            vals[x] = full if x.value else 0
+        elif kind is Not:
+            vals[x] = full ^ vals[x.child]
+        elif kind in (And, Or, Implies, Iff):
+            a, b = vals[x.left], vals[x.right]
+            vals[x] = (a & b if kind is And else a | b if kind is Or
+                       else (full ^ a) | b if kind is Implies else full ^ a ^ b)
+        else:
+            raise ValueError(f"not a present-tense formula: {x!r}")
+    return vals[f]
+
+
+def leaf_classes_reference(c: CondObject, alg: EventAlgebra) -> tuple:
+    """``leaf_classes`` with a presence loop of its own and a walk of every
+    leaf by ``event_mask_reference``, kept as a reference for it."""
+    subs = subformulas([c.num, c.den])
+    present: set = set()
+    for f in subs:
+        if not isinstance(f, (Prev, Since)) and all(
+                x in present for x in children(f)):
+            present.add(f)
+    leaf_set = present & ({c.num, c.den} | {x for f in subs if f not in present
+                                            for x in children(f)})
+    subs = [f for f in subs if f not in present or f in leaf_set]
+    leaves = [f for f in subs if f in leaf_set]
+    parts = [((), alg.full_event)]
+    for f in leaves:
+        holds = event_mask_reference(f, alg)
+        parts = [(key + (bit,), part) for key, mask in parts
+                 for bit, part in ((1, mask & holds), (0, mask & ~holds)) if part]
+    classes, keys = _classes_from_columns(parts)
+    return tuple(subs), tuple(leaves), tuple(classes), tuple(keys)
+
+
 def _reference_step(f, index: dict, slot: dict, full: int):
     """The closure computing ``f``'s class mask from the masks of the
     subformulas before it and the remembered masks (``full`` or 0)."""
@@ -448,7 +499,7 @@ def compile_cond_reference(c: CondObject, alg: EventAlgebra) -> MooreMachine3:
     # atoms split by every leaf's value; a class's key holds the leaf values
     parts = [((), alg.full_event)]
     for i in leaf_order:
-        holds = event_mask(subs[i], alg)
+        holds = event_mask_reference(subs[i], alg)
         parts = [(key + (bit,), part) for key, mask in parts
                  for bit, part in ((1, mask & holds), (0, mask & ~holds)) if part]
     classes, class_keys = _classes_from_columns(parts)
@@ -631,7 +682,7 @@ def eval_cea_valuation_reference(expr, valuation, algebra: str) -> Value3:
     return walk(expr)
 
 
-def weak_tautology_reference(e: CeaExpr, which, dialect: str = "full",
+def weak_tautology_reference(e: CeaExpr, which,
                              variable_cap: int = DEFAULT_VARIABLE_CAP):
     """Exhaustively check that no valuation makes the expression false.
 
@@ -639,7 +690,6 @@ def weak_tautology_reference(e: CeaExpr, which, dialect: str = "full",
     """
     if which not in ("sac", "gnw"):
         raise ValueError("tautology checking targets the sac and gnw algebras")
-    syntax._check_dialect(e, dialect)
     names = sorted({x.name for x in walk(e) if isinstance(x, CeaVar)})
     if len(names) > variable_cap:
         raise ValueError(f"{len(names)} variables exceed the cap {variable_cap}")

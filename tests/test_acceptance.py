@@ -11,7 +11,7 @@ from tlcond import (CeaCond, CeaVar, CondObject, Value3, algebra,
                     brute_joint, brute_pr_series, chain_from_machine,
                     compile_cond, embed_ps, eval_cea_valuation, is_counter_free,
                     isomorphic, minimize, parse_cea, parse_cond, present_indep,
-                    pr_n, prob_ps, strong_indep, weak_tautology)
+                    pr_n, pretty, prob_ps, strong_indep, weak_tautology)
 from tlcond.cea import _mask_formula, cond_asymptotic, first_machine
 from tlcond.markov import ProbAssignment, asymptotic
 
@@ -305,10 +305,11 @@ def test_criterion_08_tautology_suite():
 
     all_trees = [t for size in (1, 3, 5, 7) for t in trees(size)]
     assert len(all_trees) == 471
-    sac_set = {i for i, t in enumerate(all_trees)
-               if weak_tautology(t, "sac", dialect="pure-conditional")[0]}
-    gnw_set = {i for i, t in enumerate(all_trees)
-               if weak_tautology(t, "gnw", dialect="pure-conditional")[0]}
+    # every tree is pure-conditional: its text passes the parser's dialect check
+    for t in all_trees:
+        assert parse_cea(pretty(t), None, "pure-conditional") is t
+    sac_set = {i for i, t in enumerate(all_trees) if weak_tautology(t, "sac")[0]}
+    gnw_set = {i for i, t in enumerate(all_trees) if weak_tautology(t, "gnw")[0]}
     assert sac_set == gnw_set
     assert sac_set  # the suite is not vacuous
 

@@ -16,19 +16,20 @@ from tlcond import (And, Atom, CeaAnd, CeaCond, CeaNeg, CeaOr, CeaSimple,
                     minimize, parse_cea, parse_cond, parse_tl, present_indep, pretty,
                     prob_present, prob_ps, product, reduce_present,
                     strong_indep, weak_tautology)
-from tlcond.automata import to_dot
+from tlcond.automata import leaf_classes, to_dot
 from tlcond.cea import (cond_asymptotic, event_mask, first_machine,
                         lift_defined, present_machine, simple_to_cond)
 from tlcond.markov import (Block, ProbAssignment, asymptotic,
                            chain_from_machine, limiting_label_masses,
                            pr_n_ratio, pr_series)
 from tlcond.oracle import brute_pr_series
-from tlcond.syntax import EventAlgebra, Since, collect_simples, horizon
+from tlcond.syntax import EventAlgebra, Since, collect_simples, horizon, subformulas
 from tlcond.trivalue import ConnectiveId, apply_binary
 
 from corpus import ALG_AB, CORPUS, CORPUS_TEXTS, SKEWED_AB, UNIFORM_AB
 from machines import (assert_first_machine_shape, eval_cea_valuation_reference,
-                      event_text_reference, first_product_machine,
+                      event_mask_reference, event_text_reference,
+                      first_product_machine, leaf_classes_reference,
                       reduce_present_reference,
                       reduce_syntactic_reference,
                       strong_indep_reference, weak_tautology_reference)
@@ -110,6 +111,96 @@ def test_event_mask_error_texts():
         with pytest.raises(ValueError) as err:
             event_mask(f, wide)
         assert str(err.value) == "17 basic events exceed the limit 16"
+
+
+def _outcome(fn, *args):
+    """A call's value, or the type and text of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("text, want", [
+    ("not (a and Y b)", (ValueError, "not a present-tense formula: "
+                                     "Prev(child=Atom(name='b'))")),
+    ("(a -> c) <-> (b or (a S c))", (ValueError, "not a present-tense formula: Since("
+                                   "left=Atom(name='a'), right=Atom(name='c'))")),
+    ("not not (c and (Y a or b))", (ValueError, "not a present-tense formula: "
+                                    "Prev(child=Atom(name='a'))")),
+    ("a and (b or not zz)", (KeyError, "\"unknown event: 'zz'\"")),
+    ("zz", (KeyError, "\"unknown event: 'zz'\"")),
+    ("(zz <-> true) -> zz", (KeyError, "\"unknown event: 'zz'\"")),
+])
+def test_event_mask_errors_under_connectives_equal_the_reference(text, want):
+    f = parse_tl(text)
+    assert _outcome(event_mask, f, ABC) == want
+    assert _outcome(event_mask_reference, f, ABC) == want
+
+
+_EVENT_POOL = ("a", "b", "c", "d")
+
+
+@st.composite
+def _formula_over_shared_pieces(draw):
+    """An algebra over some of the pool's events (in any order, with extra
+    events, and now and then 17 of them) and a conditional built from a
+    few shared present-tense pieces, constants, every connective, Y and S."""
+    size = draw(st.sampled_from((1, 3, 4, 4, 4, 4)))
+    names = draw(st.permutations(_EVENT_POOL))[:size]
+    extra = draw(st.sampled_from(((), (), ("e",), ("e", "f"),
+                                  tuple(f"x{i}" for i in range(17)))))
+    alg = algebra(list(names) + list(extra))
+    atoms = st.sampled_from([Atom(name) for name in _EVENT_POOL] + [TRUE, FALSE])
+    present = st.recursive(atoms, lambda sub: st.one_of(
+        st.builds(Not, sub), *(st.builds(node, sub, sub)
+                               for node in (And, Or, Implies, Iff))), max_leaves=4)
+    pieces = draw(st.lists(present, min_size=1, max_size=3))
+    leaves = st.one_of(st.sampled_from(pieces), atoms)
+    formulas = st.recursive(leaves, lambda sub: st.one_of(
+        st.builds(Not, sub), st.builds(Prev, sub),
+        *(st.builds(node, sub, sub) for node in (And, Or, Implies, Iff, Since))),
+        max_leaves=8)
+    return alg, CondObject(draw(formulas), draw(formulas))
+
+
+def _unknown_events(f, alg):
+    return {x.name for x in subformulas([f]) if type(x) is Atom} - set(alg.events)
+
+
+def _check_against_references(c, alg):
+    """``leaf_classes`` and ``event_mask`` of every subformula equal the
+    references, values and errors alike.  Two known exceptions in the fault
+    order, where a formula has two faults: ``event_mask`` of a formula with
+    an unknown event and a ``Y`` or ``S`` may report either, and
+    ``leaf_classes`` over two unknown events may name either."""
+    got = _outcome(leaf_classes.__wrapped__, c, alg)
+    want = _outcome(leaf_classes_reference, c, alg)
+    if got != want:
+        assert len(_unknown_events(c.num, alg) | _unknown_events(c.den, alg)) > 1
+        assert got[0] is want[0] is KeyError
+    for f in subformulas([c.num, c.den]):
+        got, want = _outcome(event_mask, f, alg), _outcome(event_mask_reference, f, alg)
+        if got != want:
+            assert _unknown_events(f, alg), pretty(f)
+            assert any(type(x) in (Prev, Since) for x in subformulas([f])), pretty(f)
+            assert type(got) is type(want) is tuple
+
+
+def test_leaf_classes_and_event_mask_equal_the_references_on_the_corpus():
+    """Every corpus conditional, under several event orders and with extra
+    events."""
+    for events in ("a b", "b a", "a b c", "c b a d", "x a y b"):
+        alg = algebra(events)
+        for text in CORPUS_TEXTS:
+            _check_against_references(parse_cond(text, alg), alg)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_formula_over_shared_pieces())
+def test_leaf_classes_and_event_mask_equal_the_references_on_shared_pieces(case):
+    alg, c = case
+    _check_against_references(c, alg)
 
 
 def test_simple_conditional_normal_form():

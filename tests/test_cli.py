@@ -661,7 +661,7 @@ ARGV_CORPUS = [
 @pytest.mark.parametrize("argv", ARGV_CORPUS)
 def test_direct_dispatch_ends_as_the_top_parser(capsys, monkeypatch, argv):
     """Exit code, stdout, stderr and the namespace run are the same as when
-    ``_PARSER.parse_args`` reads the whole argument list, on the running
+    the top parser reads the whole argument list, on the running
     interpreter's argparse."""
     namespaces = []
     run_args = cli._run
@@ -732,7 +732,7 @@ def command_lines(draw):
 def test_a_line_the_table_reads_is_read_as_the_top_parser_reads_it(argv):
     args = cli._read_argv(argv)
     if args is not None:
-        assert vars(args) == vars(cli._PARSER.parse_args(argv))
+        assert vars(args) == vars(cli._build_parser().parse_args(argv))
 
 
 def _readme_commands() -> list[list[str]]:
@@ -749,7 +749,7 @@ def test_well_formed_lines_never_reach_argparse(capsys, monkeypatch, tmp_path):
     def refuse(*args, **kwargs):
         raise AssertionError("argparse read a well-formed command line")
 
-    monkeypatch.setattr(cli._PARSER, "parse_args", refuse)
+    monkeypatch.setattr(cli, "_build_parser", refuse)
     readme = _readme_commands()
     assert len(readme) == 6
     shapes = [
@@ -774,16 +774,19 @@ def test_every_benchmark_line_is_read_from_the_table(monkeypatch):
 
 
 def test_argument_parser_is_built_once(capsys, monkeypatch):
-    def refuse():
-        raise AssertionError("the argument parser was rebuilt")
-
-    monkeypatch.setattr(cli, "_build_parser", refuse)
+    """A line the table reads builds no argument parser; a line argparse
+    reads builds one."""
+    built = []
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda: built.append(1) or build())
     code, out, _ = run(capsys, "prob", "--cea", "tl", "--expr", "(a|true)")
     assert code == 0
     assert out.strip() == "1/2 (0.500000000000)"
+    assert built == []
     with pytest.raises(SystemExit) as exc:
         main(["prob"])
     assert exc.value.code == 1
+    assert built == [1]
 
 
 def test_machine_output_is_deterministic(capsys):
