@@ -129,13 +129,15 @@ def cmd_series(args) -> int:
     # a row is written as soon as it is stepped; no row is kept
     p1 = q1 = 0  # the last ratio p1/q1 in lowest terms; q1 = 0 after undef
     for n, (scale, w1, w0, wbot) in enumerate(label_weights(ch, args.n), 1):
-        # scale = den^t, so a weight coprime to a den > 1 shares no prime
-        # with scale and is in lowest terms over it: one small gcd, not one
-        # against den^t.  str(scale) is made at most once per row, and not
-        # at all when every cell takes the full gcd.
+        # scale divides den^t, so a weight coprime to den shares no prime
+        # with a scale > 1 and is in lowest terms over it: one small gcd, not
+        # one against scale.  str(scale) is made at most once per row, and
+        # not at all when no cell needs it.
         over, cells = "", []
         for w in (w1, w0, wbot):
-            if den > 1 and gcd(w, den) == 1:
+            if not w:
+                cells.append("0")
+            elif scale > 1 and gcd(w, den) == 1:
                 over = over or f"/{scale}"
                 cells.append(f"{w}{over}")
             else:

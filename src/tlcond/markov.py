@@ -13,6 +13,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 from math import gcd, lcm
 from typing import Iterator, Optional, Sequence
 
@@ -329,17 +330,25 @@ def _step(dist: list[int], succ: Sequence[Sequence[tuple[int, int]]]) -> list[in
 
 
 def label_weights(ch: MarkovChain3, n: int) -> Iterator[tuple[int, int, int, int]]:
-    """(den^t, weight of value 1, of value 0, of undefined) at times
-    t = 1..n, the probabilities over den^t; the integer state weights are
-    stepped once per time."""
-    by_label = [[s for s, lab in enumerate(ch.labels) if lab is v]
-                for v in (Value3.TRUE, Value3.FALSE, Value3.UNDEF)]
-    dist, scale = list(ch.init_weights), ch.den
+    """(scale, weight of value 1, of value 0, of undefined) at times
+    t = 1..n, the probabilities over ``scale``, a divisor of den^t.
+
+    The integer state weights are stepped once per time, and a label's
+    weight is one ``compress`` sum over a selector made once per call.
+    Each step divides out of the weights and of ``scale`` every factor of
+    den that they all share, as fraction-free elimination divides out a
+    row's content (Bareiss, Math. Comp. 1968)."""
+    ones, zeros = ([lab is v for lab in ch.labels] for v in (Value3.TRUE, Value3.FALSE))
+    dist, scale, den = list(ch.init_weights), ch.den, ch.den
     for t in range(1, n + 1):
         if t > 1:
             dist = _step(dist, ch.succ)
-            scale *= ch.den
-        yield scale, *[sum(map(dist.__getitem__, states)) for states in by_label]
+            scale *= den
+        while (g := gcd(den, *dist)) > 1:  # gcd stops at the first 1
+            dist = [w // g for w in dist]
+            scale //= g
+        w1, w0 = sum(compress(dist, ones)), sum(compress(dist, zeros))
+        yield scale, w1, w0, scale - w1 - w0
 
 
 def pr_series(ch: MarkovChain3, n: int

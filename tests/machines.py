@@ -11,9 +11,10 @@ the distribution-file reader that makes a ``Fraction`` of every value, whose
 blocks and errors the integer reader must reproduce, the atom-by-atom letter
 law that the law from class masks must reproduce, and Tarjan's components
 and the sum-row stationary system, which the two-pass components and the
-reference-state stationary law must reproduce, and the merge-step DOT label
+reference-state stationary law must reproduce, the merge-step DOT label
 and brute-force prime implicants, which the labels from cofactored primes
-must reproduce."""
+must reproduce, and the series weights over den^t, which the weights over
+a divisor of den^t must reproduce."""
 import itertools
 import re
 from fractions import Fraction
@@ -904,6 +905,29 @@ def class_weights_reference(p: ProbAssignment, class_of_atom: list[int],
         weights[c] += w
     common = gcd(den, *weights)
     return den // common, [w // common for w in weights]
+
+
+# ---------------------------------------------------------------------------
+# Series reference: every row over den^t, each label summed state by state,
+# how ``markov.label_weights`` stepped before it divided out den's common
+# factors
+
+
+def label_weights_reference(ch, n: int):
+    """(den^t, weight of value 1, of value 0, of undefined) at times
+    t = 1..n, the probabilities over den^t; the integer state weights are
+    stepped once per time."""
+    by_label = [[s for s, lab in enumerate(ch.labels) if lab is v]
+                for v in (Value3.TRUE, Value3.FALSE, Value3.UNDEF)]
+    dist, scale = list(ch.init_weights), ch.den
+    for t in range(1, n + 1):
+        if t > 1:
+            out = [0] * len(dist)
+            for w, pairs in zip(dist, ch.succ):
+                for s, p in pairs:
+                    out[s] += w * p
+            dist, scale = out, scale * ch.den
+        yield scale, *[sum(dist[s] for s in states) for states in by_label]
 
 
 # ---------------------------------------------------------------------------

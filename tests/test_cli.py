@@ -439,6 +439,39 @@ def test_series_pinned_rows(capsys, tmp_path, marginals, expr, n, last):
     assert out == reference_series_csv(expr, path.read_text(), n)
 
 
+# den = 1, and a table with a zero atom over den = 6, whose scale reaches 1
+# when a row is certain
+EDGE_DISTS = {"den1": "events: a b\nindependent: a=0 b=1\n",
+              "zero-atom": "events: a b\natom {}: 0\natom {a}: 1/3\n"
+                           "atom {b}: 1/6\natom {a b}: 1/2\n"}
+
+
+@pytest.mark.parametrize("dist, kind, expr, n, want", [
+    ("den1", "tl", "(a S b | O a)", 4, "1,0,0,1,undef|2,0,0,1,undef|3,0,0,1,undef|"
+     "4,0,0,1,undef"),
+    ("den1", "tl", "(a or b | true)", 3, "1,1,0,0,1|2,1,0,0,1|3,1,0,0,1"),
+    ("den1", "tl", "(Y a | Y true)", 3, "1,0,0,1,undef|2,0,1,0,0|3,0,1,0,0"),
+    ("den1", "ps", "(a|b) and ~(b|a)", 3, "1,0,1,0,0|2,0,1,0,0|3,0,1,0,0"),
+    ("den1", "sac", "(a|b) or (b|a)", 2, "1,0,1,0,0|2,0,1,0,0"),
+    ("zero-atom", "tl", "(a S b | O a)", 4, "1,1/2,1/3,1/6,3/5|2,31/36,1/9,1/36,31/35|"
+     "3,23/24,1/27,1/216,207/215|4,1279/1296,1/81,1/1296,1279/1295"),
+    ("zero-atom", "tl", "(a or b | true)", 3, "1,1,0,0,1|2,1,0,0,1|3,1,0,0,1"),
+    ("zero-atom", "tl", "(Y a | Y true)", 3, "1,0,0,1,undef|2,5/6,1/6,0,5/6|"
+     "3,5/6,1/6,0,5/6"),
+    ("zero-atom", "ps", "(a|b) and ~(b|a)", 3, "1,0,1,0,0|2,1/6,5/6,0,1/6|3,2/9,7/9,0,2/9"),
+    ("zero-atom", "sac", "(a|b) or (b|a)", 2, "1,1/2,1/2,0,1/2|2,1/2,1/2,0,1/2"),
+])
+def test_series_pinned_edge_texts(capsys, tmp_path, dist, kind, expr, n, want):
+    """Zero cells, whole cells and a scale that reaches 1 print as
+    ``str(Fraction)`` does, under the temporal, ps and present-tense paths."""
+    path = tmp_path / "ab.dist"
+    path.write_text(EDGE_DISTS[dist])
+    code, out, err = run(capsys, "series", "--cea", kind, "--expr", expr,
+                         "--dist", str(path), "--n", str(n))
+    assert (code, err) == (0, "")
+    assert out == "n,p1,p0,pbot,ratio\n" + want.replace("|", "\n") + "\n"
+
+
 def test_series_into_a_closed_pipe_ends_quietly():
     """A reader that closes stdout early, as ``head`` does, ends the command
     with exit code 0, no traceback and nothing at interpreter exit."""

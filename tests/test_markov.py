@@ -9,22 +9,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tlcond import (ProbAssignment, algebra, asymptotic,
-                    brute_pr_series, chain_from_machine, compile_cond,
-                    minimal_machine, minimize, parse_cea, parse_cond, pr_n,
-                    pr_n_ratio, pr_series, prob_ps, strong_indep)
+from tlcond import (FALSE, TRUE, And, Atom, CeaAnd, CeaNeg, CeaOr, CeaSimple,
+                    CondObject, Not, Or, Prev, ProbAssignment, Since, algebra,
+                    asymptotic, brute_pr_series, chain_from_machine, compile_cond,
+                    embed_ps, minimal_machine, minimize, parse_cea, parse_cond,
+                    pr_n, pr_n_ratio, pr_series, present_machine, prob_ps,
+                    reduce_present, strong_indep)
 from tlcond import markov
 from tlcond.automata import leaf_classes
 from tlcond.markov import (Block, MarkovChain3, PeriodicChainError,
                            SingularMatrixError, _sccs,
                            limiting_label_masses, solve_linear,
                            stationary_distribution)
-from tlcond.syntax import EventAlgebra
+from tlcond.syntax import EventAlgebra, horizon
 from tlcond.trivalue import Value3
 
 from corpus import (ALG_AB, CONVERGENCE_AB, CORPUS, CORPUS_TEXTS, SKEWED_AB,
                     UNIFORM_AB)
-from machines import (class_weights_reference, from_text_reference, sccs_reference,
+from machines import (class_weights_reference, from_text_reference,
+                      label_weights_reference, sccs_reference,
                       stationary_distribution_reference)
 
 F2 = Fraction(1, 2)
@@ -745,6 +748,98 @@ def test_pr_series_equals_the_fraction_reference():
 def test_pr_n_rejects_time_zero():
     with pytest.raises(ValueError):
         pr_n(_chain("(a|b)"), 0)
+
+
+# ---------------------------------------------------------------------------
+# Series weights over a divisor of den^t
+
+# 0/1 marginals, prime, composite and unreduced denominators
+LABEL_MARGINALS = ("0", "1", "1/2", "2/4", "1/3", "2/5", "3/4", "1/6", "5/12")
+
+
+def _label_dist(draw, events):
+    """An ``independent:`` line with 0/1 marginals allowed, an atom table
+    with zero atoms, or a table whose one atom of mass 1 makes den = 1."""
+    kind = draw(st.sampled_from(["independent", "table", "point"]))
+    if kind == "independent":
+        return ProbAssignment.from_text(
+            f"events: {' '.join(events)}\nindependent: "
+            + " ".join(f"{e}={draw(st.sampled_from(LABEL_MARGINALS))}" for e in events))
+    alg = algebra(events)
+    raw = [0] * alg.num_atoms
+    raw[draw(st.integers(0, alg.num_atoms - 1))] = 1
+    if kind == "table":
+        raw = [w + draw(st.integers(0, 3)) for w in raw]
+    return ProbAssignment(alg, [Fraction(w, sum(raw)) for w in raw])
+
+
+def _past_formula(draw, events, size):
+    """A formula over ``events`` and the constants with ``Y`` and ``S``."""
+    kind = draw(st.sampled_from(["leaf", "not", "and", "or", "Y", "Y", "S"]
+                                if size else ["leaf"]))
+    if kind == "leaf":
+        return draw(st.sampled_from([Atom(x) for x in events] + [TRUE, FALSE]))
+    if kind in ("not", "Y"):
+        return (Not if kind == "not" else Prev)(_past_formula(draw, events, size - 1))
+    node = {"and": And, "or": Or, "S": Since}[kind]
+    return node(_past_formula(draw, events, size - 1),
+                _past_formula(draw, events, size - 1))
+
+
+def _flat_expression(draw, events, leaves):
+    """A ``~``/``and``/``or`` tree over ``leaves`` simple conditionals."""
+    if leaves == 1:
+        num, den = (draw(st.sampled_from([Atom(x) for x in events] + [TRUE]))
+                    for _ in "nd")
+        return CeaSimple(num, den)
+    if draw(st.integers(0, 3)) == 0:
+        return CeaNeg(_flat_expression(draw, events, leaves))
+    left = draw(st.integers(1, leaves - 1))
+    return draw(st.sampled_from([CeaAnd, CeaOr]))(
+        _flat_expression(draw, events, left), _flat_expression(draw, events, leaves - left))
+
+
+@st.composite
+def label_weight_chains(draw):
+    """A chain of a corpus conditional, a random ``Y``/``S`` conditional, a
+    ps embedding or a ``sac``/``gnw``/``sch`` present machine, and the
+    conditional's horizon (0 for a present machine, None with ``S``)."""
+    kind = draw(st.sampled_from(["corpus", "past", "ps", "present"]))
+    events = ("a", "b") if kind == "corpus" else ("a", "b", "c")[:draw(st.integers(1, 3))]
+    p = _label_dist(draw, events)
+    if kind == "corpus":
+        c = draw(st.sampled_from(CORPUS))[1]
+    elif kind == "past":
+        c = CondObject(*(_past_formula(draw, events, 4) for _ in "nd"))
+    elif kind == "ps":
+        e = _flat_expression(draw, events, draw(st.integers(1, 3)))
+        c = embed_ps(e, draw(st.sampled_from(["first", "reverse", "sparse"])))
+    else:
+        e = _flat_expression(draw, events, draw(st.integers(1, 4)))
+        m = present_machine(reduce_present(e, p.alg, draw(st.sampled_from(
+            ["sac", "gnw", "sch"]))), p.alg)
+        return chain_from_machine(minimize(m) if draw(st.booleans()) else m, p), 0
+    m = (minimal_machine if draw(st.booleans()) else compile_cond)(c, p.alg)
+    return chain_from_machine(m, p), horizon(c)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(label_weight_chains(), st.integers(1, 12))
+def test_label_weights_equal_the_den_power_reference(case, extra):
+    """Row by row, each label's weight over ``scale`` is the reference's
+    over den^t, ``scale`` divides den^t, and without ``S`` the scale stops
+    changing after the horizon d: it is the same from row d+1 on."""
+    ch, d = case
+    n = extra + (d + 2 if d is not None else 0)
+    got = list(markov.label_weights(ch, n))
+    want = list(label_weights_reference(ch, n))
+    assert len(got) == len(want) == n
+    for t, ((scale, *weights), (full, *ref)) in enumerate(zip(got, want), 1):
+        assert full == ch.den ** t and full % scale == 0
+        assert sum(weights) == scale
+        assert [Fraction(w, scale) for w in weights] == [Fraction(w, full) for w in ref]
+    if d is not None:
+        assert len({scale for scale, *_ in got[d:]}) == 1, (d, got)
 
 
 # ---------------------------------------------------------------------------
