@@ -50,12 +50,18 @@ def _decimal_12(x: Fraction) -> str:
 
 def _load_dist(path: str) -> ProbAssignment:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return ProbAssignment.from_text(fh.read())
+        with open(path, "rb") as fh:
+            return _read_dist(fh.read().decode("utf-8"))
     except OSError as exc:
         raise _InputError(f"cannot read {path}: {exc}") from None
     except ValueError as exc:
         raise _InputError(f"bad distribution file {path}: {exc}") from None
+
+
+@lru_cache
+def _read_dist(text: str) -> ProbAssignment:
+    """A file text's distribution, kept for the 128 most recent texts."""
+    return ProbAssignment.from_text(text)
 
 
 def _half(events: tuple[str, ...]) -> ProbAssignment:
@@ -126,36 +132,32 @@ def cmd_series(args) -> int:
     den = ch.den
     write = sys.stdout.write
     write("n,p1,p0,pbot,ratio\n")
-    # a row is written as soon as it is stepped; no row is kept
+    # a row is written when stepped; a fixed point's repeated row reuses its cells
     p1 = q1 = 0  # the last ratio p1/q1 in lowest terms; q1 = 0 after undef
-    for n, (scale, w1, w0, wbot) in enumerate(label_weights(ch, args.n), 1):
-        # scale divides den^t, so a weight coprime to den shares no prime
-        # with a scale > 1 and is in lowest terms over it: one small gcd, not
-        # one against scale.  str(scale) is made at most once per row, and
-        # not at all when no cell needs it.
-        over, cells = "", []
-        for w in (w1, w0, wbot):
-            if not w:
-                cells.append("0")
-            elif scale > 1 and gcd(w, den) == 1:
-                over = over or f"/{scale}"
-                cells.append(f"{w}{over}")
-            else:
-                cells.append(_quotient(w, scale))
-        total = w1 + w0
-        if not (total and q1 and w1 * q1 == p1 * total):  # else the last text stands
-            g = gcd(w1, total) or 1
-            p1, q1 = w1 // g, total // g
-            ratio = f"{p1}/{q1}" if q1 > 1 else str(p1) if q1 else "undef"
+    last = None
+    for n, row in enumerate(label_weights(ch, args.n), 1):
+        if row is not last:
+            last, (scale, w1, w0, wbot) = row, row
+            # scale divides den^t: a weight coprime to den is in lowest terms
+            # over a scale > 1 (one small gcd, not one against scale), and
+            # str(scale) is made at most once per row, only if a cell needs it
+            over, cells = "", []
+            for w in (w1, w0, wbot):
+                if not w:
+                    cells.append("0")
+                elif scale > 1 and gcd(w, den) == 1:
+                    over = over or f"/{scale}"
+                    cells.append(f"{w}{over}")
+                else:  # str(Fraction(w, scale)) from one gcd
+                    g = gcd(w, scale)
+                    cells.append(str(w // g) if g == scale else f"{w // g}/{scale // g}")
+            total = w1 + w0
+            if not (total and q1 and w1 * q1 == p1 * total):  # else the last ratio stands
+                g = gcd(w1, total) or 1
+                p1, q1 = w1 // g, total // g
+                ratio = f"{p1}/{q1}" if q1 > 1 else str(p1) if q1 else "undef"
         write(f"{n},{','.join(cells)},{ratio}\n")
     return OK
-
-
-def _quotient(num: int, den: int) -> str:
-    """``str(Fraction(num, den))`` for ``num >= 0`` and ``den > 0``, from
-    one gcd."""
-    g = gcd(num, den)
-    return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
 def cmd_machine(args) -> int:

@@ -9,9 +9,11 @@ one must agree with, verdict and witness, the per-character tokenizer
 whose tokens, lines and columns the one-scan tokenizer must reproduce, and
 the distribution-file reader that makes a ``Fraction`` of every value, whose
 blocks and errors the integer reader must reproduce, the atom-by-atom letter
-law that the law from class masks must reproduce, and Tarjan's components
-and the sum-row stationary system, which the two-pass components and the
-reference-state stationary law must reproduce, the merge-step DOT label
+law that the law from class masks must reproduce, the set-bit loop that
+weighs an atom set, which the one-pass sum of a dense set and the
+highest-first loop over a sparse one must reproduce, and Tarjan's
+components and the sum-row stationary system, which the two-pass
+components and the reference-state stationary law must reproduce, the merge-step DOT label
 and brute-force prime implicants, which the labels from cofactored primes
 must reproduce, and the series weights over den^t, which the weights over
 a divisor of den^t must reproduce."""
@@ -905,6 +907,20 @@ def class_weights_reference(p: ProbAssignment, class_of_atom: list[int],
         weights[c] += w
     common = gcd(den, *weights)
     return den // common, [w // common for w in weights]
+
+
+def weight_reference(p: ProbAssignment, mask: int) -> int:
+    """The integer weight of a set of atoms, its set bits added one at a
+    time, lowest first, how ``ProbAssignment.weight`` read every mask
+    before it summed dense ones in one pass and sparse ones highest first."""
+    weights = p.weights[1]
+    total = 0
+    rest = mask
+    while rest:
+        low = rest & -rest
+        total += weights[low.bit_length() - 1]
+        rest ^= low
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from tlcond.cli import main
 from tlcond.syntax import collect_simples
 
 from corpus import CORPUS_TEXTS
+from machines import from_text_reference
 
 ROOT = Path(__file__).resolve().parent.parent
 INDEP_HALF_AB = "events: a b\nindependent: a=1/2 b=1/2\n"
@@ -605,9 +606,9 @@ def test_a_kept_parse_is_keyed_on_the_events(capsys, tmp_path, half_ab):
 
 
 def test_answers_follow_a_rewritten_distribution_file(capsys, tmp_path):
-    """Nothing read from a distribution file is kept: the same path,
-    rewritten with other marginals, gives the new file's answers although
-    the expression's parse and machine are kept."""
+    """A distribution is kept by its file's text, not its path: the same
+    path, rewritten with other marginals, gives the new file's answers
+    although the expression's parse and machine are kept."""
     path = tmp_path / "ab.dist"
     argvs = [("prob", "--expr", "(a S b | O b)", "--dist", str(path)),
              ("series", "--expr", "(a S b | O b)", "--n", "3", "--dist", str(path))]
@@ -622,6 +623,70 @@ def test_answers_follow_a_rewritten_distribution_file(capsys, tmp_path):
         assert [run(capsys, *argv) for argv in argvs] == [(0, out, "") for out in outs]
     assert cli._parse_expr.cache_info().hits == 3
     assert automata.minimal_machine.cache_info().hits == 3
+    assert cli._read_dist.cache_info()[:2] == (2, 2)  # hits, misses
+
+
+def test_one_text_under_two_paths_is_one_distribution(capsys, tmp_path):
+    paths = [tmp_path / name for name in ("one.dist", "two.dist")]
+    for path in paths:
+        path.write_text("events: a b\nindependent: a=2/5 b=1/3\n")
+    outs = {run(capsys, "prob", "--expr", "(a S b | O b)", "--dist", str(path))
+            for path in paths}
+    assert outs == {(0, "5/11 (0.454545454545)\n", "")}
+    assert cli._read_dist.cache_info()[:2] == (1, 1)
+    assert cli._load_dist(str(paths[0])) is cli._load_dist(str(paths[1]))
+
+
+def test_a_malformed_file_fails_on_every_request_under_its_own_path(capsys, tmp_path):
+    paths = [tmp_path / name for name in ("one.dist", "two.dist")]
+    for path in paths:
+        path.write_text("events: a b\nindependent: a=3/2 b=1/3\n")
+    for path in paths + paths:
+        assert run(capsys, "prob", "--expr", "(a|b)", "--dist", str(path)) == (
+            1, "", f"error: bad distribution file {path}: "
+                   "marginal for 'a' is 3/2, outside [0, 1]\n")
+    assert cli._read_dist.cache_info()[:2] == (0, 4)
+
+
+@pytest.mark.parametrize("text", [
+    "events: a b c\nindependent: a=0 b=1 c=2/6\n",
+    "events: b a\r\n# marginals\r\nindependent: a=0.4 b=04/10\r\n",
+    "events: a b\natom {}: 1/4\natom {a}: 0\natom {b}: 1/3\natom {a b}: 5/12\n",
+    "events: a b\ratom {b a}: 1\ratom {a}: 0/7\ratom {b}: 0\ratom {}: 0\r",
+])
+def test_a_kept_distribution_equals_the_fraction_reference(capsys, tmp_path, text):
+    """The distribution kept after two requests is the one the Fraction
+    reader gives: its algebra, its blocks' weights and its flat table."""
+    path = tmp_path / "kept.dist"
+    path.write_bytes(text.encode())
+    for _ in range(2):
+        assert run(capsys, "prob", "--expr", "(a|b)", "--dist", str(path))[0] in (0, 2)
+    kept, want = cli._read_dist(text), from_text_reference(text)
+    assert cli._read_dist.cache_info()[:2] == (2, 1)
+    assert kept.alg.events == want.alg.events
+    assert ([(b.events, b.den, b.weights) for b in kept.blocks]
+            == [(b.events, b.den, b.weights) for b in want.blocks])
+    assert kept.weights == want.weights
+
+
+def test_a_traced_from_text_spans_every_miss(capsys, monkeypatch, tmp_path):
+    """The memo reads ``ProbAssignment.from_text`` through the class when it
+    misses, so a wrapper bound there, as the benchmark's tracer binds one,
+    sees every text read for the first time and no other."""
+    calls = []
+    original = ProbAssignment.from_text
+
+    def traced(text):
+        calls.append(text)
+        return original(text)
+    monkeypatch.setattr(ProbAssignment, "from_text", staticmethod(traced))
+    texts = ["events: a b\nindependent: a=1/2 b=1/3\n",
+             "events: a b\nindependent: a=1/3 b=1/2\n"]
+    path = tmp_path / "ab.dist"
+    for text in texts + texts:
+        path.write_text(text)
+        assert run(capsys, "prob", "--expr", "(a|b)", "--dist", str(path))[0] == 0
+    assert calls == texts
 
 
 @pytest.mark.parametrize("text", [t for t in CORPUS_TEXTS if "a" in t and "b" in t])

@@ -6,7 +6,7 @@ from math import gcd, lcm, prod
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tlcond import (FALSE, TRUE, And, Atom, CeaAnd, CeaNeg, CeaOr, CeaSimple,
@@ -28,7 +28,7 @@ from corpus import (ALG_AB, CONVERGENCE_AB, CORPUS, CORPUS_TEXTS, SKEWED_AB,
                     UNIFORM_AB)
 from machines import (class_weights_reference, from_text_reference,
                       label_weights_reference, sccs_reference,
-                      stationary_distribution_reference)
+                      stationary_distribution_reference, weight_reference)
 
 F2 = Fraction(1, 2)
 
@@ -574,6 +574,57 @@ def test_class_weights_on_zero_and_unit_marginals_and_zero_atoms():
     assert markov.class_weights(edge, [0b001, 0b110, 0b11111000]) == (3, [0, 2, 1])
 
 
+def _atom_table(k, rng, zeros):
+    """A one-block distribution over ``k`` events (2^k atoms) with random
+    integer weights, each atom weighing 0 with probability ``zeros``."""
+    alg = EventAlgebra(tuple(f"e{i}" for i in range(k)))
+    weights = [0 if rng.random() < zeros else rng.randint(1, 10 ** 9)
+               for _ in range(alg.num_atoms)]
+    weights[rng.randrange(alg.num_atoms)] += 1  # something weighs
+    return ProbAssignment(alg, blocks=(Block.over(alg.events, sum(weights),
+                                                  tuple(weights)),))
+
+
+def _random_mask(rng, kind, n):
+    """A set of atoms below ``n``: empty, full, one atom, sparse (each atom
+    with probability 1/64, at least one), dense (each with probability 1/4
+    to 1), or dense over a random prefix, so shorter than the table."""
+    if kind in ("empty", "full", "single"):
+        return {"empty": 0, "full": (1 << n) - 1, "single": 1 << rng.randrange(n)}[kind]
+    if kind == "sparse":
+        return sum(1 << a for a in range(n) if rng.random() < 1 / 64) | 1 << rng.randrange(n)
+    density = rng.uniform(0.25, 1)
+    mask = sum(1 << a for a in range(n) if rng.random() < density)
+    return mask & ((1 << rng.randint(0, n)) - 1) if kind == "short" else mask
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(0, 12), st.sampled_from([0, 0.5, 0.95]),
+       st.sampled_from(["empty", "full", "single", "sparse", "dense", "short"]),
+       st.integers(0, 2 ** 32))
+def test_weight_equals_the_set_bit_loop_reference(k, zeros, kind, seed):
+    """The weight of an atom set, whether summed in one pass or bit by bit
+    from the highest, is the lowest-first loop's, on tables of 1 to 2^12
+    atoms with zero atoms."""
+    rng = random.Random(seed)
+    p = _atom_table(k, rng, zeros)
+    for _ in range(4):
+        mask = _random_mask(rng, kind, p.alg.num_atoms)
+        assert p.weight(mask) == weight_reference(p, mask)
+
+
+def test_weight_over_two_to_the_sixteen_atoms():
+    """Both paths on the largest table: the full set, a dense half, a
+    sparse set and one atom."""
+    rng = random.Random(16)
+    p = _atom_table(16, rng, 0.5)
+    full = p.alg.full_event
+    assert p.weight(full) == weight_reference(p, full) == p.weights[0]
+    for kind in ("dense", "short", "sparse", "single"):
+        mask = _random_mask(rng, kind, 1 << 16)
+        assert p.weight(mask) == weight_reference(p, mask)
+
+
 def test_hand_built_chain_round_trips_its_tables():
     zero = Fraction(0)
     init = (Fraction(1, 6), F2, Fraction(1, 3))
@@ -823,14 +874,26 @@ def label_weight_chains(draw):
     return chain_from_machine(m, p), horizon(c)
 
 
+# laws under which chains reach a fixed point in their first rows: a point
+# mass (den = 1), and Pr a = 1, under which O a holds from time 1 on
+POINT_AB = ProbAssignment(ALG_AB, (0, 0, 0, 1))
+SURE_A = ProbAssignment.independent(ALG_AB, {"a": 1, "b": F2})
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(label_weight_chains(), st.integers(1, 12))
+@example((_chain("(Y a | Y true)", POINT_AB), 1), 1)
+@example((_chain("(a S b | O b)", POINT_AB), None), 1)
+@example((_chain("(O a | true)", SURE_A), None), 1)
+@example((_chain("(O a | true)", SKEWED_AB), None), 1)
 def test_label_weights_equal_the_den_power_reference(case, extra):
-    """Row by row, each label's weight over ``scale`` is the reference's
-    over den^t, ``scale`` divides den^t, and without ``S`` the scale stops
-    changing after the horizon d: it is the same from row d+1 on."""
+    """Row by row, over n >= 3(d+1) rows, each label's weight over
+    ``scale`` is the reference's over den^t and ``scale`` divides den^t.
+    Without ``S`` the weights stop changing after the horizon d, so every
+    row from d+1 on is row d+1, the same object; and once a row is the
+    one before it, so are all later rows."""
     ch, d = case
-    n = extra + (d + 2 if d is not None else 0)
+    n = extra + 3 * (d + 1 if d is not None else 4)
     got = list(markov.label_weights(ch, n))
     want = list(label_weights_reference(ch, n))
     assert len(got) == len(want) == n
@@ -839,7 +902,21 @@ def test_label_weights_equal_the_den_power_reference(case, extra):
         assert sum(weights) == scale
         assert [Fraction(w, scale) for w in weights] == [Fraction(w, full) for w in ref]
     if d is not None:
-        assert len({scale for scale, *_ in got[d:]}) == 1, (d, got)
+        assert all(row is got[d] for row in got[d:]), (d, got)
+    first = next((t for t in range(1, n) if got[t] is got[t - 1]), n)
+    assert all(row is got[first] for row in got[first:])
+
+
+def test_label_weights_stop_stepping_at_a_fixed_point():
+    """A chain whose reduced weights repeat is stepped once more, not once
+    per row: its rows are one object from then on."""
+    for ch in (_chain("(a S b | O b)", POINT_AB), _chain("(O a | true)", SURE_A),
+               _chain("(Y a | Y true)", UNIFORM_AB)):
+        with mock.patch.object(markov, "_step", wraps=markov._step) as spy:
+            rows = list(markov.label_weights(ch, 1000))
+        fixed = spy.call_count  # row fixed + 1 is the first that repeats
+        assert fixed <= 2 and len(rows) == 1000
+        assert all(row is rows[fixed - 1] for row in rows[fixed:])
 
 
 # ---------------------------------------------------------------------------
