@@ -31,11 +31,11 @@ parts of an expression that touch disjoint sets of blocks have independent
 value sequences, so their numerators' limits combine exactly (``and``
 multiplies, ``or`` is 1-(1-x)(1-y), ``~`` is 1-x), as integer pairs (num,
 den) with one ``Fraction`` at the root.  A run of ``and`` or of ``or`` is
-regrouped into the connected components of its operands by shared blocks.
-A simple conditional (a|b) alone in its part takes its limit in closed
-form, Pr(a and b) / Pr b, from the integer table of the blocks it touches;
-only the parts whose leaves share events are compiled and solved, once
-each, over the product of the blocks they touch.
+regrouped into the connected components of its operands by shared blocks,
+at once when no two share one.  A simple conditional (a|b) alone in its
+part takes its limit in closed form, Pr(a and b) / Pr b, in two C-level
+sums over the table of its blocks; only the parts whose leaves share events
+are compiled and solved, once each, over the product of the blocks they touch.
 
 :func:`cond_asymptotic` builds no machine for a conditional without ``S``
 (see :func:`_ratio`).  Every embedding of a product-space leaf uses ``S``,
@@ -54,7 +54,7 @@ from . import markov, syntax, trivalue
 from .automata import (MooreMachine3, _classes_from_columns, compile_cond,
                        event_mask, leaf_classes, minimal_machine)
 from .markov import (ProbAssignment, asymptotic, chain_from_machine,
-                     defined_ratio, pr_n_ratio)
+                     defined_ratio, pr_n_ratio, select)
 from .syntax import (FALSE, TRUE, And, Atom, CeaAnd, CeaCond, CeaExpr, CeaNeg,
                      CeaOr, CeaSimple, CeaVar, CondObject, Const, EventAlgebra,
                      Iff, Implies, Not, Or, Prev, Since, TLFormula, children,
@@ -332,24 +332,33 @@ def prob_ps(e: CeaExpr, p: ProbAssignment) -> Fraction:
     ``first``, ``reverse`` and ``sparse`` embeddings (see the module
     docstring), always defined.
 
-    A first walk checks flatness and gives every node, formula nodes
-    included, the bitmask of the blocks it touches.  A second walk takes
-    each value, a pair (num, den), as it reaches it: a maximal run of
-    ``and`` or of ``or`` is regrouped into the connected components of its
-    operands by shared blocks, joined by :func:`_combine`; an operand alone
+    A first walk lists the expression's nodes, not its sides', and checks
+    flatness; read backward, it gives each node the bitmask of the blocks it
+    touches, a leaf's from a lookup per atom side or a walk over another
+    side's atoms.  A second walk takes each value, a pair (num, den), as it
+    reaches it: a maximal run of ``and`` or of ``or`` is regrouped
+    (:func:`_components`) and joined by :func:`_combine`; an operand alone
     in its component is walked further, and a larger component, or a run
     that is one, is a piece (:func:`_piece`).  A ``~`` is the step 1 - x,
     so a negated piece is solved without its negation.
     """
     block_of = {name: 1 << k for k, b in enumerate(p.blocks) for name in b.events}
-    blocks: dict = {}  # node -> bitmask of the blocks it touches
-    for x in reversed(list(walk(e))):  # children before parents
-        if type(x) is Atom:
-            blocks[x] = block_of[x.name]
-        elif type(x) is CeaCond or type(x) is CeaVar:
+    blocks: dict = {}  # expression node -> bitmask of the blocks it touches
+
+    def side(f: TLFormula) -> int:
+        return block_of[f.name] if type(f) is Atom else reduce(
+            or_, (block_of[y.name] for y in walk(f) if type(y) is Atom), 0)
+
+    order = [e]  # expression nodes, breadth first: each before its operands
+    for x in order:
+        if type(x) is CeaCond or type(x) is CeaVar:
             _require_flat(e)  # raises, naming re-conditioning first
-        else:
-            blocks[x] = reduce(or_, map(blocks.__getitem__, children(x)), 0)
+        if type(x) is not CeaSimple:
+            order += children(x)
+    for x in reversed(order):
+        blocks[x] = (side(x.num_event) | side(x.den_event) if type(x) is CeaSimple
+                     else blocks[x.child] if type(x) is CeaNeg
+                     else blocks[x.left] | blocks[x.right])
 
     # nodes, steps (kind, n) combining the last n values, and regrouped
     # pieces (run, blocks); operands are pushed right to left, so that
@@ -401,7 +410,11 @@ def _run_operands(x: CeaExpr) -> list[CeaExpr]:
 def _components(operands: list[CeaExpr], blocks: dict[CeaExpr, int]
                 ) -> list[list[CeaExpr]]:
     """``operands`` grouped into the connected components of "touch a
-    common block", each group in operand order and ordered by its first."""
+    common block", each group in operand order and ordered by its first;
+    singletons if their bit counts add up (disjoint blocks), else by union-find."""
+    masks = [blocks[x] for x in operands]
+    if sum(map(int.bit_count, masks)) == reduce(or_, masks).bit_count():
+        return [[x] for x in operands]
     parent = list(range(len(operands)))
 
     def root(i: int) -> int:
@@ -410,8 +423,7 @@ def _components(operands: list[CeaExpr], blocks: dict[CeaExpr, int]
         return i
 
     first: dict[int, int] = {}  # block bit -> the first operand touching it
-    for i, x in enumerate(operands):
-        rest = blocks[x]
+    for i, rest in enumerate(masks):
         while rest:
             bit = rest & -rest
             rest ^= bit
@@ -426,18 +438,17 @@ def _piece(x: CeaExpr, which: int, p: ProbAssignment) -> tuple[int, int]:
     """The limit (num, den) of a piece over the blocks of ``p`` in bitmask
     ``which``, the ones it touches.  A simple conditional (a|b) needs no
     machine: its first and its latest defined value are both 1 with
-    probability Pr(a and b) / Pr b in the limit (0 when Pr b = 0), weighed
-    on the integer table of those blocks.  Any other piece runs compile ->
-    minimize -> chain -> limit once, on its ``reverse`` embedding, whose
-    condition is true, so the product law and 1 - x hold on the numerators'
-    limits directly."""
+    probability Pr(a and b) / Pr b in the limit (0 when Pr b = 0), two
+    C-level sums over the 2^m entries of those blocks' table.  Any other
+    piece runs compile -> minimize -> chain -> limit once, on its
+    ``reverse`` embedding, whose condition is true, so the product law and
+    1 - x hold on the numerators' limits directly."""
     if type(x) is CeaSimple:
-        blocks = [b for k, b in enumerate(p.blocks) if which >> k & 1]
+        blocks = list(select(p.blocks, which))
         alg = EventAlgebra.of_checked(tuple(e for b in blocks for e in b.events))
         yes, no = _leaf(x, alg)  # raises past the atom table limit
         table = markov.block_table(blocks)[1]
-        ones = sum(w for a, w in enumerate(table) if yes >> a & 1)
-        defined = sum(w for a, w in enumerate(table) if (yes | no) >> a & 1)
+        ones, defined = sum(select(table, yes)), sum(select(table, yes | no))
         return (ones, defined) if defined else (0, 1)
     value = cond_asymptotic(embed_ps(x, "reverse"), p.restrict(which))
     return value.numerator, value.denominator

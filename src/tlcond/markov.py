@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress, repeat
+from itertools import compress, groupby, repeat
 from math import gcd, lcm
 from typing import Iterator, Optional, Sequence
 
@@ -25,8 +25,12 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 # one line of a distribution file's atom table: ``atom {a c}: 3/8``
 _ATOM_LINE = re.compile(r"atom\s*\{([^}]*)\}\s*:\s*(\S+)$")
-# a mask's binary digits as compress selectors: b"0" -> 0, b"1" -> 1
 _BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def select(items: Sequence, mask: int) -> Iterator:
+    """The items at the set bits of ``mask``, lowest first, in one C-level pass."""
+    return compress(items, bin(mask)[:1:-1].encode().translate(_BITS))
 
 
 class PeriodicChainError(RuntimeError):
@@ -125,7 +129,7 @@ class ProbAssignment:
         over their events in the algebra's order, not checked again."""
         if which == (1 << len(self.blocks)) - 1:
             return self
-        blocks = tuple(b for k, b in enumerate(self.blocks) if which >> k & 1)
+        blocks = tuple(select(self.blocks, which))
         names = {e for b in blocks for e in b.events}
         alg = EventAlgebra.of_checked(tuple(e for e in self.alg.events if e in names))
         return ProbAssignment(alg, blocks=blocks)
@@ -139,7 +143,7 @@ class ProbAssignment:
         linear in what is left of it): a large table's letter class."""
         weights = self.weights[1]
         if mask.bit_count() * 16 > mask.bit_length() + 64:
-            return sum(compress(weights, bin(mask)[:1:-1].encode().translate(_BITS)))
+            return sum(select(weights, mask))
         total = 0
         while mask:
             top = mask.bit_length() - 1
@@ -366,9 +370,9 @@ def label_weights(ch: MarkovChain3, n: int) -> Iterator[tuple[int, int, int, int
 
 def pr_series(ch: MarkovChain3, n: int
               ) -> Iterator[tuple[Fraction, Fraction, Fraction]]:
-    """(Pr value 1, Pr value 0, Pr undefined) at times 1..n."""
-    for scale, *weights in label_weights(ch, n):
-        yield tuple(Fraction(w, scale) for w in weights)
+    """(Pr value 1, Pr value 0, Pr undefined) at times 1..n; equal rows share one."""
+    for row, run in groupby(label_weights(ch, n)):
+        yield from repeat(tuple(Fraction(w, row[0]) for w in row[1:]), len(list(run)))
 
 
 def check_time_index(n: int) -> None:

@@ -16,16 +16,20 @@ components and the sum-row stationary system, which the two-pass
 components and the reference-state stationary law must reproduce, the merge-step DOT label
 and brute-force prime implicants, which the labels from cofactored primes
 must reproduce, and the series weights over den^t, which the weights over
-a divisor of den^t must reproduce."""
+a divisor of den^t must reproduce, and the product-space walk with
+masks on every node, union-find on every run and leaf tables scanned
+over all blocks, which the walk over expression nodes must reproduce."""
 import itertools
 import re
 from fractions import Fraction
+from functools import reduce
 from math import gcd
+from operator import or_
 from typing import Callable, NamedTuple, Optional
 from unittest import mock
 
 from tlcond import (CeaAnd, CeaNeg, CeaOr, CeaSimple, CondObject, ProbAssignment,
-                    TRUE, Value3, algebra, compile_cond, first_resolution, markov,
+                    TRUE, Value3, algebra, cea, compile_cond, first_resolution, markov,
                     minimize, product, syntax, trivalue)
 from tlcond.automata import MooreMachine3, _classes_from_columns
 from tlcond.cea import DEFAULT_VARIABLE_CAP, _leaf
@@ -1013,3 +1017,86 @@ def stationary_distribution_reference(ch, members: list[int]) -> dict[int, Fract
                 rows[i][j] = rows[i].get(j, 0) + w
     x = markov.solve_linear(rows, 1)
     return {s: x[pos[s]][0] for s in members}
+
+
+# ---------------------------------------------------------------------------
+# Product-space reference: block masks for every node, formula nodes
+# included, union-find on every run, and leaf pieces from a scan of all
+# blocks, how ``cea.prob_ps`` worked before it gave masks to expression
+# nodes only, split pairwise-disjoint runs without union-find and read a
+# leaf's table off its own blocks
+
+
+def prob_ps_reference(e: CeaExpr, p: ProbAssignment) -> Fraction:
+    """Product-space probability of a flat expression by the product law
+    over components of shared blocks."""
+    block_of = {name: 1 << k for k, b in enumerate(p.blocks) for name in b.events}
+    blocks: dict = {}  # node -> bitmask of the blocks it touches
+    for x in reversed(list(walk(e))):  # children before parents
+        if type(x) is Atom:
+            blocks[x] = block_of[x.name]
+        elif type(x) is CeaCond or type(x) is CeaVar:
+            cea._require_flat(e)  # raises, naming re-conditioning first
+        else:
+            blocks[x] = reduce(or_, map(blocks.__getitem__, children(x)), 0)
+    values: list[tuple[int, int]] = []
+    todo = [e]
+    while todo:
+        x = todo.pop()
+        if type(x) is CeaNeg:
+            todo += [(CeaNeg, 1), x.child]
+        elif type(x) is tuple and type(x[0]) is type:
+            kind, n = x
+            values[-n:] = [cea._combine(kind, values[-n:])]
+        elif type(x) is tuple:
+            values.append(_piece_reference(*x, p))
+        elif type(x) is CeaSimple or len(
+                groups := components_reference(cea._run_operands(x), blocks)) == 1:
+            values.append(_piece_reference(x, blocks[x], p))
+        else:
+            todo.append((type(x), len(groups)))
+            for group in reversed(groups):
+                todo.append(group[0] if len(group) == 1 else (reduce(type(x), group),
+                            reduce(or_, (blocks[z] for z in group))))
+    return Fraction(*values.pop())
+
+
+def components_reference(operands: list[CeaExpr], blocks: dict[CeaExpr, int]
+                         ) -> list[list[CeaExpr]]:
+    """``operands`` grouped by union-find into the connected components of
+    "touch a common block", each group in operand order and ordered by its
+    first."""
+    parent = list(range(len(operands)))
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    first: dict[int, int] = {}  # block bit -> the first operand touching it
+    for i, x in enumerate(operands):
+        rest = blocks[x]
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            parent[root(first.setdefault(bit, i))] = root(i)
+    groups: dict[int, list[CeaExpr]] = {}
+    for i, x in enumerate(operands):
+        groups.setdefault(root(i), []).append(x)
+    return list(groups.values())
+
+
+def _piece_reference(x: CeaExpr, which: int, p: ProbAssignment) -> tuple[int, int]:
+    """The limit (num, den) of a piece over the blocks in bitmask ``which``:
+    a simple conditional's Pr(a and b) / Pr b summed atom by atom, any other
+    piece's compiled and solved ``reverse`` limit."""
+    if type(x) is CeaSimple:
+        blocks = [b for k, b in enumerate(p.blocks) if which >> k & 1]
+        alg = EventAlgebra.of_checked(tuple(e for b in blocks for e in b.events))
+        yes, no = _leaf(x, alg)
+        table = markov.block_table(blocks)[1]
+        ones = sum(w for a, w in enumerate(table) if yes >> a & 1)
+        defined = sum(w for a, w in enumerate(table) if (yes | no) >> a & 1)
+        return (ones, defined) if defined else (0, 1)
+    value = cea.cond_asymptotic(cea.embed_ps(x, "reverse"), p.restrict(which))
+    return value.numerator, value.denominator

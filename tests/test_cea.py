@@ -27,10 +27,11 @@ from tlcond.syntax import EventAlgebra, Since, collect_simples, horizon, subform
 from tlcond.trivalue import ConnectiveId, apply_binary
 
 from corpus import ALG_AB, CORPUS, CORPUS_TEXTS, SKEWED_AB, UNIFORM_AB
-from machines import (assert_first_machine_shape, eval_cea_valuation_reference,
+from machines import (assert_first_machine_shape, components_reference,
+                      eval_cea_valuation_reference,
                       event_mask_reference, event_text_reference,
                       first_product_machine, leaf_classes_reference,
-                      reduce_present_reference,
+                      prob_ps_reference, reduce_present_reference,
                       reduce_syntactic_reference,
                       strong_indep_reference, weak_tautology_reference)
 
@@ -1165,6 +1166,62 @@ def test_disjoint_trees_past_the_atom_table_follow_the_product_law(case):
     assert prob_ps(parse_cea(text, p.alg), p) == want, text
     # no flat table of the distribution was built, nor its masses
     assert "weights" not in vars(p) and "mass" not in vars(p)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(flat_expressions(), pool_distributions())
+def test_prob_ps_equals_the_every_node_walk_reference(e, p):
+    assert prob_ps(e, p) == prob_ps_reference(e, p), pretty(e)
+
+
+MIXED_EVENTS = ("a", "b", "c", "d", "e", "f", "g", "h")
+MIXED_SIDES = ("{x}", "{y}", "{x} and {y}", "{x} or {y}", "not {x}", "true", "false")
+
+
+@st.composite
+def mixed_runs(draw):
+    """Runs of and/or whose operands share some blocks and not others, such
+    as (a|c) and (b|d) and (e|c): runs of 2-4 operands, nested at most one
+    level, whose leaves read two of eight events or have constant sides and
+    no block at all, under chains of ~; over an ``independent:`` line with
+    0 and 1 marginals.  Returns the distribution and the expression."""
+    marginals = {n: draw(st.sampled_from(MARGINALS)) for n in MIXED_EVENTS}
+    p = ProbAssignment.from_text(f"events: {' '.join(MIXED_EVENTS)}\nindependent: "
+                                 + " ".join(f"{n}={v}" for n, v in marginals.items()))
+
+    def leaf():
+        x, y = draw(st.permutations(MIXED_EVENTS))[:2]
+        num, den = (draw(st.sampled_from(MIXED_SIDES)).format(x=x, y=y) for _ in "nd")
+        return "~" * draw(st.sampled_from((0, 0, 1, 2, 3))) + f"({num} | {den})"
+
+    def run(depth):
+        op = draw(st.sampled_from(["and", "or"]))
+        parts = [leaf() if depth == 0 or draw(st.booleans()) else run(depth - 1)
+                 for _ in range(draw(st.integers(2, 4)))]
+        return "~" * draw(st.integers(0, 2)) + "(" + f" {op} ".join(parts) + ")"
+
+    return p, parse_cea(run(draw(st.integers(0, 1))), p.alg)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(mixed_runs())
+def test_prob_ps_on_mixed_runs_equals_the_every_node_walk_reference(case):
+    p, e = case
+    assert prob_ps(e, p) == prob_ps_reference(e, p), pretty(e)
+
+
+def test_components_split_disjoint_runs_in_operand_order():
+    """Pairwise-disjoint operands are singletons in operand order; one
+    block shared among three operands joins the two that share it; an
+    operand that touches no block is a group of its own."""
+    x, y, z = (parse_cea(f"({n}|{n})", ABC) for n in "abc")
+    for masks, want in (((0b100, 0b1, 0b10), [[x], [y], [z]]),
+                        ((0b11, 0b100, 0b1), [[x, z], [y]]),
+                        ((0b1, 0, 0b1), [[x, z], [y]]),
+                        ((0, 0b1, 0), [[x], [y], [z]])):
+        blocks = dict(zip((x, y, z), masks))
+        assert cea._components([x, y, z], blocks) == want, masks
+        assert components_reference([x, y, z], blocks) == want, masks
 
 
 RECONDITIONING = "the product-space algebra has no re-conditioning"

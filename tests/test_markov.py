@@ -919,6 +919,31 @@ def test_label_weights_stop_stepping_at_a_fixed_point():
         assert all(row is rows[fixed - 1] for row in rows[fixed:])
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(label_weight_chains(), st.integers(1, 12))
+@example((_chain("(O a | true)", SURE_A), None), 1)
+def test_pr_series_makes_one_triple_per_run_of_equal_rows(case, extra):
+    """Each triple of ``pr_series`` is its weight row over ``scale``, and a
+    row equal to the one before it gives the same triple object again."""
+    ch, d = case
+    n = extra + 3 * (d + 1 if d is not None else 4)
+    rows, got = list(markov.label_weights(ch, n)), list(pr_series(ch, n))
+    assert len(got) == n
+    for (scale, *weights), probs in zip(rows, got):
+        assert probs == tuple(Fraction(w, scale) for w in weights)
+    for t in range(1, n):
+        assert (got[t] is got[t - 1]) == (rows[t] == rows[t - 1]), t
+
+
+def test_pr_series_at_a_fixed_point_makes_no_new_triples():
+    """Without ``S`` every row from the horizon d + 1 on is one object, at
+    any length."""
+    p = ProbAssignment.independent(ALG_AB, {"a": Fraction(2, 7), "b": Fraction(5, 11)})
+    rows = list(pr_series(_chain("(Y Y a and b | Y Y true)", p), 50000))
+    assert len(rows) == 50000 and all(row is rows[2] for row in rows[2:])
+    assert rows[2] == (Fraction(10, 77), Fraction(67, 77), 0)
+
+
 # ---------------------------------------------------------------------------
 # Limiting probabilities
 
